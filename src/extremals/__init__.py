@@ -6,9 +6,8 @@ from .analysis import (BoundReport, GramReport, LipschitzCertificate,
                        SingularityScan, assumption4_check, costate_bound_check,
                        lipschitz_certificate, singularity_report)
 from .controls import ControlPath, l2_distance, random_smooth_controls
-from .dynamics import (DifferentialKernel, FundamentalSolution, Trajectory,
-                       adjoint_dE, apply_dE, endpoint, fine_grid,
-                       fundamental_solution, gram_matrix, integrate,
+from .dynamics import (DifferentialKernel, Trajectory, adjoint_dE, apply_dE,
+                       endpoint, fine_grid, gram_matrix, integrate,
                        integrate_batch, trapezoid_weights)
 from .errors import (BasisDeficiencyError, CertificateFailure,
                      ChartConstructionError, ChartIntegrityError,
@@ -43,7 +42,7 @@ __all__ = [
     "DifferentialKernel", "DiffeomorphismViolationError", "DimensionError",
     "DivergenceError", "EvaluationError", "Expr", "ExpressionGrowthError",
     "ExtremalSolution", "ExtremalsError", "FieldSet",
-    "FundamentalSolution", "GramReport", "GridMismatchError",
+    "GramReport", "GridMismatchError",
     "GrowthProfile", "GrowthReport", "InversionChart", "Lagrangian",
     "LieRankResult", "LipschitzCertificate", "NonConvergenceError",
     "ParseError", "Scenario", "ScenarioError", "SelectedBasis",
@@ -52,7 +51,7 @@ __all__ = [
     "chart_eval_full", "chart_from_dict", "chart_lipschitz_estimate",
     "compile_vector", "costate_bound_check", "costate_from_lambda",
     "default_dictionary", "endpoint", "extremality_residual",
-    "fine_grid", "fundamental_solution", "gram_matrix", "growth_spot_check",
+    "fine_grid", "gram_matrix", "growth_spot_check",
     "hamiltonian", "integrate", "integrate_batch", "l2_distance",
     "legendre_inverse", "lie_bracket", "lie_rank", "lipschitz_certificate",
     "load_scenario", "make_seeds", "maximizing_control", "momentum_map",

@@ -269,13 +269,18 @@ def cmd_eval_chart(sc, out, args):
         raise ScenarioError("eval-chart needs --chart and --point")
     F = scenario_fields(sc)
     import json as _json
-    with open(args.chart) as fh:
-        stored = _json.load(fh)
-    chart_dict = stored.get("chart", stored)
-    anchor_path = os.path.join(os.path.dirname(os.path.abspath(args.chart)),
-                               chart_dict["control_ref"])
-    u = read_control_csv(anchor_path)
-    chart = chart_from_dict(chart_dict, F, u)
+    try:
+        with open(args.chart) as fh:
+            stored = _json.load(fh)
+        chart_dict = stored.get("chart", stored)
+        anchor_path = os.path.join(os.path.dirname(os.path.abspath(args.chart)),
+                                   chart_dict["control_ref"])
+        u = read_control_csv(anchor_path)
+        chart = chart_from_dict(chart_dict, F, u)
+    except OSError as e:
+        raise ScenarioError(f"cannot read chart: {e}") from e
+    except KeyError as e:
+        raise ScenarioError(f"chart JSON {args.chart} lacks the key {e}") from e
     parts = [float(c) for c in args.point.split(",")]
     if len(parts) != sc.n + 1:
         raise ScenarioError(f"--point expects s,{sc.n} coordinates")

@@ -1,10 +1,19 @@
 """Integration of the affine system and the endpoint map's differential.
 
 The state equation is xi' = sum_i u_i(s) X_i(xi) = B(xi) u(s). Everything
-here runs on a fixed fine grid of M = N * substeps RK4 steps, where N is the
-control grid count; sub-stepping separates control resolution from ODE
-accuracy, and because the fine grid nests inside the control grid the
-integrand stays smooth within every step.
+here runs on a fine grid of M = N * substeps RK4 steps laid uniformly over
+the horizon [0, s], where N is the control grid count; sub-stepping
+separates control resolution from ODE accuracy. The fine grid nests in the
+control grid only when T * substeps / s is a whole number, as for s = T.
+For any other horizon some RK4 steps straddle a kink of the piecewise-linear
+control and lose order there.
+
+Every integration, here and in the Hamiltonian flow of ``shooting``, runs
+through one batched RK4 integrator, ``_rk4``. It takes a stage right-hand side
+over a tuple of state arrays and keeps an alive mask over the batch: an
+element dies when any of its components turns non-finite or leaves the
+blow-up guard, and is then frozen at its last state. The callers here raise
+``DivergenceError`` at the first death; the Hamiltonian flow keeps the mask.
 
 The differential of the endpoint map and its adjoint come from the
 variational equation: with Psi the fundamental solution of Psi' = A(s) Psi,
@@ -40,24 +49,8 @@ class Trajectory:
     states: np.ndarray = field(repr=False)  # (M+1, n)
 
     @property
-    def x0(self):
-        return self.states[0]
-
-    @property
     def endpoint(self):
         return self.states[-1]
-
-    @property
-    def T(self):
-        return float(self.times[-1])
-
-
-@dataclass(frozen=True)
-class FundamentalSolution:
-    times: np.ndarray = field(repr=False)
-    mats: np.ndarray = field(repr=False)  # (M+1, n, n), mats[0] = I
-    max_cond: float
-    ill_conditioned: bool
 
 
 def _interp_rows(values, T, s):
@@ -72,41 +65,88 @@ def _interp_rows(values, T, s):
 
 
 def _stage_controls(values, T_path, times, h):
-    """Control samples at step nodes and midpoints, shapes (M+1,...,m), (M,...,m)."""
+    """control(j, stage): the control (..., m) at RK4 stage 0..3 of step j,
+    read at node j, the step's midpoint (stages 1 and 2) or node j + 1."""
     nodes = _interp_rows(values, T_path, times)
     half = _interp_rows(values, T_path, times[:-1] + h / 2.0)
-    return nodes, half
+    rows = (nodes, half, half, nodes[1:])
+    return lambda j, stage: rows[stage][j]
 
 
-def _rk4_states(F, x0, u_nodes, u_half, h, guard=BLOWUP_GUARD):
-    """Fixed-step RK4 for xi' = B(xi) u(s); batched over leading axes."""
-    M = u_half.shape[0]
-    x = np.asarray(x0, dtype=np.result_type(x0, u_nodes))
-    x = np.broadcast_to(x, u_nodes.shape[1:-1] + (x.shape[-1],)).copy()
-    out = np.empty((M + 1,) + x.shape, dtype=x.dtype)
-    out[0] = x
+def _rk4(rhs, ys, h, M, alive=None):
+    """The one fixed-step RK4 loop, batched over a tuple of state arrays.
 
-    def rhs(state, uval):
-        return np.einsum("...nm,...m->...n", F.field_matrix(state), uval)
+    ``rhs(j, stage, ys)`` returns the derivatives of ``ys`` at RK4 stage
+    0..3 of step j. All arrays in ``ys`` share the batch axes of ``ys[0]``,
+    all but its last. An element dies when one of its components turns
+    non-finite or exceeds BLOWUP_GUARD, or when ``rhs`` clears it in an
+    ``alive`` mask the caller shares with it; it then keeps its last state,
+    and the run stops once no element is left.
 
+    Returns (trajectories, alive, died): node values shaped (M+1,) + y.shape
+    per array, the final mask, and the step at which each element died
+    (-1 while alive), so it died near s = died * h.
+    """
+    batch = ys[0].shape[:-1]
+    shared = alive is not None
+    alive = alive if shared else np.ones(batch, dtype=bool)
+    died = np.full(batch, -1)
+    outs = tuple(np.empty((M + 1,) + y.shape, dtype=y.dtype) for y in ys)
+    for out, y in zip(outs, ys):
+        out[0] = y
     for j in range(M):
-        ua, um, ub = u_nodes[j], u_half[j], u_nodes[j + 1]
-        k1 = rhs(x, ua)
-        k2 = rhs(x + (h / 2.0) * k1, um)
-        k3 = rhs(x + (h / 2.0) * k2, um)
-        k4 = rhs(x + h * k3, ub)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > guard:
-            raise DivergenceError(
-                f"trajectory exceeded blow-up guard {guard:g} near s = {(j + 1) * h:.6g}",
-                time=(j + 1) * h)
-        out[j + 1] = x
-    return out
+        k1 = rhs(j, 0, ys)
+        k2 = rhs(j, 1, [y + (h / 2.0) * k for y, k in zip(ys, k1)])
+        k3 = rhs(j, 2, [y + (h / 2.0) * k for y, k in zip(ys, k2)])
+        k4 = rhs(j, 3, [y + h * k for y, k in zip(ys, k3)])
+        new = [y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+               for y, a, b, c, d in zip(ys, k1, k2, k3, k4)]
+        # NaN fails every comparison, so one max per array guards the batch;
+        # between guard trips only rhs can clear a mask, and only a shared one.
+        if not (all([np.abs(y).max() <= BLOWUP_GUARD for y in new])
+                and (not shared or alive.all())):
+            for y in new:
+                alive &= np.abs(y).reshape(batch + (-1,)).max(axis=-1) <= BLOWUP_GUARD
+            died[~alive & (died < 0)] = j + 1
+            new = [np.where(alive.reshape(batch + (1,) * (y.ndim - len(batch))),
+                            y, old) for y, old in zip(new, ys)]
+            if not alive.any():
+                for out, y in zip(outs, new):
+                    out[j + 1:] = y
+                return outs, alive, died
+        ys = new
+        for out, y in zip(outs, ys):
+            out[j + 1] = y
+    return outs, alive, died
+
+
+def _raise_if_dead(alive, died, h):
+    if not np.all(alive):
+        s = int(np.min(died[~alive])) * h
+        raise DivergenceError(
+            f"trajectory exceeded blow-up guard {BLOWUP_GUARD:g} near s = {s:.6g}",
+            time=s)
 
 
 def fine_grid(T, N, substeps=DEFAULT_SUBSTEPS):
     M = N * substeps
     return np.linspace(0.0, T, M + 1), T / M
+
+
+def _integrate_states(F, values, T_path, x0, T, N, substeps):
+    """Fine grid and RK4 states (M+1, ..., n) for node values (..., N+1, m)."""
+    times, h = fine_grid(T, N, substeps)
+    control = _stage_controls(values, T_path, times, h)
+    x = np.asarray(x0, dtype=np.result_type(x0, control(0, 0)))
+    x = np.broadcast_to(x, values.shape[:-2] + (x.shape[-1],)).copy()
+
+    def rhs(j, stage, ys):
+        return (np.einsum("...nm,...m->...n", F.field_matrix(ys[0]),
+                          control(j, stage)),)
+
+    (states,), alive, died = _rk4(rhs, (x,), h, len(times) - 1)
+    _raise_if_dead(alive, died, h)
+    return times, states
 
 
 def integrate(F, u: ControlPath, x0, T=None, substeps=DEFAULT_SUBSTEPS) -> Trajectory:
@@ -119,9 +159,7 @@ def integrate(F, u: ControlPath, x0, T=None, substeps=DEFAULT_SUBSTEPS) -> Traje
     T = u.T if T is None else float(T)
     if not 0.0 < T <= u.T * (1.0 + 1e-12):
         raise GridMismatchError(f"horizon {T} outside the control domain [0, {u.T}]")
-    times, h = fine_grid(T, u.N, substeps)
-    nodes, half = _stage_controls(u.values, u.T, times, h)
-    states = _rk4_states(F, x0, nodes, half, h)
+    times, states = _integrate_states(F, u.values, u.T, x0, T, u.N, substeps)
     return Trajectory(times=times, states=states)
 
 
@@ -134,9 +172,7 @@ def integrate_batch(F, values, x0, T, N=None, substeps=DEFAULT_SUBSTEPS):
     """
     values = np.asarray(values)
     N = values.shape[-2] - 1 if N is None else N
-    times, h = fine_grid(T, N, substeps)
-    nodes, half = _stage_controls(values, T, times, h)
-    return _rk4_states(F, x0, nodes, half, h)
+    return _integrate_states(F, values, T, x0, T, N, substeps)[1]
 
 
 def endpoint(F, u, x0, T=None, substeps=DEFAULT_SUBSTEPS):
@@ -144,54 +180,19 @@ def endpoint(F, u, x0, T=None, substeps=DEFAULT_SUBSTEPS):
 
 
 def _augmented_psi(F, u: ControlPath, x0, T, substeps):
-    """Joint RK4 on (xi, Psi); returns (times, states, psis)."""
+    """Joint RK4 on (xi, Psi), Psi(0) = I; returns (times, states, psis)."""
     times, h = fine_grid(T, u.N, substeps)
-    nodes, half = _stage_controls(u.values, u.T, times, h)
-    n = F.n
-    M = len(times) - 1
-    x = np.asarray(x0, dtype=float).copy()
-    psi = np.eye(n)
-    states = np.empty((M + 1, n))
-    psis = np.empty((M + 1, n, n))
-    states[0], psis[0] = x, psi
+    control = _stage_controls(u.values, u.T, times, h)
 
-    def rhs(state, pmat, uval):
-        B = F.field_matrix(state)
-        A = F.a_matrix(state, uval)
-        return B @ uval, A @ pmat
+    def rhs(j, stage, ys):
+        x, psi = ys
+        uval = control(j, stage)
+        return F.field_matrix(x) @ uval, F.a_matrix(x, uval) @ psi
 
-    for j in range(M):
-        ua, um, ub = nodes[j], half[j], nodes[j + 1]
-        kx1, kp1 = rhs(x, psi, ua)
-        kx2, kp2 = rhs(x + (h / 2) * kx1, psi + (h / 2) * kp1, um)
-        kx3, kp3 = rhs(x + (h / 2) * kx2, psi + (h / 2) * kp2, um)
-        kx4, kp4 = rhs(x + h * kx3, psi + h * kp3, ub)
-        x = x + (h / 6) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
-        psi = psi + (h / 6) * (kp1 + 2 * kp2 + 2 * kp3 + kp4)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOWUP_GUARD:
-            raise DivergenceError(
-                f"trajectory exceeded blow-up guard near s = {(j + 1) * h:.6g}",
-                time=(j + 1) * h)
-        states[j + 1], psis[j + 1] = x, psi
+    (states, psis), alive, died = _rk4(
+        rhs, (np.asarray(x0, dtype=float).copy(), np.eye(F.n)), h, len(times) - 1)
+    _raise_if_dead(alive, died, h)
     return times, states, psis
-
-
-def fundamental_solution(F, u: ControlPath, traj: Trajectory,
-                         substeps=None) -> FundamentalSolution:
-    """Psi(s) solving Psi' = A(s) Psi, Psi(0) = I, on the trajectory's grid.
-
-    The matrix ODE needs A at the RK4 stage midpoints, so the state is
-    re-integrated jointly with Psi using the identical stage structure; the
-    node states reproduce ``traj`` bit-for-bit.
-    """
-    M = len(traj.times) - 1
-    if substeps is None:
-        substeps = max(1, M // u.N)
-    _, _, psis = _augmented_psi(F, u, traj.x0, traj.T, substeps)
-    conds = np.linalg.cond(psis)
-    max_cond = float(np.max(conds))
-    return FundamentalSolution(times=traj.times, mats=psis, max_cond=max_cond,
-                               ill_conditioned=max_cond > PSI_COND_FLAG)
 
 
 def trapezoid_weights(times):
@@ -270,12 +271,10 @@ def apply_dE(F, u, x0, T=None, v=None, substeps=DEFAULT_SUBSTEPS):
 
 def adjoint_dE(F, u, x0, T=None, lam=None, substeps=DEFAULT_SUBSTEPS):
     """The path s -> B(s)^T (Psi(s)^-1)^T Psi(T)^T lam on the fine grid."""
-    T = u.T if T is None else float(T)
     lam = np.asarray(lam, dtype=float)
     return DifferentialKernel.build(F, u, x0, T, substeps).adjoint(lam)
 
 
 def gram_matrix(F, u, x0, T=None, substeps=DEFAULT_SUBSTEPS):
     """G_jk = <adjoint_dE(e_j), adjoint_dE(e_k)>_L2; symmetric PSD."""
-    T = u.T if T is None else float(T)
     return DifferentialKernel.build(F, u, x0, T, substeps).gram()

@@ -558,7 +558,10 @@ class CompiledVector:
         self._fn = namespace["_fn"]
 
     def __call__(self, args):
-        shape = np.broadcast_shapes(*(np.shape(a) for a in args)) if args else ()
+        # np.broadcast costs a third of np.broadcast_shapes per call, but
+        # numpy 1.x caps it at 32 arrays.
+        shape = (np.broadcast(*args).shape if 0 < len(args) <= 32
+                 else np.broadcast_shapes(*(np.shape(a) for a in args)))
         dtype = np.result_type(np.float64, *(np.asarray(a).dtype for a in args))
         out = np.empty(shape + (len(self.exprs),), dtype)
         self._fn(args, out, np)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import DimensionError, EvaluationError
+from .errors import DimensionError
 
 LIE_RANK_TOL = 1e-9
 BRACKET_NODE_CAP = ex.NODE_CAP
@@ -30,22 +30,14 @@ class FieldSet:
         self.m = m
         self.components = tuple(tuple(c) for c in components)
         self.source = source
-        self.variables = tuple(f"x{i+1}" for i in range(n))
 
         # B(x)[j, i] = (X_i)_j, matching xi' = B(xi) u.
         self._b = ex.compile_vector(
             [self.components[i][j] for j in range(n) for i in range(m)], n)
         # dX_i stacked: jac(x)[i, j, k] = d(X_i)_j / dx_k.
-        jac_exprs = []
-        self._jac_components = []
-        for i in range(m):
-            rows = []
-            for j in range(n):
-                row = tuple(self.components[i][j].diff(k) for k in range(n))
-                rows.append(row)
-                jac_exprs.extend(row)
-            self._jac_components.append(tuple(rows))
-        self._jac = ex.compile_vector(jac_exprs, n)
+        self._jac = ex.compile_vector(
+            [self.components[i][j].diff(k)
+             for i in range(m) for j in range(n) for k in range(n)], n)
 
     # -- evaluation ------------------------------------------------------
 
@@ -91,22 +83,6 @@ def parse_field_set(text, n, m):
     """Parse ``Xi = (...)`` statements into a FieldSet."""
     comps = ex.parse_field_statements(text, n, m)
     return FieldSet(n, m, comps, source=text)
-
-
-def eval_field(F, i, x):
-    """Evaluate the i-th field (0-based) at x; raises on non-finite values."""
-    out = F.field_matrix(x)[..., :, i]
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError(f"field X{i+1} evaluated to a non-finite value")
-    return out
-
-
-def jacobian(F, i, x):
-    """Evaluate dX_i (0-based i) at x."""
-    out = F.jacobian_stack(x)[..., i, :, :]
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError(f"dX{i+1} evaluated to a non-finite value")
-    return out
 
 
 def lie_bracket(X, Y, n):

@@ -96,7 +96,8 @@ class SelectedBasis:
         return float(np.linalg.det(self.phi))
 
 
-def select_basis(F, u: ControlPath, x0, t, dictionary: Dictionary) -> SelectedBasis:
+def select_basis(F, u: ControlPath, x0, t, dictionary: Dictionary,
+                 substeps=DEFAULT_SUBSTEPS) -> SelectedBasis:
     """Greedy volume-maximizing pick of n dictionary directions.
 
     Computes the endpoint image of every dictionary direction once, then
@@ -105,7 +106,7 @@ def select_basis(F, u: ControlPath, x0, t, dictionary: Dictionary) -> SelectedBa
     that is too small).
     """
     kern = DifferentialKernel.build(F, u, np.asarray(x0, dtype=float), t,
-                                    DEFAULT_SUBSTEPS)
+                                    substeps)
     images = np.stack([kern.apply_values(d.values(kern.times))
                        for d in dictionary.directions], axis=1)  # (n, D)
     n, D = images.shape
@@ -317,7 +318,7 @@ def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
     if not 0.0 < t <= u.T * (1.0 + 1e-12):
         raise ValueError(f"anchor time {t} outside the control's domain")
     dictionary = default_dictionary(u.m, u.T) if dictionary is None else dictionary
-    basis = select_basis(F, u, x0, t, dictionary)
+    basis = select_basis(F, u, x0, t, dictionary, substeps)
     det_anchor = basis.det
     kern = DifferentialKernel.build(F, u, x0, t, substeps)
     anchor_endpoint = kern.endpoint.copy()

@@ -4,11 +4,13 @@ A Lagrangian is one scalar expression over x1..xn, u1..um. Its gradients and
 the control Hessian are produced by exact symbolic differentiation and
 compiled on first use; evaluation is batched numpy throughout.
 
-The map z -> w(x, z) inverting d_uL(x, .) is computed by a damped Newton
-iteration. When that iteration cannot make progress (singular Hessian, or no
-step length decreases the residual) the failure is raised as a
-diffeomorphism violation rather than patched over, because every downstream
-construction assumes the fiber derivative is invertible.
+The map z -> w(x, z) inverting d_uL(x, .) is computed by one damped Newton
+iteration, ``_legendre_newton``, which masks instead of raising: it returns
+the iterate together with a per-element flag telling whether it reached
+tolerance. The Hamiltonian flow in ``shooting`` freezes the elements that
+failed. ``legendre_inverse`` raises a diffeomorphism violation for them
+rather than patching over, because every downstream construction assumes
+the fiber derivative is invertible.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .dynamics import DEFAULT_SUBSTEPS, integrate
 from .errors import DiffeomorphismViolationError, DimensionError, EvaluationError
 
 LEGENDRE_TOL = 1e-10
-LEGENDRE_MAX_ITER = 50
-LEGENDRE_MAX_HALVINGS = 30
+LEGENDRE_MAX_ITER = 25
+LEGENDRE_MAX_HALVINGS = 20
 
 
 class Lagrangian:
@@ -88,79 +90,57 @@ def parse_lagrangian(text, n, m) -> Lagrangian:
     return Lagrangian(n, m, expression, source=text)
 
 
-def eval_L(L: Lagrangian, x, u):
-    return L.value(x, u)
+def _legendre_newton(L: Lagrangian, x, z, u0):
+    """Masked damped Newton for d_uL(x, u) = z, batched, warm-started at u0.
 
-
-def d_xL(L: Lagrangian, x, u):
-    return L.grad_x(x, u)
-
-
-def d_uL(L: Lagrangian, x, u):
-    return L.grad_u(x, u)
-
-
-def d2_uL(L: Lagrangian, x, u):
-    return L.hess_u(x, u)
-
-
-def legendre_inverse(L: Lagrangian, x, z, u0=None, tol=LEGENDRE_TOL,
-                     max_iter=LEGENDRE_MAX_ITER):
-    """Solve d_uL(x, u) = z for u; batched damped Newton from u0.
-
-    Damping halves the step (per batch element) until the residual norm
-    decreases; stagnation or a singular control Hessian raises a
-    diffeomorphism violation at the offending (x, z).
+    Damping halves the step per batch element until the residual norm
+    decreases. Returns (u, ok) and never raises: ok is false where the
+    residual stayed above tolerance, including every unconverged element
+    when a control Hessian in the batch is singular.
     """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    batch = np.broadcast_shapes(x.shape[:-1], z.shape[:-1])
-    x = np.broadcast_to(x, batch + (L.n,))
-    z = np.broadcast_to(z, batch + (L.m,))
-    if u0 is None:
-        u = np.zeros(batch + (L.m,))
-    else:
-        u = np.broadcast_to(np.asarray(u0, dtype=float), batch + (L.m,)).copy()
-
-    def resid(uval):
-        return L.grad_u(x, uval) - z
-
-    r = resid(u)
+    u = u0.copy()
+    r = L.grad_u(x, u) - z
     rn = np.linalg.norm(r, axis=-1)
-    for _ in range(max_iter):
-        if np.max(rn) < tol:
-            return u
+    for _ in range(LEGENDRE_MAX_ITER):
+        if np.max(rn, initial=0.0) < LEGENDRE_TOL:
+            break
         H = L.hess_u(x, u)
         try:
             step = np.linalg.solve(H, r[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            raise DiffeomorphismViolationError(
-                "singular control Hessian while inverting the fiber derivative",
-                residual=float(np.max(rn)))
-        if not np.all(np.isfinite(step)):
-            raise DiffeomorphismViolationError(
-                "non-finite Newton step while inverting the fiber derivative",
-                residual=float(np.max(rn)))
-        alpha = np.ones(batch)
+            return u, rn < LEGENDRE_TOL
+        step = np.where(np.isfinite(step), step, 0.0)
+        alpha = np.ones(rn.shape)
         for _ in range(LEGENDRE_MAX_HALVINGS):
             u_try = u - alpha[..., None] * step
-            rn_try = np.linalg.norm(resid(u_try), axis=-1)
-            ok = (rn_try < rn) | (rn < tol)
+            rn_try = np.linalg.norm(L.grad_u(x, u_try) - z, axis=-1)
+            ok = (rn_try < rn) | (rn < LEGENDRE_TOL)
             if np.all(ok):
                 break
             alpha = np.where(ok, alpha, alpha / 2.0)
-        else:
-            raise DiffeomorphismViolationError(
-                "Newton stagnated while inverting the fiber derivative",
-                residual=float(np.max(rn)))
         u = u - alpha[..., None] * step
-        r = resid(u)
+        r = L.grad_u(x, u) - z
         rn = np.linalg.norm(r, axis=-1)
-    if np.max(rn) < tol:
-        return u
-    raise DiffeomorphismViolationError(
-        f"fiber-derivative inversion did not reach tolerance {tol:g} "
-        f"in {max_iter} iterations", residual=float(np.max(rn)))
+    return u, rn < LEGENDRE_TOL
+
+
+def legendre_inverse(L: Lagrangian, x, z, u0=None):
+    """Solve d_uL(x, u) = z for u by the masked Newton from u0 (default 0).
+
+    Raises a diffeomorphism violation if any batch element fails to reach
+    tolerance: a singular control Hessian or a stalled line search.
+    """
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    batch = np.broadcast_shapes(x.shape[:-1], z.shape[:-1])
+    u0 = np.zeros(L.m) if u0 is None else np.asarray(u0, dtype=float)
+    u, ok = _legendre_newton(L, x, z, np.broadcast_to(u0, batch + (L.m,)))
+    if not np.all(ok):
+        rn = np.linalg.norm(L.grad_u(x, u) - z, axis=-1)
+        raise DiffeomorphismViolationError(
+            f"fiber-derivative inversion did not reach tolerance {LEGENDRE_TOL:g}",
+            residual=float(np.max(rn)))
+    return u
 
 
 def momentum_map(F, x, p):

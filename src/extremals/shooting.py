@@ -5,15 +5,18 @@ The flow integrated here is
     xi' = B(xi) u*,    p' = -A(xi, u*)^T p + d_xL(xi, u*),
 
 with the feedback control u* = w(xi, B(xi)^T p) re-solved at every RK4
-stage (warm-started, so it is one or two Newton steps in practice). The
-shooting unknown is p(0): forward integration only, and the multiplier is
-read off as lam = p(T) on convergence.
+stage by the masked Newton of ``lagrangian`` (warm-started, so it is one or
+two Newton steps in practice). The flow runs on the RK4 integrator of
+``dynamics``. The shooting unknown is p(0): forward integration only, and
+the multiplier is read off as lam = p(T) on convergence.
 
-Everything is batched over seeds. A blown-up or feedback-infeasible batch
-element is frozen and marked dead instead of raising, so one wild seed
-cannot take down a multi-start sweep; the per-seed Newton uses least-squares
-steps because extremal families here are routinely non-isolated (phase
-circles), which makes the shooting Jacobian rank-deficient on purpose.
+Everything is batched over seeds, including the final re-run of the flow
+that builds the converged solutions. A blown-up or feedback-infeasible
+batch element is frozen and marked dead in the integrator's alive mask instead
+of raising, so one wild seed cannot take down a multi-start sweep; the
+per-seed Newton uses least-squares steps because extremal families here are
+routinely non-isolated (phase circles), which makes the shooting Jacobian
+rank-deficient on purpose.
 """
 
 from __future__ import annotations
@@ -23,17 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import ControlPath, l2_distance
-from .dynamics import BLOWUP_GUARD, DEFAULT_SUBSTEPS, Trajectory, _augmented_psi, fine_grid
+from .dynamics import (DEFAULT_SUBSTEPS, PSI_COND_FLAG, Trajectory,
+                       _augmented_psi, _rk4, fine_grid, integrate)
 from .errors import DimensionError, NonConvergenceError
-from .lagrangian import Lagrangian, trapezoid
+from .lagrangian import Lagrangian, _legendre_newton, trapezoid
 
 SHOOT_TOL = 1e-8
 SHOOT_MAX_ITER = 100
 SHOOT_FD_STEP = 1e-6
 SHOOT_MAX_HALVINGS = 10
 DEDUP_TOL = 1e-5
-FEEDBACK_TOL = 1e-10
-FEEDBACK_MAX_ITER = 25
 STAGE_ONE_TOL = 1e-6
 HANDOFF_TOL = 1e-3
 POLISH_MAX_ITER = 30
@@ -75,35 +77,6 @@ class ExtremalSolution:
         return self.u.N
 
 
-def _feedback_control(L, F, x, p, u0):
-    """Masked fiber-derivative inversion: returns (u, ok) without raising."""
-    z = F.momentum(x, p)
-    u = u0.copy()
-    r = L.grad_u(x, u) - z
-    rn = np.linalg.norm(r, axis=-1)
-    for _ in range(FEEDBACK_MAX_ITER):
-        if np.max(rn, initial=0.0) < FEEDBACK_TOL:
-            break
-        H = L.hess_u(x, u)
-        try:
-            step = np.linalg.solve(H, r[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            return u, rn < FEEDBACK_TOL
-        step = np.where(np.isfinite(step), step, 0.0)
-        alpha = np.ones(rn.shape)
-        for _ in range(20):
-            u_try = u - alpha[..., None] * step
-            rn_try = np.linalg.norm(L.grad_u(x, u_try) - z, axis=-1)
-            ok = (rn_try < rn) | (rn < FEEDBACK_TOL)
-            if np.all(ok):
-                break
-            alpha = np.where(ok, alpha, alpha / 2.0)
-        u = u - alpha[..., None] * step
-        r = L.grad_u(x, u) - z
-        rn = np.linalg.norm(r, axis=-1)
-    return u, rn < FEEDBACK_TOL
-
-
 def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     """Batched feedback flow from stacked initial costates p0 (..., n).
 
@@ -113,57 +86,28 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     """
     p0 = np.asarray(p0, dtype=float)
     batch = p0.shape[:-1]
-    n, m = F.n, F.m
     times, h = fine_grid(T, N, substeps)
     M = len(times) - 1
-    x = np.broadcast_to(np.asarray(x0, dtype=float), batch + (n,)).copy()
-    p = p0.copy()
+    x = np.broadcast_to(np.asarray(x0, dtype=float), batch + (F.n,)).copy()
     alive = np.ones(batch, dtype=bool)
-    w_guess = np.zeros(batch + (m,))
+    w = np.zeros(batch + (F.m,))
+    us = np.zeros((M + 1,) + batch + (F.m,))
 
-    xs = np.empty((M + 1,) + batch + (n,))
-    ps = np.empty((M + 1,) + batch + (n,))
-    us = np.empty((M + 1,) + batch + (m,))
+    def rhs(j, stage, ys):
+        nonlocal w, alive
+        xv, pv = ys
+        B = F.field_matrix(xv)
+        w, ok = _legendre_newton(L, xv, np.einsum("...nm,...n->...m", B, pv), w)
+        alive &= ok
+        if stage == 0:
+            us[j] = w
+        dx = np.einsum("...nm,...m->...n", B, w)
+        dp = -np.einsum("...jk,...j->...k", F.a_matrix(xv, w), pv) + L.grad_x(xv, w)
+        return dx, dp
 
-    def rhs(xv, pv):
-        nonlocal w_guess, alive
-        w, ok = _feedback_control(L, F, xv, pv, w_guess)
-        alive = alive & ok
-        w_guess = w
-        dx = np.einsum("...nm,...m->...n", F.field_matrix(xv), w)
-        A = F.a_matrix(xv, w)
-        dp = -np.einsum("...jk,...j->...k", A, pv) + L.grad_x(xv, w)
-        return dx, dp, w
-
-    dx0, dp0, w0 = rhs(x, p)
-    xs[0], ps[0], us[0] = x, p, w0
-    kx1, kp1 = dx0, dp0
-    for j in range(M):
-        if j > 0:
-            kx1, kp1, wj = rhs(x, p)
-            us[j] = wj
-        kx2, kp2, _ = rhs(x + (h / 2) * kx1, p + (h / 2) * kp1)
-        kx3, kp3, _ = rhs(x + (h / 2) * kx2, p + (h / 2) * kp2)
-        kx4, kp4, _ = rhs(x + h * kx3, p + h * kp3)
-        x_new = x + (h / 6) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
-        p_new = p + (h / 6) * (kp1 + 2 * kp2 + 2 * kp3 + kp4)
-        bad = ~(np.all(np.isfinite(x_new), axis=-1)
-                & np.all(np.isfinite(p_new), axis=-1)
-                & (np.max(np.abs(x_new), axis=-1) <= BLOWUP_GUARD)
-                & (np.max(np.abs(p_new), axis=-1) <= BLOWUP_GUARD))
-        alive = alive & ~bad
-        keep = ~alive[..., None]
-        x = np.where(keep, x, x_new)
-        p = np.where(keep, p, p_new)
-        xs[j + 1], ps[j + 1] = x, p
-    _, _, w_end = rhs(x, p)
-    us[M] = w_end
+    (xs, ps), _, _ = _rk4(rhs, (x, p0.copy()), h, M, alive)
+    rhs(M, 0, (xs[-1], ps[-1]))
     return times, xs, ps, us, alive
-
-
-def _endpoint_of_flow(F, L, x0, p0, T, N, substeps):
-    _, xs, _, _, alive = _hamiltonian_flow(F, L, x0, p0, T, N, substeps)
-    return xs[-1], alive
 
 
 def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
@@ -177,8 +121,8 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
     target = np.asarray(x, dtype=float)
 
     def residual(pts):
-        ends, alive = _endpoint_of_flow(F, L, x0, pts, T, N, substeps)
-        r = ends - target
+        _, xs, _, _, alive = _hamiltonian_flow(F, L, x0, pts, T, N, substeps)
+        r = xs[-1] - target
         rn = np.linalg.norm(r, axis=-1)
         rn = np.where(alive, rn, np.inf)
         return r, rn
@@ -199,7 +143,8 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
             e[k] = 1.0
             probes[2 * k] = p0 + step[..., None] * e
             probes[2 * k + 1] = p0 - step[..., None] * e
-        ends, alive = _endpoint_of_flow(F, L, x0, probes, T, N, substeps)
+        _, xs, _, _, alive = _hamiltonian_flow(F, L, x0, probes, T, N, substeps)
+        ends = xs[-1]
         jac_ok = np.all(alive, axis=0)
         J = np.empty(batch + (n, n))
         for k in range(n):
@@ -255,33 +200,37 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
     return p0, rn, converged, iterations, failed
 
 
-def _build_solution(F, L, x0, x, T, N, p0, rn, converged, iterations,
-                    substeps) -> ExtremalSolution:
-    times, xs, ps, us, _ = _hamiltonian_flow(F, L, x0, p0[None], T, N, substeps)
-    xi_s = xs[:, 0]
-    p_s = ps[:, 0]
-    u_s = us[:, 0]
-    lam = p_s[-1].copy()
+def _build_solution(F, L, x0, x, T, N, p0, rn, iterations, substeps) -> list:
+    """Converged extremals from stacked p0 (k, n), by one batched flow."""
+    times, xs, ps, us, _ = _hamiltonian_flow(F, L, x0, p0, T, N, substeps)
+    sols = []
+    for i in range(len(p0)):
+        xi_s = xs[:, i].copy()
+        p_s = ps[:, i].copy()
+        u_s = us[:, i].copy()
+        lam = p_s[-1].copy()
 
-    coarse = ControlPath(T, u_s[::max(1, (len(times) - 1) // N)])
-    fine = ControlPath(T, u_s)
-    phi = trapezoid(L.value(xi_s, u_s), times)
+        coarse = ControlPath(T, u_s[::max(1, (len(times) - 1) // N)])
+        fine = ControlPath(T, u_s)
+        phi = trapezoid(L.value(xi_s, u_s), times)
 
-    stat = float(np.max(np.linalg.norm(
-        L.grad_u(xi_s, u_s) - F.momentum(xi_s, p_s), axis=-1)))
-    h_vals = np.einsum("jm,jm->j", F.momentum(xi_s, p_s), u_s) - L.value(xi_s, u_s)
-    drift = float(np.max(np.abs(h_vals - h_vals[0])) / (1.0 + abs(h_vals[0])))
-    residuals = {
-        "endpoint_gap": float(rn),
-        "stationarity": stat,
-        "hamiltonian_drift": drift,
-    }
-    return ExtremalSolution(
-        u=coarse, xi=Trajectory(times=times, states=xi_s), p=p_s, lam=lam,
-        p0=np.asarray(p0, dtype=float), phi=float(phi), residuals=residuals,
-        converged=bool(converged), iterations=int(iterations),
-        x0=np.asarray(x0, dtype=float), target=np.asarray(x, dtype=float),
-        u_fine=fine)
+        stat = float(np.max(np.linalg.norm(
+            L.grad_u(xi_s, u_s) - F.momentum(xi_s, p_s), axis=-1)))
+        h_vals = (np.einsum("jm,jm->j", F.momentum(xi_s, p_s), u_s)
+                  - L.value(xi_s, u_s))
+        drift = float(np.max(np.abs(h_vals - h_vals[0])) / (1.0 + abs(h_vals[0])))
+        residuals = {
+            "endpoint_gap": float(rn[i]),
+            "stationarity": stat,
+            "hamiltonian_drift": drift,
+        }
+        sols.append(ExtremalSolution(
+            u=coarse, xi=Trajectory(times=times, states=xi_s), p=p_s, lam=lam,
+            p0=p0[i].copy(), phi=float(phi), residuals=residuals,
+            converged=True, iterations=int(iterations[i]),
+            x0=np.asarray(x0, dtype=float), target=np.asarray(x, dtype=float),
+            u_fine=fine))
+    return sols
 
 
 def _shoot_two_stage(F, L, x0, x, T, N, seeds, tol, max_iter, substeps):
@@ -334,8 +283,7 @@ def shoot_extremal(F, L: Lagrangian, x0, x, T, p0=None, N=64,
             f"shooting did not reach endpoint tolerance {tol:g} "
             f"(best residual {best:.3e})",
             best_residual=best, best_p0=pf[0])
-    return _build_solution(F, L, x0, x, T, N, pf[0], rn[0], True,
-                           iters[0], substeps)
+    return _build_solution(F, L, x0, x, T, N, pf, rn, iters, substeps)[0]
 
 
 def make_seeds(n, count, scale, seed=0):
@@ -357,10 +305,8 @@ def multi_start(F, L: Lagrangian, x0, x, T, seeds, N=64, tol=SHOOT_TOL,
     pf, rn, conv, iters, _ = _shoot_two_stage(
         F, L, np.asarray(x0, float), np.asarray(x, float), T, N, seeds,
         tol, max_iter, substeps)
-    sols = []
-    for i in np.nonzero(conv)[0]:
-        sols.append(_build_solution(F, L, x0, x, T, N, pf[i], rn[i], True,
-                                    iters[i], substeps))
+    sols = _build_solution(F, L, x0, x, T, N, pf[conv], rn[conv], iters[conv],
+                           substeps) if conv.any() else []
     sols.sort(key=lambda s: (s.phi, float(np.linalg.norm(s.lam))))
     kept = []
     for s in sols:
@@ -390,14 +336,12 @@ def costate_from_lambda(F, L: Lagrangian, u: ControlPath, x0, T=None,
     p = np.linalg.solve(np.transpose(psis, (0, 2, 1)), rhs[..., None])[..., 0]
     conds = np.linalg.cond(psis)
     return CostatePath(times=times, values=p,
-                       ill_conditioned=bool(np.max(conds) > 1e12))
+                       ill_conditioned=bool(np.max(conds) > PSI_COND_FLAG))
 
 
 def extremality_residual(F, L: Lagrangian, u: ControlPath, x0, x, T=None,
                          lam=None, substeps=DEFAULT_SUBSTEPS):
     """Feasibility and stationarity of (u, lam) as a candidate extremal."""
-    from .dynamics import integrate
-
     T = u.T if T is None else float(T)
     traj = integrate(F, u, np.asarray(x0, float), T, substeps)
     feas = float(np.linalg.norm(traj.endpoint - np.asarray(x, dtype=float)))

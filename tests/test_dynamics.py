@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from extremals.controls import ControlPath, random_smooth_controls
-from extremals.dynamics import (DifferentialKernel, adjoint_dE, apply_dE,
-                                endpoint, fundamental_solution, gram_matrix,
-                                integrate, integrate_batch, trapezoid_weights)
+from extremals.dynamics import (PSI_COND_FLAG, DifferentialKernel, adjoint_dE,
+                                apply_dE, endpoint, gram_matrix, integrate,
+                                integrate_batch, trapezoid_weights)
 from extremals.errors import DivergenceError, GridMismatchError
 from extremals.fields import parse_field_set
+from extremals.lagrangian import parse_lagrangian
+from extremals.shooting import _hamiltonian_flow
 
 IDENTITY = parse_field_set("X1 = (1, 0)\nX2 = (0, 1)", 2, 2)
 HEISENBERG = parse_field_set("X1 = (1, 0, -x2/2)\nX2 = (0, 1, x1/2)", 3, 2)
@@ -59,13 +61,13 @@ def test_grushin_fundamental_solution_closed_form():
     # Constant control makes the variational coefficient constant, so
     # Psi(t) is the lower-triangular matrix exponential.
     u = ControlPath.constant(1.0, 16, [0.3, 0.8])
-    traj = integrate(GRUSHIN, u, np.zeros(2), substeps=4)
-    fs = fundamental_solution(GRUSHIN, u, traj)
-    assert not fs.ill_conditioned
-    for k in (0, len(traj.times) // 2, len(traj.times) - 1):
-        t = traj.times[k]
+    kern = DifferentialKernel.build(GRUSHIN, u, np.zeros(2), substeps=4)
+    psis = kern.psis
+    assert np.linalg.cond(psis).max() < PSI_COND_FLAG
+    for k in (0, len(kern.times) // 2, len(kern.times) - 1):
+        t = kern.times[k]
         want = np.array([[1.0, 0.0], [0.8 * t, 1.0]])
-        np.testing.assert_allclose(fs.mats[k], want, atol=1e-12)
+        np.testing.assert_allclose(psis[k], want, atol=1e-12)
 
 
 def test_trapezoid_weights_partition():
@@ -142,8 +144,30 @@ def test_complex_step_through_the_integrator():
     assert np.linalg.norm(cs - analytic) / np.linalg.norm(analytic) < 1e-4
 
 
+BLOWUP = parse_field_set("X1 = (x1^2)", 1, 1)
+
+
 def test_finite_time_blowup_raises():
-    F = parse_field_set("X1 = (x1^2)", 1, 1)
+    # x' = x^2 from x = 1 blows up at s = 1; the guard trips one step of
+    # h = 0.025 later.
     u = ControlPath.constant(1.2, 12, [1.0])
-    with pytest.raises(DivergenceError):
-        integrate(F, u, np.array([1.0]))
+    with pytest.raises(DivergenceError) as info:
+        integrate(BLOWUP, u, np.array([1.0]))
+    assert info.value.time == 1.025
+
+
+def test_stacked_flow_isolates_a_blowing_up_seed():
+    # With L = u^2/2 the feedback is u = x^2 p and x^2 p is conserved, so
+    # x' = (p0 x0^2) x^2: the seed p0 = 10 blows up at s = 1/10, where its
+    # RK4 stages leave the guard; the others stay finite on [0, 1].
+    L = parse_lagrangian("u1^2/2", 1, 1)
+    p0 = np.array([[0.1], [10.0], [-0.5]])
+    _, xs, ps, us, alive = _hamiltonian_flow(BLOWUP, L, np.ones(1), p0,
+                                             1.0, 16)
+    np.testing.assert_array_equal(alive, [True, False, True])
+    for i in (0, 2):
+        _, x1, p1, u1, alive1 = _hamiltonian_flow(BLOWUP, L, np.ones(1),
+                                                  p0[i], 1.0, 16)
+        assert alive1
+        for got, want in ((xs, x1), (ps, p1), (us, u1)):
+            np.testing.assert_allclose(got[:, i], want, rtol=0, atol=1e-12)

@@ -5,8 +5,7 @@ import pytest
 
 from extremals import expr as ex
 from extremals.errors import DimensionError, ParseError
-from extremals.fields import (FieldSet, eval_field, jacobian, lie_bracket,
-                              lie_rank, parse_field_set)
+from extremals.fields import FieldSet, lie_bracket, lie_rank, parse_field_set
 
 HEISENBERG = """
 X1 = (1, 0, -x2/2)
@@ -20,14 +19,15 @@ def test_field_matrix_matches_hand_values():
     B = F.field_matrix(x)
     want = np.array([[1.0, 0.0], [0.0, 1.0], [0.35, 0.15]])
     np.testing.assert_allclose(B, want, atol=1e-15)
-    np.testing.assert_allclose(eval_field(F, 0, x), want[:, 0], atol=1e-15)
+    np.testing.assert_allclose(F.field_matrix(x)[..., :, 0], want[:, 0],
+                               atol=1e-15)
 
 
 def test_jacobians_are_exact():
     F = parse_field_set(HEISENBERG, 3, 2)
     x = np.array([1.0, 2.0, 3.0])
-    d1 = jacobian(F, 0, x)
-    d2 = jacobian(F, 1, x)
+    d1 = F.jacobian_stack(x)[..., 0, :, :]
+    d2 = F.jacobian_stack(x)[..., 1, :, :]
     want1 = np.zeros((3, 3))
     want1[2, 1] = -0.5
     want2 = np.zeros((3, 3))
@@ -46,7 +46,8 @@ def test_momentum_and_a_matrix():
                                atol=1e-15)
     u = np.array([2.0, -1.0])
     A = F.a_matrix(x, u)
-    want = 2.0 * jacobian(F, 0, x) - jacobian(F, 1, x)
+    dX = F.jacobian_stack(x)
+    want = 2.0 * dX[..., 0, :, :] - dX[..., 1, :, :]
     np.testing.assert_allclose(A, want, atol=1e-15)
 
 

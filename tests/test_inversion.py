@@ -160,6 +160,17 @@ def test_chart_serialization_round_trip(loop_chart):
     np.testing.assert_array_equal(p1.values, p2.values)
 
 
+def test_rebuilt_chart_keeps_its_basis_determinant():
+    # The basis images come from the chart's own discretization, as every
+    # probe and query does, so a chart rebuilt from its JSON form off the
+    # default 4 substeps reproduces the determinant bit for bit.
+    chart = build_chart(HEISENBERG, loop_control(), np.zeros(3), 0.7,
+                        substeps=8)
+    rebuilt = chart_from_dict(json.loads(canonical_json(chart.to_dict())),
+                              HEISENBERG, loop_control())
+    assert rebuilt.basis.det == chart.basis.det
+
+
 def test_chart_lipschitz_estimate_agrees_with_probe_reading(loop_chart):
     est = chart_lipschitz_estimate(loop_chart, probes=25, seed=5,
                                    differential_points=4)

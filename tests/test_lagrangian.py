@@ -6,9 +6,9 @@ import pytest
 from extremals.errors import DiffeomorphismViolationError, ParseError
 from extremals.fields import parse_field_set
 from extremals.controls import ControlPath
-from extremals.lagrangian import (d2_uL, d_uL, d_xL, eval_L, growth_spot_check,
-                                  hamiltonian, legendre_inverse,
-                                  maximizing_control, momentum_map,
+from extremals.lagrangian import (growth_spot_check, hamiltonian,
+                                  legendre_inverse, maximizing_control,
+                                  momentum_map,
                                   parse_growth_profile, parse_lagrangian,
                                   phi_from_samples, phi_functional, trapezoid)
 
@@ -26,25 +26,25 @@ def test_value_and_derivatives_match_hand_formulas():
     L = parse_lagrangian("(u1^2 + u2^2)/2 + x1*u1 + x2^2", 2, 2)
     x = np.array([0.5, -1.0])
     u = np.array([2.0, 3.0])
-    assert eval_L(L, x, u) == pytest.approx(6.5 + 1.0 + 1.0)
-    np.testing.assert_allclose(d_xL(L, x, u), [2.0, -2.0], atol=1e-15)
-    np.testing.assert_allclose(d_uL(L, x, u), [2.5, 3.0], atol=1e-15)
-    np.testing.assert_allclose(d2_uL(L, x, u), np.eye(2), atol=1e-15)
+    assert L.value(x, u) == pytest.approx(6.5 + 1.0 + 1.0)
+    np.testing.assert_allclose(L.grad_x(x, u), [2.0, -2.0], atol=1e-15)
+    np.testing.assert_allclose(L.grad_u(x, u), [2.5, 3.0], atol=1e-15)
+    np.testing.assert_allclose(L.hess_u(x, u), np.eye(2), atol=1e-15)
 
 
 def test_batched_evaluation():
     L = quadratic()
     x = np.zeros((5, 2))
     u = np.tile([1.0, 2.0], (5, 1))
-    assert eval_L(L, x, u).shape == (5,)
-    np.testing.assert_allclose(eval_L(L, x, u), 2.5)
+    assert L.value(x, u).shape == (5,)
+    np.testing.assert_allclose(L.value(x, u), 2.5)
 
 
 def test_nonsmooth_cost_evaluates_but_will_not_differentiate():
     L = parse_lagrangian("(x1^2 - 1)^2 + abs(u1^2 - 1)", 1, 1)
-    assert eval_L(L, [0.0], [0.0]) == pytest.approx(2.0)
+    assert L.value([0.0], [0.0]) == pytest.approx(2.0)
     with pytest.raises(ParseError):
-        d_uL(L, [0.0], [0.0])
+        L.grad_u([0.0], [0.0])
 
 
 def test_legendre_inverse_quadratic_is_identity():

@@ -112,7 +112,17 @@ def test_cli_validation_errors_exit_one(tmp_path, capsys):
                  "--out", out]) == 1
     assert main([]) == 1
     assert main(["eval-chart", "--scenario", "identity", "--out", out]) == 1
-    capsys.readouterr()
+    # A chart file that is missing, or chart JSON without its anchor
+    # control reference, is bad input too, not a traceback.
+    point = ["--point", "1,1,0"]
+    assert main(["eval-chart", "--scenario", "identity", "--out", out,
+                 "--chart", str(tmp_path / "missing.json")] + point) == 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"chart": {}}))
+    assert main(["eval-chart", "--scenario", "identity", "--out", out,
+                 "--chart", str(bad)] + point) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 6
 
 
 def test_cli_solver_errors_exit_two(tmp_path, capsys):
