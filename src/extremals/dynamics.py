@@ -14,6 +14,8 @@ over a tuple of state arrays and keeps an alive mask over the batch: an
 element dies when any of its components turns non-finite or leaves the
 blow-up guard, and is then frozen at its last state. The callers here raise
 ``DivergenceError`` at the first death; the Hamiltonian flow keeps the mask.
+The fundamental solution Psi below is not integrated in that loop but
+multiplied out from the RK4 step matrices of its linear equation.
 
 The differential of the endpoint map and its adjoint come from the
 variational equation: with Psi the fundamental solution of Psi' = A(s) Psi,
@@ -65,12 +67,11 @@ def _interp_rows(values, T, s):
 
 
 def _stage_controls(values, T_path, times, h):
-    """control(j, stage): the control (..., m) at RK4 stage 0..3 of step j,
-    read at node j, the step's midpoint (stages 1 and 2) or node j + 1."""
+    """Controls (M, 4, ..., m) at RK4 stage 0..3 of each step j, read at
+    node j, the step's midpoint (stages 1 and 2) or node j + 1."""
     nodes = _interp_rows(values, T_path, times)
     half = _interp_rows(values, T_path, times[:-1] + h / 2.0)
-    rows = (nodes, half, half, nodes[1:])
-    return lambda j, stage: rows[stage][j]
+    return np.stack((nodes[:-1], half, half, nodes[1:]), axis=1)
 
 
 def _rk4(rhs, ys, h, M, alive=None):
@@ -137,12 +138,12 @@ def _integrate_states(F, values, T_path, x0, T, N, substeps):
     """Fine grid and RK4 states (M+1, ..., n) for node values (..., N+1, m)."""
     times, h = fine_grid(T, N, substeps)
     control = _stage_controls(values, T_path, times, h)
-    x = np.asarray(x0, dtype=np.result_type(x0, control(0, 0)))
+    x = np.asarray(x0, dtype=np.result_type(x0, control))
     x = np.broadcast_to(x, values.shape[:-2] + (x.shape[-1],)).copy()
 
     def rhs(j, stage, ys):
         return (np.einsum("...nm,...m->...n", F.field_matrix(ys[0]),
-                          control(j, stage)),)
+                          control[j, stage]),)
 
     (states,), alive, died = _rk4(rhs, (x,), h, len(times) - 1)
     _raise_if_dead(alive, died, h)
@@ -180,18 +181,41 @@ def endpoint(F, u, x0, T=None, substeps=DEFAULT_SUBSTEPS):
 
 
 def _augmented_psi(F, u: ControlPath, x0, T, substeps):
-    """Joint RK4 on (xi, Psi), Psi(0) = I; returns (times, states, psis)."""
+    """RK4 on (xi, Psi), Psi(0) = I; returns (times, states, psis).
+
+    The Psi half of the joint RK4 is linear in Psi, so each of its steps is
+    Psi_{j+1} = Phi_j Psi_j, where Phi_j is the RK4 step matrix made of the
+    variational coefficients A at the step's four stage states of xi. Only
+    xi needs the stage-by-stage loop; it records its stage states, all 4M
+    coefficients come from one batched Jacobian evaluation, and Psi is the
+    running product of the step matrices.
+    """
     times, h = fine_grid(T, u.N, substeps)
+    M = len(times) - 1
     control = _stage_controls(u.values, u.T, times, h)
+    x = np.asarray(x0, dtype=float).copy()
+    stages = np.empty((M, 4, F.n), dtype=np.result_type(x, control))
 
     def rhs(j, stage, ys):
-        x, psi = ys
-        uval = control(j, stage)
-        return F.field_matrix(x) @ uval, F.a_matrix(x, uval) @ psi
+        stages[j, stage] = ys[0]
+        return (F.field_matrix(ys[0]) @ control[j, stage],)
 
-    (states, psis), alive, died = _rk4(
-        rhs, (np.asarray(x0, dtype=float).copy(), np.eye(F.n)), h, len(times) - 1)
+    (states,), alive, died = _rk4(rhs, (x,), h, M)
     _raise_if_dead(alive, died, h)
+    A = np.einsum("jsi,jsikl->sjkl", control, F.jacobian_stack(stages))
+    eye = np.eye(F.n)
+    k1 = A[0]
+    k2 = A[1] @ (eye + (h / 2.0) * k1)
+    k3 = A[2] @ (eye + (h / 2.0) * k2)
+    k4 = A[3] @ (eye + h * k3)
+    steps = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    psis = np.empty((M + 1, F.n, F.n), dtype=steps.dtype)
+    psis[0] = eye
+    for j in range(M):
+        np.matmul(steps[j], psis[j], out=psis[j + 1])
+    # The joint loop would have stopped at the first Psi beyond the guard.
+    blown = ~(np.abs(psis).reshape(M + 1, -1).max(axis=1) <= BLOWUP_GUARD)
+    _raise_if_dead(~blown, np.arange(M + 1), h)
     return times, states, psis
 
 

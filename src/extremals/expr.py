@@ -562,7 +562,7 @@ class CompiledVector:
         # numpy 1.x caps it at 32 arrays.
         shape = (np.broadcast(*args).shape if 0 < len(args) <= 32
                  else np.broadcast_shapes(*(np.shape(a) for a in args)))
-        dtype = np.result_type(np.float64, *(np.asarray(a).dtype for a in args))
+        dtype = np.result_type(np.float64, *map(np.asarray, args))
         out = np.empty(shape + (len(self.exprs),), dtype)
         self._fn(args, out, np)
         return out

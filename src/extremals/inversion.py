@@ -107,6 +107,11 @@ def select_basis(F, u: ControlPath, x0, t, dictionary: Dictionary,
     """
     kern = DifferentialKernel.build(F, u, np.asarray(x0, dtype=float), t,
                                     substeps)
+    return _select_with_kernel(kern, dictionary)
+
+
+def _select_with_kernel(kern, dictionary: Dictionary) -> SelectedBasis:
+    """``select_basis`` on an already built anchor kernel."""
     images = np.stack([kern.apply_values(d.values(kern.times))
                        for d in dictionary.directions], axis=1)  # (n, D)
     n, D = images.shape
@@ -318,9 +323,9 @@ def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
     if not 0.0 < t <= u.T * (1.0 + 1e-12):
         raise ValueError(f"anchor time {t} outside the control's domain")
     dictionary = default_dictionary(u.m, u.T) if dictionary is None else dictionary
-    basis = select_basis(F, u, x0, t, dictionary, substeps)
-    det_anchor = basis.det
     kern = DifferentialKernel.build(F, u, x0, t, substeps)
+    basis = _select_with_kernel(kern, dictionary)
+    det_anchor = basis.det
     anchor_endpoint = kern.endpoint.copy()
     if r_init is None:
         r_init = 0.1 * (1.0 + float(np.linalg.norm(anchor_endpoint)))

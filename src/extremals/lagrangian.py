@@ -4,13 +4,19 @@ A Lagrangian is one scalar expression over x1..xn, u1..um. Its gradients and
 the control Hessian are produced by exact symbolic differentiation and
 compiled on first use; evaluation is batched numpy throughout.
 
-The map z -> w(x, z) inverting d_uL(x, .) is computed by one damped Newton
-iteration, ``_legendre_newton``, which masks instead of raising: it returns
-the iterate together with a per-element flag telling whether it reached
-tolerance. The Hamiltonian flow in ``shooting`` freezes the elements that
-failed. ``legendre_inverse`` raises a diffeomorphism violation for them
-rather than patching over, because every downstream construction assumes
-the fiber derivative is invertible.
+The map z -> w(x, z) inverting d_uL(x, .) is computed by
+``_legendre_newton``, which masks instead of raising: it returns the
+solution together with a per-element flag telling whether its residual
+reached tolerance. When no entry of the control Hessian depends on u, as
+for every cost quadratic in u, d_uL(x, u) = g0(x) + H(x) u is affine in u
+and the inverse is the single linear solve u = H(x)^-1 (z - g0(x)), with
+g0 and H compiled as one evaluator. This is decided symbolically, once, on
+the first solve. Any other cost goes through a damped Newton iteration with
+a line search; elements whose residual turns non-finite, or that the
+caller marks dead, drop out of it as failed. The Hamiltonian flow in
+``shooting`` freezes the elements that failed. ``legendre_inverse`` raises
+a diffeomorphism violation for them rather than patching over, because
+every downstream construction assumes the fiber derivative is invertible.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ class Lagrangian:
         self._grad_x = None
         self._grad_u = None
         self._hess_u = None
+        self._fiber = None
+        self._affine = None
 
     def _pack(self, x, u):
         x = np.asarray(x)
@@ -63,19 +71,50 @@ class Lagrangian:
             self._grad_x = ex.compile_vector(exprs, self.n + self.m)
         return self._grad_x(self._pack(x, u))
 
+    def _fiber_exprs(self):
+        """d_uL and the row-major d2_uL as expression lists."""
+        if self._fiber is None:
+            grad = [self.expression.diff(self.n + k) for k in range(self.m)]
+            hess = [g.diff(self.n + k) for g in grad for k in range(self.m)]
+            self._fiber = (grad, hess)
+        return self._fiber
+
     def grad_u(self, x, u):
         if self._grad_u is None:
-            exprs = [self.expression.diff(self.n + k) for k in range(self.m)]
-            self._grad_u = ex.compile_vector(exprs, self.n + self.m)
+            self._grad_u = ex.compile_vector(self._fiber_exprs()[0],
+                                             self.n + self.m)
         return self._grad_u(self._pack(x, u))
 
     def hess_u(self, x, u):
         if self._hess_u is None:
-            exprs = [self.expression.diff(self.n + j).diff(self.n + k)
-                     for j in range(self.m) for k in range(self.m)]
-            self._hess_u = ex.compile_vector(exprs, self.n + self.m)
+            self._hess_u = ex.compile_vector(self._fiber_exprs()[1],
+                                             self.n + self.m)
         flat = self._hess_u(self._pack(x, u))
         return flat.reshape(flat.shape[:-1] + (self.m, self.m))
+
+    def fiber_affine(self):
+        """Whether d_uL is affine in u, decided symbolically on first call.
+
+        It is when the u-derivative of every control-Hessian entry folds to
+        zero. Like every derivative, this raises for a non-smooth cost.
+        """
+        if self._affine is None:
+            grad, hess = self._fiber_exprs()
+            if all(h.diff(self.n + k) == ex.Const(0.0)
+                   for h in hess for k in range(self.m)):
+                self._affine = ex.compile_vector(grad + hess, self.n + self.m)
+            else:
+                self._affine = False
+        return self._affine is not False
+
+    def fiber_coefficients(self, x):
+        """(g0, H) with d_uL(x, u) = g0(x) + H(x) u, for a cost affine in u."""
+        if not self.fiber_affine():
+            raise ValueError("d_uL is not affine in u")
+        flat = self._affine(self._pack(x, np.zeros(self.m)))
+        hess = flat[..., self.m:]
+        return (flat[..., :self.m],
+                hess.reshape(hess.shape[:-1] + (self.m, self.m)))
 
 
 def parse_lagrangian(text, n, m) -> Lagrangian:
@@ -90,42 +129,93 @@ def parse_lagrangian(text, n, m) -> Lagrangian:
     return Lagrangian(n, m, expression, source=text)
 
 
-def _legendre_newton(L: Lagrangian, x, z, u0):
-    """Masked damped Newton for d_uL(x, u) = z, batched, warm-started at u0.
+def _legendre_newton(L: Lagrangian, x, z, u0, live=None):
+    """Masked solve of d_uL(x, u) = z, batched; a Newton starts from u0.
+
+    Returns (u, ok) and never raises: ok is false where the residual is
+    non-finite or above tolerance. Costs with d_uL affine in u take the
+    closed form, all others the damped Newton, which leaves the elements
+    outside the optional mask ``live`` alone and fails them.
+    """
+    if L.fiber_affine():
+        return _affine_solve(L, x, z, u0)
+    return _damped_newton(L, x, z, u0, live)
+
+
+def _affine_solve(L: Lagrangian, x, z, u0):
+    """u = H(x)^-1 (z - g0(x)), one evaluator call; u0 where H is singular."""
+    g0, H = L.fiber_coefficients(x)
+    # Frozen dead elements of a flow carry overflowed states; their
+    # non-finite residual marks them failed without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = z - g0
+        try:
+            u = np.linalg.solve(H, rhs[..., None])[..., 0]
+            solved = True
+        except np.linalg.LinAlgError:
+            u, solved = _solve_each(H, rhs, u0)
+        r = np.einsum("...ij,...j->...i", H, u) + g0 - z
+        return u, solved & (np.linalg.norm(r, axis=-1) < LEGENDRE_TOL)
+
+
+def _solve_each(H, rhs, u0):
+    """Per-element H u = rhs; u0, and solved false, where H is singular."""
+    batch = np.broadcast_shapes(H.shape[:-2], rhs.shape[:-1], u0.shape[:-1])
+    m = rhs.shape[-1]
+    H = np.broadcast_to(H, batch + (m, m)).reshape(-1, m, m)
+    rhs = np.broadcast_to(rhs, batch + (m,)).reshape(-1, m)
+    u = np.broadcast_to(u0, batch + (m,)).reshape(-1, m).copy()
+    solved = np.zeros(len(u), dtype=bool)
+    for i in range(len(u)):
+        try:
+            u[i] = np.linalg.solve(H[i], rhs[i])
+            solved[i] = True
+        except np.linalg.LinAlgError:
+            pass
+    return u.reshape(batch + (m,)), solved.reshape(batch)
+
+
+def _damped_newton(L: Lagrangian, x, z, u0, live=None):
+    """Damped Newton on d_uL(x, u) = z for costs not affine in u.
 
     Damping halves the step per batch element until the residual norm
-    decreases. Returns (u, ok) and never raises: ok is false where the
-    residual stayed above tolerance, including every unconverged element
-    when a control Hessian in the batch is singular.
+    decreases. Elements outside ``live`` (a flow's frozen dead elements,
+    whose residual can sit at a roundoff floor above tolerance) and
+    elements whose residual turns non-finite count as failed and hold up
+    neither the stop test nor the line search. A singular control Hessian
+    in the batch fails every unconverged element.
     """
     u = u0.copy()
     r = L.grad_u(x, u) - z
     rn = np.linalg.norm(r, axis=-1)
+    live = np.isfinite(rn) if live is None else live & np.isfinite(rn)
     for _ in range(LEGENDRE_MAX_ITER):
-        if np.max(rn, initial=0.0) < LEGENDRE_TOL:
+        todo = live & (rn >= LEGENDRE_TOL)
+        if not np.any(todo):
             break
         H = L.hess_u(x, u)
         try:
             step = np.linalg.solve(H, r[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            return u, rn < LEGENDRE_TOL
-        step = np.where(np.isfinite(step), step, 0.0)
+            return u, live & (rn < LEGENDRE_TOL)
+        step = np.where(live[..., None] & np.isfinite(step), step, 0.0)
         alpha = np.ones(rn.shape)
         for _ in range(LEGENDRE_MAX_HALVINGS):
             u_try = u - alpha[..., None] * step
             rn_try = np.linalg.norm(L.grad_u(x, u_try) - z, axis=-1)
-            ok = (rn_try < rn) | (rn < LEGENDRE_TOL)
+            ok = (rn_try < rn) | ~todo
             if np.all(ok):
                 break
             alpha = np.where(ok, alpha, alpha / 2.0)
         u = u - alpha[..., None] * step
         r = L.grad_u(x, u) - z
         rn = np.linalg.norm(r, axis=-1)
-    return u, rn < LEGENDRE_TOL
+        live &= np.isfinite(rn)
+    return u, live & (rn < LEGENDRE_TOL)
 
 
 def legendre_inverse(L: Lagrangian, x, z, u0=None):
-    """Solve d_uL(x, u) = z for u by the masked Newton from u0 (default 0).
+    """Solve d_uL(x, u) = z for u; a Newton starts from u0 (default 0).
 
     Raises a diffeomorphism violation if any batch element fails to reach
     tolerance: a singular control Hessian or a stalled line search.

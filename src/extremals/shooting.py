@@ -5,10 +5,14 @@ The flow integrated here is
     xi' = B(xi) u*,    p' = -A(xi, u*)^T p + d_xL(xi, u*),
 
 with the feedback control u* = w(xi, B(xi)^T p) re-solved at every RK4
-stage by the masked Newton of ``lagrangian`` (warm-started, so it is one or
-two Newton steps in practice). The flow runs on the RK4 integrator of
-``dynamics``. The shooting unknown is p(0): forward integration only, and
-the multiplier is read off as lam = p(T) on convergence.
+stage by ``lagrangian._legendre_newton``. For a cost whose d_uL is affine
+in u, which covers every smooth built-in, that is one evaluator call and
+one linear solve per stage; any other cost runs the masked damped Newton,
+warm-started from the previous stage (one or two steps in practice) and
+skipping the elements the flow has already frozen. The flow runs on the
+RK4 integrator of ``dynamics``. The shooting unknown is p(0): forward
+integration only, and the multiplier is read off as lam = p(T) on
+convergence.
 
 Everything is batched over seeds, including the final re-run of the flow
 that builds the converged solutions. A blown-up or feedback-infeasible
@@ -97,7 +101,8 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
         nonlocal w, alive
         xv, pv = ys
         B = F.field_matrix(xv)
-        w, ok = _legendre_newton(L, xv, np.einsum("...nm,...n->...m", B, pv), w)
+        w, ok = _legendre_newton(L, xv, np.einsum("...nm,...n->...m", B, pv),
+                                 w, alive)
         alive &= ok
         if stage == 0:
             us[j] = w

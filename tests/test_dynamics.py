@@ -156,6 +156,17 @@ def test_finite_time_blowup_raises():
     assert info.value.time == 1.025
 
 
+def test_fundamental_solution_blowup_raises():
+    # X1 = (x1) from x = 0 keeps the state at 0 while Psi' = 30 Psi grows
+    # by the RK4 factor 1 + z + z^2/2 + z^3/6 + z^4/24 per step, z = 30 h,
+    # h = 1/48; the 45th step is the first past the guard.
+    u = ControlPath.constant(1.0, 12, [30.0])
+    with pytest.raises(DivergenceError) as info:
+        DifferentialKernel.build(parse_field_set("X1 = (x1)", 1, 1), u,
+                                 np.zeros(1))
+    assert info.value.time == pytest.approx(45 / 48, rel=1e-12)
+
+
 def test_stacked_flow_isolates_a_blowing_up_seed():
     # With L = u^2/2 the feedback is u = x^2 p and x^2 p is conserved, so
     # x' = (p0 x0^2) x^2: the seed p0 = 10 blows up at s = 1/10, where its
@@ -171,3 +182,28 @@ def test_stacked_flow_isolates_a_blowing_up_seed():
         assert alive1
         for got, want in ((xs, x1), (ps, p1), (us, u1)):
             np.testing.assert_allclose(got[:, i], want, rtol=0, atol=1e-12)
+
+
+def test_feedback_newton_skips_a_dead_seed():
+    # With the quartic cost the feedback needs the Newton loop. The seed
+    # p0 = 30 blows up; once frozen, its stage residual sits at a roundoff
+    # floor above tolerance, and it must not keep the batch iterating.
+    def counted_flow(p0):
+        L = parse_lagrangian("u1^2/2 + u1^4/4", 1, 1)
+        grad_u = L.grad_u
+        calls = []
+
+        def counting(x, u):
+            calls.append(1)
+            return grad_u(x, u)
+
+        L.grad_u = counting
+        _, _, _, _, alive = _hamiltonian_flow(BLOWUP, L, np.ones(1),
+                                              np.array(p0), 1.0, 16)
+        return alive, len(calls)
+
+    alive, calls = counted_flow([[0.1], [30.0], [-0.5]])
+    np.testing.assert_array_equal(alive, [True, False, True])
+    alive2, calls2 = counted_flow([[0.1], [-0.5]])
+    np.testing.assert_array_equal(alive2, [True, True])
+    assert calls <= 3 * calls2

@@ -100,6 +100,28 @@ def test_identity_chart_is_exact():
     assert float(np.linalg.norm(traj.states[-1] - beta)) < 1e-12
 
 
+def test_build_chart_builds_the_anchor_kernel_once(monkeypatch):
+    # Basis selection and the anchor endpoint share one kernel; the probes
+    # build kernels of emitted controls, never of the anchor control itself.
+    u = loop_control()
+    build = DifferentialKernel.build
+    anchor_builds = []
+
+    def counting(cls, F, control, *args, **kwargs):
+        if control is u:
+            anchor_builds.append(control)
+        return build(F, control, *args, **kwargs)
+
+    monkeypatch.setattr(DifferentialKernel, "build", classmethod(counting))
+    chart = build_chart(HEISENBERG, u, np.zeros(3), 0.7, substeps=8)
+    assert len(anchor_builds) == 1
+    basis = select_basis(HEISENBERG, u, np.zeros(3), 0.7,
+                         default_dictionary(2, 1.0), substeps=8)
+    assert len(anchor_builds) == 2
+    assert basis.indices == chart.basis.indices
+    assert basis.det == chart.det_anchor
+
+
 def test_chart_rejects_targets_outside_the_ball():
     u = ControlPath.constant(1.0, 32, [1.0, 0.0])
     chart = build_chart(IDENTITY, u, np.zeros(2), 1.0)

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremals.errors import DiffeomorphismViolationError, ParseError
 from extremals.fields import parse_field_set
 from extremals.controls import ControlPath
-from extremals.lagrangian import (growth_spot_check, hamiltonian,
+from extremals.lagrangian import (_affine_solve, _damped_newton,
+                                  growth_spot_check, hamiltonian,
                                   legendre_inverse, maximizing_control,
                                   momentum_map,
                                   parse_growth_profile, parse_lagrangian,
                                   phi_from_samples, phi_functional, trapezoid)
+from extremals.scenario import resolve_scenario, scenario_lagrangian
 
 from oracles import bisect_root
 
@@ -67,8 +71,82 @@ def test_legendre_inverse_quartic_against_bisection():
 
 def test_legendre_inverse_needs_a_convex_fiber():
     L = parse_lagrangian("u1", 1, 1)  # d_uL is constant, not invertible
+    assert L.fiber_affine()
     with pytest.raises(DiffeomorphismViolationError):
         legendre_inverse(L, np.zeros(1), np.array([2.0]))
+
+
+@pytest.mark.parametrize("text, affine", [
+    ("(u1^2+u2^2)/2", True),
+    ("(u1^2+u2^2)/2 + x1*u1 + x2^2", True),
+    ("(1 + x1^2)*(u1^2+u2^2)/2", True),
+    ("u1^2 + u1^4/4", False),
+])
+def test_fiber_affinity_is_read_off_the_expression(text, affine):
+    assert parse_lagrangian(text, 2, 2).fiber_affine() is affine
+
+
+def test_nonsmooth_cost_is_only_differentiated_for_feedback():
+    L = scenario_lagrangian(resolve_scenario("gl"))
+    assert L.value([0.0], [0.0]) == pytest.approx(2.0)
+    with pytest.raises(ParseError):
+        L.fiber_affine()
+    with pytest.raises(ParseError):
+        legendre_inverse(L, np.zeros(1), np.array([1.0]))
+
+
+def test_closed_form_feedback_matches_the_newton():
+    L = parse_lagrangian("(1 + x1^2)*(u1^2 + u1*u2 + u2^2)/2 + x2*u1 + x1^2",
+                         2, 2)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((40, 2))
+    z = 2.0 * rng.standard_normal((40, 2))
+    u0 = np.zeros((40, 2))
+    u, ok = _affine_solve(L, x, z, u0)
+    u_newton, ok_newton = _damped_newton(L, x, z, u0)
+    assert ok.all() and ok_newton.all()
+    np.testing.assert_allclose(u, u_newton, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(legendre_inverse(L, x, z), u, rtol=0, atol=0)
+
+
+coefficient = st.floats(-2.0, 2.0, allow_nan=False).map(lambda v: f"({v:.6f})")
+
+
+@settings(max_examples=15, deadline=None)
+@given(a=st.lists(coefficient, min_size=3, max_size=3),
+       g=st.lists(coefficient, min_size=4, max_size=4),
+       k=st.floats(0.0, 2.0).map(lambda v: f"{v:.6f}"),
+       seed=st.integers(0, 2 ** 16))
+def test_closed_form_agrees_with_newton_on_random_quadratics(a, g, k, seed):
+    # H(x) = (1 + k x1^2) (A A^T + I) with A lower triangular, which keeps
+    # every control Hessian symmetric positive definite.
+    s11 = f"(1 + {a[0]}^2)"
+    s12 = f"{a[0]}*{a[1]}"
+    s22 = f"(1 + {a[1]}^2 + {a[2]}^2)"
+    text = (f"(1 + {k}*x1^2)*({s11}*u1^2 + 2*{s12}*u1*u2 + {s22}*u2^2)/2"
+            f" + ({g[0]} + {g[1]}*x2)*u1 + ({g[2]} + {g[3]}*x1*x2)*u2"
+            " + x1^2")
+    L = parse_lagrangian(text, 2, 2)
+    assert L.fiber_affine()
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (8, 2))
+    z = rng.uniform(-3.0, 3.0, (8, 2))
+    u0 = np.zeros((8, 2))
+    u, ok = _affine_solve(L, x, z, u0)
+    u_newton, ok_newton = _damped_newton(L, x, z, u0)
+    assert ok.all() and ok_newton.all()
+    np.testing.assert_allclose(u, u_newton, rtol=0, atol=1e-12)
+
+
+def test_singular_fiber_fails_elementwise():
+    # d2_uL = x1 vanishes at x1 = 0 only: that element fails, the others
+    # are solved exactly.
+    L = parse_lagrangian("x1*u1^2/2", 1, 1)
+    assert L.fiber_affine()
+    x = np.array([[1.0], [0.0], [2.0]])
+    u, ok = _affine_solve(L, x, np.ones((3, 1)), np.zeros((3, 1)))
+    np.testing.assert_array_equal(ok, [True, False, True])
+    np.testing.assert_allclose(u, [[1.0], [0.0], [0.5]], rtol=0, atol=1e-15)
 
 
 def test_momentum_and_maximizing_control():
