@@ -272,7 +272,10 @@ def cmd_eval_chart(sc, out, args):
     try:
         with open(args.chart) as fh:
             stored = _json.load(fh)
-        chart_dict = stored.get("chart", stored)
+        chart_dict = (stored.get("chart", stored) if isinstance(stored, dict)
+                      else None)
+        if not isinstance(chart_dict, dict):
+            raise ScenarioError(f"chart JSON {args.chart} is not an object")
         anchor_path = os.path.join(os.path.dirname(os.path.abspath(args.chart)),
                                    chart_dict["control_ref"])
         u = read_control_csv(anchor_path)
@@ -281,6 +284,9 @@ def cmd_eval_chart(sc, out, args):
         raise ScenarioError(f"cannot read chart: {e}") from e
     except KeyError as e:
         raise ScenarioError(f"chart JSON {args.chart} lacks the key {e}") from e
+    except TypeError as e:
+        raise ScenarioError(f"chart JSON {args.chart} holds a value of the "
+                            f"wrong type: {e}") from e
     parts = [float(c) for c in args.point.split(",")]
     if len(parts) != sc.n + 1:
         raise ScenarioError(f"--point expects s,{sc.n} coordinates")

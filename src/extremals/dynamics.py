@@ -180,45 +180,6 @@ def endpoint(F, u, x0, T=None, substeps=DEFAULT_SUBSTEPS):
     return integrate(F, u, x0, T, substeps).endpoint
 
 
-def _augmented_psi(F, u: ControlPath, x0, T, substeps):
-    """RK4 on (xi, Psi), Psi(0) = I; returns (times, states, psis).
-
-    The Psi half of the joint RK4 is linear in Psi, so each of its steps is
-    Psi_{j+1} = Phi_j Psi_j, where Phi_j is the RK4 step matrix made of the
-    variational coefficients A at the step's four stage states of xi. Only
-    xi needs the stage-by-stage loop; it records its stage states, all 4M
-    coefficients come from one batched Jacobian evaluation, and Psi is the
-    running product of the step matrices.
-    """
-    times, h = fine_grid(T, u.N, substeps)
-    M = len(times) - 1
-    control = _stage_controls(u.values, u.T, times, h)
-    x = np.asarray(x0, dtype=float).copy()
-    stages = np.empty((M, 4, F.n), dtype=np.result_type(x, control))
-
-    def rhs(j, stage, ys):
-        stages[j, stage] = ys[0]
-        return (F.field_matrix(ys[0]) @ control[j, stage],)
-
-    (states,), alive, died = _rk4(rhs, (x,), h, M)
-    _raise_if_dead(alive, died, h)
-    A = np.einsum("jsi,jsikl->sjkl", control, F.jacobian_stack(stages))
-    eye = np.eye(F.n)
-    k1 = A[0]
-    k2 = A[1] @ (eye + (h / 2.0) * k1)
-    k3 = A[2] @ (eye + (h / 2.0) * k2)
-    k4 = A[3] @ (eye + h * k3)
-    steps = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    psis = np.empty((M + 1, F.n, F.n), dtype=steps.dtype)
-    psis[0] = eye
-    for j in range(M):
-        np.matmul(steps[j], psis[j], out=psis[j + 1])
-    # The joint loop would have stopped at the first Psi beyond the guard.
-    blown = ~(np.abs(psis).reshape(M + 1, -1).max(axis=1) <= BLOWUP_GUARD)
-    _raise_if_dead(~blown, np.arange(M + 1), h)
-    return times, states, psis
-
-
 def trapezoid_weights(times):
     dt = np.diff(times)
     w = np.zeros(len(times))
@@ -230,16 +191,14 @@ def trapezoid_weights(times):
 class DifferentialKernel:
     """Precomputed integral kernel of dE at a fixed (u, x0, T).
 
-    Holds K(s) = Psi(T) Psi(s)^-1 B(s) on the fine grid together with the
-    trapezoid weights, so forward applications, adjoints, and the Gram
-    operator are single einsums. Built once, applied many times (Newton
-    loops, basis selection, duality sweeps).
+    Holds the fine grid with its RK4 states and Psi, and K(s) = Psi(T)
+    Psi(s)^-1 B(s) with the trapezoid weights. ``apply_values`` maps one
+    direction sampled on the fine grid, (M+1, m), or a stack of them,
+    (..., M+1, m), to the images (..., n) in one einsum, as adjoints and the
+    Gram operator are. Built once, applied many times.
     """
 
-    def __init__(self, F, u, x0, T, times, states, psis, weights, kernels):
-        self.F = F
-        self.u = u
-        self.x0 = np.asarray(x0, dtype=float)
+    def __init__(self, T, times, states, psis, weights, kernels):
         self.T = T
         self.times = times
         self.states = states
@@ -249,21 +208,52 @@ class DifferentialKernel:
 
     @classmethod
     def build(cls, F, u: ControlPath, x0, T=None, substeps=DEFAULT_SUBSTEPS):
+        """RK4 states and Psi, Psi(0) = I, on the fine grid, then K.
+
+        The state loop records its stage states; one batched Jacobian call
+        gives A at all 4M of them, and Psi_{j+1} = Phi_j Psi_j with Phi_j the
+        RK4 step matrix of the linear equation Psi' = A Psi.
+        """
         T = u.T if T is None else float(T)
-        times, states, psis = _augmented_psi(F, u, x0, T, substeps)
+        times, h = fine_grid(T, u.N, substeps)
+        M = len(times) - 1
+        control = _stage_controls(u.values, u.T, times, h)
+        x = np.asarray(x0, dtype=float).copy()
+        stages = np.empty((M, 4, F.n), dtype=np.result_type(x, control))
+
+        def rhs(j, stage, ys):
+            stages[j, stage] = ys[0]
+            return (F.field_matrix(ys[0]) @ control[j, stage],)
+
+        (states,), alive, died = _rk4(rhs, (x,), h, M)
+        _raise_if_dead(alive, died, h)
+        A = np.einsum("jsi,jsikl->sjkl", control, F.jacobian_stack(stages))
+        eye = np.eye(F.n)
+        k1 = A[0]
+        k2 = A[1] @ (eye + (h / 2.0) * k1)
+        k3 = A[2] @ (eye + (h / 2.0) * k2)
+        k4 = A[3] @ (eye + h * k3)
+        steps = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        psis = np.empty((M + 1, F.n, F.n), dtype=steps.dtype)
+        psis[0] = eye
+        for j in range(M):
+            np.matmul(steps[j], psis[j], out=psis[j + 1])
+        # The joint loop would have stopped at the first Psi beyond the guard.
+        blown = ~(np.abs(psis).reshape(M + 1, -1).max(axis=1) <= BLOWUP_GUARD)
+        _raise_if_dead(~blown, np.arange(M + 1), h)
         B = F.field_matrix(states)
         inv_b = np.linalg.solve(psis, B)          # Psi(s)^-1 B(s), batched
         kernels = np.einsum("nk,jkm->jnm", psis[-1], inv_b)
-        return cls(F, u, x0, T, times, states, psis, trapezoid_weights(times),
-                   kernels)
+        return cls(T, times, states, psis, trapezoid_weights(times), kernels)
 
     @property
     def endpoint(self):
         return self.states[-1]
 
     def apply_values(self, v_values):
-        """dE(u) v from samples of v on the fine grid, shape (M+1, m)."""
-        return np.einsum("j,jnm,jm->n", self.weights, self.kernels, v_values)
+        """dE(u) v from samples (..., M+1, m) of v on the fine grid."""
+        return np.einsum("j,jnm,...jm->...n", self.weights, self.kernels,
+                         v_values)
 
     def apply(self, v: ControlPath):
         return self.apply_values(v.at(self.times))

@@ -14,11 +14,14 @@ emitted is their sampling on the anchor's own grid, so a chart evaluation
 and a later re-integration of its output see the identical piecewise-linear
 object. The Newton Jacobian is assembled from the same sampled directions,
 which makes the round trip exact up to solver tolerance, not up to
-quadrature.
+quadrature. Each Newton iterate's endpoint and Jacobian come from one
+``DifferentialKernel`` build: the kernel the line search built for the
+accepted trial is the next iterate's kernel.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import expr as ex
 from .controls import ControlPath, l2_distance
-from .dynamics import DEFAULT_SUBSTEPS, DifferentialKernel
+from .dynamics import DEFAULT_SUBSTEPS, DifferentialKernel, fine_grid
 from .errors import (BasisDeficiencyError, ChartConstructionError,
                      ChartIntegrityError, DivergenceError)
 
@@ -112,8 +115,8 @@ def select_basis(F, u: ControlPath, x0, t, dictionary: Dictionary,
 
 def _select_with_kernel(kern, dictionary: Dictionary) -> SelectedBasis:
     """``select_basis`` on an already built anchor kernel."""
-    images = np.stack([kern.apply_values(d.values(kern.times))
-                       for d in dictionary.directions], axis=1)  # (n, D)
+    images = kern.apply_values(np.stack(
+        [d.values(kern.times) for d in dictionary.directions])).T  # (n, D)
     n, D = images.shape
     resid = images.copy()
     chosen = []
@@ -156,9 +159,6 @@ class InversionChart:
     def n(self):
         return self.F.n
 
-    def center(self):
-        return self.t, self.anchor_endpoint
-
     def distance(self, s, beta):
         d = np.asarray(beta, dtype=float) - self.anchor_endpoint
         return math.hypot(float(s) - self.t, float(np.linalg.norm(d)))
@@ -195,12 +195,14 @@ def chart_from_dict(d, F, u: ControlPath) -> InversionChart:
                                         source=entry["source"]))
     t = float(d["anchor_time"])
     x0 = np.asarray(d["x0"], dtype=float)
-    kern = DifferentialKernel.build(F, u, x0, t, int(d["substeps"]))
+    substeps = int(d["substeps"])
+    if substeps < 1:
+        raise ValueError(f"chart substeps must be at least 1, got {substeps}")
+    kern = DifferentialKernel.build(F, u, x0, t, substeps)
     basis = SelectedBasis(
         directions=tuple(dirs),
         indices=tuple(int(e["index"]) for e in d["basis"]),
-        phi=np.stack([kern.apply_values(v.values(kern.times)) for v in dirs],
-                     axis=1))
+        phi=kern.apply_values(np.stack([v.values(kern.times) for v in dirs])).T)
     coarse = np.stack([v.values(u.times) for v in dirs], axis=0)
     return InversionChart(
         F=F, x0=x0, t=t, u=u,
@@ -208,57 +210,59 @@ def chart_from_dict(d, F, u: ControlPath) -> InversionChart:
         basis=basis, basis_coarse=coarse, r=float(d["radius"]),
         det_anchor=float(d["det_anchor"]), det_floor=float(d["det_floor"]),
         k_time=float(d["k_time"]), lipschitz_est=dict(d["lipschitz_est"]),
-        probe_seed=int(d["probe_seed"]), substeps=int(d["substeps"]))
+        probe_seed=int(d["probe_seed"]), substeps=substeps)
 
 
-def _solve_alpha(chart: InversionChart, s, beta, alpha0, tol=CHART_NEWTON_TOL,
-                 max_iter=CHART_NEWTON_MAX_ITER):
+def _solve_alpha(chart: InversionChart, s, beta, alpha0):
     """Newton on alpha for E_s(u + sum alpha_i v_i) = beta.
 
     Returns (alpha, path, det, converged, iterations). The Jacobian is the
     basis-image matrix at the current iterate, so convergence certifies the
-    round trip on the emitted piecewise-linear control itself.
+    round trip on the emitted piecewise-linear control itself. An iterate
+    the line search accepted keeps the kernel built for it; a kernel is
+    built anew only when no trial was accepted.
     """
     beta = np.asarray(beta, dtype=float)
     alpha = np.zeros(chart.n) if alpha0 is None else np.asarray(alpha0, float).copy()
     path = chart.emit(alpha)
+    times, _ = fine_grid(s, chart.u.N, chart.substeps)
+    basis_fine = np.stack([ControlPath(chart.u.T, vals).at(times)
+                           for vals in chart.basis_coarse])
     det = 0.0
-    for it in range(max_iter):
-        try:
-            kern = DifferentialKernel.build(chart.F, path, chart.x0, s,
-                                            chart.substeps)
-        except DivergenceError:
-            return alpha, path, det, False, it
+    kern = None
+    for it in range(CHART_NEWTON_MAX_ITER):
+        if kern is None:
+            try:
+                kern = DifferentialKernel.build(chart.F, path, chart.x0, s,
+                                                chart.substeps)
+            except DivergenceError:
+                return alpha, path, det, False, it
         g = kern.endpoint - beta
         gn = float(np.linalg.norm(g))
-        phi = np.stack([kern.apply_values(v.at(kern.times))
-                        for v in _basis_paths(chart)], axis=1)
+        phi = kern.apply_values(basis_fine).T
         det = float(np.linalg.det(phi))
-        if gn < tol:
+        if gn < CHART_NEWTON_TOL:
             return alpha, path, det, True, it
         if abs(det) < 1e-14:
             return alpha, path, det, False, it
         step = np.linalg.solve(phi, g)
         scale = 1.0
+        kern = None
         for _ in range(10):
-            trial = alpha - scale * step
-            trial_path = chart.emit(trial)
             try:
-                kern_t = DifferentialKernel.build(chart.F, trial_path, chart.x0,
-                                                  s, chart.substeps)
+                trial = DifferentialKernel.build(
+                    chart.F, chart.emit(alpha - scale * step), chart.x0, s,
+                    chart.substeps)
             except DivergenceError:
                 scale /= 2.0
                 continue
-            if float(np.linalg.norm(kern_t.endpoint - beta)) < gn or scale < 1e-3:
+            if float(np.linalg.norm(trial.endpoint - beta)) < gn:
+                kern = trial
                 break
             scale /= 2.0
         alpha = alpha - scale * step
         path = chart.emit(alpha)
-    return alpha, path, det, False, max_iter
-
-
-def _basis_paths(chart):
-    return [ControlPath(chart.u.T, vals) for vals in chart.basis_coarse]
+    return alpha, path, det, False, CHART_NEWTON_MAX_ITER
 
 
 def chart_eval_full(chart: InversionChart, s, beta, alpha0=None, enforce=True):
@@ -382,12 +386,8 @@ def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
         k_hat = max(k_hat, l2_distance(path, center_path) / d)
         ell_hat = max(ell_hat, float(np.linalg.norm(alpha)) / d)
 
-    return InversionChart(
-        F=F, x0=x0, t=t, u=u, anchor_endpoint=anchor_endpoint, basis=basis,
-        basis_coarse=proto.basis_coarse, r=r, det_anchor=det_anchor,
-        det_floor=det_tol * abs(det_anchor), k_time=k_time,
-        lipschitz_est={"k": k_hat, "ell": ell_hat}, probe_seed=probe_seed,
-        substeps=substeps)
+    return dataclasses.replace(proto, r=r, k_time=k_time,
+                               lipschitz_est={"k": k_hat, "ell": ell_hat})
 
 
 def chart_lipschitz_estimate(chart: InversionChart, probes=60, seed=None,

@@ -72,6 +72,8 @@ def read_control_csv(path) -> ControlPath:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("s,"):
         raise ScenarioError(f"{path}: not a control CSV (missing header)")
+    if len(lines) < 3:
+        raise ScenarioError(f"{path}: a control CSV needs at least two samples")
     data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
     times, values = data[:, 0], data[:, 1:]
     T = float(times[-1])

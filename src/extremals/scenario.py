@@ -146,8 +146,8 @@ def parse_scenario(text, source_path=None) -> Scenario:
         raise ScenarioError(f"m = {sc.m} exceeds n = {sc.n}")
     if sc.T <= 0:
         raise ScenarioError("horizon T must be positive")
-    if sc.N < 1:
-        raise ScenarioError("grid N must be at least 1")
+    if sc.N < 1 or sc.substeps < 1:
+        raise ScenarioError("grid N and substeps must be at least 1")
     if len(sc.x0) != sc.n:
         raise ScenarioError(f"x0 has {len(sc.x0)} components, expected {sc.n}")
     if sc.target is not None and len(sc.target) != sc.n:

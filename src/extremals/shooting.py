@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import ControlPath, l2_distance
-from .dynamics import (DEFAULT_SUBSTEPS, PSI_COND_FLAG, Trajectory,
-                       _augmented_psi, _rk4, fine_grid, integrate)
+from .dynamics import (DEFAULT_SUBSTEPS, PSI_COND_FLAG, DifferentialKernel,
+                       Trajectory, _rk4, fine_grid, integrate)
 from .errors import DimensionError, NonConvergenceError
 from .lagrangian import Lagrangian, _legendre_newton, trapezoid
 
@@ -115,6 +115,22 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     return times, xs, ps, us, alive
 
 
+def _truncated_step(J, r):
+    """Truncated pseudo-inverse steps J^+ r for stacked (n, n) Jacobians.
+
+    Symmetric targets leave an exact null direction whose discretized
+    singular value is O(h^4) noise; a plain lstsq step would divide residual
+    leakage by it and fling the iterate along the symmetry orbit. U^T is
+    made C-ordered, the layout of one Jacobian's U[:, keep].T, so that numpy
+    picks the same BLAS kernel.
+    """
+    U, sv, Vt = np.linalg.svd(J)
+    keep = sv > JAC_TRUNCATION * sv[..., :1]
+    ut_r = np.ascontiguousarray(np.swapaxes(U, -1, -2)) @ r[..., None]
+    coeff = np.divide(ut_r[..., 0], sv, out=np.zeros_like(sv), where=keep)
+    return (np.swapaxes(Vt, -1, -2) @ coeff[..., None])[..., 0]
+
+
 def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
     """Damped least-squares Newton on the batched shooting residual.
 
@@ -140,39 +156,23 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
         active = (rn >= tol) & ~failed
         if not np.any(active):
             break
-        # Central-difference Jacobian, all probes in one batched flow.
+        # Central-difference Jacobian, all probes in one batched flow:
+        # probes 2k and 2k + 1 move p0 by +step and -step along axis k.
         step = SHOOT_FD_STEP * (1.0 + np.linalg.norm(p0, axis=-1))
-        probes = np.empty((2 * n,) + batch + (n,))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = 1.0
-            probes[2 * k] = p0 + step[..., None] * e
-            probes[2 * k + 1] = p0 - step[..., None] * e
-        _, xs, _, _, alive = _hamiltonian_flow(F, L, x0, probes, T, N, substeps)
-        ends = xs[-1]
+        axes = np.eye(n).reshape((n,) + (1,) * len(batch) + (n,))
+        shift = step[..., None] * axes
+        probes = np.stack((p0 + shift, p0 - shift), axis=1)
+        _, xs, _, _, alive = _hamiltonian_flow(
+            F, L, x0, probes.reshape((2 * n,) + batch + (n,)), T, N, substeps)
+        ends = xs[-1].reshape((n, 2) + batch + (n,))
         jac_ok = np.all(alive, axis=0)
-        J = np.empty(batch + (n, n))
-        for k in range(n):
-            J[..., :, k] = (ends[2 * k] - ends[2 * k + 1]) / (2.0 * step[..., None])
-
-        delta = np.zeros_like(p0)
-        flat_J = J.reshape(-1, n, n)
-        flat_r = r.reshape(-1, n)
-        flat_d = delta.reshape(-1, n)
-        flat_on = (active & jac_ok).reshape(-1)
-        for i in np.nonzero(flat_on)[0]:
-            # Truncated pseudo-inverse: symmetric targets leave an exact
-            # null direction whose discretized singular value is O(h^4)
-            # noise; a plain lstsq step would divide residual leakage by
-            # it and fling the iterate along the symmetry orbit.
-            U, sv, Vt = np.linalg.svd(flat_J[i])
-            keep = sv > JAC_TRUNCATION * sv[0] if sv[0] > 0 else sv > 0
-            coeff = (U[:, keep].T @ flat_r[i]) / sv[keep]
-            flat_d[i] = Vt[keep].T @ coeff
-        delta = flat_d.reshape(batch + (n,))
-        failed = failed | (active & ~jac_ok)
+        J = np.moveaxis((ends[:, 0] - ends[:, 1]) / (2.0 * step[..., None]), 0, -1)
 
         moving = active & jac_ok
+        failed = failed | (active & ~jac_ok)
+        # A zero Jacobian keeps no singular value: a zero step.
+        delta = _truncated_step(np.where(moving[..., None, None], J, 0.0), r)
+
         alpha = np.ones(batch)
         accepted = ~moving
         best = p0.copy()
@@ -329,7 +329,8 @@ def costate_from_lambda(F, L: Lagrangian, u: ControlPath, x0, T=None,
     """
     T = u.T if T is None else float(T)
     lam = np.asarray(lam, dtype=float)
-    times, states, psis = _augmented_psi(F, u, np.asarray(x0, float), T, substeps)
+    kern = DifferentialKernel.build(F, u, x0, T, substeps)
+    times, states, psis = kern.times, kern.states, kern.psis
     u_nodes = u.at(times)
     gx = L.grad_x(states, u_nodes)
     integrand = np.einsum("jnk,jn->jk", psis, gx)

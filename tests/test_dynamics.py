@@ -106,6 +106,13 @@ def test_duality_is_exact_not_approximate():
         adj = kern.adjoint(lam).values
         backward = float(np.sum(w[:, None] * adj * v.at(kern.times)))
         assert forward == pytest.approx(backward, abs=1e-13)
+    # A stack of directions maps to the stack of their images, bit for bit.
+    stack = np.stack([v.at(kern.times) for v in random_smooth_controls(
+        rng, 1.0, 24, 2, count=6)]).reshape(2, 3, len(kern.times), 2)
+    images = kern.apply_values(stack)
+    assert images.shape == (2, 3, 3)
+    for idx in np.ndindex(2, 3):
+        np.testing.assert_array_equal(images[idx], kern.apply_values(stack[idx]))
 
 
 def test_module_level_wrappers_agree():

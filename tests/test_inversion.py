@@ -164,6 +164,25 @@ def test_loop_chart_certification(loop_chart):
     assert float(np.linalg.norm(traj.states[-1] - beta)) < 1e-9
 
 
+def test_chart_newton_builds_one_kernel_per_iterate(loop_chart, monkeypatch):
+    # Every full Newton step is accepted on this query, so each iterate
+    # after the first takes the kernel its line-search trial built.
+    build = DifferentialKernel.build
+    builds = []
+
+    def counting(cls, F, control, *args, **kwargs):
+        builds.append(control)
+        return build(F, control, *args, **kwargs)
+
+    monkeypatch.setattr(DifferentialKernel, "build", classmethod(counting))
+    chart = loop_chart
+    s = chart.t + 0.3 * chart.r
+    beta = chart.anchor_endpoint + np.array([0.2, -0.1, 0.1]) * chart.r
+    _, _, _, iters = chart_eval_full(chart, s, beta)
+    assert iters >= 2
+    assert len(builds) == iters + 1
+
+
 def test_chart_serialization_round_trip(loop_chart):
     chart = loop_chart
     blob = canonical_json(chart.to_dict("anchor.csv"))

@@ -52,6 +52,7 @@ def test_parse_scenario_round_trip():
     (lambda t: t.replace("n = 2", "n = 1"), "exceeds"),
     (lambda t: t.replace("N = 16", "N = sixteen"), "expects an integer"),
     (lambda t: t.replace("x0 = 0, 0", "x0 = 0"), "components"),
+    (lambda t: t + "substeps = 0\n", "substeps must be at least 1"),
 ])
 def test_parse_scenario_rejects_bad_input(mangle, needle):
     with pytest.raises(ScenarioError, match=needle):
@@ -121,8 +122,35 @@ def test_cli_validation_errors_exit_one(tmp_path, capsys):
     bad.write_text(json.dumps({"chart": {}}))
     assert main(["eval-chart", "--scenario", "identity", "--out", out,
                  "--chart", str(bad)] + point) == 1
+    # A well-formed chart evaluates; each malformed copy of it is bad input.
+    write_control_csv(tmp_path / "anchor.csv",
+                      ControlPath.constant(1.0, 4, [1.0, 0.0]))
+    (tmp_path / "header_only.csv").write_text("s,u1,u2\n")
+    chart = {"anchor_time": 1.0, "anchor_endpoint": [1.0, 0.0],
+             "x0": [0.0, 0.0], "radius": 0.2, "det_anchor": 1.0,
+             "det_floor": 0.1, "k_time": 0.0,
+             "lipschitz_est": {"k": 0.0, "ell": 0.0}, "probe_seed": 0,
+             "substeps": 4, "control_ref": "anchor.csv",
+             "basis": [{"source": "(1, 0)", "lip": 0.0, "index": 0},
+                       {"source": "(0, 1)", "lip": 0.0, "index": 1}]}
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"chart": chart}))
+    assert main(["eval-chart", "--scenario", "identity", "--out", out,
+                 "--chart", str(good)] + point) == 0
+    malformed = [{"chart": {**chart, "anchor_time": None}},
+                 {"chart": {**chart, "basis": [{"source": 5, "lip": 0.0,
+                                                "index": 0}] * 2}},
+                 {"chart": {**chart, "basis": 5}},
+                 {"chart": {**chart, "lipschitz_est": [1.0, 2.0]}},
+                 {"chart": {**chart, "substeps": 0}},
+                 [{"chart": chart}],
+                 {"chart": {**chart, "control_ref": "header_only.csv"}}]
+    for stored in malformed:
+        bad.write_text(json.dumps(stored))
+        assert main(["eval-chart", "--scenario", "identity", "--out", out,
+                     "--chart", str(bad)] + point) == 1
     err = capsys.readouterr().err
-    assert err.count("error:") == 6
+    assert err.count("error:") == 13
 
 
 def test_cli_solver_errors_exit_two(tmp_path, capsys):

@@ -7,7 +7,8 @@ from extremals.controls import ControlPath, l2_distance
 from extremals.errors import NonConvergenceError
 from extremals.fields import parse_field_set
 from extremals.lagrangian import parse_lagrangian
-from extremals.shooting import (costate_from_lambda, extremality_residual,
+from extremals.shooting import (JAC_TRUNCATION, _truncated_step,
+                                costate_from_lambda, extremality_residual,
                                 make_seeds, multi_start, shoot_extremal)
 
 IDENTITY = parse_field_set("X1 = (1, 0)\nX2 = (0, 1)", 2, 2)
@@ -24,6 +25,32 @@ def test_straight_line_solution_details(identity_sol):
                                - np.array([1.0, 0.0])))) < 1e-10
     # Straight flow: xi(s) = (s, 0).
     np.testing.assert_allclose(sol.xi.states[:, 0], sol.xi.times, atol=1e-10)
+
+
+def test_truncated_step_matches_one_svd_per_jacobian():
+    # Reference: one SVD and solve per Jacobian. Full-rank steps are the
+    # same arithmetic on the same BLAS kernels, so they agree bit for bit;
+    # a truncated step sums fewer products there, so its rounding may
+    # differ, by the roundoff of U^T r amplified by the smallest kept
+    # singular value.
+    rng = np.random.default_rng(0)
+    J = rng.normal(size=(300, 3, 3))
+    J[::3, :, 2] = J[::3, :, 1] * (1.0 + 1e-6)          # one tiny singular value
+    J[1::7] = np.einsum("bi,bj->bij", rng.normal(size=(43, 3)),
+                        rng.normal(size=(43, 3)))      # rank one
+    J[2::11] = 0.0
+    r = rng.normal(size=(300, 3))
+    got = _truncated_step(J, r)
+    for i in range(len(J)):
+        U, sv, Vt = np.linalg.svd(J[i])
+        keep = sv > JAC_TRUNCATION * sv[0] if sv[0] > 0 else sv > 0
+        want = Vt[keep].T @ ((U[:, keep].T @ r[i]) / sv[keep])
+        if keep.all():
+            np.testing.assert_array_equal(got[i], want)
+        else:
+            bound = float(np.linalg.norm(r[i]) / np.min(sv[keep], initial=np.inf))
+            np.testing.assert_allclose(
+                got[i], want, rtol=0, atol=12 * np.finfo(float).eps * bound)
 
 
 def test_zero_branch_when_target_is_start():
