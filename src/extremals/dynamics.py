@@ -130,6 +130,10 @@ def _raise_if_dead(alive, died, h):
 
 
 def fine_grid(T, N, substeps=DEFAULT_SUBSTEPS):
+    if N < 1:
+        raise ValueError(f"grid count N must be at least 1, got {N}")
+    if substeps < 1:
+        raise ValueError(f"substeps must be at least 1, got {substeps}")
     M = N * substeps
     return np.linspace(0.0, T, M + 1), T / M
 

@@ -49,11 +49,12 @@ class DictionaryDirection:
     lip: float = 0.0
     source: str = ""
 
-    def sampler(self):
-        return ex.compile_vector(list(self.exprs), 1)
+    def __post_init__(self):
+        object.__setattr__(self, "_sampler",
+                           ex.compile_vector(list(self.exprs), 1))
 
     def values(self, times):
-        return self.sampler()((np.asarray(times, dtype=float),))
+        return self._sampler((np.asarray(times, dtype=float),))
 
 
 @dataclass(frozen=True)
@@ -196,8 +197,6 @@ def chart_from_dict(d, F, u: ControlPath) -> InversionChart:
     t = float(d["anchor_time"])
     x0 = np.asarray(d["x0"], dtype=float)
     substeps = int(d["substeps"])
-    if substeps < 1:
-        raise ValueError(f"chart substeps must be at least 1, got {substeps}")
     kern = DifferentialKernel.build(F, u, x0, t, substeps)
     basis = SelectedBasis(
         directions=tuple(dirs),

@@ -14,8 +14,8 @@ RK4 integrator of ``dynamics``. The shooting unknown is p(0): forward
 integration only, and the multiplier is read off as lam = p(T) on
 convergence.
 
-Everything is batched over seeds, including the final re-run of the flow
-that builds the converged solutions. A blown-up or feedback-infeasible
+Everything is batched over seeds; a solution is built from the flow its
+shooting Newton accepted, never re-run. A blown-up or feedback-infeasible
 batch element is frozen and marked dead in the integrator's alive mask instead
 of raising, so one wild seed cannot take down a multi-start sweep; the
 per-seed Newton uses least-squares steps because extremal families here are
@@ -134,7 +134,8 @@ def _truncated_step(J, r):
 def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
     """Damped least-squares Newton on the batched shooting residual.
 
-    Returns (p0, resid_norm, converged, iterations, failed) per element.
+    Returns (p0, resid_norm, converged, iterations, failed) per element and
+    the (xs, ps, us) of the flow behind each residual, batch on axis 1.
     """
     p0 = np.asarray(p0, dtype=float).copy()
     batch = p0.shape[:-1]
@@ -142,13 +143,11 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
     target = np.asarray(x, dtype=float)
 
     def residual(pts):
-        _, xs, _, _, alive = _hamiltonian_flow(F, L, x0, pts, T, N, substeps)
-        r = xs[-1] - target
-        rn = np.linalg.norm(r, axis=-1)
-        rn = np.where(alive, rn, np.inf)
-        return r, rn
+        _, xs, ps, us, alive = _hamiltonian_flow(F, L, x0, pts, T, N, substeps)
+        rn = np.linalg.norm(xs[-1] - target, axis=-1)
+        return np.where(alive, rn, np.inf), (xs, ps, us)
 
-    r, rn = residual(p0)
+    rn, flow = residual(p0)
     failed = ~np.isfinite(rn)
     iterations = np.zeros(batch, dtype=int)
     stall_rn = rn.copy()
@@ -171,18 +170,19 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
         moving = active & jac_ok
         failed = failed | (active & ~jac_ok)
         # A zero Jacobian keeps no singular value: a zero step.
-        delta = _truncated_step(np.where(moving[..., None, None], J, 0.0), r)
+        delta = _truncated_step(np.where(moving[..., None, None], J, 0.0),
+                                flow[0][-1] - target)
 
         alpha = np.ones(batch)
         accepted = ~moving
         best = p0.copy()
-        best_r = r.copy()
         for _ in range(SHOOT_MAX_HALVINGS):
             cand = p0 - (alpha * moving)[..., None] * delta
-            r_try, rn_try = residual(cand)
+            rn_try, flow_try = residual(cand)
             better = moving & ~accepted & (rn_try < rn)
             best = np.where(better[..., None], cand, best)
-            best_r = np.where(better[..., None], r_try, best_r)
+            flow = tuple(np.where(better[..., None], new, kept)
+                         for new, kept in zip(flow_try, flow))
             rn = np.where(better, rn_try, rn)
             accepted = accepted | better
             if np.all(accepted):
@@ -190,7 +190,7 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
             alpha = np.where(accepted, alpha, alpha / 2.0)
         stuck = moving & ~accepted
         failed = failed | stuck
-        p0, r = best, best_r
+        p0 = best
         iterations = iterations + moving.astype(int)
         # Seeds that wander without real progress would otherwise burn the
         # whole iteration budget; anything that cannot even halve its
@@ -202,14 +202,16 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
             failed = failed | stalled
             stall_rn = rn.copy()
     converged = (rn < tol) & ~failed
-    return p0, rn, converged, iterations, failed
+    return p0, rn, converged, iterations, failed, flow
 
 
-def _build_solution(F, L, x0, x, T, N, p0, rn, iterations, substeps) -> list:
-    """Converged extremals from stacked p0 (k, n), by one batched flow."""
-    times, xs, ps, us, _ = _hamiltonian_flow(F, L, x0, p0, T, N, substeps)
+def _build_solution(F, L, x0, x, T, N, shot, substeps) -> list:
+    """The converged extremals of a ``_shoot_two_stage`` result, assembled
+    from the flows its Newton accepted; no flow is run again."""
+    p0, rn, conv, iterations, _, (xs, ps, us) = shot
+    times, _ = fine_grid(T, N, substeps)
     sols = []
-    for i in range(len(p0)):
+    for i in np.flatnonzero(conv):
         xi_s = xs[:, i].copy()
         p_s = ps[:, i].copy()
         u_s = us[:, i].copy()
@@ -252,23 +254,28 @@ def _shoot_two_stage(F, L, x0, x, T, N, seeds, tol, max_iter, substeps):
     if substeps <= 1:
         return _shoot_batch(F, L, x0, x, T, N, seeds, tol, max_iter, substeps)
     stage_tol = max(tol, STAGE_ONE_TOL)
-    p1, rn1, conv1, it1, _ = _shoot_batch(
+    p1, rn1, conv1, it1, _, _ = _shoot_batch(
         F, L, x0, x, T, N, seeds, stage_tol, max_iter, 1)
     p_out = p1.copy()
     rn_out = rn1.copy()
     conv_out = np.zeros(len(seeds), dtype=bool)
     iters = it1.copy()
     failed = np.ones(len(seeds), dtype=bool)
+    # Only polished elements can converge, so only their fine flows are kept.
+    M = N * substeps
+    flow = tuple(np.zeros((M + 1, len(seeds), dim)) for dim in (F.n, F.n, F.m))
     idx = np.nonzero(np.isfinite(rn1) & (rn1 < HANDOFF_TOL))[0]
     if idx.size:
-        p2, rn2, conv2, it2, failed2 = _shoot_batch(
+        p2, rn2, conv2, it2, failed2, flow2 = _shoot_batch(
             F, L, x0, x, T, N, p1[idx], tol, POLISH_MAX_ITER, substeps)
         p_out[idx] = p2
         rn_out[idx] = rn2
         conv_out[idx] = conv2
         iters[idx] += it2
         failed[idx] = failed2 | ~conv2
-    return p_out, rn_out, conv_out, iters, failed
+        for out, kept in zip(flow, flow2):
+            out[:, idx] = kept
+    return p_out, rn_out, conv_out, iters, failed, flow
 
 
 def shoot_extremal(F, L: Lagrangian, x0, x, T, p0=None, N=64,
@@ -280,15 +287,16 @@ def shoot_extremal(F, L: Lagrangian, x0, x, T, p0=None, N=64,
     if x0.shape != (F.n,) or x.shape != (F.n,):
         raise DimensionError(f"x0 and x must have shape ({F.n},)")
     p0 = np.zeros(F.n) if p0 is None else np.asarray(p0, dtype=float)
-    pf, rn, conv, iters, _ = _shoot_two_stage(
-        F, L, x0, x, T, N, p0[None], tol, max_iter, substeps)
+    shot = _shoot_two_stage(F, L, x0, x, T, N, p0[None], tol, max_iter,
+                            substeps)
+    pf, rn, conv = shot[:3]
     if not conv[0]:
         best = float(rn[0]) if np.isfinite(rn[0]) else float("inf")
         raise NonConvergenceError(
             f"shooting did not reach endpoint tolerance {tol:g} "
             f"(best residual {best:.3e})",
             best_residual=best, best_p0=pf[0])
-    return _build_solution(F, L, x0, x, T, N, pf, rn, iters, substeps)[0]
+    return _build_solution(F, L, x0, x, T, N, shot, substeps)[0]
 
 
 def make_seeds(n, count, scale, seed=0):
@@ -307,11 +315,9 @@ def multi_start(F, L: Lagrangian, x0, x, T, seeds, N=64, tol=SHOOT_TOL,
     Returns a list; empty means no seed converged.
     """
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    pf, rn, conv, iters, _ = _shoot_two_stage(
-        F, L, np.asarray(x0, float), np.asarray(x, float), T, N, seeds,
-        tol, max_iter, substeps)
-    sols = _build_solution(F, L, x0, x, T, N, pf[conv], rn[conv], iters[conv],
-                           substeps) if conv.any() else []
+    x0, x = np.asarray(x0, float), np.asarray(x, float)
+    shot = _shoot_two_stage(F, L, x0, x, T, N, seeds, tol, max_iter, substeps)
+    sols = _build_solution(F, L, x0, x, T, N, shot, substeps)
     sols.sort(key=lambda s: (s.phi, float(np.linalg.norm(s.lam))))
     kept = []
     for s in sols:

@@ -57,6 +57,20 @@ def test_time_restriction_and_validation():
         integrate(IDENTITY, u, np.zeros(2), T=3.0)
 
 
+def test_integrate_rejects_empty_grids():
+    u = ControlPath.constant(1.0, 4, [1.0, 0.0])
+    with pytest.raises(ValueError, match="substeps"):
+        integrate(IDENTITY, u, np.zeros(2), substeps=0)
+    with pytest.raises(ValueError, match="count N"):
+        integrate_batch(IDENTITY, u.values, np.zeros(2), 1.0, N=0)
+
+
+def test_kernel_build_rejects_empty_grids():
+    u = ControlPath.constant(1.0, 4, [1.0, 0.0])
+    with pytest.raises(ValueError, match="substeps"):
+        DifferentialKernel.build(IDENTITY, u, np.zeros(2), substeps=0)
+
+
 def test_grushin_fundamental_solution_closed_form():
     # Constant control makes the variational coefficient constant, so
     # Psi(t) is the lower-triangular matrix exponential.

@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from extremals import expr
 from extremals.controls import ControlPath
 from extremals.dynamics import DEFAULT_SUBSTEPS, DifferentialKernel, integrate
 from extremals.errors import BasisDeficiencyError, ChartConstructionError
@@ -120,6 +121,33 @@ def test_build_chart_builds_the_anchor_kernel_once(monkeypatch):
     assert len(anchor_builds) == 2
     assert basis.indices == chart.basis.indices
     assert basis.det == chart.det_anchor
+
+
+def test_build_chart_rejects_zero_substeps():
+    u = ControlPath.constant(1.0, 32, [1.0, 0.0])
+    with pytest.raises(ValueError, match="substeps"):
+        build_chart(IDENTITY, u, np.zeros(2), 1.0, substeps=0)
+
+
+def test_dictionary_directions_compile_once(monkeypatch):
+    compile_vector = expr.compile_vector
+    compiled = []
+
+    def counting(exprs, nvars):
+        compiled.append(exprs)
+        return compile_vector(exprs, nvars)
+
+    monkeypatch.setattr(expr, "compile_vector", counting)
+    dictionary = default_dictionary(2, 1.0, k_max=3)
+    assert len(compiled) == len(dictionary)
+    charts = [build_chart(HEISENBERG, loop_control(), np.zeros(3), t,
+                          dictionary=dictionary) for t in (0.3, 0.7)]
+    assert len(compiled) == len(dictionary)
+    # Rebuilding a chart compiles each of its n basis directions once.
+    blob = canonical_json(charts[1].to_dict())
+    rebuilt = chart_from_dict(json.loads(blob), HEISENBERG, loop_control())
+    assert len(compiled) == len(dictionary) + 3
+    np.testing.assert_array_equal(rebuilt.basis.phi, charts[1].basis.phi)
 
 
 def test_chart_rejects_targets_outside_the_ball():

@@ -3,16 +3,34 @@
 import numpy as np
 import pytest
 
+from extremals import shooting
 from extremals.controls import ControlPath, l2_distance
 from extremals.errors import NonConvergenceError
 from extremals.fields import parse_field_set
 from extremals.lagrangian import parse_lagrangian
-from extremals.shooting import (JAC_TRUNCATION, _truncated_step,
-                                costate_from_lambda, extremality_residual,
-                                make_seeds, multi_start, shoot_extremal)
+from extremals.shooting import (JAC_TRUNCATION, _hamiltonian_flow,
+                                _truncated_step, costate_from_lambda,
+                                extremality_residual, make_seeds, multi_start,
+                                shoot_extremal)
 
 IDENTITY = parse_field_set("X1 = (1, 0)\nX2 = (0, 1)", 2, 2)
 QUAD = parse_lagrangian("(u1^2 + u2^2)/2", 2, 2)
+HEISENBERG = parse_field_set("X1 = (1, 0, -x2/2)\nX2 = (0, 1, x1/2)", 3, 2)
+QUAD_3 = parse_lagrangian("(u1^2 + u2^2)/2", 3, 2)
+# An off-axis target breaks the rotation symmetry, so its extremals are
+# isolated and these seeds converge to the default tolerance on 16 intervals.
+OFF_AXIS = np.array([0.3, 0.2, 0.05])
+OFF_AXIS_SEEDS = np.array([[0.3, 0.2, 1.0], [0.5, 0.0, 3.0], [0.0, 0.5, -2.0],
+                           [0.1, 0.1, 0.1], [1.0, 1.0, 6.0]])
+
+
+def _off_axis_solutions(L):
+    sols = multi_start(HEISENBERG, L, np.zeros(3), OFF_AXIS, 1.0,
+                       OFF_AXIS_SEEDS, N=16, substeps=4)
+    assert sols
+    single = shoot_extremal(HEISENBERG, L, np.zeros(3), OFF_AXIS, 1.0,
+                            p0=OFF_AXIS_SEEDS[1], N=16, substeps=4)
+    return sols + [single]
 
 
 def test_straight_line_solution_details(identity_sol):
@@ -154,3 +172,61 @@ def test_extremality_residual_flags_feasibility_and_stationarity(identity_sol):
                                np.zeros(2), np.array([2.0, 0.0]),
                                lam=identity_sol.lam)
     assert off["feasibility"] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_solutions_are_the_flows_shooting_accepted():
+    # Each solution carries the flow its shooting Newton accepted; for an
+    # affine fiber derivative the feedback is elementwise closed form, so
+    # that flow equals a fresh batch-of-one flow from p0 bit for bit.
+    for sol in _off_axis_solutions(QUAD_3):
+        times, xs, ps, us, alive = _hamiltonian_flow(
+            HEISENBERG, QUAD_3, np.zeros(3), sol.p0[None], 1.0, 16, 4)
+        assert alive[0]
+        np.testing.assert_array_equal(sol.xi.times, times)
+        np.testing.assert_array_equal(sol.xi.states, xs[:, 0])
+        np.testing.assert_array_equal(sol.p, ps[:, 0])
+        np.testing.assert_array_equal(sol.lam, ps[-1, 0])
+        np.testing.assert_array_equal(sol.u_fine.values, us[:, 0])
+        np.testing.assert_array_equal(sol.u.values, us[::4, 0])
+
+
+def test_building_solutions_runs_no_flow(monkeypatch):
+    flow, build = shooting._hamiltonian_flow, shooting._build_solution
+    flows = []
+    during_build = []
+
+    def counting_flow(*args, **kwargs):
+        flows.append(1)
+        return flow(*args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        before = len(flows)
+        sols = build(*args, **kwargs)
+        during_build.append(len(flows) - before)
+        return sols
+
+    monkeypatch.setattr(shooting, "_hamiltonian_flow", counting_flow)
+    monkeypatch.setattr(shooting, "_build_solution", counting_build)
+    _off_axis_solutions(QUAD_3)
+    assert flows
+    assert during_build == [0, 0]
+
+
+def test_kept_flows_of_a_non_affine_cost_are_extremal():
+    # The damped feedback Newton stops on a batch-wide test, so a kept flow
+    # need not match a batch-of-one flow bit for bit; it must still be an
+    # extremal to the usual tolerances.
+    L = parse_lagrangian("(u1^2 + u2^2)/2 + u1^4/4", 3, 2)
+    assert not L.fiber_affine()
+    for sol in _off_axis_solutions(L):
+        assert sol.residuals["endpoint_gap"] < 1e-8
+        assert sol.residuals["stationarity"] < 1e-8
+        assert sol.residuals["hamiltonian_drift"] < 1e-6
+
+
+@pytest.mark.parametrize("kwargs, name", [({"N": 0}, "count N"),
+                                          ({"substeps": 0}, "substeps")])
+def test_shoot_extremal_rejects_empty_grids(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        shoot_extremal(IDENTITY, QUAD, np.zeros(2), np.array([1.0, 0.0]), 1.0,
+                       **kwargs)
