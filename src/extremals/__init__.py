@@ -31,7 +31,7 @@ from .scenario import (Scenario, builtin_scenario, load_scenario,
                        scenario_fields, scenario_lagrangian)
 from .shooting import (CostatePath, ExtremalSolution, costate_from_lambda,
                        extremality_residual, make_seeds, multi_start,
-                       shoot_extremal)
+                       shoot_extremal, shoot_extremals)
 
 __version__ = "0.1.0"
 
@@ -60,5 +60,6 @@ __all__ = [
     "parse_scenario", "phi_from_samples", "phi_functional",
     "random_smooth_controls", "resolve_scenario", "scenario_control",
     "scenario_fields", "scenario_lagrangian", "select_basis",
-    "shoot_extremal", "singularity_report", "trapezoid_weights",
+    "shoot_extremal", "shoot_extremals", "singularity_report",
+    "trapezoid_weights",
 ]

@@ -32,7 +32,7 @@ from .lagrangian import phi_from_samples
 from .reports import (canonical_json, ensure_dir, read_control_csv, write_control_csv,
                       write_costate_csv, write_json, write_trajectory_csv)
 from .scenario import resolve_scenario, scenario_control, scenario_fields, scenario_lagrangian
-from .shooting import make_seeds, multi_start, shoot_extremal
+from .shooting import make_seeds, multi_start, shoot_extremals
 
 _VALIDATION_ERRORS = (ScenarioError, ParseError, DimensionError,
                       GridMismatchError, ExpressionGrowthError, ValueError)
@@ -212,9 +212,9 @@ def cmd_certify_lipschitz(sc, out, args):
             ["no converged extremal to certify"]
     x0 = np.asarray(sc.x0, dtype=float)
     target = _require_target(sc)
-    refined = [shoot_extremal(F, L, x0, target, sc.T, p0=s.p0, N=2 * sc.N,
+    refined = shoot_extremals(F, L, x0, target, sc.T,
+                              np.stack([s.p0 for s in sols]), N=2 * sc.N,
                               tol=sc.shoot_tol, substeps=sc.substeps)
-               for s in sols]
     cert = lipschitz_certificate(sols, refined)
     bounds = costate_bound_check(sols)
     report = {

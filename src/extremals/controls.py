@@ -80,10 +80,6 @@ class ControlPath:
     def zero(cls, T, N, m):
         return cls(T, np.zeros((N + 1, m)))
 
-    @classmethod
-    def from_samples(cls, T, values):
-        return cls(T, np.asarray(values, dtype=float))
-
 
 def _union_times(a: ControlPath, b: ControlPath):
     if abs(a.T - b.T) > 1e-12 * max(1.0, a.T):

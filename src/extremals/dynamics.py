@@ -154,8 +154,8 @@ def _integrate_states(F, values, T_path, x0, T, N, substeps):
     return times, states
 
 
-def integrate(F, u: ControlPath, x0, T=None, substeps=DEFAULT_SUBSTEPS) -> Trajectory:
-    """RK4 solution on [0, T] (default T = u.T); M = u.N * substeps steps."""
+def _checked_start(F, u: ControlPath, x0, T):
+    """(x0, T) as floats, T defaulting to u.T, checked against F and u."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (F.n,):
         raise DimensionError(f"x0 has shape {x0.shape}, expected ({F.n},)")
@@ -164,6 +164,12 @@ def integrate(F, u: ControlPath, x0, T=None, substeps=DEFAULT_SUBSTEPS) -> Traje
     T = u.T if T is None else float(T)
     if not 0.0 < T <= u.T * (1.0 + 1e-12):
         raise GridMismatchError(f"horizon {T} outside the control domain [0, {u.T}]")
+    return x0, T
+
+
+def integrate(F, u: ControlPath, x0, T=None, substeps=DEFAULT_SUBSTEPS) -> Trajectory:
+    """RK4 solution on [0, T] (default T = u.T); M = u.N * substeps steps."""
+    x0, T = _checked_start(F, u, x0, T)
     times, states = _integrate_states(F, u.values, u.T, x0, T, u.N, substeps)
     return Trajectory(times=times, states=states)
 

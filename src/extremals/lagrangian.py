@@ -6,17 +6,17 @@ compiled on first use; evaluation is batched numpy throughout.
 
 The map z -> w(x, z) inverting d_uL(x, .) is computed by
 ``_legendre_newton``, which masks instead of raising: it returns the
-solution together with a per-element flag telling whether its residual
-reached tolerance. When no entry of the control Hessian depends on u, as
-for every cost quadratic in u, d_uL(x, u) = g0(x) + H(x) u is affine in u
-and the inverse is the single linear solve u = H(x)^-1 (z - g0(x)), with
-g0 and H compiled as one evaluator. This is decided symbolically, once, on
-the first solve. Any other cost goes through a damped Newton iteration with
-a line search; elements whose residual turns non-finite, or that the
-caller marks dead, drop out of it as failed. The Hamiltonian flow in
-``shooting`` freezes the elements that failed. ``legendre_inverse`` raises
-a diffeomorphism violation for them rather than patching over, because
-every downstream construction assumes the fiber derivative is invertible.
+solution with a per-element flag telling whether its residual reached
+LEGENDRE_TOL (1 + |z|), relative as the roundoff of d_uL(x, u) - z grows
+with |z|. When no entry of the control Hessian depends on u, as for every
+cost quadratic in u, d_uL(x, u) = g0(x) + H(x) u is affine in u and the
+inverse is the linear solve u = H(x)^-1 (z - g0(x)), with g0 and H compiled
+as one evaluator; this is decided symbolically on the first solve. Any other
+cost goes through a damped Newton iteration with a line search, element by
+element. The Hamiltonian flow in ``shooting`` freezes the elements that
+failed. ``legendre_inverse`` raises a diffeomorphism violation for them
+rather than patching over, because every downstream construction assumes
+the fiber derivative is invertible.
 """
 
 from __future__ import annotations
@@ -145,34 +145,27 @@ def _legendre_newton(L: Lagrangian, x, z, u0, live=None):
 def _affine_solve(L: Lagrangian, x, z, u0):
     """u = H(x)^-1 (z - g0(x)), one evaluator call; u0 where H is singular."""
     g0, H = L.fiber_coefficients(x)
-    # Frozen dead elements of a flow carry overflowed states; their
-    # non-finite residual marks them failed without a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs = z - g0
-        try:
-            u = np.linalg.solve(H, rhs[..., None])[..., 0]
-            solved = True
-        except np.linalg.LinAlgError:
-            u, solved = _solve_each(H, rhs, u0)
-        r = np.einsum("...ij,...j->...i", H, u) + g0 - z
-        return u, solved & (np.linalg.norm(r, axis=-1) < LEGENDRE_TOL)
+    u, solved = _solve_or(H, z - g0, u0)
+    rn = _norm(np.einsum("...ij,...j->...i", H, u) + g0 - z)
+    return u, solved & (rn < LEGENDRE_TOL * (1.0 + _norm(z)))
 
 
-def _solve_each(H, rhs, u0):
-    """Per-element H u = rhs; u0, and solved false, where H is singular."""
-    batch = np.broadcast_shapes(H.shape[:-2], rhs.shape[:-1], u0.shape[:-1])
-    m = rhs.shape[-1]
-    H = np.broadcast_to(H, batch + (m, m)).reshape(-1, m, m)
-    rhs = np.broadcast_to(rhs, batch + (m,)).reshape(-1, m)
-    u = np.broadcast_to(u0, batch + (m,)).reshape(-1, m).copy()
-    solved = np.zeros(len(u), dtype=bool)
-    for i in range(len(u)):
-        try:
-            u[i] = np.linalg.solve(H[i], rhs[i])
-            solved[i] = True
-        except np.linalg.LinAlgError:
-            pass
-    return u.reshape(batch + (m,)), solved.reshape(batch)
+def _norm(v):
+    """np.linalg.norm(v, axis=-1) to the bit, without its argument handling."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
+def _solve_or(H, rhs, fallback):
+    """(H^-1 rhs, regular) per batch element; fallback where H is singular."""
+    try:
+        return np.linalg.solve(H, rhs[..., None])[..., 0], True
+    except np.linalg.LinAlgError:
+        # slogdet factors H as solve does: a zero sign marks the elements
+        # with the exactly zero pivot solve raised for.
+        regular = np.linalg.slogdet(H)[0] != 0.0
+        H = np.where(regular[..., None, None], H, np.eye(H.shape[-1]))
+        x = np.linalg.solve(H, rhs[..., None])[..., 0]
+        return np.where(regular[..., None], x, fallback), regular
 
 
 def _damped_newton(L: Lagrangian, x, z, u0, live=None):
@@ -180,38 +173,37 @@ def _damped_newton(L: Lagrangian, x, z, u0, live=None):
 
     Damping halves the step per batch element until the residual norm
     decreases. Elements outside ``live`` (a flow's frozen dead elements,
-    whose residual can sit at a roundoff floor above tolerance) and
-    elements whose residual turns non-finite count as failed and hold up
-    neither the stop test nor the line search. A singular control Hessian
-    in the batch fails every unconverged element.
+    whose residual can sit at a roundoff floor above tolerance), elements
+    whose residual turns non-finite and unconverged elements with a singular
+    control Hessian fail and hold up neither the stop test nor the line
+    search. Converged elements stop, so each ends as in a batch of one.
     """
     u = u0.copy()
+    tol = LEGENDRE_TOL * (1.0 + _norm(z))
     r = L.grad_u(x, u) - z
-    rn = np.linalg.norm(r, axis=-1)
+    rn = _norm(r)
     live = np.isfinite(rn) if live is None else live & np.isfinite(rn)
     for _ in range(LEGENDRE_MAX_ITER):
-        todo = live & (rn >= LEGENDRE_TOL)
+        todo = live & (rn >= tol)
         if not np.any(todo):
             break
-        H = L.hess_u(x, u)
-        try:
-            step = np.linalg.solve(H, r[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            return u, live & (rn < LEGENDRE_TOL)
-        step = np.where(live[..., None] & np.isfinite(step), step, 0.0)
+        step, regular = _solve_or(L.hess_u(x, u), r, 0.0)
+        live &= regular | ~todo
+        todo &= live
+        step = np.where(todo[..., None] & np.isfinite(step), step, 0.0)
         alpha = np.ones(rn.shape)
         for _ in range(LEGENDRE_MAX_HALVINGS):
             u_try = u - alpha[..., None] * step
-            rn_try = np.linalg.norm(L.grad_u(x, u_try) - z, axis=-1)
+            rn_try = _norm(L.grad_u(x, u_try) - z)
             ok = (rn_try < rn) | ~todo
             if np.all(ok):
                 break
             alpha = np.where(ok, alpha, alpha / 2.0)
         u = u - alpha[..., None] * step
         r = L.grad_u(x, u) - z
-        rn = np.linalg.norm(r, axis=-1)
+        rn = _norm(r)
         live &= np.isfinite(rn)
-    return u, live & (rn < LEGENDRE_TOL)
+    return u, live & (rn < tol)
 
 
 def legendre_inverse(L: Lagrangian, x, z, u0=None):
@@ -228,7 +220,8 @@ def legendre_inverse(L: Lagrangian, x, z, u0=None):
     if not np.all(ok):
         rn = np.linalg.norm(L.grad_u(x, u) - z, axis=-1)
         raise DiffeomorphismViolationError(
-            f"fiber-derivative inversion did not reach tolerance {LEGENDRE_TOL:g}",
+            "fiber-derivative inversion did not reach tolerance "
+            f"{LEGENDRE_TOL:g} (1 + |z|)",
             residual=float(np.max(rn)))
     return u
 

@@ -14,13 +14,15 @@ RK4 integrator of ``dynamics``. The shooting unknown is p(0): forward
 integration only, and the multiplier is read off as lam = p(T) on
 convergence.
 
-Everything is batched over seeds; a solution is built from the flow its
-shooting Newton accepted, never re-run. A blown-up or feedback-infeasible
-batch element is frozen and marked dead in the integrator's alive mask instead
-of raising, so one wild seed cannot take down a multi-start sweep; the
-per-seed Newton uses least-squares steps because extremal families here are
-routinely non-isolated (phase circles), which makes the shooting Jacobian
-rank-deficient on purpose.
+Everything is batched over seeds: ``shoot_extremals`` returns one extremal
+per row of a p(0) stack, ``shoot_extremal`` is its batch-of-one case, and
+``multi_start`` keeps the distinct converged extremals of a seed family. A
+solution is built from the flow its shooting Newton accepted, never re-run.
+A blown-up or feedback-infeasible batch element is frozen and marked dead in
+the integrator's alive mask instead of raising, so one wild seed cannot take
+down a multi-start sweep; the per-seed Newton uses least-squares steps
+because extremal families here are routinely non-isolated (phase circles),
+which makes the shooting Jacobian rank-deficient on purpose.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .controls import ControlPath, l2_distance
 from .dynamics import (DEFAULT_SUBSTEPS, PSI_COND_FLAG, DifferentialKernel,
-                       Trajectory, _rk4, fine_grid, integrate)
+                       Trajectory, _checked_start, _rk4, fine_grid)
 from .errors import DimensionError, NonConvergenceError
 from .lagrangian import Lagrangian, _legendre_newton, trapezoid
 
@@ -51,10 +53,6 @@ class CostatePath:
     times: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)  # (M+1, n)
     ill_conditioned: bool = False
-
-    @property
-    def final(self):
-        return self.values[-1]
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,10 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
         dp = -np.einsum("...jk,...j->...k", F.a_matrix(xv, w), pv) + L.grad_x(xv, w)
         return dx, dp
 
-    (xs, ps), _, _ = _rk4(rhs, (x, p0.copy()), h, M, alive)
-    rhs(M, 0, (xs[-1], ps[-1]))
+    # Frozen dead elements' stages may overflow; the alive mask reports them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        (xs, ps), _, _ = _rk4(rhs, (x, p0.copy()), h, M, alive)
+        rhs(M, 0, (xs[-1], ps[-1]))
     return times, xs, ps, us, alive
 
 
@@ -134,8 +134,8 @@ def _truncated_step(J, r):
 def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
     """Damped least-squares Newton on the batched shooting residual.
 
-    Returns (p0, resid_norm, converged, iterations, failed) per element and
-    the (xs, ps, us) of the flow behind each residual, batch on axis 1.
+    Returns (p0, resid_norm, converged, iterations) per element and the
+    (xs, ps, us) of the flow behind each residual, batch on axis 1.
     """
     p0 = np.asarray(p0, dtype=float).copy()
     batch = p0.shape[:-1]
@@ -202,29 +202,24 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
             failed = failed | stalled
             stall_rn = rn.copy()
     converged = (rn < tol) & ~failed
-    return p0, rn, converged, iterations, failed, flow
+    return p0, rn, converged, iterations, flow
 
 
 def _build_solution(F, L, x0, x, T, N, shot, substeps) -> list:
     """The converged extremals of a ``_shoot_two_stage`` result, assembled
     from the flows its Newton accepted; no flow is run again."""
-    p0, rn, conv, iterations, _, (xs, ps, us) = shot
+    p0, rn, conv, iterations, (xs, ps, us) = shot
     times, _ = fine_grid(T, N, substeps)
     sols = []
     for i in np.flatnonzero(conv):
-        xi_s = xs[:, i].copy()
-        p_s = ps[:, i].copy()
-        u_s = us[:, i].copy()
-        lam = p_s[-1].copy()
-
+        xi_s, p_s, u_s = (a[:, i].copy() for a in (xs, ps, us))
         coarse = ControlPath(T, u_s[::max(1, (len(times) - 1) // N)])
         fine = ControlPath(T, u_s)
         phi = trapezoid(L.value(xi_s, u_s), times)
 
-        stat = float(np.max(np.linalg.norm(
-            L.grad_u(xi_s, u_s) - F.momentum(xi_s, p_s), axis=-1)))
-        h_vals = (np.einsum("jm,jm->j", F.momentum(xi_s, p_s), u_s)
-                  - L.value(xi_s, u_s))
+        z = F.momentum(xi_s, p_s)
+        stat = float(np.max(np.linalg.norm(L.grad_u(xi_s, u_s) - z, axis=-1)))
+        h_vals = np.einsum("jm,jm->j", z, u_s) - L.value(xi_s, u_s)
         drift = float(np.max(np.abs(h_vals - h_vals[0])) / (1.0 + abs(h_vals[0])))
         residuals = {
             "endpoint_gap": float(rn[i]),
@@ -232,7 +227,8 @@ def _build_solution(F, L, x0, x, T, N, shot, substeps) -> list:
             "hamiltonian_drift": drift,
         }
         sols.append(ExtremalSolution(
-            u=coarse, xi=Trajectory(times=times, states=xi_s), p=p_s, lam=lam,
+            u=coarse, xi=Trajectory(times=times, states=xi_s), p=p_s,
+            lam=p_s[-1].copy(),
             p0=p0[i].copy(), phi=float(phi), residuals=residuals,
             converged=True, iterations=int(iterations[i]),
             x0=np.asarray(x0, dtype=float), target=np.asarray(x, dtype=float),
@@ -254,49 +250,54 @@ def _shoot_two_stage(F, L, x0, x, T, N, seeds, tol, max_iter, substeps):
     if substeps <= 1:
         return _shoot_batch(F, L, x0, x, T, N, seeds, tol, max_iter, substeps)
     stage_tol = max(tol, STAGE_ONE_TOL)
-    p1, rn1, conv1, it1, _, _ = _shoot_batch(
+    p0, rn, _, iters, _ = _shoot_batch(
         F, L, x0, x, T, N, seeds, stage_tol, max_iter, 1)
-    p_out = p1.copy()
-    rn_out = rn1.copy()
-    conv_out = np.zeros(len(seeds), dtype=bool)
-    iters = it1.copy()
-    failed = np.ones(len(seeds), dtype=bool)
+    conv = np.zeros(len(seeds), dtype=bool)
     # Only polished elements can converge, so only their fine flows are kept.
-    M = N * substeps
-    flow = tuple(np.zeros((M + 1, len(seeds), dim)) for dim in (F.n, F.n, F.m))
-    idx = np.nonzero(np.isfinite(rn1) & (rn1 < HANDOFF_TOL))[0]
+    flow = tuple(np.zeros((N * substeps + 1, len(seeds), dim))
+                 for dim in (F.n, F.n, F.m))
+    idx = np.flatnonzero(np.isfinite(rn) & (rn < HANDOFF_TOL))
     if idx.size:
-        p2, rn2, conv2, it2, failed2, flow2 = _shoot_batch(
-            F, L, x0, x, T, N, p1[idx], tol, POLISH_MAX_ITER, substeps)
-        p_out[idx] = p2
-        rn_out[idx] = rn2
-        conv_out[idx] = conv2
+        p0[idx], rn[idx], conv[idx], it2, flow2 = _shoot_batch(
+            F, L, x0, x, T, N, p0[idx], tol, POLISH_MAX_ITER, substeps)
         iters[idx] += it2
-        failed[idx] = failed2 | ~conv2
         for out, kept in zip(flow, flow2):
             out[:, idx] = kept
-    return p_out, rn_out, conv_out, iters, failed, flow
+    return p0, rn, conv, iters, flow
+
+
+def shoot_extremals(F, L: Lagrangian, x0, x, T, p0, N=64, tol=SHOOT_TOL,
+                    max_iter=SHOOT_MAX_ITER,
+                    substeps=DEFAULT_SUBSTEPS) -> list:
+    """One batched Newton on p(0) per row of the (k, n) stack p0.
+
+    Returns the k extremals in row order, each as its batch of one would;
+    raises NonConvergenceError (best residual and p0) for the first failure.
+    """
+    x0, x, p0 = (np.asarray(a, dtype=float) for a in (x0, x, p0))
+    if x0.shape != (F.n,) or x.shape != (F.n,) or p0.ndim != 2 \
+            or p0.shape[1] != F.n or not len(p0):
+        raise DimensionError(f"x0 and x must have shape ({F.n},) and p0 "
+                             f"(k, {F.n}) with k > 0")
+    shot = _shoot_two_stage(F, L, x0, x, T, N, p0, tol, max_iter, substeps)
+    pf, rn, conv = shot[:3]
+    if not conv.all():
+        i = int(np.argmin(conv))
+        best = float(rn[i]) if np.isfinite(rn[i]) else float("inf")
+        raise NonConvergenceError(
+            f"shooting from p0 row {i} did not reach endpoint tolerance "
+            f"{tol:g} (best residual {best:.3e})",
+            best_residual=best, best_p0=pf[i])
+    return _build_solution(F, L, x0, x, T, N, shot, substeps)
 
 
 def shoot_extremal(F, L: Lagrangian, x0, x, T, p0=None, N=64,
                    tol=SHOOT_TOL, max_iter=SHOOT_MAX_ITER,
                    substeps=DEFAULT_SUBSTEPS) -> ExtremalSolution:
-    """Newton on p(0) driving the feedback flow's endpoint to x."""
-    x0 = np.asarray(x0, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if x0.shape != (F.n,) or x.shape != (F.n,):
-        raise DimensionError(f"x0 and x must have shape ({F.n},)")
-    p0 = np.zeros(F.n) if p0 is None else np.asarray(p0, dtype=float)
-    shot = _shoot_two_stage(F, L, x0, x, T, N, p0[None], tol, max_iter,
-                            substeps)
-    pf, rn, conv = shot[:3]
-    if not conv[0]:
-        best = float(rn[0]) if np.isfinite(rn[0]) else float("inf")
-        raise NonConvergenceError(
-            f"shooting did not reach endpoint tolerance {tol:g} "
-            f"(best residual {best:.3e})",
-            best_residual=best, best_p0=pf[0])
-    return _build_solution(F, L, x0, x, T, N, shot, substeps)[0]
+    """Newton on p(0) driving the feedback flow's endpoint to x: the
+    batch-of-one case of ``shoot_extremals``, from p0 = 0 by default."""
+    p0 = np.zeros((1, F.n)) if p0 is None else np.asarray(p0, dtype=float)[None]
+    return shoot_extremals(F, L, x0, x, T, p0, N, tol, max_iter, substeps)[0]
 
 
 def make_seeds(n, count, scale, seed=0):
@@ -314,7 +315,6 @@ def multi_start(F, L: Lagrangian, x0, x, T, seeds, N=64, tol=SHOOT_TOL,
     controls (tie-break toward smaller |lam|) and sorted by (phi, |lam|).
     Returns a list; empty means no seed converged.
     """
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     x0, x = np.asarray(x0, float), np.asarray(x, float)
     shot = _shoot_two_stage(F, L, x0, x, T, N, seeds, tol, max_iter, substeps)
     sols = _build_solution(F, L, x0, x, T, N, shot, substeps)
@@ -334,31 +334,35 @@ def costate_from_lambda(F, L: Lagrangian, u: ControlPath, x0, T=None,
     evaluated with a reversed cumulative trapezoid on the fine grid.
     """
     T = u.T if T is None else float(T)
-    lam = np.asarray(lam, dtype=float)
     kern = DifferentialKernel.build(F, u, x0, T, substeps)
+    conds = np.linalg.cond(kern.psis)
+    return CostatePath(times=kern.times,
+                       values=_costate_with_kernel(L, kern, u, lam),
+                       ill_conditioned=bool(np.max(conds) > PSI_COND_FLAG))
+
+
+def _costate_with_kernel(L: Lagrangian, kern, u: ControlPath, lam):
+    """``costate_from_lambda``'s values (M+1, n) on an already built kernel."""
+    lam = np.asarray(lam, dtype=float)
     times, states, psis = kern.times, kern.states, kern.psis
-    u_nodes = u.at(times)
-    gx = L.grad_x(states, u_nodes)
+    gx = L.grad_x(states, u.at(times))
     integrand = np.einsum("jnk,jn->jk", psis, gx)
     dt = np.diff(times)
     cells = dt[:, None] * (integrand[:-1] + integrand[1:]) / 2.0
     tail = np.zeros_like(integrand)
     tail[:-1] = np.cumsum(cells[::-1], axis=0)[::-1]
     rhs = psis[-1].T @ lam - tail
-    p = np.linalg.solve(np.transpose(psis, (0, 2, 1)), rhs[..., None])[..., 0]
-    conds = np.linalg.cond(psis)
-    return CostatePath(times=times, values=p,
-                       ill_conditioned=bool(np.max(conds) > PSI_COND_FLAG))
+    return np.linalg.solve(np.transpose(psis, (0, 2, 1)), rhs[..., None])[..., 0]
 
 
 def extremality_residual(F, L: Lagrangian, u: ControlPath, x0, x, T=None,
                          lam=None, substeps=DEFAULT_SUBSTEPS):
-    """Feasibility and stationarity of (u, lam) as a candidate extremal."""
-    T = u.T if T is None else float(T)
-    traj = integrate(F, u, np.asarray(x0, float), T, substeps)
-    feas = float(np.linalg.norm(traj.endpoint - np.asarray(x, dtype=float)))
-    cost = costate_from_lambda(F, L, u, x0, T, lam, substeps)
-    u_nodes = u.at(traj.times)
-    gap = L.grad_u(traj.states, u_nodes) - F.momentum(traj.states, cost.values)
+    """Feasibility and stationarity of (u, lam) as a candidate extremal,
+    both read off one endpoint-differential kernel."""
+    x0, T = _checked_start(F, u, x0, T)
+    kern = DifferentialKernel.build(F, u, x0, T, substeps)
+    feas = float(np.linalg.norm(kern.endpoint - np.asarray(x, dtype=float)))
+    p = _costate_with_kernel(L, kern, u, lam)
+    gap = L.grad_u(kern.states, u.at(kern.times)) - F.momentum(kern.states, p)
     return {"feasibility": feas,
             "stationarity": float(np.max(np.linalg.norm(gap, axis=-1)))}

@@ -12,7 +12,8 @@ import pytest
 
 from extremals.scenario import (resolve_scenario, scenario_fields,
                                 scenario_lagrangian)
-from extremals.shooting import make_seeds, multi_start, shoot_extremal
+from extremals.shooting import (make_seeds, multi_start, shoot_extremal,
+                                shoot_extremals)
 
 from oracles import HeisenbergCollocationOracle
 
@@ -60,9 +61,9 @@ def heis_sols64(heis, heis_parts):
 @pytest.fixture(scope="session")
 def heis_refined128(heis, heis_parts, heis_sols64):
     F, L, x0, target = heis_parts
-    return [shoot_extremal(F, L, x0, target, heis.T, p0=s.p0, N=128,
+    return shoot_extremals(F, L, x0, target, heis.T,
+                           np.stack([s.p0 for s in heis_sols64]), N=128,
                            tol=heis.shoot_tol, substeps=heis.substeps)
-            for s in heis_sols64]
 
 
 @pytest.fixture(scope="session")

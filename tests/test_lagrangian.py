@@ -149,6 +149,56 @@ def test_singular_fiber_fails_elementwise():
     np.testing.assert_allclose(u, [[1.0], [0.0], [0.5]], rtol=0, atol=1e-15)
 
 
+def test_singular_fiber_leaves_the_regular_solves_untouched():
+    # H = [[x1, x2], [x2, 1]] is singular where x1 = x2^2; every other
+    # element gets the bits of its own solve, a singular one keeps u0.
+    L = parse_lagrangian("(x1*u1^2 + 2*x2*u1*u2 + u2^2)/2 + x2*u2", 2, 2)
+    rng = np.random.default_rng(5)
+    x = np.column_stack([rng.uniform(2.0, 3.0, 12), rng.uniform(-1.0, 1.0, 12)])
+    x[[2, 7]] = [[0.25, 0.5], [1.0, -1.0]]
+    z = rng.standard_normal((12, 2))
+    u0 = rng.standard_normal((12, 2))
+    u, ok = _affine_solve(L, x, z, u0)
+    np.testing.assert_array_equal(ok, ~np.isin(np.arange(12), [2, 7]))
+    for i in range(12):
+        if ok[i]:
+            H = np.array([[x[i, 0], x[i, 1]], [x[i, 1], 1.0]])
+            want = np.linalg.solve(H, z[i] - [0.0, x[i, 1]])
+            np.testing.assert_array_equal(u[i], want)
+        else:
+            np.testing.assert_array_equal(u[i], u0[i])
+
+
+def test_singular_hessian_fails_only_its_own_newton():
+    # d2_uL = x1 + 3 u1^2 vanishes at x1 = 0, u1 = 0, where the Newton
+    # starts: that element fails, and each other one ends as it would alone.
+    L = parse_lagrangian("x1*u1^2/2 + u1^4/4", 1, 1)
+    assert not L.fiber_affine()
+    x = np.array([[1.0], [0.0], [2.0]])
+    z = np.array([[1.0], [1.0], [-3.0]])
+    u, ok = _damped_newton(L, x, z, np.zeros((3, 1)))
+    np.testing.assert_array_equal(ok, [True, False, True])
+    for i in range(3):
+        u_i, ok_i = _damped_newton(L, x[i:i + 1], z[i:i + 1], np.zeros((1, 1)))
+        np.testing.assert_array_equal(u[i:i + 1], u_i)
+        assert ok_i[0] == ok[i]
+
+
+def test_feedback_solves_at_large_momenta():
+    # The roundoff of d_uL(x, u) - z grows with |z|; an absolute tolerance
+    # flags correct solves at |z| = 1e6 as failed.
+    L = parse_lagrangian("(3*u1^2 + u1*u2 + 2*u2^2)/2 + x1*u1", 2, 2)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((200, 2))
+    z = rng.standard_normal((200, 2))
+    z *= 1e6 / np.linalg.norm(z, axis=-1, keepdims=True)
+    u0 = np.zeros((200, 2))
+    for solve in (_affine_solve, _damped_newton):
+        u, ok = solve(L, x, z, u0)
+        assert ok.all(), f"{solve.__name__}: {np.count_nonzero(~ok)} flagged"
+        np.testing.assert_allclose(L.grad_u(x, u), z, rtol=0, atol=1e-9 * 1e6)
+
+
 def test_momentum_and_maximizing_control():
     x = np.array([0.5, -0.25, 0.0])
     p = np.array([1.0, 2.0, 4.0])

@@ -202,6 +202,20 @@ def test_cli_chart_build_then_eval(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_certify_lipschitz_is_certified_and_byte_stable(tmp_path, capsys):
+    reports = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["certify-lipschitz", "--scenario", "identity",
+                     "--out", str(out)]) == 0
+        reports.append((out / "identity_certify_lipschitz.json").read_bytes())
+    assert reports[0] == reports[1]
+    rep = json.loads(reports[0])
+    assert rep["certificate"]["certified"]
+    assert rep["refined_grid"] == 2 * rep["grid"]
+    capsys.readouterr()
+
+
 def test_control_csv_round_trip_is_exact(tmp_path):
     u = ControlPath(1.0, np.array([[0.1234567890123456, -1.5], [2.0, 0.25],
                                    [-0.75, 3.335], [0.0, 1.0]]))

@@ -11,12 +11,13 @@ from extremals.lagrangian import parse_lagrangian
 from extremals.shooting import (JAC_TRUNCATION, _hamiltonian_flow,
                                 _truncated_step, costate_from_lambda,
                                 extremality_residual, make_seeds, multi_start,
-                                shoot_extremal)
+                                shoot_extremal, shoot_extremals)
 
 IDENTITY = parse_field_set("X1 = (1, 0)\nX2 = (0, 1)", 2, 2)
 QUAD = parse_lagrangian("(u1^2 + u2^2)/2", 2, 2)
 HEISENBERG = parse_field_set("X1 = (1, 0, -x2/2)\nX2 = (0, 1, x1/2)", 3, 2)
 QUAD_3 = parse_lagrangian("(u1^2 + u2^2)/2", 3, 2)
+QUARTIC_3 = parse_lagrangian("(u1^2 + u2^2)/2 + u1^4/4", 3, 2)
 # An off-axis target breaks the rotation symmetry, so its extremals are
 # isolated and these seeds converge to the default tolerance on 16 intervals.
 OFF_AXIS = np.array([0.3, 0.2, 0.05])
@@ -102,6 +103,42 @@ def test_nonconvergence_reports_best_residual():
         shoot_extremal(F, L, np.zeros(3), np.array([0.0, 0.0, 0.08]), 1.0,
                        p0=np.array([80.0, -30.0, 200.0]), N=16, max_iter=2)
     assert err.value.best_residual > 0.0
+
+
+@pytest.mark.parametrize("L", [QUAD_3, QUARTIC_3], ids=["affine", "quartic"])
+def test_batched_shoot_equals_the_serial_shoots(L):
+    # The first three seeds converge alone; the batch must not change a bit
+    # of their solutions, also where the feedback is a damped Newton.
+    seeds = OFF_AXIS_SEEDS[:3]
+    batch = shoot_extremals(HEISENBERG, L, np.zeros(3), OFF_AXIS, 1.0,
+                            seeds, N=16, substeps=4)
+    assert len(batch) == len(seeds)
+    for seed, got in zip(seeds, batch):
+        want = shoot_extremal(HEISENBERG, L, np.zeros(3), OFF_AXIS, 1.0,
+                              p0=seed, N=16, substeps=4)
+        for name in ("p0", "lam", "p"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+        np.testing.assert_array_equal(got.u.values, want.u.values)
+        np.testing.assert_array_equal(got.u_fine.values, want.u_fine.values)
+        np.testing.assert_array_equal(got.xi.states, want.xi.states)
+        assert (got.phi, got.iterations) == (want.phi, want.iterations)
+        assert got.residuals == want.residuals
+
+
+def test_batched_shoot_reports_the_row_that_failed():
+    # Row 0 starts on an extremal; row 1 cannot converge in two iterations.
+    bad = np.array([80.0, -30.0, 200.0])
+    good = shoot_extremal(HEISENBERG, QUAD_3, np.zeros(3), OFF_AXIS, 1.0,
+                          p0=OFF_AXIS_SEEDS[0], N=16).p0
+    with pytest.raises(NonConvergenceError) as alone:
+        shoot_extremal(HEISENBERG, QUAD_3, np.zeros(3), OFF_AXIS, 1.0,
+                       p0=bad, N=16, max_iter=2)
+    with pytest.raises(NonConvergenceError, match="row 1") as err:
+        shoot_extremals(HEISENBERG, QUAD_3, np.zeros(3), OFF_AXIS, 1.0,
+                        np.stack([good, bad]), N=16, max_iter=2)
+    np.testing.assert_array_equal(err.value.best_p0, alone.value.best_p0)
+    assert err.value.best_residual == alone.value.best_residual > 0.0
 
 
 def test_winding_branches_found_from_random_seeds(heis, heis_sols64):
@@ -213,12 +250,8 @@ def test_building_solutions_runs_no_flow(monkeypatch):
 
 
 def test_kept_flows_of_a_non_affine_cost_are_extremal():
-    # The damped feedback Newton stops on a batch-wide test, so a kept flow
-    # need not match a batch-of-one flow bit for bit; it must still be an
-    # extremal to the usual tolerances.
-    L = parse_lagrangian("(u1^2 + u2^2)/2 + u1^4/4", 3, 2)
-    assert not L.fiber_affine()
-    for sol in _off_axis_solutions(L):
+    assert not QUARTIC_3.fiber_affine()
+    for sol in _off_axis_solutions(QUARTIC_3):
         assert sol.residuals["endpoint_gap"] < 1e-8
         assert sol.residuals["stationarity"] < 1e-8
         assert sol.residuals["hamiltonian_drift"] < 1e-6
