@@ -6,8 +6,7 @@ from .analysis import (BoundReport, GramReport, LipschitzCertificate,
                        SingularityScan, assumption4_check, costate_bound_check,
                        lipschitz_certificate, singularity_report)
 from .controls import ControlPath, l2_distance, random_smooth_controls
-from .dynamics import (DifferentialKernel, Trajectory, adjoint_dE, apply_dE,
-                       endpoint, fine_grid, gram_matrix, integrate,
+from .dynamics import (DifferentialKernel, Trajectory, fine_grid, integrate,
                        integrate_batch, trapezoid_weights)
 from .errors import (BasisDeficiencyError, CertificateFailure,
                      ChartConstructionError, ChartIntegrityError,
@@ -24,7 +23,7 @@ from .inversion import (Dictionary, DictionaryDirection, InversionChart,
                         select_basis)
 from .lagrangian import (GrowthProfile, GrowthReport, Lagrangian,
                          growth_spot_check, hamiltonian, legendre_inverse,
-                         maximizing_control, momentum_map, parse_growth_profile,
+                         maximizing_control, parse_growth_profile,
                          parse_lagrangian, phi_from_samples, phi_functional)
 from .scenario import (Scenario, builtin_scenario, load_scenario,
                        parse_scenario, resolve_scenario, scenario_control,
@@ -46,16 +45,14 @@ __all__ = [
     "GrowthProfile", "GrowthReport", "InversionChart", "Lagrangian",
     "LieRankResult", "LipschitzCertificate", "NonConvergenceError",
     "ParseError", "Scenario", "ScenarioError", "SelectedBasis",
-    "SingularityScan", "Trajectory", "adjoint_dE", "apply_dE",
-    "assumption4_check", "build_chart", "builtin_scenario", "chart_eval",
-    "chart_eval_full", "chart_from_dict", "chart_lipschitz_estimate",
-    "compile_vector", "costate_bound_check", "costate_from_lambda",
-    "default_dictionary", "endpoint", "extremality_residual",
-    "fine_grid", "gram_matrix", "growth_spot_check",
-    "hamiltonian", "integrate", "integrate_batch", "l2_distance",
-    "legendre_inverse", "lie_bracket", "lie_rank", "lipschitz_certificate",
-    "load_scenario", "make_seeds", "maximizing_control", "momentum_map",
-    "multi_start", "parse_components", "parse_field_set",
+    "SingularityScan", "Trajectory", "assumption4_check", "build_chart",
+    "builtin_scenario", "chart_eval", "chart_eval_full", "chart_from_dict",
+    "chart_lipschitz_estimate", "compile_vector", "costate_bound_check",
+    "costate_from_lambda", "default_dictionary", "extremality_residual",
+    "fine_grid", "growth_spot_check", "hamiltonian", "integrate",
+    "integrate_batch", "l2_distance", "legendre_inverse", "lie_bracket",
+    "lie_rank", "lipschitz_certificate", "load_scenario", "make_seeds",
+    "maximizing_control", "multi_start", "parse_components", "parse_field_set",
     "parse_growth_profile", "parse_lagrangian", "parse_scalar",
     "parse_scenario", "phi_from_samples", "phi_functional",
     "random_smooth_controls", "resolve_scenario", "scenario_control",

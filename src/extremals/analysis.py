@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import ControlPath
-from .dynamics import gram_matrix
+from .dynamics import DifferentialKernel
 
 SINGULARITY_THRESHOLD = 1e-8
 STABILITY_WINDOW = (0.5, 2.0)
@@ -46,7 +46,7 @@ class GramReport:
 def singularity_report(F, u: ControlPath, x0, T=None,
                        threshold=SINGULARITY_THRESHOLD) -> GramReport:
     """Classify u via the spectrum of the endpoint-differential Gram matrix."""
-    G = gram_matrix(F, u, np.asarray(x0, dtype=float), T)
+    G = DifferentialKernel.build(F, u, x0, T).gram()
     evals, evecs = np.linalg.eigh(G)
     evals = np.clip(evals, 0.0, None)
     s_min, s_max = float(evals[0]), float(evals[-1])

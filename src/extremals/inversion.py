@@ -17,6 +17,11 @@ which makes the round trip exact up to solver tolerance, not up to
 quadrature. Each Newton iterate's endpoint and Jacobian come from one
 ``DifferentialKernel`` build: the kernel the line search built for the
 accepted trial is the next iterate's kernel.
+
+``build_chart`` certifies through the query path: each probe is a
+``chart_eval_full`` call on a proto chart with an unbounded radius and time
+constant and the final determinant floor, so a probe passes exactly the
+checks a user query inside the finished chart must pass.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from . import expr as ex
 from .controls import ControlPath, l2_distance
 from .dynamics import DEFAULT_SUBSTEPS, DifferentialKernel, fine_grid
 from .errors import (BasisDeficiencyError, ChartConstructionError,
-                     ChartIntegrityError, DivergenceError)
+                     ChartIntegrityError, DimensionError, DivergenceError)
 
 RANK_TOL = 1e-9
 CHART_NEWTON_TOL = 1e-9
@@ -100,25 +105,23 @@ class SelectedBasis:
         return float(np.linalg.det(self.phi))
 
 
-def select_basis(F, u: ControlPath, x0, t, dictionary: Dictionary,
-                 substeps=DEFAULT_SUBSTEPS) -> SelectedBasis:
-    """Greedy volume-maximizing pick of n dictionary directions.
+def _images(kern, directions):
+    """Endpoint images (n, D) of the directions under the kernel's dE."""
+    return kern.apply_values(np.stack([d.values(kern.times)
+                                       for d in directions])).T
+
+
+def select_basis(kern, dictionary: Dictionary) -> SelectedBasis:
+    """Greedy volume-maximizing pick of n dictionary directions at the
+    anchor whose ``DifferentialKernel`` is ``kern``.
 
     Computes the endpoint image of every dictionary direction once, then
     does modified Gram-Schmidt pivoting on the image columns. Runs out of
     usable columns -> basis deficiency (singular anchor or a dictionary
     that is too small).
     """
-    kern = DifferentialKernel.build(F, u, np.asarray(x0, dtype=float), t,
-                                    substeps)
-    return _select_with_kernel(kern, dictionary)
-
-
-def _select_with_kernel(kern, dictionary: Dictionary) -> SelectedBasis:
-    """``select_basis`` on an already built anchor kernel."""
-    images = kern.apply_values(np.stack(
-        [d.values(kern.times) for d in dictionary.directions])).T  # (n, D)
-    n, D = images.shape
+    images = _images(kern, dictionary.directions)
+    n = images.shape[0]
     resid = images.copy()
     chosen = []
     scale = float(np.max(np.linalg.norm(images, axis=0), initial=0.0))
@@ -201,7 +204,7 @@ def chart_from_dict(d, F, u: ControlPath) -> InversionChart:
     basis = SelectedBasis(
         directions=tuple(dirs),
         indices=tuple(int(e["index"]) for e in d["basis"]),
-        phi=kern.apply_values(np.stack([v.values(kern.times) for v in dirs])).T)
+        phi=_images(kern, dirs))
     coarse = np.stack([v.values(u.times) for v in dirs], axis=0)
     return InversionChart(
         F=F, x0=x0, t=t, u=u,
@@ -221,7 +224,6 @@ def _solve_alpha(chart: InversionChart, s, beta, alpha0):
     the line search accepted keeps the kernel built for it; a kernel is
     built anew only when no trial was accepted.
     """
-    beta = np.asarray(beta, dtype=float)
     alpha = np.zeros(chart.n) if alpha0 is None else np.asarray(alpha0, float).copy()
     path = chart.emit(alpha)
     times, _ = fine_grid(s, chart.u.N, chart.substeps)
@@ -264,29 +266,34 @@ def _solve_alpha(chart: InversionChart, s, beta, alpha0):
     return alpha, path, det, False, CHART_NEWTON_MAX_ITER
 
 
-def chart_eval_full(chart: InversionChart, s, beta, alpha0=None, enforce=True):
+def chart_eval_full(chart: InversionChart, s, beta, alpha0=None):
+    """``chart_eval`` that also returns alpha, the basis determinant and the
+    Newton iteration count."""
     s = float(s)
-    if enforce and chart.distance(s, beta) > chart.r * (1.0 + 1e-9):
-        raise ValueError(
-            f"target ({s}, {np.asarray(beta)}) is outside the certified "
-            f"chart ball of radius {chart.r:g} around "
-            f"({chart.t:g}, {chart.anchor_endpoint})")
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (chart.n,):
+        raise DimensionError(f"target has shape {beta.shape}, "
+                             f"expected ({chart.n},)")
     if s <= 0.0 or s > chart.u.T * (1.0 + 1e-12):
         raise ValueError(f"time {s} outside the anchor control's domain")
+    if chart.distance(s, beta) > chart.r * (1.0 + 1e-9):
+        raise ValueError(
+            f"target ({s}, {beta}) is outside the certified "
+            f"chart ball of radius {chart.r:g} around "
+            f"({chart.t:g}, {chart.anchor_endpoint})")
     alpha, path, det, ok, iters = _solve_alpha(chart, s, beta, alpha0)
     if not ok:
         raise ChartIntegrityError(
             f"Newton failed inside the certified ball at (s={s:.6g}); "
             "the chart radius is no longer trustworthy")
-    if enforce:
-        if abs(det) < chart.det_floor:
-            raise ChartIntegrityError(
-                f"basis determinant {det:.3e} fell below the floor "
-                f"{chart.det_floor:.3e}")
-        if path.lipschitz_quotient > chart.k_time * (1.0 + 1e-9):
-            raise ChartIntegrityError(
-                f"emitted control Lipschitz quotient {path.lipschitz_quotient:.3e} "
-                f"exceeds the declared constant {chart.k_time:.3e}")
+    if abs(det) < chart.det_floor:
+        raise ChartIntegrityError(
+            f"basis determinant {det:.3e} fell below the floor "
+            f"{chart.det_floor:.3e}")
+    if path.lipschitz_quotient > chart.k_time * (1.0 + 1e-9):
+        raise ChartIntegrityError(
+            f"emitted control Lipschitz quotient {path.lipschitz_quotient:.3e} "
+            f"exceeds the declared constant {chart.k_time:.3e}")
     return path, alpha, det, iters
 
 
@@ -317,9 +324,10 @@ def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
                 substeps=DEFAULT_SUBSTEPS) -> InversionChart:
     """Probe-certified trust-region construction around (t, E_t(u)).
 
-    Halves the radius until every sphere probe Newton-solves with the basis
-    determinant held above det_tol * |det at anchor|; radius underflow is a
-    construction failure, reported with the last failing radius.
+    Halves the radius until every sphere probe passes a query on the proto
+    chart: its Newton solves with the basis determinant held above
+    det_tol * |det at anchor|. Radius underflow is a construction failure,
+    reported with the last failing radius.
     """
     x0 = np.asarray(x0, dtype=float)
     t = float(t)
@@ -327,7 +335,7 @@ def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
         raise ValueError(f"anchor time {t} outside the control's domain")
     dictionary = default_dictionary(u.m, u.T) if dictionary is None else dictionary
     kern = DifferentialKernel.build(F, u, x0, t, substeps)
-    basis = _select_with_kernel(kern, dictionary)
+    basis = select_basis(kern, dictionary)
     det_anchor = basis.det
     anchor_endpoint = kern.endpoint.copy()
     if r_init is None:
@@ -338,28 +346,18 @@ def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
     proto = InversionChart(
         F=F, x0=x0, t=t, u=u, anchor_endpoint=anchor_endpoint, basis=basis,
         basis_coarse=np.stack([v.values(u.times) for v in basis.directions]),
-        r=float("nan"), det_anchor=det_anchor,
+        r=float("inf"), det_anchor=det_anchor,
         det_floor=det_tol * abs(det_anchor), k_time=float("inf"),
         lipschitz_est={}, probe_seed=probe_seed, substeps=substeps)
 
     r = float(r_init)
     for _ in range(CHART_MAX_HALVINGS + 1):
-        results = []
-        ok = True
-        for (s, beta) in _probe_targets(t, anchor_endpoint, r, u.T):
-            try:
-                path, alpha, det, _ = chart_eval_full(proto, s, beta,
-                                                      enforce=False)
-            except (ChartIntegrityError, DivergenceError):
-                ok = False
-                break
-            if abs(det) < det_tol * abs(det_anchor):
-                ok = False
-                break
-            results.append((s, beta, path, alpha))
-        if ok:
+        try:
+            results = [(s, beta) + chart_eval_full(proto, s, beta)[:2] for
+                       (s, beta) in _probe_targets(t, anchor_endpoint, r, u.T)]
             break
-        r /= 2.0
+        except ChartIntegrityError:
+            r /= 2.0
         if r < CHART_MIN_RADIUS:
             raise ChartConstructionError(
                 f"probe certification failed down to radius {r:g} "

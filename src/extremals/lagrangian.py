@@ -226,19 +226,14 @@ def legendre_inverse(L: Lagrangian, x, z, u0=None):
     return u
 
 
-def momentum_map(F, x, p):
-    """Z(x, p): pairing of the costate with each field column."""
-    return F.momentum(x, p)
-
-
 def maximizing_control(L: Lagrangian, F, x, p, u0=None):
     """The feedback control w(x, Z(x, p)) staticizing the pre-Hamiltonian."""
-    return legendre_inverse(L, x, momentum_map(F, x, p), u0=u0)
+    return legendre_inverse(L, x, F.momentum(x, p), u0=u0)
 
 
 def hamiltonian(L: Lagrangian, F, x, p, u0=None):
     """H(x, p) = <Z(x,p), w> - L(x, w) at the staticizing control w."""
-    z = momentum_map(F, x, p)
+    z = F.momentum(x, p)
     w = legendre_inverse(L, x, z, u0=u0)
     return np.einsum("...m,...m->...", z, w) - L.value(x, w)
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .controls import ControlPath, l2_distance
 from .dynamics import (DEFAULT_SUBSTEPS, PSI_COND_FLAG, DifferentialKernel,
-                       Trajectory, _checked_start, _rk4, fine_grid)
+                       Trajectory, _rk4, fine_grid)
 from .errors import DimensionError, NonConvergenceError
 from .lagrangian import Lagrangian, _legendre_newton, trapezoid
 
@@ -140,11 +140,10 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
     p0 = np.asarray(p0, dtype=float).copy()
     batch = p0.shape[:-1]
     n = F.n
-    target = np.asarray(x, dtype=float)
 
     def residual(pts):
         _, xs, ps, us, alive = _hamiltonian_flow(F, L, x0, pts, T, N, substeps)
-        rn = np.linalg.norm(xs[-1] - target, axis=-1)
+        rn = np.linalg.norm(xs[-1] - x, axis=-1)
         return np.where(alive, rn, np.inf), (xs, ps, us)
 
     rn, flow = residual(p0)
@@ -171,7 +170,7 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
         failed = failed | (active & ~jac_ok)
         # A zero Jacobian keeps no singular value: a zero step.
         delta = _truncated_step(np.where(moving[..., None, None], J, 0.0),
-                                flow[0][-1] - target)
+                                flow[0][-1] - x)
 
         alpha = np.ones(batch)
         accepted = ~moving
@@ -244,9 +243,14 @@ def _shoot_two_stage(F, L, x0, x, T, N, seeds, tol, max_iter, substeps):
     symmetric targets that defect is a hard residual floor no iteration
     can cross. Stage one is therefore only a warm-start generator: every
     iterate that got near some basin is handed to the fine map, and
-    convergence is judged there alone.
+    convergence is judged there alone. x0 and x must have shape (n,) and
+    the seeds (k, n), k > 0.
     """
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+    x0, x, seeds = (np.asarray(a, dtype=float) for a in (x0, x, seeds))
+    if x0.shape != (F.n,) or x.shape != (F.n,) or seeds.ndim != 2 \
+            or seeds.shape[1] != F.n or not len(seeds):
+        raise DimensionError(f"x0 and x must have shape ({F.n},) and p0 "
+                             f"(k, {F.n}) with k > 0")
     if substeps <= 1:
         return _shoot_batch(F, L, x0, x, T, N, seeds, tol, max_iter, substeps)
     stage_tol = max(tol, STAGE_ONE_TOL)
@@ -274,11 +278,6 @@ def shoot_extremals(F, L: Lagrangian, x0, x, T, p0, N=64, tol=SHOOT_TOL,
     Returns the k extremals in row order, each as its batch of one would;
     raises NonConvergenceError (best residual and p0) for the first failure.
     """
-    x0, x, p0 = (np.asarray(a, dtype=float) for a in (x0, x, p0))
-    if x0.shape != (F.n,) or x.shape != (F.n,) or p0.ndim != 2 \
-            or p0.shape[1] != F.n or not len(p0):
-        raise DimensionError(f"x0 and x must have shape ({F.n},) and p0 "
-                             f"(k, {F.n}) with k > 0")
     shot = _shoot_two_stage(F, L, x0, x, T, N, p0, tol, max_iter, substeps)
     pf, rn, conv = shot[:3]
     if not conv.all():
@@ -315,7 +314,6 @@ def multi_start(F, L: Lagrangian, x0, x, T, seeds, N=64, tol=SHOOT_TOL,
     controls (tie-break toward smaller |lam|) and sorted by (phi, |lam|).
     Returns a list; empty means no seed converged.
     """
-    x0, x = np.asarray(x0, float), np.asarray(x, float)
     shot = _shoot_two_stage(F, L, x0, x, T, N, seeds, tol, max_iter, substeps)
     sols = _build_solution(F, L, x0, x, T, N, shot, substeps)
     sols.sort(key=lambda s: (s.phi, float(np.linalg.norm(s.lam))))
@@ -333,7 +331,6 @@ def costate_from_lambda(F, L: Lagrangian, u: ControlPath, x0, T=None,
     p(s) = (Psi(s)^-1)^T [ Psi(T)^T lam - int_s^T Psi(r)^T d_xL(xi, u) dr ],
     evaluated with a reversed cumulative trapezoid on the fine grid.
     """
-    T = u.T if T is None else float(T)
     kern = DifferentialKernel.build(F, u, x0, T, substeps)
     conds = np.linalg.cond(kern.psis)
     return CostatePath(times=kern.times,
@@ -359,7 +356,6 @@ def extremality_residual(F, L: Lagrangian, u: ControlPath, x0, x, T=None,
                          lam=None, substeps=DEFAULT_SUBSTEPS):
     """Feasibility and stationarity of (u, lam) as a candidate extremal,
     both read off one endpoint-differential kernel."""
-    x0, T = _checked_start(F, u, x0, T)
     kern = DifferentialKernel.build(F, u, x0, T, substeps)
     feas = float(np.linalg.norm(kern.endpoint - np.asarray(x, dtype=float)))
     p = _costate_with_kernel(L, kern, u, lam)

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from extremals.controls import ControlPath, random_smooth_controls
-from extremals.dynamics import (PSI_COND_FLAG, DifferentialKernel, adjoint_dE,
-                                apply_dE, endpoint, gram_matrix, integrate,
+from extremals.dynamics import (PSI_COND_FLAG, DifferentialKernel, integrate,
                                 integrate_batch, trapezoid_weights)
 from extremals.errors import DivergenceError, GridMismatchError
 from extremals.fields import parse_field_set
@@ -20,6 +19,7 @@ from extremals.shooting import _hamiltonian_flow
 IDENTITY = parse_field_set("X1 = (1, 0)\nX2 = (0, 1)", 2, 2)
 HEISENBERG = parse_field_set("X1 = (1, 0, -x2/2)\nX2 = (0, 1, x1/2)", 3, 2)
 GRUSHIN = parse_field_set("X1 = (1, 0)\nX2 = (0, x1)", 2, 2)
+MARTINET = parse_field_set("X1 = (1, 0, x2^2/2)\nX2 = (0, 1, 0)", 3, 2)
 
 
 def circle_control(N):
@@ -43,7 +43,8 @@ def test_heisenberg_circle_endpoint():
     target = np.array([0.0, 0.0, 1.0 / (4.0 * np.pi)])
     err = []
     for N in (64, 256):
-        e = endpoint(HEISENBERG, circle_control(N), np.zeros(3), substeps=8)
+        e = integrate(HEISENBERG, circle_control(N), np.zeros(3),
+                      substeps=8).endpoint
         err.append(float(np.linalg.norm(e - target)))
     assert err[0] < 2e-4
     assert err[1] < err[0] / 12.0  # roughly second order in the node count
@@ -129,40 +130,44 @@ def test_duality_is_exact_not_approximate():
         np.testing.assert_array_equal(images[idx], kern.apply_values(stack[idx]))
 
 
-def test_module_level_wrappers_agree():
-    rng = np.random.default_rng(6)
-    u, v = random_smooth_controls(rng, 1.0, 16, 2, count=2)
-    kern = DifferentialKernel.build(HEISENBERG, u, np.zeros(3), 1.0, 4)
-    np.testing.assert_allclose(apply_dE(HEISENBERG, u, np.zeros(3), v=v),
-                               kern.apply(v), atol=1e-15)
-    lam = np.array([0.1, 0.2, 0.3])
-    np.testing.assert_allclose(
-        adjoint_dE(HEISENBERG, u, np.zeros(3), lam=lam).values,
-        kern.adjoint(lam).values, atol=1e-15)
-    np.testing.assert_allclose(gram_matrix(HEISENBERG, u, np.zeros(3)),
-                               kern.gram(), atol=1e-15)
-
-
 def test_probe_grid_mismatch_rejected():
-    u = ControlPath.zero(1.0, 16, 2)
-    # Directions defined on a shorter horizon cannot probe the full map.
-    with pytest.raises(GridMismatchError):
-        apply_dE(IDENTITY, u, np.zeros(2), v=ControlPath.zero(0.5, 16, 2))
-    with pytest.raises(GridMismatchError):
-        apply_dE(IDENTITY, u, np.zeros(2), v=ControlPath.zero(1.0, 16, 1))
+    for F, u in ((IDENTITY, ControlPath.zero(1.0, 16, 2)),
+                 (HEISENBERG, ControlPath.constant(1.0, 16, [1.0, 0.5]))):
+        kern = DifferentialKernel.build(F, u, np.zeros(F.n))
+        # Directions defined on a shorter horizon cannot probe the full
+        # map, nor can directions with another channel count.
+        with pytest.raises(GridMismatchError):
+            kern.apply(ControlPath.zero(0.5, 16, 2))
+        with pytest.raises(GridMismatchError):
+            kern.apply(ControlPath.zero(1.0, 16, 1))
+        # The kernel checks its horizon as integrate does.
+        with pytest.raises(GridMismatchError):
+            DifferentialKernel.build(F, u, np.zeros(F.n), T=1.5)
+        with pytest.raises(GridMismatchError):
+            integrate(F, u, np.zeros(F.n), T=1.5)
 
 
 def test_complex_step_through_the_integrator():
-    # integrate_batch advertises complex safety; the imaginary part of a
-    # complex-step endpoint must agree with the kernel's derivative.
+    # integrate_batch advertises complex safety, so the imaginary part of a
+    # complex-step endpoint is the derivative of the discrete RK4 map. The
+    # kernel's trapezoid quadrature is O(h^2) off that derivative: the
+    # relative gap falls fourfold per doubling of the substeps.
     rng = np.random.default_rng(9)
     u, v = random_smooth_controls(rng, 1.0, 32, 2, count=2)
     tau = 1e-30
-    ends = integrate_batch(HEISENBERG, u.values + 1j * tau * v.values[None],
-                           np.zeros(3), 1.0, substeps=16)[-1]
-    cs = ends[0].imag / tau
-    analytic = apply_dE(HEISENBERG, u, np.zeros(3), v=v, substeps=16)
-    assert np.linalg.norm(cs - analytic) / np.linalg.norm(analytic) < 1e-4
+    for F in (GRUSHIN, HEISENBERG, MARTINET):
+        gaps = []
+        for substeps in (8, 16, 32, 64):
+            ends = integrate_batch(F, u.values + 1j * tau * v.values[None],
+                                   np.zeros(F.n), 1.0, substeps=substeps)[-1]
+            cs = ends[0].imag / tau
+            analytic = DifferentialKernel.build(F, u, np.zeros(F.n), 1.0,
+                                                substeps).apply(v)
+            gaps.append(np.linalg.norm(cs - analytic)
+                        / np.linalg.norm(analytic))
+        assert gaps[1] < 1e-4
+        np.testing.assert_allclose(np.array(gaps[:-1]) / gaps[1:], 4.0,
+                                   rtol=1e-3)
 
 
 BLOWUP = parse_field_set("X1 = (x1^2)", 1, 1)

@@ -15,7 +15,8 @@ import pytest
 from extremals import expr
 from extremals.controls import ControlPath
 from extremals.dynamics import DEFAULT_SUBSTEPS, DifferentialKernel, integrate
-from extremals.errors import BasisDeficiencyError, ChartConstructionError
+from extremals.errors import (BasisDeficiencyError, ChartConstructionError,
+                              DimensionError)
 from extremals.fields import parse_field_set
 from extremals.inversion import (Dictionary, build_chart, chart_eval,
                                  chart_eval_full, chart_from_dict,
@@ -56,10 +57,10 @@ def test_select_basis_matches_exhaustive_search():
     u = loop_control()
     x0 = np.zeros(3)
     dic = default_dictionary(2, 1.0, k_max=2)
-    basis = select_basis(HEISENBERG, u, x0, 0.7, dic)
+    kern = DifferentialKernel.build(HEISENBERG, u, x0, 0.7, DEFAULT_SUBSTEPS)
+    basis = select_basis(kern, dic)
     assert len(basis.indices) == 3
     assert len(set(basis.indices)) == 3
-    kern = DifferentialKernel.build(HEISENBERG, u, x0, 0.7, DEFAULT_SUBSTEPS)
     images = np.stack([kern.apply_values(d.values(kern.times))
                        for d in dic.directions], axis=1)
     best = max(abs(np.linalg.det(images[:, list(sub)]))
@@ -71,13 +72,15 @@ def test_select_basis_matches_exhaustive_search():
 def test_select_basis_reports_deficiency():
     # Constants alone cannot reach rank 3.
     with pytest.raises(BasisDeficiencyError, match="rank 2 of 3"):
-        select_basis(HEISENBERG, loop_control(), np.zeros(3), 0.7,
+        select_basis(DifferentialKernel.build(HEISENBERG, loop_control(),
+                                              np.zeros(3), 0.7),
                      default_dictionary(2, 1.0, k_max=0))
     # No dictionary helps at a singular anchor: the straight control on the
     # flat system has a rank-2 endpoint differential.
     with pytest.raises(BasisDeficiencyError):
-        select_basis(MARTINET, ControlPath.constant(1.0, 32, [1.0, 0.0]),
-                     np.zeros(3), 1.0, default_dictionary(2, 1.0))
+        select_basis(DifferentialKernel.build(
+            MARTINET, ControlPath.constant(1.0, 32, [1.0, 0.0]), np.zeros(3)),
+            default_dictionary(2, 1.0))
 
 
 def test_identity_chart_is_exact():
@@ -116,8 +119,9 @@ def test_build_chart_builds_the_anchor_kernel_once(monkeypatch):
     monkeypatch.setattr(DifferentialKernel, "build", classmethod(counting))
     chart = build_chart(HEISENBERG, u, np.zeros(3), 0.7, substeps=8)
     assert len(anchor_builds) == 1
-    basis = select_basis(HEISENBERG, u, np.zeros(3), 0.7,
-                         default_dictionary(2, 1.0), substeps=8)
+    basis = select_basis(DifferentialKernel.build(HEISENBERG, u, np.zeros(3),
+                                                  0.7, 8),
+                         default_dictionary(2, 1.0))
     assert len(anchor_builds) == 2
     assert basis.indices == chart.basis.indices
     assert basis.det == chart.det_anchor
@@ -156,9 +160,17 @@ def test_chart_rejects_targets_outside_the_ball():
     with pytest.raises(ValueError, match="outside the certified"):
         chart_eval(chart, 1.0, chart.anchor_endpoint + np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="domain"):
-        chart_eval_full(chart, 0.0, chart.anchor_endpoint, enforce=False)
+        chart_eval_full(chart, 0.0, chart.anchor_endpoint)
     with pytest.raises(ValueError):
         build_chart(IDENTITY, u, np.zeros(2), 1.5)
+
+
+def test_chart_rejects_targets_of_another_dimension():
+    u = ControlPath.constant(1.0, 32, [1.0, 0.0])
+    chart = build_chart(IDENTITY, u, np.zeros(2), 1.0)
+    for beta in ([1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]):
+        with pytest.raises(DimensionError, match="target has shape"):
+            chart_eval_full(chart, 1.0, beta)
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,6 @@ from extremals.controls import ControlPath
 from extremals.lagrangian import (_affine_solve, _damped_newton,
                                   growth_spot_check, hamiltonian,
                                   legendre_inverse, maximizing_control,
-                                  momentum_map,
                                   parse_growth_profile, parse_lagrangian,
                                   phi_from_samples, phi_functional, trapezoid)
 from extremals.scenario import resolve_scenario, scenario_lagrangian
@@ -202,7 +201,7 @@ def test_feedback_solves_at_large_momenta():
 def test_momentum_and_maximizing_control():
     x = np.array([0.5, -0.25, 0.0])
     p = np.array([1.0, 2.0, 4.0])
-    z = momentum_map(HEISENBERG, x, p)
+    z = HEISENBERG.momentum(x, p)
     # z_i = <p, X_i(x)>: z1 = p1 - x2 p3 / 2, z2 = p2 + x1 p3 / 2.
     np.testing.assert_allclose(z, [1.5, 3.0], atol=1e-14)
     L = quadratic(n=3, m=2)

@@ -5,7 +5,7 @@ import pytest
 
 from extremals import shooting
 from extremals.controls import ControlPath, l2_distance
-from extremals.errors import NonConvergenceError
+from extremals.errors import DimensionError, NonConvergenceError
 from extremals.fields import parse_field_set
 from extremals.lagrangian import parse_lagrangian
 from extremals.shooting import (JAC_TRUNCATION, _hamiltonian_flow,
@@ -77,6 +77,18 @@ def test_zero_branch_when_target_is_start():
     assert sol.phi == pytest.approx(0.0, abs=1e-16)
     np.testing.assert_allclose(sol.u.values, 0.0, atol=1e-12)
     np.testing.assert_allclose(sol.p, 0.0, atol=1e-12)
+
+
+def test_multi_start_checks_shapes():
+    # A one-component target on the three-dimensional system is an error,
+    # not a broadcast (0.5, 0.5, 0.5); so are a wrong start and a seed
+    # stack of the wrong width.
+    seeds = make_seeds(3, 2, 1.0)
+    for x0, x, s in ((np.zeros(3), [0.5], seeds),
+                     (np.zeros(2), OFF_AXIS, seeds),
+                     (np.zeros(3), OFF_AXIS, seeds[:, :2])):
+        with pytest.raises(DimensionError):
+            multi_start(HEISENBERG, QUAD_3, x0, x, 1.0, s, N=16)
 
 
 def test_multi_start_deduplicates_the_unique_extremal():
