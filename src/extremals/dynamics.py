@@ -35,7 +35,8 @@ their relative gap falls fourfold per doubling of ``substeps`` (2.1e-6 at 8
 substeps to 3.4e-8 at 64 on a random smooth grushin pair, N = 32).
 
 ``DifferentialKernel`` is the one handle on dE. Its build checks (u, x0, T)
-as ``integrate`` does, and ``apply`` checks each direction against u and T.
+as ``integrate`` does, ``apply`` checks each direction against u and T, and
+``adjoint`` checks that the multiplier has the state's shape (n,).
 """
 
 from __future__ import annotations
@@ -277,6 +278,12 @@ class DifferentialKernel:
         return self.apply_values(v.at(self.times))
 
     def adjoint_values(self, lam):
+        """Adjoint samples (M+1, m) for a multiplier lam of shape (n,)."""
+        lam = np.asarray(lam)
+        n = self.kernels.shape[1]
+        if lam.shape != (n,):
+            raise DimensionError(f"multiplier has shape {lam.shape}, "
+                                 f"expected ({n},)")
         return np.einsum("jnm,n->jm", self.kernels, lam)
 
     def adjoint(self, lam) -> ControlPath:

@@ -18,6 +18,13 @@ clarity beats speed. ``compile_vector`` generates a numpy function for a list
 of expressions; all hot loops (integration, shooting) go through compiled
 evaluators, which also accept complex arrays so complex-step derivatives work
 out of the box.
+
+One evaluator can serve expressions written over different variable tuples:
+``substitute`` moves each onto a combined tuple, or pins a variable to a
+constant, node for node, so the emitted code does the same arithmetic as
+the original expression on the same values. The Hamiltonian flow compiles
+its stage this way over (xi, p, u): field components over x, cost
+derivatives over (x, u), with u pinned to 0 for the fiber coefficients.
 """
 
 from __future__ import annotations
@@ -237,6 +244,25 @@ def func(name, arg):
         except OverflowError:
             pass
     return Func(name, arg)
+
+
+def substitute(e, table):
+    """``e`` with every ``Var(i)`` replaced by ``table[i]``.
+
+    The tree is rebuilt without folding, so the result evaluates with the
+    arithmetic of ``e`` on the substituted values, bit for bit.
+    """
+    if isinstance(e, Var):
+        return table[e.index]
+    if isinstance(e, Add):
+        return Add(tuple(substitute(t, table) for t in e.terms))
+    if isinstance(e, Mul):
+        return Mul(tuple(substitute(f, table) for f in e.factors))
+    if isinstance(e, Pow):
+        return Pow(substitute(e.base, table), e.exponent)
+    if isinstance(e, Func):
+        return Func(e.name, substitute(e.arg, table))
+    return e
 
 
 def check_node_cap(exprs, cap=NODE_CAP):

@@ -57,10 +57,6 @@ class FieldSet:
         out = self._jac(self._split(x))
         return out.reshape(out.shape[:-1] + (self.m, self.n, self.n))
 
-    def a_matrix(self, x, u):
-        """A = sum_i u_i dX_i(x), the variational-equation coefficient."""
-        return np.einsum("...i,...ijk->...jk", u, self.jacobian_stack(x))
-
     def momentum(self, x, p):
         """Z(x, p) = (<p, X_i(x)>)_i, shape (..., m)."""
         return np.einsum("...nm,...n->...m", self.field_matrix(x), p)

@@ -4,19 +4,20 @@ A Lagrangian is one scalar expression over x1..xn, u1..um. Its gradients and
 the control Hessian are produced by exact symbolic differentiation and
 compiled on first use; evaluation is batched numpy throughout.
 
-The map z -> w(x, z) inverting d_uL(x, .) is computed by
-``_legendre_newton``, which masks instead of raising: it returns the
-solution with a per-element flag telling whether its residual reached
-LEGENDRE_TOL (1 + |z|), relative as the roundoff of d_uL(x, u) - z grows
-with |z|. When no entry of the control Hessian depends on u, as for every
-cost quadratic in u, d_uL(x, u) = g0(x) + H(x) u is affine in u and the
-inverse is the linear solve u = H(x)^-1 (z - g0(x)), with g0 and H compiled
-as one evaluator; this is decided symbolically on the first solve. Any other
-cost goes through a damped Newton iteration with a line search, element by
-element. The Hamiltonian flow in ``shooting`` freezes the elements that
-failed. ``legendre_inverse`` raises a diffeomorphism violation for them
-rather than patching over, because every downstream construction assumes
-the fiber derivative is invertible.
+The map z -> w(x, z) inverting d_uL(x, .) masks instead of raising: each
+solve returns the solution with a per-element flag telling whether its
+residual reached LEGENDRE_TOL (1 + |z|), relative as the roundoff of
+d_uL(x, u) - z grows with |z|. When no entry of the control Hessian depends
+on u, as for every cost quadratic in u, d_uL(x, u) = g0(x) + H(x) u is
+affine in u and the inverse is the linear solve u = H(x)^-1 (z - g0(x)),
+``_affine_solve``; this is decided symbolically on the first solve. Any
+other cost goes through ``_damped_newton``, a damped Newton iteration with
+a line search, element by element. ``legendre_inverse`` takes g0 and H from
+one compiled evaluator. The Hamiltonian flow in ``shooting`` takes them,
+with z, from its own stage evaluator (``Lagrangian.flow_stage``), and
+freezes the elements that failed. ``legendre_inverse`` raises a
+diffeomorphism violation for them rather than patching over, because every
+downstream construction assumes the fiber derivative is invertible.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ class Lagrangian:
         self._hess_u = None
         self._fiber = None
         self._affine = None
+        self._stages = {}
 
     def _pack(self, x, u):
         x = np.asarray(x)
@@ -116,6 +118,68 @@ class Lagrangian:
         return (flat[..., :self.m],
                 hess.reshape(hess.shape[:-1] + (self.m, self.m)))
 
+    def flow_stage(self, F):
+        """(pre, post): the two evaluators of a Hamiltonian flow stage.
+
+        Both are compiled once per field set F, on the first call, over the
+        variables (xi, p, u) with p and u of F's dimensions n and m.
+        ``pre(xi, p)`` returns z = B(xi)^T p and, when d_uL is affine in u,
+        then g0(xi) and the row-major H(xi). ``post(xi, p, u)`` returns
+        xi' = B u and p' = -(sum_i u_i dX_i)^T p + d_xL. Products and sums
+        are grouped as the einsums over ``FieldSet.field_matrix`` and
+        ``jacobian_stack`` group them, with symbolically zero terms
+        dropped, so the values are those einsums' bits.
+        """
+        if F not in self._stages:
+            self._stages[F] = _compile_stage(F, self)
+        return self._stages[F]
+
+
+_ZERO = ex.Const(0.0)
+
+
+def _dot(pairs, einsum=False):
+    """Sum of entry * operand over (entry, operand) pairs, in index order.
+
+    Symbolically zero entries are dropped and unit entries multiply
+    nothing. An einsum sums from a +0.0 accumulator, so its zero sums are
+    never -0.0; ``einsum`` keeps that by adding 0.0 last, which changes
+    nothing else.
+    """
+    terms = tuple(b if a == ex.Const(1.0) else ex.Mul((a, b))
+                  for a, b in pairs if a != _ZERO)
+    if not terms:
+        return _ZERO
+    if einsum:
+        return ex.Add(terms + (_ZERO,))
+    return terms[0] if len(terms) == 1 else ex.Add(terms)
+
+
+def _compile_stage(F, L: Lagrangian):
+    """``Lagrangian.flow_stage``'s evaluators for the field set F."""
+    n, m = F.n, F.m
+    x = [ex.Var(f"x{k + 1}", k) for k in range(n)]
+    p = [ex.Var(f"p{k + 1}", n + k) for k in range(n)]
+    u = [ex.Var(f"u{k + 1}", 2 * n + k) for k in range(m)]
+    X = F.components  # X[i][j] = (X_i)_j = B[j, i]
+    pre = [_dot(((X[i][j], p[j]) for j in range(n)), True) for i in range(m)]
+    if L.fiber_affine():
+        grad, hess = L._fiber_exprs()
+        pre += [ex.substitute(e, x + [_ZERO] * m) for e in grad + hess]
+    # A[j][k] = sum_i u_i d(X_i)_j / dx_k.
+    A = [[_dot((X[i][j].diff(k), u[i]) for i in range(m)) for k in range(n)]
+         for j in range(n)]
+    post = [_dot(((X[i][j], u[i]) for i in range(m)), True) for j in range(n)]
+    for k in range(n):
+        # p'_k = -(A^T p)_k + d_xL_k; a zero d_xL_k is added as the einsum
+        # path adds it, and then stands in for the accumulator of A^T p.
+        gx = ex.substitute(L.expression.diff(k), x + u)
+        At_p = _dot(((A[j][k], p[j]) for j in range(n)), gx != _ZERO)
+        post.append(gx if At_p == _ZERO
+                    else ex.Add((ex.Mul((ex.Const(-1.0), At_p)), gx)))
+    nvars = 2 * n + m
+    return ex.compile_vector(pre, nvars), ex.compile_vector(post, nvars)
+
 
 def parse_lagrangian(text, n, m) -> Lagrangian:
     """Parse one scalar expression over x1..xn, u1..um.
@@ -129,22 +193,9 @@ def parse_lagrangian(text, n, m) -> Lagrangian:
     return Lagrangian(n, m, expression, source=text)
 
 
-def _legendre_newton(L: Lagrangian, x, z, u0, live=None):
-    """Masked solve of d_uL(x, u) = z, batched; a Newton starts from u0.
-
-    Returns (u, ok) and never raises: ok is false where the residual is
-    non-finite or above tolerance. Costs with d_uL affine in u take the
-    closed form, all others the damped Newton, which leaves the elements
-    outside the optional mask ``live`` alone and fails them.
-    """
-    if L.fiber_affine():
-        return _affine_solve(L, x, z, u0)
-    return _damped_newton(L, x, z, u0, live)
-
-
-def _affine_solve(L: Lagrangian, x, z, u0):
-    """u = H(x)^-1 (z - g0(x)), one evaluator call; u0 where H is singular."""
-    g0, H = L.fiber_coefficients(x)
+def _affine_solve(g0, H, z, u0):
+    """(u, ok) for g0 + H u = z: u0 where H is singular, ok where the
+    residual is below LEGENDRE_TOL (1 + |z|)."""
     u, solved = _solve_or(H, z - g0, u0)
     rn = _norm(np.einsum("...ij,...j->...i", H, u) + g0 - z)
     return u, solved & (rn < LEGENDRE_TOL * (1.0 + _norm(z)))
@@ -216,7 +267,11 @@ def legendre_inverse(L: Lagrangian, x, z, u0=None):
     z = np.asarray(z, dtype=float)
     batch = np.broadcast_shapes(x.shape[:-1], z.shape[:-1])
     u0 = np.zeros(L.m) if u0 is None else np.asarray(u0, dtype=float)
-    u, ok = _legendre_newton(L, x, z, np.broadcast_to(u0, batch + (L.m,)))
+    u0 = np.broadcast_to(u0, batch + (L.m,))
+    if L.fiber_affine():
+        u, ok = _affine_solve(*L.fiber_coefficients(x), z, u0)
+    else:
+        u, ok = _damped_newton(L, x, z, u0)
     if not np.all(ok):
         rn = np.linalg.norm(L.grad_u(x, u) - z, axis=-1)
         raise DiffeomorphismViolationError(

@@ -5,14 +5,17 @@ The flow integrated here is
     xi' = B(xi) u*,    p' = -A(xi, u*)^T p + d_xL(xi, u*),
 
 with the feedback control u* = w(xi, B(xi)^T p) re-solved at every RK4
-stage by ``lagrangian._legendre_newton``. For a cost whose d_uL is affine
-in u, which covers every smooth built-in, that is one evaluator call and
-one linear solve per stage; any other cost runs the masked damped Newton,
-warm-started from the previous stage (one or two steps in practice) and
-skipping the elements the flow has already frozen. The flow runs on the
-RK4 integrator of ``dynamics``. The shooting unknown is p(0): forward
-integration only, and the multiplier is read off as lam = p(T) on
-convergence.
+stage. A stage is two generated evaluators, ``Lagrangian.flow_stage``,
+compiled once per field set over the variables (xi, p, u): ``pre`` gives
+z = B(xi)^T p, and ``post`` gives xi' and p' at the solved control. In
+between, a cost whose d_uL is affine in u, which covers every smooth
+built-in, takes g0(xi) and H(xi) from the same ``pre`` call and solves
+g0 + H u = z in closed form (``lagrangian._affine_solve``); any other
+cost runs the masked damped Newton on z, warm-started from the previous
+stage (one or two steps in practice) and skipping the elements the flow
+has already frozen. The flow runs on the RK4 integrator of ``dynamics``.
+The shooting unknown is p(0): forward integration only, and the
+multiplier is read off as lam = p(T) on convergence.
 
 Everything is batched over seeds: ``shoot_extremals`` returns one extremal
 per row of a p(0) stack, ``shoot_extremal`` is its batch-of-one case, and
@@ -35,7 +38,7 @@ from .controls import ControlPath, l2_distance
 from .dynamics import (DEFAULT_SUBSTEPS, PSI_COND_FLAG, DifferentialKernel,
                        Trajectory, _rk4, fine_grid)
 from .errors import DimensionError, NonConvergenceError
-from .lagrangian import Lagrangian, _legendre_newton, trapezoid
+from .lagrangian import Lagrangian, _affine_solve, _damped_newton, trapezoid
 
 SHOOT_TOL = 1e-8
 SHOOT_MAX_ITER = 100
@@ -95,24 +98,38 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     w = np.zeros(batch + (F.m,))
     us = np.zeros((M + 1,) + batch + (F.m,))
 
+    pre, post = L.flow_stage(F)
+    affine = L.fiber_affine()
+    n, m = F.n, F.m
+
     def rhs(j, stage, ys):
         nonlocal w, alive
         xv, pv = ys
-        B = F.field_matrix(xv)
-        w, ok = _legendre_newton(L, xv, np.einsum("...nm,...n->...m", B, pv),
-                                 w, alive)
+        args = _columns(xv) + _columns(pv)
+        head = pre(args)
+        z = head[..., :m]
+        if affine:
+            H = head[..., 2 * m:]
+            w, ok = _affine_solve(head[..., m:2 * m],
+                                     H.reshape(H.shape[:-1] + (m, m)), z, w)
+        else:
+            w, ok = _damped_newton(L, xv, z, w, alive)
         alive &= ok
         if stage == 0:
             us[j] = w
-        dx = np.einsum("...nm,...m->...n", B, w)
-        dp = -np.einsum("...jk,...j->...k", F.a_matrix(xv, w), pv) + L.grad_x(xv, w)
-        return dx, dp
+        tail = post(args + _columns(w))
+        return tail[..., :n], tail[..., n:]
 
     # Frozen dead elements' stages may overflow; the alive mask reports them.
     with np.errstate(over="ignore", invalid="ignore"):
         (xs, ps), _, _ = _rk4(rhs, (x, p0.copy()), h, M, alive)
         rhs(M, 0, (xs[-1], ps[-1]))
     return times, xs, ps, us, alive
+
+
+def _columns(v):
+    """The last-axis components of v, one array each."""
+    return tuple(v[..., k] for k in range(v.shape[-1]))
 
 
 def _truncated_step(J, r):

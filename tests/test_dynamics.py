@@ -11,7 +11,7 @@ import pytest
 from extremals.controls import ControlPath, random_smooth_controls
 from extremals.dynamics import (PSI_COND_FLAG, DifferentialKernel, integrate,
                                 integrate_batch, trapezoid_weights)
-from extremals.errors import DivergenceError, GridMismatchError
+from extremals.errors import DimensionError, DivergenceError, GridMismatchError
 from extremals.fields import parse_field_set
 from extremals.lagrangian import parse_lagrangian
 from extremals.shooting import _hamiltonian_flow
@@ -145,6 +145,16 @@ def test_probe_grid_mismatch_rejected():
             DifferentialKernel.build(F, u, np.zeros(F.n), T=1.5)
         with pytest.raises(GridMismatchError):
             integrate(F, u, np.zeros(F.n), T=1.5)
+
+
+def test_adjoint_rejects_a_multiplier_of_another_shape():
+    # A length-1 multiplier would broadcast over the three state components.
+    u = ControlPath.constant(1.0, 16, [1.0, 0.5])
+    kern = DifferentialKernel.build(HEISENBERG, u, np.zeros(3))
+    for lam in (np.ones(1), np.ones(2), np.ones(4), np.ones((1, 3)), 1.0):
+        with pytest.raises(DimensionError):
+            kern.adjoint(lam)
+    assert kern.adjoint(np.ones(3)).values.shape == (65, 2)
 
 
 def test_complex_step_through_the_integrator():

@@ -6,6 +6,7 @@ import pytest
 from extremals import expr as ex
 from extremals.errors import DimensionError, ParseError
 from extremals.fields import FieldSet, lie_bracket, lie_rank, parse_field_set
+from extremals.lagrangian import parse_lagrangian
 
 HEISENBERG = """
 X1 = (1, 0, -x2/2)
@@ -36,7 +37,7 @@ def test_jacobians_are_exact():
     np.testing.assert_allclose(d2, want2, atol=1e-15)
 
 
-def test_momentum_and_a_matrix():
+def test_momentum_and_costate_rate():
     F = parse_field_set(HEISENBERG, 3, 2)
     x = np.array([0.5, -0.25, 0.0])
     p = np.array([1.0, 2.0, 4.0])
@@ -44,11 +45,15 @@ def test_momentum_and_a_matrix():
     z = F.momentum(x, p)
     np.testing.assert_allclose(z, [1.0 + 4.0 * 0.125, 2.0 + 4.0 * 0.25],
                                atol=1e-15)
+    # The flow stage's p' = -A^T p + d_xL with A = u1 dX1 + u2 dX2, whose
+    # only entries are A[2, 0] = u2/2 and A[2, 1] = -u1/2; d_xL = (0, 0, u1).
+    L = parse_lagrangian("(u1^2 + u2^2)/2 + x3*u1", 3, 2)
+    pre, post = L.flow_stage(F)
     u = np.array([2.0, -1.0])
-    A = F.a_matrix(x, u)
-    dX = F.jacobian_stack(x)
-    want = 2.0 * dX[..., 0, :, :] - dX[..., 1, :, :]
-    np.testing.assert_allclose(A, want, atol=1e-15)
+    out = post(tuple(x) + tuple(p) + tuple(u))
+    np.testing.assert_array_equal(out[:3], [2.0, -1.0, 0.125 * 2.0 - 0.25])
+    np.testing.assert_array_equal(out[3:], [-(-0.5 * 4.0), -(-1.0 * 4.0), 2.0])
+    np.testing.assert_array_equal(pre(tuple(x) + tuple(p))[:2], z)
 
 
 def test_heisenberg_bracket_is_vertical():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from extremals.errors import DiffeomorphismViolationError, ParseError
 from extremals.fields import parse_field_set
@@ -13,12 +14,17 @@ from extremals.lagrangian import (_affine_solve, _damped_newton,
                                   legendre_inverse, maximizing_control,
                                   parse_growth_profile, parse_lagrangian,
                                   phi_from_samples, phi_functional, trapezoid)
-from extremals.scenario import resolve_scenario, scenario_lagrangian
+from extremals.scenario import (resolve_scenario, scenario_fields,
+                                scenario_lagrangian)
 
 from oracles import bisect_root
 
 IDENTITY = parse_field_set("X1 = (1, 0)\nX2 = (0, 1)", 2, 2)
 HEISENBERG = parse_field_set("X1 = (1, 0, -x2/2)\nX2 = (0, 1, x1/2)", 3, 2)
+# Every entry of B and of both Jacobians is non-zero: three-term sums.
+DENSE = parse_field_set("X1 = (1 + x1*x2*x3, sin(x1 + x2 + x3), x1^2 + x2*x3)\n"
+                        "X2 = (x2 + cos(x1 - x3), x1*x2 - x3, "
+                        "exp((x1 + x2 + x3)/3))", 3, 2)
 
 
 def quadratic(n=2, m=2):
@@ -101,7 +107,7 @@ def test_closed_form_feedback_matches_the_newton():
     x = rng.standard_normal((40, 2))
     z = 2.0 * rng.standard_normal((40, 2))
     u0 = np.zeros((40, 2))
-    u, ok = _affine_solve(L, x, z, u0)
+    u, ok = _affine_solve(*L.fiber_coefficients(x), z, u0)
     u_newton, ok_newton = _damped_newton(L, x, z, u0)
     assert ok.all() and ok_newton.all()
     np.testing.assert_allclose(u, u_newton, rtol=0, atol=1e-12)
@@ -131,7 +137,7 @@ def test_closed_form_agrees_with_newton_on_random_quadratics(a, g, k, seed):
     x = rng.uniform(-1.0, 1.0, (8, 2))
     z = rng.uniform(-3.0, 3.0, (8, 2))
     u0 = np.zeros((8, 2))
-    u, ok = _affine_solve(L, x, z, u0)
+    u, ok = _affine_solve(*L.fiber_coefficients(x), z, u0)
     u_newton, ok_newton = _damped_newton(L, x, z, u0)
     assert ok.all() and ok_newton.all()
     np.testing.assert_allclose(u, u_newton, rtol=0, atol=1e-12)
@@ -143,7 +149,8 @@ def test_singular_fiber_fails_elementwise():
     L = parse_lagrangian("x1*u1^2/2", 1, 1)
     assert L.fiber_affine()
     x = np.array([[1.0], [0.0], [2.0]])
-    u, ok = _affine_solve(L, x, np.ones((3, 1)), np.zeros((3, 1)))
+    u, ok = _affine_solve(*L.fiber_coefficients(x), np.ones((3, 1)),
+                          np.zeros((3, 1)))
     np.testing.assert_array_equal(ok, [True, False, True])
     np.testing.assert_allclose(u, [[1.0], [0.0], [0.5]], rtol=0, atol=1e-15)
 
@@ -157,7 +164,7 @@ def test_singular_fiber_leaves_the_regular_solves_untouched():
     x[[2, 7]] = [[0.25, 0.5], [1.0, -1.0]]
     z = rng.standard_normal((12, 2))
     u0 = rng.standard_normal((12, 2))
-    u, ok = _affine_solve(L, x, z, u0)
+    u, ok = _affine_solve(*L.fiber_coefficients(x), z, u0)
     np.testing.assert_array_equal(ok, ~np.isin(np.arange(12), [2, 7]))
     for i in range(12):
         if ok[i]:
@@ -192,9 +199,10 @@ def test_feedback_solves_at_large_momenta():
     z = rng.standard_normal((200, 2))
     z *= 1e6 / np.linalg.norm(z, axis=-1, keepdims=True)
     u0 = np.zeros((200, 2))
-    for solve in (_affine_solve, _damped_newton):
-        u, ok = solve(L, x, z, u0)
-        assert ok.all(), f"{solve.__name__}: {np.count_nonzero(~ok)} flagged"
+    for name, (u, ok) in (
+            ("closed form", _affine_solve(*L.fiber_coefficients(x), z, u0)),
+            ("newton", _damped_newton(L, x, z, u0))):
+        assert ok.all(), f"{name}: {np.count_nonzero(~ok)} flagged"
         np.testing.assert_allclose(L.grad_u(x, u), z, rtol=0, atol=1e-9 * 1e6)
 
 
@@ -210,6 +218,84 @@ def test_momentum_and_maximizing_control():
     # H = <p, B u*> - L(u*) = |Z|^2 / 2 for the quadratic cost.
     assert hamiltonian(L, HEISENBERG, x, p) == pytest.approx(
         0.5 * float(z @ z), abs=1e-12)
+
+
+SMOOTH_BUILT_INS = [(scenario_fields(sc), scenario_lagrangian(sc))
+                    for sc in map(resolve_scenario, ("heisenberg", "grushin",
+                                                     "martinet", "identity"))]
+# Stacked (x, p, u) rows: uniform floats, whose sums round differently in
+# another order, with a pattern of exact zeros of either sign and units,
+# which exercise the zero and unit entries the generated stage drops. Code
+# 0 in the pattern keeps the uniform float, code k > 0 puts SPECIAL[k - 1].
+SPECIAL = np.array([0.0, -0.0, 1.0, -1.0])
+stage_point = st.builds(
+    lambda seed, code: np.where(code > 0, SPECIAL[code - 1],
+                                np.random.default_rng(seed).uniform(
+                                    -10.0, 10.0, code.shape)),
+    st.integers(0, 2 ** 32 - 1),
+    arrays(np.int64, (3, 4, 3), elements=st.integers(0, len(SPECIAL))))
+
+
+def _per_expression_stage(F, L, x, p, u):
+    """z, xi' and p' from the field and cost evaluators and four einsums."""
+    B = F.field_matrix(x)
+    A = np.einsum("...i,...ijk->...jk", u, F.jacobian_stack(x))
+    return (np.einsum("...nm,...n->...m", B, p),
+            np.einsum("...nm,...m->...n", B, u),
+            -np.einsum("...jk,...j->...k", A, p) + L.grad_x(x, u))
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def _check_stage(F, L, point):
+    x, p, u = point[0, :, :F.n], point[1, :, :F.n], point[2, :, :F.m]
+    pre, post = L.flow_stage(F)
+    head = pre(tuple(x.T) + tuple(p.T))
+    tail = post(tuple(x.T) + tuple(p.T) + tuple(u.T))
+    z, x_rate, p_rate = _per_expression_stage(F, L, x, p, u)
+    _assert_same_bits(head[:, :F.m], z)
+    _assert_same_bits(tail[:, :F.n], x_rate)
+    _assert_same_bits(tail[:, F.n:], p_rate)
+    if L.fiber_affine():
+        g0, H = L.fiber_coefficients(x)
+        _assert_same_bits(head[:, F.m:2 * F.m], g0)
+        _assert_same_bits(head[:, 2 * F.m:].reshape(H.shape), H)
+    else:
+        assert head.shape == z.shape
+
+
+@settings(max_examples=40, deadline=None)
+@given(point=stage_point)
+def test_flow_stage_is_the_per_expression_path_on_the_built_ins(point):
+    for F, L in SMOOTH_BUILT_INS:
+        _check_stage(F, L, point)
+
+
+@settings(max_examples=25, deadline=None)
+@given(point=stage_point,
+       a=st.lists(coefficient, min_size=3, max_size=3),
+       g=st.lists(coefficient, min_size=4, max_size=4))
+def test_flow_stage_is_the_per_expression_path_on_random_quadratics(point, a,
+                                                                     g):
+    text = (f"(1 + x1^2)*((1 + {a[0]}^2)*u1^2 + 2*{a[0]}*{a[1]}*u1*u2"
+            f" + (1 + {a[1]}^2 + {a[2]}^2)*u2^2)/2 + ({g[0]} + {g[1]}*x2)*u1"
+            f" + ({g[2]} + {g[3]}*x1*x3)*u2 + sin(x3)*u2 + x1^2*x2")
+    L = parse_lagrangian(text, 3, 2)
+    assert L.fiber_affine()
+    for F in (HEISENBERG, SMOOTH_BUILT_INS[2][0], DENSE):
+        _check_stage(F, L, point)
+
+
+@settings(max_examples=25, deadline=None)
+@given(point=stage_point)
+def test_flow_stage_of_a_quartic_cost_returns_only_z(point):
+    L = parse_lagrangian("(u1^2 + u2^2)/2 + u1^4/4 + x2*u2^3", 3, 2)
+    assert not L.fiber_affine()
+    for F in (HEISENBERG, DENSE):
+        _check_stage(F, L, point)
 
 
 def test_trapezoid_and_phi_from_samples():

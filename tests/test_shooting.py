@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from extremals import expr as ex
 from extremals import shooting
 from extremals.controls import ControlPath, l2_distance
 from extremals.errors import DimensionError, NonConvergenceError
-from extremals.fields import parse_field_set
+from extremals.fields import FieldSet, parse_field_set
 from extremals.lagrangian import parse_lagrangian
 from extremals.shooting import (JAC_TRUNCATION, _hamiltonian_flow,
                                 _truncated_step, costate_from_lambda,
@@ -237,6 +238,33 @@ def test_solutions_are_the_flows_shooting_accepted():
         np.testing.assert_array_equal(sol.lam, ps[-1, 0])
         np.testing.assert_array_equal(sol.u_fine.values, us[:, 0])
         np.testing.assert_array_equal(sol.u.values, us[::4, 0])
+
+
+def test_a_flow_stage_is_two_compiled_calls(monkeypatch):
+    # The affine feedback's coefficients come with z = B^T p from one
+    # generated evaluator, and xi', p' from another: no field matrix or
+    # Jacobian stack is evaluated on the way.
+    calls = {"expr": 0, "field_matrix": 0, "jacobian_stack": 0}
+
+    def counted(owner, attr, key):
+        fn = getattr(owner, attr)
+
+        def counting(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+
+    counted(ex.CompiledVector, "__call__", "expr")
+    counted(FieldSet, "field_matrix", "field_matrix")
+    counted(FieldSet, "jacobian_stack", "jacobian_stack")
+    N, substeps = 8, 2
+    *_, alive = _hamiltonian_flow(HEISENBERG, QUAD_3, np.zeros(3),
+                                  OFF_AXIS_SEEDS, 1.0, N, substeps)
+    assert alive.all()
+    M = N * substeps
+    assert calls == {"expr": 2 * (4 * M + 1), "field_matrix": 0,
+                     "jacobian_stack": 0}
 
 
 def test_building_solutions_runs_no_flow(monkeypatch):
