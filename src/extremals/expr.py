@@ -25,6 +25,9 @@ constant, node for node, so the emitted code does the same arithmetic as
 the original expression on the same values. The Hamiltonian flow compiles
 its stage this way over (xi, p, u): field components over x, cost
 derivatives over (x, u), with u pinned to 0 for the fiber coefficients.
+A compiled evaluator also takes its variables stacked on the last axis of
+one array, and an expression may read an earlier output as a variable,
+which is how the flow's stage computes u* once and feeds it to the rates.
 """
 
 from __future__ import annotations
@@ -561,29 +564,57 @@ def _emit(e):
 class CompiledVector:
     """A list of expressions compiled to one vectorized numpy function.
 
-    Calling with k broadcastable arrays (one per variable) returns an array
-    of shape ``broadcast_shape + (len(exprs),)``. Works on complex inputs,
-    which is what the complex-step oracles rely on.
+    Called with k broadcastable arrays (one per variable), or with one
+    array holding the k variables on its last axis, it returns an array of
+    shape ``batch_shape + (len(exprs),)``. Works on complex inputs, which
+    is what the complex-step oracles rely on.
+
+    An expression may use an earlier output as a variable: ``Var(nvars + j)``
+    stands for output j, which is then computed once and reused.
     """
 
     def __init__(self, exprs, nvars):
         self.exprs = tuple(exprs)
         self.nvars = nvars
-        lines = ["def _fn(_a, _out, _np):"]
         used = set()
-        for e in self.exprs:
-            _collect_vars(e, used)
-        for i in sorted(used):
-            lines.append(f"    _v{i} = _a[{i}]")
+        self._body = []
         for j, e in enumerate(self.exprs):
-            lines.append(f"    _out[..., {j}] = {_emit(e)}")
+            mine = set()
+            _collect_vars(e, mine)
+            if max(mine, default=-1) >= nvars + j:
+                raise ValueError(f"output {j} uses a variable that is neither "
+                                 "an input nor an earlier output")
+            used |= mine
+        for j, e in enumerate(self.exprs):
+            if nvars + j in used:
+                self._body += [f"    _v{nvars + j} = {_emit(e)}",
+                               f"    _out[..., {j}] = _v{nvars + j}"]
+            else:
+                self._body.append(f"    _out[..., {j}] = {_emit(e)}")
+        self._reads = sorted(i for i in used if i < nvars)
+        self._fn = self._generate("_a[{}]")
+        self._stacked = None
+
+    def _generate(self, read):
+        lines = ["def _fn(_a, _out, _np):"]
+        lines += [f"    _v{i} = {read.format(i)}" for i in self._reads]
+        lines += self._body
         if len(lines) == 1:
             lines.append("    pass")
         namespace = {}
         exec("\n".join(lines), namespace)  # noqa: S102 - generated from our own AST
-        self._fn = namespace["_fn"]
+        return namespace["_fn"]
 
     def __call__(self, args):
+        if isinstance(args, np.ndarray):
+            # One stacked array: shape and dtype come from it alone, and the
+            # function reading its columns is generated on first use.
+            if self._stacked is None:
+                self._stacked = self._generate("_a[..., {}]")
+            out = np.empty(args.shape[:-1] + (len(self.exprs),),
+                           np.promote_types(args.dtype, np.float64))
+            self._stacked(args, out, np)
+            return out
         # np.broadcast costs a third of np.broadcast_shapes per call, but
         # numpy 1.x caps it at 32 arrays.
         shape = (np.broadcast(*args).shape if 0 < len(args) <= 32

@@ -13,11 +13,19 @@ affine in u and the inverse is the linear solve u = H(x)^-1 (z - g0(x)),
 ``_affine_solve``; this is decided symbolically on the first solve. Any
 other cost goes through ``_damped_newton``, a damped Newton iteration with
 a line search, element by element. ``legendre_inverse`` takes g0 and H from
-one compiled evaluator. The Hamiltonian flow in ``shooting`` takes them,
-with z, from its own stage evaluator (``Lagrangian.flow_stage``), and
-freezes the elements that failed. ``legendre_inverse`` raises a
-diffeomorphism violation for them rather than patching over, because every
-downstream construction assumes the fiber derivative is invertible.
+one compiled evaluator.
+
+The Hamiltonian flow in ``shooting`` gets its stage from
+``Lagrangian.flow_stage``. When H is moreover a constant matrix with a
+condition number small enough for the roundoff of its solves to stay far
+below the tolerance, H^-1 is computed once at compile time and the stage
+is one generated evaluator that returns u* = H^-1 (z - g0(xi)) with the
+rates, and the flow kills elements whose u* is not finite. Otherwise the
+stage is two evaluators with ``_affine_solve`` or ``_damped_newton`` in
+between, and the flow freezes the elements that failed.
+``legendre_inverse`` raises a diffeomorphism violation for them rather than
+patching over, because every downstream construction assumes the fiber
+derivative is invertible.
 """
 
 from __future__ import annotations
@@ -119,19 +127,18 @@ class Lagrangian:
                 hess.reshape(hess.shape[:-1] + (self.m, self.m)))
 
     def flow_stage(self, F):
-        """(pre, post): the two evaluators of a Hamiltonian flow stage.
+        """The generated evaluators of a Hamiltonian flow stage for F.
 
-        Both are compiled once per field set F, on the first call, over the
-        variables (xi, p, u) with p and u of F's dimensions n and m.
-        ``pre(xi, p)`` returns z = B(xi)^T p and, when d_uL is affine in u,
-        then g0(xi) and the row-major H(xi). ``post(xi, p, u)`` returns
-        xi' = B u and p' = -(sum_i u_i dX_i)^T p + d_xL. Products and sums
-        are grouped as the einsums over ``FieldSet.field_matrix`` and
-        ``jacobian_stack`` group them, with symbolically zero terms
-        dropped, so the values are those einsums' bits.
+        Compiled once per field set F, on the first call, over the stacked
+        state y = (xi, p), with p and u of F's dimensions n and m. When the
+        control Hessian H is a constant, well-conditioned matrix, as for
+        every smooth built-in, this is one evaluator, ``_folded_stage``:
+        y -> (u*, xi', p') with the feedback u* = H^-1 (z - g0(xi)) in
+        closed form. Otherwise it is the pair (pre, post) of
+        ``_two_call_stage``, with the feedback solved in between.
         """
         if F not in self._stages:
-            self._stages[F] = _compile_stage(F, self)
+            self._stages[F] = _folded_stage(F, self) or _two_call_stage(F, self)
         return self._stages[F]
 
 
@@ -155,30 +162,89 @@ def _dot(pairs, einsum=False):
     return terms[0] if len(terms) == 1 else ex.Add(terms)
 
 
-def _compile_stage(F, L: Lagrangian):
-    """``Lagrangian.flow_stage``'s evaluators for the field set F."""
+def _stage_exprs(F, L: Lagrangian):
+    """x, z and the rates (xi', p') of a flow stage for the field set F.
+
+    The variables are x1..xn, p1..pn, u1..um at indices 0..2n+m-1. z is
+    B(xi)^T p; xi' = B u and p' = -(sum_i u_i dX_i)^T p + d_xL. Products
+    and sums are grouped as the einsums over ``FieldSet.field_matrix`` and
+    ``jacobian_stack`` group them, with symbolically zero terms dropped,
+    so the values are those einsums' bits.
+    """
     n, m = F.n, F.m
     x = [ex.Var(f"x{k + 1}", k) for k in range(n)]
     p = [ex.Var(f"p{k + 1}", n + k) for k in range(n)]
     u = [ex.Var(f"u{k + 1}", 2 * n + k) for k in range(m)]
     X = F.components  # X[i][j] = (X_i)_j = B[j, i]
-    pre = [_dot(((X[i][j], p[j]) for j in range(n)), True) for i in range(m)]
-    if L.fiber_affine():
-        grad, hess = L._fiber_exprs()
-        pre += [ex.substitute(e, x + [_ZERO] * m) for e in grad + hess]
+    z = [_dot(((X[i][j], p[j]) for j in range(n)), True) for i in range(m)]
     # A[j][k] = sum_i u_i d(X_i)_j / dx_k.
     A = [[_dot((X[i][j].diff(k), u[i]) for i in range(m)) for k in range(n)]
          for j in range(n)]
-    post = [_dot(((X[i][j], u[i]) for i in range(m)), True) for j in range(n)]
+    rates = [_dot(((X[i][j], u[i]) for i in range(m)), True)
+             for j in range(n)]
     for k in range(n):
         # p'_k = -(A^T p)_k + d_xL_k; a zero d_xL_k is added as the einsum
         # path adds it, and then stands in for the accumulator of A^T p.
         gx = ex.substitute(L.expression.diff(k), x + u)
         At_p = _dot(((A[j][k], p[j]) for j in range(n)), gx != _ZERO)
-        post.append(gx if At_p == _ZERO
-                    else ex.Add((ex.Mul((ex.Const(-1.0), At_p)), gx)))
-    nvars = 2 * n + m
-    return ex.compile_vector(pre, nvars), ex.compile_vector(post, nvars)
+        rates.append(gx if At_p == _ZERO
+                     else ex.Add((ex.Mul((ex.Const(-1.0), At_p)), gx)))
+    return x, z, rates
+
+
+def _two_call_stage(F, L: Lagrangian):
+    """(pre, post): the stage as two evaluators with the feedback between.
+
+    ``pre(y)`` returns z and, when d_uL is affine in u, then g0(xi) and the
+    row-major H(xi); ``post`` takes (xi, p, u) stacked and returns
+    (xi', p').
+    """
+    n, m = F.n, F.m
+    x, pre, post = _stage_exprs(F, L)
+    if L.fiber_affine():
+        grad, hess = L._fiber_exprs()
+        pre += [ex.substitute(e, x + [_ZERO] * m) for e in grad + hess]
+    return ex.compile_vector(pre, 2 * n), ex.compile_vector(post, 2 * n + m)
+
+
+def _folded_stage(F, L: Lagrangian):
+    """The one-evaluator stage y -> (u*, xi', p'), or None.
+
+    It exists when d_uL(x, u) = g0(x) + H u with a constant H whose solves
+    keep their roundoff, about m eps cond(H) |z|, far below LEGENDRE_TOL
+    (1 + |z|). H^-1 is computed once and its entries enter the generated
+    code as constants: zero entries and symbolically zero g0 components
+    are dropped and unit entries multiply nothing, so H = I gives u* = z,
+    the bits of the solve. u* is computed once and reused by xi' and p'.
+    The flow tests only that u* is finite. Unlike the solve's residual
+    test, this keeps an element whose |g0| exceeds about 1e6 (1 + |z|),
+    where the roundoff of z - g0 alone is above LEGENDRE_TOL (1 + |z|).
+    A singular or ill-conditioned constant H, an x-dependent H and a cost
+    not affine in u keep the two-call stage and its per-element test.
+    """
+    n, m = F.n, F.m
+    if not L.fiber_affine():
+        return None
+    grad, hess = L._fiber_exprs()
+    if any(e.diff(k) != _ZERO for e in hess for k in range(n)):
+        return None
+    with np.errstate(all="ignore"):
+        g0, H = L.fiber_coefficients(np.zeros(n))
+        if not np.all(np.isfinite(H)):
+            return None
+        cond = np.linalg.cond(H)
+    if not cond * m * np.finfo(float).eps < LEGENDRE_TOL / 100:
+        return None
+    H_inv = np.linalg.inv(H)
+    x, z, rates = _stage_exprs(F, L)
+    for k in range(m):
+        if any(grad[k].diff(j) != _ZERO for j in range(n)) or g0[k] != 0.0:
+            g0_k = ex.substitute(grad[k], x + [_ZERO] * m)
+            z[k] = ex.Add((z[k], ex.Mul((ex.Const(-1.0), g0_k))))
+    # Output i is u*_i, which the rates read as the variable 2n + i.
+    u_star = [_dot((ex.Const(float(H_inv[i, k])), z[k]) for k in range(m))
+              for i in range(m)]
+    return ex.compile_vector(u_star + rates, 2 * n)
 
 
 def parse_lagrangian(text, n, m) -> Lagrangian:

@@ -5,15 +5,19 @@ The flow integrated here is
     xi' = B(xi) u*,    p' = -A(xi, u*)^T p + d_xL(xi, u*),
 
 with the feedback control u* = w(xi, B(xi)^T p) re-solved at every RK4
-stage. A stage is two generated evaluators, ``Lagrangian.flow_stage``,
-compiled once per field set over the variables (xi, p, u): ``pre`` gives
-z = B(xi)^T p, and ``post`` gives xi' and p' at the solved control. In
-between, a cost whose d_uL is affine in u, which covers every smooth
-built-in, takes g0(xi) and H(xi) from the same ``pre`` call and solves
-g0 + H u = z in closed form (``lagrangian._affine_solve``); any other
-cost runs the masked damped Newton on z, warm-started from the previous
-stage (one or two steps in practice) and skipping the elements the flow
-has already frozen. The flow runs on the RK4 integrator of ``dynamics``.
+stage. The flow integrates the stacked state y = (xi, p) as one array on
+the RK4 integrator of ``dynamics``, and a stage is generated once per
+field set by ``Lagrangian.flow_stage``. For a cost with a constant,
+well-conditioned control Hessian H, which covers every smooth built-in,
+it is one compiled call y -> (u*, xi', p') with the feedback
+u* = H^-1 (z - g0(xi)), z = B(xi)^T p, in closed form; an element whose
+u* is not finite dies. Any other cost takes two calls: ``pre`` gives z
+(and g0(xi), H(xi) when d_uL is affine in u) and ``post`` gives xi' and
+p' at the solved control. In between, an x-dependent H is solved per
+element (``lagrangian._affine_solve``); a cost not affine in u runs the
+masked damped Newton on z, warm-started from the previous stage (one or
+two steps in practice) and skipping the elements the flow has already
+frozen; either kills the elements it fails on.
 The shooting unknown is p(0): forward integration only, and the
 multiplier is read off as lam = p(T) on convergence.
 
@@ -85,51 +89,64 @@ class ExtremalSolution:
 def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     """Batched feedback flow from stacked initial costates p0 (..., n).
 
-    Returns (times, xs, ps, us, alive): arrays shaped (M+1,) + batch + (dim,);
-    alive marks elements that stayed finite and feedback-solvable. Dead
-    elements keep their last finite state.
+    Integrates the stacked state y = (xi, p), shaped batch + (2n,), and
+    returns (times, xs, ps, us, alive): arrays shaped (M+1,) + batch +
+    (dim,), xs and ps being views of y's halves; alive marks elements that
+    stayed finite and feedback-solvable. Dead elements keep their last
+    finite state.
+
+    A stage is the one evaluator of ``Lagrangian.flow_stage`` when the cost
+    has a constant control Hessian; an element whose u* is not finite is
+    then dead. Otherwise it is ``pre``, the closed-form solve
+    (``_affine_solve``) or the damped Newton, and ``post``, and an element
+    dies where the solve fails.
     """
     p0 = np.asarray(p0, dtype=float)
     batch = p0.shape[:-1]
     times, h = fine_grid(T, N, substeps)
     M = len(times) - 1
-    x = np.broadcast_to(np.asarray(x0, dtype=float), batch + (F.n,)).copy()
-    alive = np.ones(batch, dtype=bool)
-    w = np.zeros(batch + (F.m,))
-    us = np.zeros((M + 1,) + batch + (F.m,))
-
-    pre, post = L.flow_stage(F)
-    affine = L.fiber_affine()
     n, m = F.n, F.m
+    y = np.empty(batch + (2 * n,))
+    y[..., :n] = np.asarray(x0, dtype=float)
+    y[..., n:] = p0
+    alive = np.ones(batch, dtype=bool)
+    w = np.zeros(batch + (m,))
+    us = np.zeros((M + 1,) + batch + (m,))
 
-    def rhs(j, stage, ys):
+    stage = L.flow_stage(F)
+    if isinstance(stage, tuple):
+        pre, post = stage
+        affine = L.fiber_affine()
+
+        def feedback(y):
+            head = pre(y)
+            z = head[..., :m]
+            if affine:
+                H = head[..., 2 * m:]
+                u, ok = _affine_solve(head[..., m:2 * m],
+                                      H.reshape(H.shape[:-1] + (m, m)), z, w)
+            else:
+                u, ok = _damped_newton(L, y[..., :n], z, w, alive)
+            return u, ok, post(np.concatenate((y, u), axis=-1))
+    else:
+        def feedback(y):
+            out = stage(y)
+            u = out[..., :m]
+            return u, np.isfinite(u).all(axis=-1), out[..., m:]
+
+    def rhs(j, step_stage, ys):
         nonlocal w, alive
-        xv, pv = ys
-        args = _columns(xv) + _columns(pv)
-        head = pre(args)
-        z = head[..., :m]
-        if affine:
-            H = head[..., 2 * m:]
-            w, ok = _affine_solve(head[..., m:2 * m],
-                                     H.reshape(H.shape[:-1] + (m, m)), z, w)
-        else:
-            w, ok = _damped_newton(L, xv, z, w, alive)
+        w, ok, rate = feedback(ys[0])
         alive &= ok
-        if stage == 0:
+        if step_stage == 0:
             us[j] = w
-        tail = post(args + _columns(w))
-        return tail[..., :n], tail[..., n:]
+        return (rate,)
 
     # Frozen dead elements' stages may overflow; the alive mask reports them.
     with np.errstate(over="ignore", invalid="ignore"):
-        (xs, ps), _, _ = _rk4(rhs, (x, p0.copy()), h, M, alive)
-        rhs(M, 0, (xs[-1], ps[-1]))
-    return times, xs, ps, us, alive
-
-
-def _columns(v):
-    """The last-axis components of v, one array each."""
-    return tuple(v[..., k] for k in range(v.shape[-1]))
+        (ys,), _, _ = _rk4(rhs, (y,), h, M, alive)
+        rhs(M, 0, (ys[-1],))
+    return times, ys[..., :n], ys[..., n:], us, alive
 
 
 def _truncated_step(J, r):

@@ -8,10 +8,12 @@ below rely on systems whose flow is known in closed form.
 import numpy as np
 import pytest
 
+from extremals import lagrangian
 from extremals.controls import ControlPath, random_smooth_controls
 from extremals.dynamics import (PSI_COND_FLAG, DifferentialKernel, integrate,
                                 integrate_batch, trapezoid_weights)
 from extremals.errors import DimensionError, DivergenceError, GridMismatchError
+from extremals.expr import CompiledVector
 from extremals.fields import parse_field_set
 from extremals.lagrangian import parse_lagrangian
 from extremals.shooting import _hamiltonian_flow
@@ -218,6 +220,54 @@ def test_stacked_flow_isolates_a_blowing_up_seed():
         assert alive1
         for got, want in ((xs, x1), (ps, p1), (us, u1)):
             np.testing.assert_allclose(got[:, i], want, rtol=0, atol=1e-12)
+
+
+def _folded_and_two_call_flows(monkeypatch, F, text, x0, p0, substeps):
+    """Flows of one cost through the folded stage and through pre, the
+    closed-form solve and post."""
+    folded = parse_lagrangian(text, F.n, F.m)
+    assert isinstance(folded.flow_stage(F), CompiledVector)
+    two_call = parse_lagrangian(text, F.n, F.m)
+    with monkeypatch.context() as patch:
+        patch.setattr(lagrangian, "_folded_stage", lambda F, L: None)
+        assert isinstance(two_call.flow_stage(F), tuple)
+    return (_hamiltonian_flow(F, folded, x0, p0, 1.0, 16, substeps),
+            _hamiltonian_flow(F, two_call, x0, p0, 1.0, 16, substeps))
+
+
+def test_an_infeasible_feedback_dies_as_through_the_solve(monkeypatch):
+    # L = u^2/2 + exp(x) u has H = 1: u* = x^2 p - exp(x) in closed form.
+    # The seeds that run off die at the same step, frozen in the same
+    # state, with the same controls recorded as through the solve, the
+    # closing evaluation included; the values after death are compared too.
+    p0 = np.linspace(-40.0, 40.0, 81)[:, None]
+    for substeps in (1, 4):
+        folded, two_call = _folded_and_two_call_flows(
+            monkeypatch, BLOWUP, "u1^2/2 + exp(x1)*u1", np.ones(1), p0,
+            substeps)
+        assert 0 < np.count_nonzero(folded[4]) < len(p0)
+        for got, want in zip(folded, two_call):
+            np.testing.assert_array_equal(got, want)
+    # There a non-finite u* also makes the next state non-finite, which the
+    # blow-up guard catches. Here u*_2 = -exp(800) = -inf enters no rate,
+    # as X2 = 0 and g0_2 is constant: only the check on u* itself, like
+    # the solve's residual test, kills the elements, at the first stage.
+    F = parse_field_set("X1 = (1, 0)\nX2 = (0, 0)", 2, 2)
+    folded, two_call = _folded_and_two_call_flows(
+        monkeypatch, F, "(u1^2 + u2^2)/2 + exp(800)*u2", np.zeros(2),
+        np.array([[1.0, 0.0], [0.5, 2.0]]), 4)
+    assert not folded[4].any()
+    for got, want in zip(folded[:3] + folded[4:], two_call[:3] + two_call[4:]):
+        np.testing.assert_array_equal(got, want)
+    # Controls are recorded at the first stage and the closing evaluation
+    # only. There the solve's substitutions carry the -inf of u2 into u1 as
+    # NaN; the closed form keeps u1 = z1. Every other value is the same.
+    us, us_solve = folded[3], two_call[3]
+    evaluated = [0, -1]
+    assert np.isnan(us_solve[evaluated, :, 0]).all()
+    np.testing.assert_array_equal(us[evaluated, :, 0], [[1.0, 0.5]] * 2)
+    np.testing.assert_array_equal(us[..., 1], us_solve[..., 1])
+    np.testing.assert_array_equal(us[1:-1], us_solve[1:-1])
 
 
 def test_feedback_newton_skips_a_dead_seed():

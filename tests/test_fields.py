@@ -6,7 +6,7 @@ import pytest
 from extremals import expr as ex
 from extremals.errors import DimensionError, ParseError
 from extremals.fields import FieldSet, lie_bracket, lie_rank, parse_field_set
-from extremals.lagrangian import parse_lagrangian
+from extremals.lagrangian import _two_call_stage, parse_lagrangian
 
 HEISENBERG = """
 X1 = (1, 0, -x2/2)
@@ -48,12 +48,18 @@ def test_momentum_and_costate_rate():
     # The flow stage's p' = -A^T p + d_xL with A = u1 dX1 + u2 dX2, whose
     # only entries are A[2, 0] = u2/2 and A[2, 1] = -u1/2; d_xL = (0, 0, u1).
     L = parse_lagrangian("(u1^2 + u2^2)/2 + x3*u1", 3, 2)
-    pre, post = L.flow_stage(F)
+    pre, post = _two_call_stage(F, L)
     u = np.array([2.0, -1.0])
     out = post(tuple(x) + tuple(p) + tuple(u))
     np.testing.assert_array_equal(out[:3], [2.0, -1.0, 0.125 * 2.0 - 0.25])
     np.testing.assert_array_equal(out[3:], [-(-0.5 * 4.0), -(-1.0 * 4.0), 2.0])
     np.testing.assert_array_equal(pre(tuple(x) + tuple(p))[:2], z)
+    # The folded stage solves u* = z - (x3, 0) itself, here z as x3 = 0,
+    # and returns post's rates at u*.
+    y = np.concatenate((x, p))
+    out = L.flow_stage(F)(y)
+    np.testing.assert_array_equal(out[:2], z)
+    np.testing.assert_array_equal(out[2:], post(np.concatenate((y, z))))
 
 
 def test_heisenberg_bracket_is_vertical():

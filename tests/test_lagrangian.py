@@ -7,15 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from extremals.errors import DiffeomorphismViolationError, ParseError
+from extremals.expr import CompiledVector
 from extremals.fields import parse_field_set
 from extremals.controls import ControlPath
 from extremals.lagrangian import (_affine_solve, _damped_newton,
-                                  growth_spot_check, hamiltonian,
-                                  legendre_inverse, maximizing_control,
-                                  parse_growth_profile, parse_lagrangian,
-                                  phi_from_samples, phi_functional, trapezoid)
+                                  _two_call_stage, growth_spot_check,
+                                  hamiltonian, legendre_inverse,
+                                  maximizing_control, parse_growth_profile,
+                                  parse_lagrangian, phi_from_samples,
+                                  phi_functional, trapezoid)
 from extremals.scenario import (resolve_scenario, scenario_fields,
                                 scenario_lagrangian)
+from extremals.shooting import _hamiltonian_flow, multi_start
 
 from oracles import bisect_root
 
@@ -251,10 +254,12 @@ def _assert_same_bits(got, want):
 
 
 def _check_stage(F, L, point):
+    # The two-call stage, which a flow takes unless the cost's control
+    # Hessian is a constant (the built-ins' is: see the folded stage below).
     x, p, u = point[0, :, :F.n], point[1, :, :F.n], point[2, :, :F.m]
-    pre, post = L.flow_stage(F)
-    head = pre(tuple(x.T) + tuple(p.T))
-    tail = post(tuple(x.T) + tuple(p.T) + tuple(u.T))
+    pre, post = _two_call_stage(F, L)
+    head = pre(np.concatenate((x, p), axis=-1))
+    tail = post(np.concatenate((x, p, u), axis=-1))
     z, x_rate, p_rate = _per_expression_stage(F, L, x, p, u)
     _assert_same_bits(head[:, :F.m], z)
     _assert_same_bits(tail[:, :F.n], x_rate)
@@ -296,6 +301,75 @@ def test_flow_stage_of_a_quartic_cost_returns_only_z(point):
     assert not L.fiber_affine()
     for F in (HEISENBERG, DENSE):
         _check_stage(F, L, point)
+
+
+def _solved_between_two_calls(F, L, y):
+    """u*, its flag and (xi', p') through pre, the closed-form solve, post."""
+    pre, post = _two_call_stage(F, L)
+    head = pre(y)
+    m = F.m
+    H = head[..., 2 * m:]
+    u, ok = _affine_solve(head[..., m:2 * m], H.reshape(H.shape[:-1] + (m, m)),
+                          head[..., :m], np.zeros(y.shape[:-1] + (m,)))
+    return u, ok, post(np.concatenate((y, u), axis=-1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(point=stage_point)
+def test_folded_stage_is_the_solve_between_two_calls_on_the_built_ins(point):
+    # H = I and g0 = 0: the folded stage's u* is z itself, which is the
+    # solve's u to the bit, and xi', p' are post's at that u.
+    for F, L in SMOOTH_BUILT_INS:
+        fold = L.flow_stage(F)
+        assert isinstance(fold, CompiledVector)
+        y = np.concatenate((point[0, :, :F.n], point[1, :, :F.n]), axis=-1)
+        u, ok, rates = _solved_between_two_calls(F, L, y)
+        assert ok.all()
+        out = fold(y)
+        _assert_same_bits(out[:, :F.m], u)
+        _assert_same_bits(out[:, F.m:], rates)
+
+
+@settings(max_examples=25, deadline=None)
+@given(point=stage_point,
+       a=st.lists(coefficient, min_size=3, max_size=3),
+       g=st.lists(coefficient, min_size=4, max_size=4))
+def test_folded_stage_matches_the_solve_on_random_constant_hessians(point, a,
+                                                                     g):
+    # A constant SPD H = I + R R^T, R = [[a0, 0], [a1, a2]], and g0(x) != 0:
+    # H^-1 is applied as constants, the solve factors H, so the two agree
+    # to roundoff.
+    text = (f"((1 + {a[0]}^2)*u1^2 + 2*{a[0]}*{a[1]}*u1*u2"
+            f" + (1 + {a[1]}^2 + {a[2]}^2)*u2^2)/2 + ({g[0]} + {g[1]}*x2)*u1"
+            f" + ({g[2]} + {g[3]}*x1*x3)*u2 + sin(x3)*u2 + x1^2*x2")
+    L = parse_lagrangian(text, 3, 2)
+    for F in (HEISENBERG, SMOOTH_BUILT_INS[2][0], DENSE):
+        fold = L.flow_stage(F)
+        assert isinstance(fold, CompiledVector)
+        y = np.concatenate((point[0], point[1]), axis=-1)
+        u, ok, rates = _solved_between_two_calls(F, L, y)
+        assert ok.all()
+        out = fold(y)
+        for got, want in ((out[:, :2], u), (out[:, 2:], rates)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_a_singular_constant_hessian_keeps_the_solve():
+    # u1^2/2 with two controls: H = diag(1, 0) is constant but singular, so
+    # the stage keeps the two calls and every element of a flow dies at the
+    # first stage; a multi-start then finds nothing, without raising.
+    L = parse_lagrangian("u1^2/2", 3, 2)
+    assert L.fiber_affine()
+    assert isinstance(L.flow_stage(HEISENBERG), tuple)
+    seeds = np.random.default_rng(3).normal(0.0, 1.0, (6, 3))
+    *_, alive = _hamiltonian_flow(HEISENBERG, L, np.zeros(3), seeds, 1.0, 8)
+    assert not alive.any()
+    assert multi_start(HEISENBERG, L, np.zeros(3), np.array([0.3, 0.2, 0.05]),
+                       1.0, seeds, N=8) == []
+    # So does a constant H too ill-conditioned for the closed form's
+    # roundoff to stay far below the solve's tolerance.
+    L = parse_lagrangian("(u1^2 + 1e-9*u2^2)/2", 3, 2)
+    assert isinstance(L.flow_stage(HEISENBERG), tuple)
 
 
 def test_trapezoid_and_phi_from_samples():

@@ -241,9 +241,10 @@ def test_solutions_are_the_flows_shooting_accepted():
 
 
 def test_a_flow_stage_is_two_compiled_calls(monkeypatch):
-    # The affine feedback's coefficients come with z = B^T p from one
-    # generated evaluator, and xi', p' from another: no field matrix or
-    # Jacobian stack is evaluated on the way.
+    # A constant control Hessian folds the feedback into one generated
+    # evaluator, (xi, p) -> (u*, xi', p'); an x-dependent one keeps two,
+    # z and the coefficients from one, xi' and p' from the other. Neither
+    # evaluates a field matrix or a Jacobian stack on the way.
     calls = {"expr": 0, "field_matrix": 0, "jacobian_stack": 0}
 
     def counted(owner, attr, key):
@@ -255,16 +256,23 @@ def test_a_flow_stage_is_two_compiled_calls(monkeypatch):
 
         monkeypatch.setattr(owner, attr, counting)
 
+    x_dependent = parse_lagrangian("(1 + x1^2)*(u1^2+u2^2)/2", 3, 2)
+    for L in (QUAD_3, x_dependent):
+        # Deciding to fold evaluates H once; that is compilation, not a stage.
+        L.flow_stage(HEISENBERG)
     counted(ex.CompiledVector, "__call__", "expr")
     counted(FieldSet, "field_matrix", "field_matrix")
     counted(FieldSet, "jacobian_stack", "jacobian_stack")
     N, substeps = 8, 2
-    *_, alive = _hamiltonian_flow(HEISENBERG, QUAD_3, np.zeros(3),
-                                  OFF_AXIS_SEEDS, 1.0, N, substeps)
-    assert alive.all()
     M = N * substeps
-    assert calls == {"expr": 2 * (4 * M + 1), "field_matrix": 0,
-                     "jacobian_stack": 0}
+    for L, per_stage in ((QUAD_3, 1), (x_dependent, 2)):
+        for key in calls:
+            calls[key] = 0
+        *_, alive = _hamiltonian_flow(HEISENBERG, L, np.zeros(3),
+                                      OFF_AXIS_SEEDS, 1.0, N, substeps)
+        assert alive.all()
+        assert calls == {"expr": per_stage * (4 * M + 1), "field_matrix": 0,
+                         "jacobian_stack": 0}
 
 
 def test_building_solutions_runs_no_flow(monkeypatch):
