@@ -37,6 +37,12 @@ substeps to 3.4e-8 at 64 on a random smooth grushin pair, N = 32).
 ``DifferentialKernel`` is the one handle on dE. Its build checks (u, x0, T)
 as ``integrate`` does, ``apply`` checks each direction against u and T, and
 ``adjoint`` checks that the multiplier has the state's shape (n,).
+``DifferentialKernel.build_batch`` builds the kernels of a stack of controls
+on one grid together: one RK4 loop over the stack with an unshared alive
+mask, one Jacobian call over every stage state of every surviving element
+and one stacked Psi product. It gives None where an element's state or Psi
+left the guard, and each kernel equals its control's own build bit for bit;
+``build`` is its batch of one and raises ``DivergenceError`` instead.
 """
 
 from __future__ import annotations
@@ -222,42 +228,82 @@ class DifferentialKernel:
 
     @classmethod
     def build(cls, F, u: ControlPath, x0, T=None, substeps=DEFAULT_SUBSTEPS):
+        """The kernel of one control: the batch-of-one ``build_batch``, with
+        ``DivergenceError`` at the time its state or Psi left the guard."""
+        (kern,), died, h = cls._build_stack(F, [u], x0, T, substeps)
+        _raise_if_dead(died < 0, died, h)
+        return kern
+
+    @classmethod
+    def build_batch(cls, F, paths, x0, T=None, substeps=DEFAULT_SUBSTEPS):
+        """Kernels of a stack of controls on one grid (same N and u.T), all
+        from x0 over [0, T]: one kernel per path, or None where that path's
+        state or Psi left the blow-up guard. Each kernel equals the one
+        ``build`` gives its path alone, bit for bit."""
+        return cls._build_stack(F, paths, x0, T, substeps)[0] if paths else []
+
+    @classmethod
+    def _build_stack(cls, F, paths, x0, T, substeps):
         """RK4 states and Psi, Psi(0) = I, on the fine grid, then K.
 
-        The state loop records its stage states; one batched Jacobian call
-        gives A at all 4M of them, and Psi_{j+1} = Phi_j Psi_j with Phi_j the
-        RK4 step matrix of the linear equation Psi' = A Psi.
+        One state loop runs the whole stack under an unshared alive mask and
+        records its stage states; one batched Jacobian call gives A at all
+        4M stages of every surviving element, and Psi_{j+1} = Phi_j Psi_j
+        with Phi_j the RK4 step matrix of the linear equation Psi' = A Psi.
+        Returns (kernels, died, h): died is the fine step at which each
+        element's state or Psi first left the guard, -1 for a kernel.
         """
+        u = paths[0]
         x, T = _checked_start(F, u, x0, T)
+        for p in paths[1:]:
+            _checked_start(F, p, x0, T)
+            if p.N != u.N or p.T != u.T:
+                raise GridMismatchError(
+                    f"a batch shares one control grid: N = {p.N} on "
+                    f"[0, {p.T}] against N = {u.N} on [0, {u.T}]")
         times, h = fine_grid(T, u.N, substeps)
         M = len(times) - 1
-        control = _stage_controls(u.values, u.T, times, h)
-        stages = np.empty((M, 4, F.n), dtype=np.result_type(x, control))
+        control = _stage_controls(np.stack([p.values for p in paths]), u.T,
+                                  times, h)                    # (M, 4, B, m)
+        stages = np.empty((M, 4, len(paths), F.n),
+                          dtype=np.result_type(x, control))
 
         def rhs(j, stage, ys):
             stages[j, stage] = ys[0]
-            return (F.field_matrix(ys[0]) @ control[j, stage],)
+            return ((F.field_matrix(ys[0]) @ control[j, stage][..., None])[..., 0],)
 
+        x = np.broadcast_to(x, (len(paths), F.n)).copy()
         (states,), alive, died = _rk4(rhs, (x,), h, M)
-        _raise_if_dead(alive, died, h)
-        A = np.einsum("jsi,jsikl->sjkl", control, F.jacobian_stack(stages))
+        kernels = [None] * len(paths)
+        live = np.flatnonzero(alive)
+        if live.size == 0:
+            return kernels, died, h
+        A = np.einsum("jsbi,jsbikl->sjbkl", control[:, :, live],
+                      F.jacobian_stack(stages[:, :, live]))
         eye = np.eye(F.n)
         k1 = A[0]
         k2 = A[1] @ (eye + (h / 2.0) * k1)
         k3 = A[2] @ (eye + (h / 2.0) * k2)
         k4 = A[3] @ (eye + h * k3)
         steps = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        psis = np.empty((M + 1, F.n, F.n), dtype=steps.dtype)
+        psis = np.empty((M + 1,) + steps.shape[1:], dtype=steps.dtype)
         psis[0] = eye
         for j in range(M):
             np.matmul(steps[j], psis[j], out=psis[j + 1])
         # The joint loop would have stopped at the first Psi beyond the guard.
-        blown = ~(np.abs(psis).reshape(M + 1, -1).max(axis=1) <= BLOWUP_GUARD)
-        _raise_if_dead(~blown, np.arange(M + 1), h)
-        B = F.field_matrix(states)
-        inv_b = np.linalg.solve(psis, B)          # Psi(s)^-1 B(s), batched
-        kernels = np.einsum("nk,jkm->jnm", psis[-1], inv_b)
-        return cls(T, times, states, psis, trapezoid_weights(times), kernels)
+        blown = ~(np.abs(psis).reshape(M + 1, live.size, -1).max(axis=2)
+                  <= BLOWUP_GUARD)
+        died[live] = np.where(blown.any(axis=0), blown.argmax(axis=0), -1)
+        keep = died[live] < 0
+        ok = live[keep]
+        st = np.ascontiguousarray(states[:, ok].swapaxes(0, 1))   # (K, M+1, n)
+        ps = np.ascontiguousarray(psis[:, keep].swapaxes(0, 1))
+        inv_b = np.linalg.solve(ps, F.field_matrix(st))  # Psi(s)^-1 B(s), batched
+        kern = np.einsum("bnk,bjkm->bjnm", ps[:, -1], inv_b)
+        weights = trapezoid_weights(times)
+        for i, b in enumerate(ok):
+            kernels[b] = cls(T, times, st[i], ps[i], weights, kern[i])
+        return kernels, died, h
 
     @property
     def endpoint(self):

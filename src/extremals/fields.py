@@ -41,20 +41,20 @@ class FieldSet:
 
     # -- evaluation ------------------------------------------------------
 
-    def _split(self, x):
+    def _state(self, x):
         x = np.asarray(x)
         if x.shape[-1] != self.n:
             raise DimensionError(f"state has dimension {x.shape[-1]}, expected {self.n}")
-        return tuple(x[..., i] for i in range(self.n))
+        return x
 
     def field_matrix(self, x):
         """B(x) with shape (..., n, m)."""
-        out = self._b(self._split(x))
+        out = self._b(self._state(x))
         return out.reshape(out.shape[:-1] + (self.n, self.m))
 
     def jacobian_stack(self, x):
         """All dX_i(x), shape (..., m, n, n)."""
-        out = self._jac(self._split(x))
+        out = self._jac(self._state(x))
         return out.reshape(out.shape[:-1] + (self.m, self.n, self.n))
 
     def momentum(self, x, p):

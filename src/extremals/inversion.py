@@ -15,13 +15,20 @@ and a later re-integration of its output see the identical piecewise-linear
 object. The Newton Jacobian is assembled from the same sampled directions,
 which makes the round trip exact up to solver tolerance, not up to
 quadrature. Each Newton iterate's endpoint and Jacobian come from one
-``DifferentialKernel`` build: the kernel the line search built for the
-accepted trial is the next iterate's kernel.
+``DifferentialKernel``: the kernel the line search built for the accepted
+trial is the next iterate's kernel.
 
-``build_chart`` certifies through the query path: each probe is a
-``chart_eval_full`` call on a proto chart with an unbounded radius and time
-constant and the final determinant floor, so a probe passes exactly the
-checks a user query inside the finished chart must pass.
+The Newton runs on a stack of targets that share a horizon s, building the
+kernels of all their iterates, then of all their line-search trials, with
+one ``DifferentialKernel.build_batch`` call each; every target stops on its
+own, with the iterates it would get alone. A query is the batch of one.
+``build_chart`` solves its 2n+2 sphere probes this way, one batch per
+horizon: the 2n+1 probes at s = t together and the time-shifted probe on
+its own. Each probe then passes the checks a user query gets after its
+Newton (converged, determinant floor, time constant), on a proto chart
+with an unbounded radius and time constant and the final determinant
+floor, so a probe passes exactly what a query inside the finished chart
+must pass.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from . import expr as ex
 from .controls import ControlPath, l2_distance
 from .dynamics import DEFAULT_SUBSTEPS, DifferentialKernel, fine_grid
 from .errors import (BasisDeficiencyError, ChartConstructionError,
-                     ChartIntegrityError, DimensionError, DivergenceError)
+                     ChartIntegrityError, DimensionError)
 
 RANK_TOL = 1e-9
 CHART_NEWTON_TOL = 1e-9
@@ -215,55 +222,97 @@ def chart_from_dict(d, F, u: ControlPath) -> InversionChart:
         probe_seed=int(d["probe_seed"]), substeps=substeps)
 
 
-def _solve_alpha(chart: InversionChart, s, beta, alpha0):
-    """Newton on alpha for E_s(u + sum alpha_i v_i) = beta.
+def _solve_alpha(chart: InversionChart, s, betas, alpha0=None):
+    """Newton on alpha for E_s(u + sum alpha_i v_i) = beta, for a stack of
+    targets ``betas`` (K, n) that share the horizon s.
 
-    Returns (alpha, path, det, converged, iterations). The Jacobian is the
-    basis-image matrix at the current iterate, so convergence certifies the
-    round trip on the emitted piecewise-linear control itself. An iterate
-    the line search accepted keeps the kernel built for it; a kernel is
-    built anew only when no trial was accepted.
+    Returns one (alpha, path, det, converged, iterations) per target. The
+    Jacobian is the basis-image matrix at the current iterate, so
+    convergence certifies the round trip on the emitted piecewise-linear
+    control itself. Every kernel comes from one ``build_batch`` call per
+    round: the iterates that need one, then each line-search halving of the
+    trials still rejected. An iterate the line search accepted keeps the
+    kernel built for it. Each target stops on its own and gets the iterates
+    a Newton run on it alone would give.
     """
-    alpha = np.zeros(chart.n) if alpha0 is None else np.asarray(alpha0, float).copy()
-    path = chart.emit(alpha)
+    K = len(betas)
+    alphas = ([np.zeros(chart.n) for _ in range(K)] if alpha0 is None
+              else [np.asarray(a, dtype=float).copy() for a in alpha0])
+    paths = [chart.emit(a) for a in alphas]
     times, _ = fine_grid(s, chart.u.N, chart.substeps)
     basis_fine = np.stack([ControlPath(chart.u.T, vals).at(times)
                            for vals in chart.basis_coarse])
-    det = 0.0
-    kern = None
+    dets = [0.0] * K
+    kerns = [None] * K
+    done = [None] * K
+
+    def build(controls):
+        return DifferentialKernel.build_batch(
+            chart.F, controls, chart.x0, s, chart.substeps) if controls else []
+
     for it in range(CHART_NEWTON_MAX_ITER):
-        if kern is None:
-            try:
-                kern = DifferentialKernel.build(chart.F, path, chart.x0, s,
-                                                chart.substeps)
-            except DivergenceError:
-                return alpha, path, det, False, it
-        g = kern.endpoint - beta
-        gn = float(np.linalg.norm(g))
-        phi = kern.apply_values(basis_fine).T
-        det = float(np.linalg.det(phi))
-        if gn < CHART_NEWTON_TOL:
-            return alpha, path, det, True, it
-        if abs(det) < 1e-14:
-            return alpha, path, det, False, it
-        step = np.linalg.solve(phi, g)
-        scale = 1.0
-        kern = None
-        for _ in range(10):
-            try:
-                trial = DifferentialKernel.build(
-                    chart.F, chart.emit(alpha - scale * step), chart.x0, s,
-                    chart.substeps)
-            except DivergenceError:
-                scale /= 2.0
+        need = [k for k in range(K) if done[k] is None and kerns[k] is None]
+        for k, kern in zip(need, build([paths[k] for k in need])):
+            kerns[k] = kern
+            if kern is None:
+                done[k] = (alphas[k], paths[k], dets[k], False, it)
+        steps, gns = {}, {}
+        for k in range(K):
+            if done[k] is not None:
                 continue
-            if float(np.linalg.norm(trial.endpoint - beta)) < gn:
-                kern = trial
+            g = kerns[k].endpoint - betas[k]
+            gn = float(np.linalg.norm(g))
+            phi = kerns[k].apply_values(basis_fine).T
+            dets[k] = float(np.linalg.det(phi))
+            if gn < CHART_NEWTON_TOL:
+                done[k] = (alphas[k], paths[k], dets[k], True, it)
+            elif abs(dets[k]) < 1e-14:
+                done[k] = (alphas[k], paths[k], dets[k], False, it)
+            else:
+                steps[k] = np.linalg.solve(phi, g)
+                gns[k] = gn
+                kerns[k] = None
+        if not steps:
+            break
+        scales = dict.fromkeys(steps, 1.0)
+        pending = list(steps)
+        for _ in range(10):
+            trials = build([chart.emit(alphas[k] - scales[k] * steps[k])
+                            for k in pending])
+            rejected = []
+            for k, trial in zip(pending, trials):
+                if (trial is not None and
+                        float(np.linalg.norm(trial.endpoint - betas[k])) < gns[k]):
+                    kerns[k] = trial
+                else:
+                    scales[k] /= 2.0
+                    rejected.append(k)
+            pending = rejected
+            if not pending:
                 break
-            scale /= 2.0
-        alpha = alpha - scale * step
-        path = chart.emit(alpha)
-    return alpha, path, det, False, CHART_NEWTON_MAX_ITER
+        for k, step in steps.items():
+            alphas[k] = alphas[k] - scales[k] * step
+            paths[k] = chart.emit(alphas[k])
+    return [d if d is not None else
+            (alphas[k], paths[k], dets[k], False, CHART_NEWTON_MAX_ITER)
+            for k, d in enumerate(done)]
+
+
+def _check_solution(chart: InversionChart, s, path, det, converged):
+    """The checks a Newton solution must pass to be returned by a query on
+    ``chart``; ``build_chart`` puts every sphere probe through them too."""
+    if not converged:
+        raise ChartIntegrityError(
+            f"Newton failed inside the certified ball at (s={s:.6g}); "
+            "the chart radius is no longer trustworthy")
+    if abs(det) < chart.det_floor:
+        raise ChartIntegrityError(
+            f"basis determinant {det:.3e} fell below the floor "
+            f"{chart.det_floor:.3e}")
+    if path.lipschitz_quotient > chart.k_time * (1.0 + 1e-9):
+        raise ChartIntegrityError(
+            f"emitted control Lipschitz quotient {path.lipschitz_quotient:.3e} "
+            f"exceeds the declared constant {chart.k_time:.3e}")
 
 
 def chart_eval_full(chart: InversionChart, s, beta, alpha0=None):
@@ -281,19 +330,9 @@ def chart_eval_full(chart: InversionChart, s, beta, alpha0=None):
             f"target ({s}, {beta}) is outside the certified "
             f"chart ball of radius {chart.r:g} around "
             f"({chart.t:g}, {chart.anchor_endpoint})")
-    alpha, path, det, ok, iters = _solve_alpha(chart, s, beta, alpha0)
-    if not ok:
-        raise ChartIntegrityError(
-            f"Newton failed inside the certified ball at (s={s:.6g}); "
-            "the chart radius is no longer trustworthy")
-    if abs(det) < chart.det_floor:
-        raise ChartIntegrityError(
-            f"basis determinant {det:.3e} fell below the floor "
-            f"{chart.det_floor:.3e}")
-    if path.lipschitz_quotient > chart.k_time * (1.0 + 1e-9):
-        raise ChartIntegrityError(
-            f"emitted control Lipschitz quotient {path.lipschitz_quotient:.3e} "
-            f"exceeds the declared constant {chart.k_time:.3e}")
+    (alpha, path, det, ok, iters), = _solve_alpha(
+        chart, s, beta[None], None if alpha0 is None else [alpha0])
+    _check_solution(chart, s, path, det, ok)
     return path, alpha, det, iters
 
 
@@ -317,6 +356,20 @@ def _probe_targets(t, anchor_endpoint, r, T):
     elif t - r > 0.0:
         probes.append((t - r, anchor_endpoint.copy()))
     return probes
+
+
+def _solve_probes(proto: InversionChart, probes):
+    """(s, beta, path, alpha) per probe, in order, from one batched Newton per
+    horizon; a probe that fails a query's checks on ``proto`` raises
+    ``ChartIntegrityError``."""
+    results = []
+    for s in dict.fromkeys(s for s, _ in probes):
+        betas = [beta for (s_k, beta) in probes if s_k == s]
+        for beta, (alpha, path, det, ok, _) in zip(
+                betas, _solve_alpha(proto, s, np.stack(betas))):
+            _check_solution(proto, s, path, det, ok)
+            results.append((s, beta, path, alpha))
+    return results
 
 
 def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
@@ -353,8 +406,8 @@ def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
     r = float(r_init)
     for _ in range(CHART_MAX_HALVINGS + 1):
         try:
-            results = [(s, beta) + chart_eval_full(proto, s, beta)[:2] for
-                       (s, beta) in _probe_targets(t, anchor_endpoint, r, u.T)]
+            results = _solve_probes(proto,
+                                    _probe_targets(t, anchor_endpoint, r, u.T))
             break
         except ChartIntegrityError:
             r /= 2.0

@@ -45,12 +45,13 @@ def test_c01_double_well_constants(tmp_path, announce):
 
 def test_c02_endpoint_derivative_vs_fd(announce):
     # One directional derivative per (u, v) pair against a central
-    # difference of the endpoint map; the difference side is batched into
-    # a single integration call per system. The kernel is a trapezoid
-    # quadrature of the continuous variational formula, O(h^2) off the
-    # derivative of the discrete RK4 map the differences see; its relative
-    # gap falls fourfold per substep doubling, so the 1e-5 bound holds for
-    # this seed at 32 substeps, not for every smooth pair.
+    # difference of the endpoint map; each system's 50 kernels come from one
+    # batched build and its differences from one batched integration. The
+    # kernel is a trapezoid quadrature of the continuous variational
+    # formula, O(h^2) off the derivative of the discrete RK4 map the
+    # differences see; its relative gap falls fourfold per substep
+    # doubling, so the 1e-5 bound holds for this seed at 32 substeps, not
+    # for every smooth pair.
     rng = np.random.default_rng(11)
     N, sub = 32, 32
     worst = 0.0
@@ -61,9 +62,9 @@ def test_c02_endpoint_derivative_vs_fd(announce):
         x0 = np.asarray(sc.x0, dtype=float)
         us = random_smooth_controls(rng, sc.T, N, sc.m, count=50)
         vs = random_smooth_controls(rng, sc.T, N, sc.m, count=50)
+        kerns = DifferentialKernel.build_batch(F, us, x0, sc.T, sub)
         analytic, eps_used, bumped = [], [], []
-        for u, v in zip(us, vs):
-            kern = DifferentialKernel.build(F, u, x0, sc.T, sub)
+        for u, v, kern in zip(us, vs, kerns):
             analytic.append(kern.apply(v))
             eps = 1e-6 * (1.0 + u.sup_norm)
             eps_used.append(eps)

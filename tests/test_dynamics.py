@@ -16,6 +16,7 @@ from extremals.errors import DimensionError, DivergenceError, GridMismatchError
 from extremals.expr import CompiledVector
 from extremals.fields import parse_field_set
 from extremals.lagrangian import parse_lagrangian
+from extremals.scenario import resolve_scenario, scenario_fields
 from extremals.shooting import _hamiltonian_flow
 
 IDENTITY = parse_field_set("X1 = (1, 0)\nX2 = (0, 1)", 2, 2)
@@ -203,6 +204,69 @@ def test_fundamental_solution_blowup_raises():
         DifferentialKernel.build(parse_field_set("X1 = (x1)", 1, 1), u,
                                  np.zeros(1))
     assert info.value.time == pytest.approx(45 / 48, rel=1e-12)
+
+
+KERNEL_ARRAYS = ("times", "states", "psis", "weights", "kernels")
+
+
+@pytest.mark.parametrize("name", ["identity", "heisenberg", "martinet",
+                                  "grushin"])
+def test_batched_kernels_equal_the_serial_builds(name):
+    # One stacked RK4 loop, Jacobian call and Psi product per batch, yet
+    # every element is the kernel its control gets alone, bit for bit, on
+    # the grid horizon and off it.
+    sc = resolve_scenario(name)
+    F = scenario_fields(sc)
+    x0 = np.asarray(sc.x0, dtype=float)
+    us = random_smooth_controls(np.random.default_rng(4), sc.T, 16, sc.m,
+                                count=5)
+    for T in (sc.T, 0.71 * sc.T):
+        kerns = DifferentialKernel.build_batch(F, us, x0, T, 4)
+        assert len(kerns) == len(us)
+        for u, kern in zip(us, kerns):
+            alone = DifferentialKernel.build(F, u, x0, T, 4)
+            assert kern.T == alone.T
+            for a in KERNEL_ARRAYS:
+                np.testing.assert_array_equal(getattr(kern, a),
+                                              getattr(alone, a))
+
+
+def test_a_diverging_element_leaves_its_batch_alone():
+    # Psi' = 30 Psi leaves the guard at step 45 of 48 (see above) while the
+    # control 0.1 stays tame: the batch gives None for the first element
+    # only, and the second is its own build.
+    F = parse_field_set("X1 = (x1)", 1, 1)
+    wild, tame = (ControlPath.constant(1.0, 12, [c]) for c in (30.0, 0.1))
+    first, second = DifferentialKernel.build_batch(F, [wild, tame],
+                                                   np.zeros(1))
+    assert first is None
+    alone = DifferentialKernel.build(F, tame, np.zeros(1))
+    for a in KERNEL_ARRAYS:
+        np.testing.assert_array_equal(getattr(second, a), getattr(alone, a))
+    with pytest.raises(DivergenceError) as info:
+        DifferentialKernel.build(F, wild, np.zeros(1))
+    assert info.value.time == pytest.approx(45 / 48, rel=1e-12)
+    # A state that leaves the guard (x' = x^2 from 1 dies at s = 1) drops
+    # out of its batch the same way.
+    short = ControlPath.constant(1.2, 12, [0.5])
+    dead, live = DifferentialKernel.build_batch(
+        BLOWUP, [ControlPath.constant(1.2, 12, [1.0]), short], np.ones(1))
+    assert dead is None
+    np.testing.assert_array_equal(
+        live.kernels, DifferentialKernel.build(BLOWUP, short,
+                                               np.ones(1)).kernels)
+
+
+def test_a_batch_shares_one_control_grid():
+    us = [ControlPath.constant(1.0, 16, [1.0, 0.0]),
+          ControlPath.constant(1.0, 8, [1.0, 0.0])]
+    with pytest.raises(GridMismatchError):
+        DifferentialKernel.build_batch(HEISENBERG, us, np.zeros(3))
+    with pytest.raises(DimensionError):
+        DifferentialKernel.build_batch(
+            HEISENBERG, [us[0], ControlPath.constant(1.0, 16, [1.0])],
+            np.zeros(3))
+    assert DifferentialKernel.build_batch(HEISENBERG, [], np.zeros(3)) == []
 
 
 def test_stacked_flow_isolates_a_blowing_up_seed():

@@ -6,6 +6,7 @@ nilpotent system, where nothing is axis-aligned and the probe certification
 has to do real work.
 """
 
+import dataclasses
 import itertools
 import json
 
@@ -18,7 +19,8 @@ from extremals.dynamics import DEFAULT_SUBSTEPS, DifferentialKernel, integrate
 from extremals.errors import (BasisDeficiencyError, ChartConstructionError,
                               DimensionError)
 from extremals.fields import parse_field_set
-from extremals.inversion import (Dictionary, build_chart, chart_eval,
+from extremals.inversion import (Dictionary, _probe_targets, _solve_alpha,
+                                 _solve_probes, build_chart, chart_eval,
                                  chart_eval_full, chart_from_dict,
                                  chart_lipschitz_estimate, default_dictionary,
                                  select_basis)
@@ -104,19 +106,30 @@ def test_identity_chart_is_exact():
     assert float(np.linalg.norm(traj.states[-1] - beta)) < 1e-12
 
 
+def count_builds(monkeypatch, record):
+    """Have both kernel entry points pass each call's controls to record."""
+    build, build_batch = DifferentialKernel.build, DifferentialKernel.build_batch
+
+    def counting(cls, F, control, *args, **kwargs):
+        record([control])
+        return build(F, control, *args, **kwargs)
+
+    def counting_batch(cls, F, controls, *args, **kwargs):
+        record(controls)
+        return build_batch(F, controls, *args, **kwargs)
+
+    monkeypatch.setattr(DifferentialKernel, "build", classmethod(counting))
+    monkeypatch.setattr(DifferentialKernel, "build_batch",
+                        classmethod(counting_batch))
+
+
 def test_build_chart_builds_the_anchor_kernel_once(monkeypatch):
     # Basis selection and the anchor endpoint share one kernel; the probes
     # build kernels of emitted controls, never of the anchor control itself.
     u = loop_control()
-    build = DifferentialKernel.build
     anchor_builds = []
-
-    def counting(cls, F, control, *args, **kwargs):
-        if control is u:
-            anchor_builds.append(control)
-        return build(F, control, *args, **kwargs)
-
-    monkeypatch.setattr(DifferentialKernel, "build", classmethod(counting))
+    count_builds(monkeypatch, lambda controls: anchor_builds.extend(
+        c for c in controls if c is u))
     chart = build_chart(HEISENBERG, u, np.zeros(3), 0.7, substeps=8)
     assert len(anchor_builds) == 1
     basis = select_basis(DifferentialKernel.build(HEISENBERG, u, np.zeros(3),
@@ -207,20 +220,65 @@ def test_loop_chart_certification(loop_chart):
 def test_chart_newton_builds_one_kernel_per_iterate(loop_chart, monkeypatch):
     # Every full Newton step is accepted on this query, so each iterate
     # after the first takes the kernel its line-search trial built.
-    build = DifferentialKernel.build
     builds = []
-
-    def counting(cls, F, control, *args, **kwargs):
-        builds.append(control)
-        return build(F, control, *args, **kwargs)
-
-    monkeypatch.setattr(DifferentialKernel, "build", classmethod(counting))
+    count_builds(monkeypatch, builds.append)
     chart = loop_chart
     s = chart.t + 0.3 * chart.r
     beta = chart.anchor_endpoint + np.array([0.2, -0.1, 0.1]) * chart.r
     _, _, _, iters = chart_eval_full(chart, s, beta)
     assert iters >= 2
     assert len(builds) == iters + 1
+
+
+def test_build_chart_solves_its_probes_in_batches(monkeypatch):
+    # The 2n+1 probes at s = t share one batched Newton and the time-shifted
+    # probe has its own: one anchor build, then one build per Newton round
+    # of each batch, where solving the eight probes one by one took 26.
+    calls = []
+    count_builds(monkeypatch, calls.append)
+    build_chart(HEISENBERG, loop_control(), np.zeros(3), 0.7, substeps=8)
+    assert len(calls) <= 9
+    assert len(calls[1]) == 7
+
+
+def test_batched_probes_equal_serial_queries():
+    # Each probe gets the iterates a query on the proto chart gives it alone.
+    chart = build_chart(HEISENBERG, loop_control(), np.zeros(3), 0.7,
+                        substeps=8)
+    proto = dataclasses.replace(chart, r=float("inf"), k_time=float("inf"),
+                                lipschitz_est={})
+    probes = _probe_targets(chart.t, chart.anchor_endpoint, chart.r,
+                            chart.u.T)
+    results = _solve_probes(proto, probes)
+    assert len(results) == len(probes) == 8
+    for (s, beta), (s_b, beta_b, path, alpha) in zip(probes, results):
+        assert s_b == s
+        np.testing.assert_array_equal(beta_b, beta)
+        q_path, q_alpha, _, _ = chart_eval_full(proto, s, beta)
+        np.testing.assert_array_equal(alpha, q_alpha)
+        np.testing.assert_array_equal(path.values, q_path.values)
+
+
+def test_a_stack_of_targets_gets_the_iterates_each_gets_alone():
+    # On the martinet loop some full Newton steps are rejected: only those
+    # trials are halved, in a sub-batch, and each target stops on its own
+    # (the anchor endpoint at once, the others after 4 or 5 iterations).
+    chart = build_chart(MARTINET, loop_control(), np.zeros(3), 0.7,
+                        dictionary=default_dictionary(2, 1.0, k_max=3),
+                        r_init=0.005)
+    proto = dataclasses.replace(chart, r=float("inf"))
+    betas = chart.anchor_endpoint + np.array([[0.0, 0.0, 0.0],
+                                              [-0.1, -0.05, 0.0],
+                                              [-0.18, -0.02, -0.1],
+                                              [0.21, 0.02, -0.17]])
+    stacked = _solve_alpha(proto, chart.t, betas)
+    assert all(ok for (_, _, _, ok, _) in stacked)
+    assert stacked[0][4] == 0 < min(iters for (*_, iters) in stacked[1:])
+    for beta, (alpha, path, det, ok, iters) in zip(betas, stacked):
+        (a1, p1, d1, ok1, it1), = _solve_alpha(proto, chart.t, beta[None])
+        assert (det, ok, iters) == (d1, ok1, it1)
+        np.testing.assert_array_equal(alpha, a1)
+        np.testing.assert_array_equal(path.values, p1.values)
 
 
 def test_chart_serialization_round_trip(loop_chart):
