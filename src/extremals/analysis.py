@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import ControlPath
-from .dynamics import DifferentialKernel
+from .dynamics import DEFAULT_SUBSTEPS, DifferentialKernel
 
 SINGULARITY_THRESHOLD = 1e-8
 STABILITY_WINDOW = (0.5, 2.0)
@@ -44,9 +44,10 @@ class GramReport:
 
 
 def singularity_report(F, u: ControlPath, x0, T=None,
-                       threshold=SINGULARITY_THRESHOLD) -> GramReport:
+                       threshold=SINGULARITY_THRESHOLD,
+                       substeps=DEFAULT_SUBSTEPS) -> GramReport:
     """Classify u via the spectrum of the endpoint-differential Gram matrix."""
-    G = DifferentialKernel.build(F, u, x0, T).gram()
+    G = DifferentialKernel.build(F, u, x0, T, substeps).gram()
     evals, evecs = np.linalg.eigh(G)
     evals = np.clip(evals, 0.0, None)
     s_min, s_max = float(evals[0]), float(evals[-1])
@@ -75,7 +76,8 @@ class SingularityScan:
                 "reports": [r.to_dict() for r in self.reports]}
 
 
-def assumption4_check(F, items, threshold=SINGULARITY_THRESHOLD) -> SingularityScan:
+def assumption4_check(F, items, threshold=SINGULARITY_THRESHOLD,
+                      substeps=DEFAULT_SUBSTEPS) -> SingularityScan:
     """Scan a solution family for singular members.
 
     The working hypothesis downstream is that no extremal is singular; any
@@ -90,7 +92,7 @@ def assumption4_check(F, items, threshold=SINGULARITY_THRESHOLD) -> SingularityS
             u, x0 = item.u, item.x0
         else:
             u, x0 = item
-        rep = singularity_report(F, u, x0, threshold=threshold)
+        rep = singularity_report(F, u, x0, None, threshold, substeps)
         reports.append(rep)
         if rep.singular:
             violations.append(i)

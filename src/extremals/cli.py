@@ -195,7 +195,8 @@ def cmd_check_singular(sc, out, args):
     F = scenario_fields(sc)
     u = scenario_control(sc)
     rep = singularity_report(F, u, np.asarray(sc.x0, dtype=float), sc.T,
-                             threshold=sc.singular_threshold)
+                             threshold=sc.singular_threshold,
+                             substeps=sc.substeps)
     report = {"scenario": sc.name, "subcommand": "check-singular"}
     report.update(rep.to_dict())
     verdict = "singular" if rep.singular else "non-singular"

@@ -12,8 +12,11 @@ Every integration, here and in the Hamiltonian flow of ``shooting``, runs
 through one batched RK4 integrator, ``_rk4``. It takes a stage right-hand side
 over a tuple of state arrays and keeps an alive mask over the batch: an
 element dies when any of its components turns non-finite or leaves the
-blow-up guard, and is then frozen at its last state. The callers here raise
-``DivergenceError`` at the first death; the Hamiltonian flow keeps the mask.
+blow-up guard, and is then frozen at its last state. The state equation has
+one loop on it, ``_states``, shared by ``integrate``, ``integrate_batch``
+and the kernel builds, so a trajectory and a kernel of one control hold the
+same states bit for bit. The first two raise ``DivergenceError`` at the
+first death; the Hamiltonian flow keeps the mask.
 The fundamental solution Psi below is not integrated in that loop but
 multiplied out from the RK4 step matrices of its linear equation.
 
@@ -38,11 +41,11 @@ substeps to 3.4e-8 at 64 on a random smooth grushin pair, N = 32).
 as ``integrate`` does, ``apply`` checks each direction against u and T, and
 ``adjoint`` checks that the multiplier has the state's shape (n,).
 ``DifferentialKernel.build_batch`` builds the kernels of a stack of controls
-on one grid together: one RK4 loop over the stack with an unshared alive
-mask, one Jacobian call over every stage state of every surviving element
-and one stacked Psi product. It gives None where an element's state or Psi
-left the guard, and each kernel equals its control's own build bit for bit;
-``build`` is its batch of one and raises ``DivergenceError`` instead.
+on one grid together: one ``_states`` loop over the stack, one Jacobian
+call over every stage state of every surviving element and one stacked Psi
+product. It gives None where an element's state or Psi left the guard, and
+each kernel equals its control's own build bit for bit; ``build`` is its
+batch of one and raises ``DivergenceError`` instead.
 """
 
 from __future__ import annotations
@@ -135,9 +138,9 @@ def _rk4(rhs, ys, h, M, alive=None):
     return outs, alive, died
 
 
-def _raise_if_dead(alive, died, h):
-    if not np.all(alive):
-        s = int(np.min(died[~alive])) * h
+def _raise_if_dead(died, h):
+    if np.any(died >= 0):
+        s = int(np.min(died[died >= 0])) * h
         raise DivergenceError(
             f"trajectory exceeded blow-up guard {BLOWUP_GUARD:g} near s = {s:.6g}",
             time=s)
@@ -152,20 +155,27 @@ def fine_grid(T, N, substeps=DEFAULT_SUBSTEPS):
     return np.linspace(0.0, T, M + 1), T / M
 
 
-def _integrate_states(F, values, T_path, x0, T, N, substeps):
-    """Fine grid and RK4 states (M+1, ..., n) for node values (..., N+1, m)."""
-    times, h = fine_grid(T, N, substeps)
+def _states(F, values, T_path, x0, T, substeps):
+    """The one state loop: RK4 from x0 over [0, T] for the node values
+    (B, N+1, m) of B controls on [0, T_path], with B(xi) u by ``matmul``.
+
+    Returns (times, h, control, states, stages, died): the stage controls
+    (M, 4, B, m), the states (M+1, B, n), the recorded stage states
+    (M, 4, B, n), and the step at which each element left the guard, -1
+    while alive.
+    """
+    times, h = fine_grid(T, values.shape[-2] - 1, substeps)
     control = _stage_controls(values, T_path, times, h)
     x = np.asarray(x0, dtype=np.result_type(x0, control))
-    x = np.broadcast_to(x, values.shape[:-2] + (x.shape[-1],)).copy()
+    x = np.broadcast_to(x, (len(values), x.shape[-1])).copy()
+    stages = np.empty(control.shape[:2] + x.shape, dtype=x.dtype)
 
     def rhs(j, stage, ys):
-        return (np.einsum("...nm,...m->...n", F.field_matrix(ys[0]),
-                          control[j, stage]),)
+        stages[j, stage] = ys[0]
+        return ((F.field_matrix(ys[0]) @ control[j, stage][..., None])[..., 0],)
 
-    (states,), alive, died = _rk4(rhs, (x,), h, len(times) - 1)
-    _raise_if_dead(alive, died, h)
-    return times, states
+    (states,), _, died = _rk4(rhs, (x,), h, len(control))
+    return times, h, control, states, stages, died
 
 
 def _checked_start(F, u: ControlPath, x0, T):
@@ -184,20 +194,25 @@ def _checked_start(F, u: ControlPath, x0, T):
 def integrate(F, u: ControlPath, x0, T=None, substeps=DEFAULT_SUBSTEPS) -> Trajectory:
     """RK4 solution on [0, T] (default T = u.T); M = u.N * substeps steps."""
     x0, T = _checked_start(F, u, x0, T)
-    times, states = _integrate_states(F, u.values, u.T, x0, T, u.N, substeps)
-    return Trajectory(times=times, states=states)
+    times, h, _, states, _, died = _states(F, u.values[None], u.T, x0, T,
+                                           substeps)
+    _raise_if_dead(died, h)
+    return Trajectory(times=times, states=states[:, 0])
 
 
-def integrate_batch(F, values, x0, T, N=None, substeps=DEFAULT_SUBSTEPS):
-    """States (M+1, ..., n) for a batch of node-value arrays (..., N+1, m).
+def integrate_batch(F, values, x0, T, substeps=DEFAULT_SUBSTEPS):
+    """States (M+1, ..., n) from x0 (n,) for a batch of node-value arrays
+    (..., N+1, m) of controls on [0, T], N read from their shape.
 
     Accepts complex values: the RK4 recursion is polynomial in the data, so
     complex-step directional derivatives of the endpoint and of running
     costs are exact to machine precision.
     """
     values = np.asarray(values)
-    N = values.shape[-2] - 1 if N is None else N
-    return _integrate_states(F, values, T, x0, T, N, substeps)[1]
+    _, h, _, states, _, died = _states(
+        F, values.reshape((-1,) + values.shape[-2:]), T, x0, T, substeps)
+    _raise_if_dead(died, h)
+    return states.reshape((len(states),) + values.shape[:-2] + (-1,))
 
 
 def trapezoid_weights(times):
@@ -231,7 +246,7 @@ class DifferentialKernel:
         """The kernel of one control: the batch-of-one ``build_batch``, with
         ``DivergenceError`` at the time its state or Psi left the guard."""
         (kern,), died, h = cls._build_stack(F, [u], x0, T, substeps)
-        _raise_if_dead(died < 0, died, h)
+        _raise_if_dead(died, h)
         return kern
 
     @classmethod
@@ -246,10 +261,10 @@ class DifferentialKernel:
     def _build_stack(cls, F, paths, x0, T, substeps):
         """RK4 states and Psi, Psi(0) = I, on the fine grid, then K.
 
-        One state loop runs the whole stack under an unshared alive mask and
-        records its stage states; one batched Jacobian call gives A at all
-        4M stages of every surviving element, and Psi_{j+1} = Phi_j Psi_j
-        with Phi_j the RK4 step matrix of the linear equation Psi' = A Psi.
+        ``_states`` runs the whole stack and records its stage states; one
+        batched Jacobian call gives A at all 4M stages of every surviving
+        element, and Psi_{j+1} = Phi_j Psi_j with Phi_j the RK4 step matrix
+        of the linear equation Psi' = A Psi.
         Returns (kernels, died, h): died is the fine step at which each
         element's state or Psi first left the guard, -1 for a kernel.
         """
@@ -261,21 +276,11 @@ class DifferentialKernel:
                 raise GridMismatchError(
                     f"a batch shares one control grid: N = {p.N} on "
                     f"[0, {p.T}] against N = {u.N} on [0, {u.T}]")
-        times, h = fine_grid(T, u.N, substeps)
+        times, h, control, states, stages, died = _states(
+            F, np.stack([p.values for p in paths]), u.T, x, T, substeps)
         M = len(times) - 1
-        control = _stage_controls(np.stack([p.values for p in paths]), u.T,
-                                  times, h)                    # (M, 4, B, m)
-        stages = np.empty((M, 4, len(paths), F.n),
-                          dtype=np.result_type(x, control))
-
-        def rhs(j, stage, ys):
-            stages[j, stage] = ys[0]
-            return ((F.field_matrix(ys[0]) @ control[j, stage][..., None])[..., 0],)
-
-        x = np.broadcast_to(x, (len(paths), F.n)).copy()
-        (states,), alive, died = _rk4(rhs, (x,), h, M)
         kernels = [None] * len(paths)
-        live = np.flatnonzero(alive)
+        live = np.flatnonzero(died < 0)
         if live.size == 0:
             return kernels, died, h
         A = np.einsum("jsbi,jsbikl->sjbkl", control[:, :, live],

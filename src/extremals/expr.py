@@ -14,10 +14,12 @@ Two deliberate extensions:
   Lagrangians); differentiating through it raises.
 
 Evaluation has two paths. ``Expr.eval`` walks the tree and is used where
-clarity beats speed. ``compile_vector`` generates a numpy function for a list
-of expressions; all hot loops (integration, shooting) go through compiled
-evaluators, which also accept complex arrays so complex-step derivatives work
-out of the box.
+clarity beats speed. ``compile_vector`` generates one numpy function for a
+list of expressions; all hot loops (integration, shooting) go through
+compiled evaluators, which also accept complex arrays so complex-step
+derivatives work out of the box. A compiled evaluator has one calling
+convention: one array with the variables stacked on its last axis, any
+leading batch shape in front.
 
 One evaluator can serve expressions written over different variable tuples:
 ``substitute`` moves each onto a combined tuple, or pins a variable to a
@@ -25,9 +27,8 @@ constant, node for node, so the emitted code does the same arithmetic as
 the original expression on the same values. The Hamiltonian flow compiles
 its stage this way over (xi, p, u): field components over x, cost
 derivatives over (x, u), with u pinned to 0 for the fiber coefficients.
-A compiled evaluator also takes its variables stacked on the last axis of
-one array, and an expression may read an earlier output as a variable,
-which is how the flow's stage computes u* once and feeds it to the rates.
+An expression may also read an earlier output as a variable, which is how
+the flow's stage computes u* once and feeds it to the rates.
 """
 
 from __future__ import annotations
@@ -564,10 +565,10 @@ def _emit(e):
 class CompiledVector:
     """A list of expressions compiled to one vectorized numpy function.
 
-    Called with k broadcastable arrays (one per variable), or with one
-    array holding the k variables on its last axis, it returns an array of
-    shape ``batch_shape + (len(exprs),)``. Works on complex inputs, which
-    is what the complex-step oracles rely on.
+    Called with one array holding the k variables on its last axis, shaped
+    ``batch_shape + (k,)``, it returns an array of shape
+    ``batch_shape + (len(exprs),)``. Works on complex inputs, which is what
+    the complex-step oracles rely on.
 
     An expression may use an earlier output as a variable: ``Var(nvars + j)``
     stands for output j, which is then computed once and reused.
@@ -577,7 +578,7 @@ class CompiledVector:
         self.exprs = tuple(exprs)
         self.nvars = nvars
         used = set()
-        self._body = []
+        body = []
         for j, e in enumerate(self.exprs):
             mine = set()
             _collect_vars(e, mine)
@@ -587,41 +588,21 @@ class CompiledVector:
             used |= mine
         for j, e in enumerate(self.exprs):
             if nvars + j in used:
-                self._body += [f"    _v{nvars + j} = {_emit(e)}",
-                               f"    _out[..., {j}] = _v{nvars + j}"]
+                body += [f"    _v{nvars + j} = {_emit(e)}",
+                         f"    _out[..., {j}] = _v{nvars + j}"]
             else:
-                self._body.append(f"    _out[..., {j}] = {_emit(e)}")
-        self._reads = sorted(i for i in used if i < nvars)
-        self._fn = self._generate("_a[{}]")
-        self._stacked = None
-
-    def _generate(self, read):
+                body.append(f"    _out[..., {j}] = {_emit(e)}")
         lines = ["def _fn(_a, _out, _np):"]
-        lines += [f"    _v{i} = {read.format(i)}" for i in self._reads]
-        lines += self._body
-        if len(lines) == 1:
-            lines.append("    pass")
+        lines += [f"    _v{i} = _a[..., {i}]" for i in sorted(used) if i < nvars]
+        lines += body or ["    pass"]
         namespace = {}
         exec("\n".join(lines), namespace)  # noqa: S102 - generated from our own AST
-        return namespace["_fn"]
+        self._fn = namespace["_fn"]
 
-    def __call__(self, args):
-        if isinstance(args, np.ndarray):
-            # One stacked array: shape and dtype come from it alone, and the
-            # function reading its columns is generated on first use.
-            if self._stacked is None:
-                self._stacked = self._generate("_a[..., {}]")
-            out = np.empty(args.shape[:-1] + (len(self.exprs),),
-                           np.promote_types(args.dtype, np.float64))
-            self._stacked(args, out, np)
-            return out
-        # np.broadcast costs a third of np.broadcast_shapes per call, but
-        # numpy 1.x caps it at 32 arrays.
-        shape = (np.broadcast(*args).shape if 0 < len(args) <= 32
-                 else np.broadcast_shapes(*(np.shape(a) for a in args)))
-        dtype = np.result_type(np.float64, *map(np.asarray, args))
-        out = np.empty(shape + (len(self.exprs),), dtype)
-        self._fn(args, out, np)
+    def __call__(self, a):
+        out = np.empty(a.shape[:-1] + (len(self.exprs),),
+                       np.promote_types(a.dtype, np.float64))
+        self._fn(a, out, np)
         return out
 
 

@@ -34,6 +34,7 @@ must pass.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,6 +49,7 @@ from .errors import (BasisDeficiencyError, ChartConstructionError,
 RANK_TOL = 1e-9
 CHART_NEWTON_TOL = 1e-9
 CHART_NEWTON_MAX_ITER = 30
+CHART_NEWTON_MAX_HALVINGS = 10
 CHART_MAX_HALVINGS = 20
 CHART_MIN_RADIUS = 1e-8
 DET_TOL = 0.1
@@ -66,7 +68,7 @@ class DictionaryDirection:
                            ex.compile_vector(list(self.exprs), 1))
 
     def values(self, times):
-        return self._sampler((np.asarray(times, dtype=float),))
+        return self._sampler(np.asarray(times, dtype=float)[..., None])
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,6 @@ class InversionChart:
     u: ControlPath = None
     anchor_endpoint: np.ndarray = None
     basis: SelectedBasis = None
-    basis_coarse: np.ndarray = field(repr=False, default=None)  # (n, N+1, m)
     r: float = 0.0
     det_anchor: float = 0.0
     det_floor: float = 0.0
@@ -169,6 +170,11 @@ class InversionChart:
     @property
     def n(self):
         return self.F.n
+
+    @functools.cached_property
+    def basis_coarse(self):
+        """The basis directions sampled on the anchor grid, (n, N+1, m)."""
+        return np.stack([v.values(self.u.times) for v in self.basis.directions])
 
     def distance(self, s, beta):
         d = np.asarray(beta, dtype=float) - self.anchor_endpoint
@@ -212,11 +218,10 @@ def chart_from_dict(d, F, u: ControlPath) -> InversionChart:
         directions=tuple(dirs),
         indices=tuple(int(e["index"]) for e in d["basis"]),
         phi=_images(kern, dirs))
-    coarse = np.stack([v.values(u.times) for v in dirs], axis=0)
     return InversionChart(
         F=F, x0=x0, t=t, u=u,
         anchor_endpoint=np.asarray(d["anchor_endpoint"], dtype=float),
-        basis=basis, basis_coarse=coarse, r=float(d["radius"]),
+        basis=basis, r=float(d["radius"]),
         det_anchor=float(d["det_anchor"]), det_floor=float(d["det_floor"]),
         k_time=float(d["k_time"]), lipschitz_est=dict(d["lipschitz_est"]),
         probe_seed=int(d["probe_seed"]), substeps=substeps)
@@ -232,8 +237,9 @@ def _solve_alpha(chart: InversionChart, s, betas, alpha0=None):
     control itself. Every kernel comes from one ``build_batch`` call per
     round: the iterates that need one, then each line-search halving of the
     trials still rejected. An iterate the line search accepted keeps the
-    kernel built for it. Each target stops on its own and gets the iterates
-    a Newton run on it alone would give.
+    kernel built for it; a target whose CHART_NEWTON_MAX_HALVINGS trials
+    were all rejected fails at its last iterate. Each target stops on its
+    own and gets the iterates a Newton run on it alone would give.
     """
     K = len(betas)
     alphas = ([np.zeros(chart.n) for _ in range(K)] if alpha0 is None
@@ -276,7 +282,7 @@ def _solve_alpha(chart: InversionChart, s, betas, alpha0=None):
             break
         scales = dict.fromkeys(steps, 1.0)
         pending = list(steps)
-        for _ in range(10):
+        for _ in range(CHART_NEWTON_MAX_HALVINGS):
             trials = build([chart.emit(alphas[k] - scales[k] * steps[k])
                             for k in pending])
             rejected = []
@@ -290,9 +296,12 @@ def _solve_alpha(chart: InversionChart, s, betas, alpha0=None):
             pending = rejected
             if not pending:
                 break
+        for k in pending:
+            done[k] = (alphas[k], paths[k], dets[k], False, it)
         for k, step in steps.items():
-            alphas[k] = alphas[k] - scales[k] * step
-            paths[k] = chart.emit(alphas[k])
+            if done[k] is None:
+                alphas[k] = alphas[k] - scales[k] * step
+                paths[k] = chart.emit(alphas[k])
     return [d if d is not None else
             (alphas[k], paths[k], dets[k], False, CHART_NEWTON_MAX_ITER)
             for k, d in enumerate(done)]
@@ -398,7 +407,6 @@ def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
 
     proto = InversionChart(
         F=F, x0=x0, t=t, u=u, anchor_endpoint=anchor_endpoint, basis=basis,
-        basis_coarse=np.stack([v.values(u.times) for v in basis.directions]),
         r=float("inf"), det_anchor=det_anchor,
         det_floor=det_tol * abs(det_anchor), k_time=float("inf"),
         lipschitz_est={}, probe_seed=probe_seed, substeps=substeps)

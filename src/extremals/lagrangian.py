@@ -60,14 +60,16 @@ class Lagrangian:
         self._stages = {}
 
     def _pack(self, x, u):
+        """(x, u) broadcast together and stacked on the last axis."""
         x = np.asarray(x)
         u = np.asarray(u)
         if x.shape[-1] != self.n or u.shape[-1] != self.m:
             raise DimensionError(
                 f"expected x(...,{self.n}) and u(...,{self.m}), "
                 f"got {x.shape} and {u.shape}")
-        return (tuple(x[..., k] for k in range(self.n))
-                + tuple(u[..., k] for k in range(self.m)))
+        batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+        return np.concatenate((np.broadcast_to(x, batch + (self.n,)),
+                               np.broadcast_to(u, batch + (self.m,))), axis=-1)
 
     def value(self, x, u):
         out = self._value(self._pack(x, u))[..., 0]
@@ -389,13 +391,13 @@ class GrowthProfile:
     source: tuple = ("", "", "")
 
     def floor(self, r):
-        return self.control_floor((np.asarray(r),))[..., 0]
+        return self.control_floor(np.asarray(r)[..., None])[..., 0]
 
     def slack(self, r):
-        return self.state_slack((np.asarray(r),))[..., 0]
+        return self.state_slack(np.asarray(r)[..., None])[..., 0]
 
     def factor(self, r):
-        return self.gradient_factor((np.asarray(r),))[..., 0]
+        return self.gradient_factor(np.asarray(r)[..., None])[..., 0]
 
 
 def parse_growth_profile(floor_text, slack_text, factor_text) -> GrowthProfile:

@@ -208,4 +208,4 @@ def scenario_control(sc: Scenario, N=None) -> ControlPath:
         raise ScenarioError(f"bad control in scenario '{sc.name}': {e}")
     fn = ex.compile_vector(comps, 1)
     times = np.linspace(0.0, sc.T, N + 1)
-    return ControlPath(sc.T, fn((times,)))
+    return ControlPath(sc.T, fn(times[:, None]))

@@ -9,6 +9,7 @@ import pytest
 from extremals.analysis import (assumption4_check, costate_bound_check,
                                 lipschitz_certificate, singularity_report)
 from extremals.controls import ControlPath
+from extremals.dynamics import DifferentialKernel
 from extremals.reports import canonical_json
 from extremals.scenario import (resolve_scenario, scenario_control,
                                 scenario_fields)
@@ -50,6 +51,22 @@ def test_heisenberg_circle_is_not_singular():
     assert not rep.singular
     assert 1e-3 < rep.ratio < 1.0
     assert rep.ratio == pytest.approx(0.024, rel=0.3)
+
+
+def test_gram_ratio_reads_the_kernel_at_the_given_substeps():
+    # check-singular passes the scenario's substeps (8 for heisenberg);
+    # the report's spectrum is that of the kernel built with them.
+    sc = resolve_scenario("heisenberg")
+    F, u = scenario_fields(sc), scenario_control(sc)
+    x0 = np.asarray(sc.x0, dtype=float)
+    rep = singularity_report(F, u, x0, sc.T, substeps=8)
+    evals = np.clip(np.linalg.eigvalsh(
+        DifferentialKernel.build(F, u, x0, sc.T, substeps=8).gram()), 0.0, None)
+    assert (rep.sigma_min, rep.sigma_max) == (evals[0], evals[-1])
+    assert rep.ratio == evals[0] / evals[-1]
+    assert rep.ratio != singularity_report(F, u, x0, sc.T).ratio
+    scan = assumption4_check(F, [(u, x0)], substeps=8)
+    assert scan.reports[0].ratio == rep.ratio
 
 
 def test_family_scan_accepts_solutions_and_pairs(martinet, heis_sols64,

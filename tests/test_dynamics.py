@@ -66,7 +66,7 @@ def test_integrate_rejects_empty_grids():
     with pytest.raises(ValueError, match="substeps"):
         integrate(IDENTITY, u, np.zeros(2), substeps=0)
     with pytest.raises(ValueError, match="count N"):
-        integrate_batch(IDENTITY, u.values, np.zeros(2), 1.0, N=0)
+        integrate_batch(IDENTITY, u.values[:1], np.zeros(2), 1.0)
 
 
 def test_kernel_build_rejects_empty_grids():
@@ -229,6 +229,29 @@ def test_batched_kernels_equal_the_serial_builds(name):
             for a in KERNEL_ARRAYS:
                 np.testing.assert_array_equal(getattr(kern, a),
                                               getattr(alone, a))
+
+
+@pytest.mark.parametrize("name", ["identity", "heisenberg", "martinet",
+                                  "grushin"])
+def test_trajectories_hold_the_kernel_states(name):
+    # integrate, integrate_batch and the kernel builds run one state loop,
+    # so a chart's re-integration checks the map its Newton solved.
+    sc = resolve_scenario(name)
+    F = scenario_fields(sc)
+    x0 = np.asarray(sc.x0, dtype=float)
+    us = random_smooth_controls(np.random.default_rng(8), sc.T, 16, sc.m,
+                                count=8)
+    for T in (sc.T, 0.71 * sc.T):
+        # integrate_batch reads its values as controls on [0, T].
+        batch = integrate_batch(F, np.stack([u.values for u in us]), x0, T,
+                                substeps=8)
+        for i, u in enumerate(us):
+            states = DifferentialKernel.build(F, u, x0, T, 8).states
+            np.testing.assert_array_equal(integrate(F, u, x0, T, 8).states,
+                                          states)
+            on_T = ControlPath(T, u.values)
+            np.testing.assert_array_equal(
+                batch[:, i], DifferentialKernel.build(F, on_T, x0, T, 8).states)
 
 
 def test_a_diverging_element_leaves_its_batch_alone():

@@ -84,14 +84,20 @@ def test_parse_components_count_and_eval():
 
 
 def test_compiled_vector_broadcasts():
-    comps = ex.parse_components("(x1 + x2, x1*x2)", 2, ["x1", "x2"])
+    # One array with the variables on its last axis, any batch shape in
+    # front; complex entries pass through, as complex-step oracles need.
+    comps = ex.parse_components("(x1 + x2, x1*x2, sin(x2)/x1, 3)", 4,
+                                ["x1", "x2"])
     fn = ex.compile_vector(comps, 2)
-    a = np.linspace(0.0, 1.0, 7)
-    b = np.linspace(2.0, 3.0, 7)
-    out = fn((a, b))
-    assert out.shape == (7, 2)
-    np.testing.assert_allclose(out[:, 0], a + b, rtol=1e-15)
-    np.testing.assert_allclose(out[:, 1], a * b, rtol=1e-15)
+    rng = np.random.default_rng(4)
+    a = (rng.uniform(0.5, 2.0, size=(3, 5, 2))
+         + 1j * rng.uniform(-1.0, 1.0, size=(3, 5, 2)))
+    out = fn(a)
+    assert out.shape == (3, 5, 4)
+    assert out.dtype == np.complex128
+    cols = tuple(np.moveaxis(a, -1, 0))
+    for j, e in enumerate(comps):
+        np.testing.assert_array_equal(out[..., j], e.eval(cols))
 
 
 def test_node_cap_guard():

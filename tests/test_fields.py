@@ -50,10 +50,10 @@ def test_momentum_and_costate_rate():
     L = parse_lagrangian("(u1^2 + u2^2)/2 + x3*u1", 3, 2)
     pre, post = _two_call_stage(F, L)
     u = np.array([2.0, -1.0])
-    out = post(tuple(x) + tuple(p) + tuple(u))
+    out = post(np.concatenate((x, p, u)))
     np.testing.assert_array_equal(out[:3], [2.0, -1.0, 0.125 * 2.0 - 0.25])
     np.testing.assert_array_equal(out[3:], [-(-0.5 * 4.0), -(-1.0 * 4.0), 2.0])
-    np.testing.assert_array_equal(pre(tuple(x) + tuple(p))[:2], z)
+    np.testing.assert_array_equal(pre(np.concatenate((x, p)))[:2], z)
     # The folded stage solves u* = z - (x3, 0) itself, here z as x3 = 0,
     # and returns post's rates at u*.
     y = np.concatenate((x, p))

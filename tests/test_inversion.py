@@ -19,7 +19,9 @@ from extremals.dynamics import DEFAULT_SUBSTEPS, DifferentialKernel, integrate
 from extremals.errors import (BasisDeficiencyError, ChartConstructionError,
                               DimensionError)
 from extremals.fields import parse_field_set
-from extremals.inversion import (Dictionary, _probe_targets, _solve_alpha,
+from extremals.inversion import (CHART_NEWTON_MAX_HALVINGS,
+                                 CHART_NEWTON_MAX_ITER, Dictionary,
+                                 _probe_targets, _solve_alpha,
                                  _solve_probes, build_chart, chart_eval,
                                  chart_eval_full, chart_from_dict,
                                  chart_lipschitz_estimate, default_dictionary,
@@ -279,6 +281,27 @@ def test_a_stack_of_targets_gets_the_iterates_each_gets_alone():
         assert (det, ok, iters) == (d1, ok1, it1)
         np.testing.assert_array_equal(alpha, a1)
         np.testing.assert_array_equal(path.values, p1.values)
+
+
+def test_a_rejected_line_search_fails_its_target(monkeypatch):
+    # anchor + 0.08 (1, 1, 1) is out of the martinet loop chart's reach:
+    # once all CHART_NEWTON_MAX_HALVINGS trials of a step are rejected, the
+    # target fails at its last iterate, after 24 kernels. Taking the
+    # smallest step and going on instead cost 239 kernels here, and 1117 to
+    # certify the chart.
+    kernels = []
+    count_builds(monkeypatch, kernels.extend)
+    chart = build_chart(MARTINET, loop_control(), np.zeros(3), 0.7,
+                        dictionary=default_dictionary(2, 1.0, k_max=3))
+    assert chart.r == pytest.approx(0.007856234808287217, rel=1e-12)
+    assert len(kernels) < 300
+    kernels.clear()
+    proto = dataclasses.replace(chart, r=float("inf"))
+    (alpha, path, _, ok, iters), = _solve_alpha(
+        proto, chart.t, (chart.anchor_endpoint + 0.08)[None])
+    assert not ok and iters < CHART_NEWTON_MAX_ITER
+    assert CHART_NEWTON_MAX_HALVINGS < len(kernels) <= 30
+    np.testing.assert_array_equal(path.values, proto.emit(alpha).values)
 
 
 def test_chart_serialization_round_trip(loop_chart):

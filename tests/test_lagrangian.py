@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from extremals.errors import DiffeomorphismViolationError, ParseError
+from extremals.errors import (DiffeomorphismViolationError, DimensionError,
+                              ParseError)
 from extremals.expr import CompiledVector
 from extremals.fields import parse_field_set
 from extremals.controls import ControlPath
@@ -50,6 +51,20 @@ def test_batched_evaluation():
     u = np.tile([1.0, 2.0], (5, 1))
     assert L.value(x, u).shape == (5,)
     np.testing.assert_allclose(L.value(x, u), 2.5)
+
+
+def test_state_broadcasts_against_a_control_stack():
+    # One x of shape (n,) against u of shape (B, m) is packed into one
+    # (B, n + m) array: the same values as x repeated per row.
+    L = parse_lagrangian("(u1^2 + u2^2)/2 + x1*u1 + x2^2*u2", 2, 2)
+    x = np.array([0.5, -1.5])
+    u = np.random.default_rng(2).normal(size=(6, 2))
+    rows = np.tile(x, (6, 1))
+    for fn in (L.value, L.grad_u, L.grad_x):
+        np.testing.assert_array_equal(fn(x, u), fn(rows, u))
+    np.testing.assert_array_equal(L.grad_u(x, u), u + [[0.5, 2.25]])
+    with pytest.raises(DimensionError):
+        L.value(np.zeros(3), u)
 
 
 def test_nonsmooth_cost_evaluates_but_will_not_differentiate():
