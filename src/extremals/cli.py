@@ -370,7 +370,7 @@ def build_parser():
                        help="override the scenario seed")
         p.add_argument("--json", action="store_true",
                        help="print the JSON report to stdout")
-        if name in ("build-chart", "eval-chart"):
+        if name == "build-chart":
             p.add_argument("--anchor-time", type=float, default=None)
         if name == "eval-chart":
             p.add_argument("--chart", default=None,

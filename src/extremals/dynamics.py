@@ -6,7 +6,8 @@ the horizon [0, s], where N is the control grid count; sub-stepping
 separates control resolution from ODE accuracy. The fine grid nests in the
 control grid only when T * substeps / s is a whole number, as for s = T.
 For any other horizon some RK4 steps straddle a kink of the piecewise-linear
-control and lose order there.
+control and lose order there. Each element of a batch may carry its own
+horizon, and then has its own fine grid and step.
 
 Every integration, here and in the Hamiltonian flow of ``shooting``, runs
 through one batched RK4 integrator, ``_rk4``. It takes a stage right-hand side
@@ -16,7 +17,7 @@ blow-up guard, and is then frozen at its last state. The state equation has
 one loop on it, ``_states``, shared by ``integrate``, ``integrate_batch``
 and the kernel builds, so a trajectory and a kernel of one control hold the
 same states bit for bit. The first two raise ``DivergenceError`` at the
-first death; the Hamiltonian flow keeps the mask.
+first death; the Hamiltonian flow keeps the mask and its one scalar step.
 The fundamental solution Psi below is not integrated in that loop but
 multiplied out from the RK4 step matrices of its linear equation.
 
@@ -41,11 +42,12 @@ substeps to 3.4e-8 at 64 on a random smooth grushin pair, N = 32).
 as ``integrate`` does, ``apply`` checks each direction against u and T, and
 ``adjoint`` checks that the multiplier has the state's shape (n,).
 ``DifferentialKernel.build_batch`` builds the kernels of a stack of controls
-on one grid together: one ``_states`` loop over the stack, one Jacobian
-call over every stage state of every surviving element and one stacked Psi
-product. It gives None where an element's state or Psi left the guard, and
-each kernel equals its control's own build bit for bit; ``build`` is its
-batch of one and raises ``DivergenceError`` instead.
+on one grid together, each over its own horizon: one ``_states`` loop over
+the stack, one Jacobian call over every stage state of every surviving
+element and one stacked Psi product. It gives None where an element's state
+or Psi left the guard, and each kernel equals its control's own build bit
+for bit; ``build`` is its batch of one and raises ``DivergenceError``
+instead.
 """
 
 from __future__ import annotations
@@ -73,18 +75,18 @@ class Trajectory:
 
 
 def _interp_rows(values, T, s):
-    """Piecewise-linear evaluation of (..., N+1, m) node values at times s."""
+    """Node values (B, N+1, m) on [0, T], interpolated at times s (..., B)."""
     N = values.shape[-2] - 1
-    pos = np.clip(np.asarray(s, dtype=float), 0.0, T) * (N / T)
+    pos = np.clip(s, 0.0, T) * (N / T)
     idx = np.minimum(pos.astype(int), N - 1)
-    w = (pos - idx)[:, None]
-    lo = values[..., idx, :]
-    hi = values[..., idx + 1, :]
-    return np.moveaxis(lo + w * (hi - lo), -2, 0)
+    w = (pos - idx)[..., None]
+    b = np.arange(len(values))
+    lo = values[b, idx]
+    return lo + w * (values[b, idx + 1] - lo)
 
 
 def _stage_controls(values, T_path, times, h):
-    """Controls (M, 4, ..., m) at RK4 stage 0..3 of each step j, read at
+    """Controls (M, 4, B, m) at RK4 stage 0..3 of each step j, read at
     node j, the step's midpoint (stages 1 and 2) or node j + 1."""
     nodes = _interp_rows(values, T_path, times)
     half = _interp_rows(values, T_path, times[:-1] + h / 2.0)
@@ -96,15 +98,17 @@ def _rk4(rhs, ys, h, M, alive=None):
 
     ``rhs(j, stage, ys)`` returns the derivatives of ``ys`` at RK4 stage
     0..3 of step j. All arrays in ``ys`` share the batch axes of ``ys[0]``,
-    all but its last. An element dies when one of its components turns
-    non-finite or exceeds BLOWUP_GUARD, or when ``rhs`` clears it in an
-    ``alive`` mask the caller shares with it; it then keeps its last state,
-    and the run stops once no element is left.
+    all but its last. The step h is one scalar or one per element, as an
+    array that broadcasts against the states. An element dies when one of
+    its components turns non-finite or exceeds BLOWUP_GUARD, or when ``rhs``
+    clears it in an ``alive`` mask the caller shares with it; it then keeps
+    its last state, and the run stops once no element is left.
 
     Returns (trajectories, alive, died): node values shaped (M+1,) + y.shape
     per array, the final mask, and the step at which each element died
     (-1 while alive), so it died near s = died * h.
     """
+    half, sixth = h / 2.0, h / 6.0
     batch = ys[0].shape[:-1]
     shared = alive is not None
     alive = alive if shared else np.ones(batch, dtype=bool)
@@ -114,10 +118,10 @@ def _rk4(rhs, ys, h, M, alive=None):
         out[0] = y
     for j in range(M):
         k1 = rhs(j, 0, ys)
-        k2 = rhs(j, 1, [y + (h / 2.0) * k for y, k in zip(ys, k1)])
-        k3 = rhs(j, 2, [y + (h / 2.0) * k for y, k in zip(ys, k2)])
+        k2 = rhs(j, 1, [y + half * k for y, k in zip(ys, k1)])
+        k3 = rhs(j, 2, [y + half * k for y, k in zip(ys, k2)])
         k4 = rhs(j, 3, [y + h * k for y, k in zip(ys, k3)])
-        new = [y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+        new = [y + sixth * (a + 2.0 * b + 2.0 * c + d)
                for y, a, b, c, d in zip(ys, k1, k2, k3, k4)]
         # NaN fails every comparison, so one max per array guards the batch;
         # between guard trips only rhs can clear a mask, and only a shared one.
@@ -140,13 +144,15 @@ def _rk4(rhs, ys, h, M, alive=None):
 
 def _raise_if_dead(died, h):
     if np.any(died >= 0):
-        s = int(np.min(died[died >= 0])) * h
+        s = float(np.min((died * h)[died >= 0]))
         raise DivergenceError(
             f"trajectory exceeded blow-up guard {BLOWUP_GUARD:g} near s = {s:.6g}",
             time=s)
 
 
 def fine_grid(T, N, substeps=DEFAULT_SUBSTEPS):
+    """Times (M+1,) and step h of M = N * substeps RK4 steps on [0, T]; for
+    T (B,), times (M+1, B) and h (B,), each column its own horizon's grid."""
     if N < 1:
         raise ValueError(f"grid count N must be at least 1, got {N}")
     if substeps < 1:
@@ -156,15 +162,17 @@ def fine_grid(T, N, substeps=DEFAULT_SUBSTEPS):
 
 
 def _states(F, values, T_path, x0, T, substeps):
-    """The one state loop: RK4 from x0 over [0, T] for the node values
-    (B, N+1, m) of B controls on [0, T_path], with B(xi) u by ``matmul``.
+    """The one state loop: RK4 from x0 over [0, T], T one horizon or one
+    per element, for the node values (B, N+1, m) of B controls on
+    [0, T_path], with B(xi) u by ``matmul``.
 
-    Returns (times, h, control, states, stages, died): the stage controls
-    (M, 4, B, m), the states (M+1, B, n), the recorded stage states
-    (M, 4, B, n), and the step at which each element left the guard, -1
-    while alive.
+    Returns (times, h, control, states, stages, died): the grids (M+1, B)
+    and steps (B,), the stage controls (M, 4, B, m), the states (M+1, B, n),
+    the recorded stage states (M, 4, B, n), and the step at which each
+    element left the guard, -1 while alive.
     """
-    times, h = fine_grid(T, values.shape[-2] - 1, substeps)
+    times, h = fine_grid(np.broadcast_to(T, len(values)),
+                         values.shape[-2] - 1, substeps)
     control = _stage_controls(values, T_path, times, h)
     x = np.asarray(x0, dtype=np.result_type(x0, control))
     x = np.broadcast_to(x, (len(values), x.shape[-1])).copy()
@@ -174,7 +182,9 @@ def _states(F, values, T_path, x0, T, substeps):
         stages[j, stage] = ys[0]
         return ((F.field_matrix(ys[0]) @ control[j, stage][..., None])[..., 0],)
 
-    (states,), _, died = _rk4(rhs, (x,), h, len(control))
+    # Laid out as the state: a product of one shape is the cheapest per stage.
+    step = np.repeat(h[:, None], x.shape[-1], axis=1)
+    (states,), _, died = _rk4(rhs, (x,), step, len(control))
     return times, h, control, states, stages, died
 
 
@@ -197,7 +207,7 @@ def integrate(F, u: ControlPath, x0, T=None, substeps=DEFAULT_SUBSTEPS) -> Traje
     times, h, _, states, _, died = _states(F, u.values[None], u.T, x0, T,
                                            substeps)
     _raise_if_dead(died, h)
-    return Trajectory(times=times, states=states[:, 0])
+    return Trajectory(times=times[:, 0], states=states[:, 0])
 
 
 def integrate_batch(F, values, x0, T, substeps=DEFAULT_SUBSTEPS):
@@ -252,9 +262,10 @@ class DifferentialKernel:
     @classmethod
     def build_batch(cls, F, paths, x0, T=None, substeps=DEFAULT_SUBSTEPS):
         """Kernels of a stack of controls on one grid (same N and u.T), all
-        from x0 over [0, T]: one kernel per path, or None where that path's
-        state or Psi left the blow-up guard. Each kernel equals the one
-        ``build`` gives its path alone, bit for bit."""
+        from x0 over [0, T], T one horizon or one per path: one kernel per
+        path, or None where that path's state or Psi left the blow-up guard.
+        Each kernel equals the one ``build`` gives its path alone, bit for
+        bit."""
         return cls._build_stack(F, paths, x0, T, substeps)[0] if paths else []
 
     @classmethod
@@ -265,19 +276,24 @@ class DifferentialKernel:
         batched Jacobian call gives A at all 4M stages of every surviving
         element, and Psi_{j+1} = Phi_j Psi_j with Phi_j the RK4 step matrix
         of the linear equation Psi' = A Psi.
-        Returns (kernels, died, h): died is the fine step at which each
+        Returns (kernels, died, h): died (B,) is the fine step at which each
         element's state or Psi first left the guard, -1 for a kernel.
         """
         u = paths[0]
-        x, T = _checked_start(F, u, x0, T)
+        horizons = [T] * len(paths) if np.ndim(T) == 0 else T
+        if len(horizons) != len(paths):
+            raise DimensionError(f"{len(horizons)} horizons for "
+                                 f"{len(paths)} controls")
+        starts = [_checked_start(F, p, x0, t) for p, t in zip(paths, horizons)]
         for p in paths[1:]:
-            _checked_start(F, p, x0, T)
             if p.N != u.N or p.T != u.T:
                 raise GridMismatchError(
                     f"a batch shares one control grid: N = {p.N} on "
                     f"[0, {p.T}] against N = {u.N} on [0, {u.T}]")
+        T = [t for _, t in starts]
         times, h, control, states, stages, died = _states(
-            F, np.stack([p.values for p in paths]), u.T, x, T, substeps)
+            F, np.stack([p.values for p in paths]), u.T, starts[0][0],
+            np.array(T), substeps)
         M = len(times) - 1
         kernels = [None] * len(paths)
         live = np.flatnonzero(died < 0)
@@ -286,11 +302,12 @@ class DifferentialKernel:
         A = np.einsum("jsbi,jsbikl->sjbkl", control[:, :, live],
                       F.jacobian_stack(stages[:, :, live]))
         eye = np.eye(F.n)
+        hl = h[live, None, None]
         k1 = A[0]
-        k2 = A[1] @ (eye + (h / 2.0) * k1)
-        k3 = A[2] @ (eye + (h / 2.0) * k2)
-        k4 = A[3] @ (eye + h * k3)
-        steps = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = A[1] @ (eye + (hl / 2.0) * k1)
+        k3 = A[2] @ (eye + (hl / 2.0) * k2)
+        k4 = A[3] @ (eye + hl * k3)
+        steps = eye + (hl / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         psis = np.empty((M + 1,) + steps.shape[1:], dtype=steps.dtype)
         psis[0] = eye
         for j in range(M):
@@ -305,9 +322,10 @@ class DifferentialKernel:
         ps = np.ascontiguousarray(psis[:, keep].swapaxes(0, 1))
         inv_b = np.linalg.solve(ps, F.field_matrix(st))  # Psi(s)^-1 B(s), batched
         kern = np.einsum("bnk,bjkm->bjnm", ps[:, -1], inv_b)
-        weights = trapezoid_weights(times)
+        times = np.ascontiguousarray(times.T)   # (B, M+1)
         for i, b in enumerate(ok):
-            kernels[b] = cls(T, times, st[i], ps[i], weights, kern[i])
+            kernels[b] = cls(T[b], times[b], st[i], ps[i],
+                             trapezoid_weights(times[b]), kern[i])
         return kernels, died, h
 
     @property

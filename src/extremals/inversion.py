@@ -18,23 +18,25 @@ quadrature. Each Newton iterate's endpoint and Jacobian come from one
 ``DifferentialKernel``: the kernel the line search built for the accepted
 trial is the next iterate's kernel.
 
-The Newton runs on a stack of targets that share a horizon s, building the
-kernels of all their iterates, then of all their line-search trials, with
-one ``DifferentialKernel.build_batch`` call each; every target stops on its
-own, with the iterates it would get alone. A query is the batch of one.
-``build_chart`` solves its 2n+2 sphere probes this way, one batch per
-horizon: the 2n+1 probes at s = t together and the time-shifted probe on
-its own. Each probe then passes the checks a user query gets after its
-Newton (converged, determinant floor, time constant), on a proto chart
-with an unbounded radius and time constant and the final determinant
-floor, so a probe passes exactly what a query inside the finished chart
-must pass.
+The Newton runs on a stack of targets (s, beta), each with its own horizon
+s, building the kernels of all their iterates, then of all their
+line-search trials, with one ``DifferentialKernel.build_batch`` call each;
+every target stops on its own, with the iterates it would get alone. A
+query is the batch of one. ``build_chart`` solves its 2n+2 sphere probes,
+the time-shifted one included, as one stack. Each probe then passes the
+checks a user query gets after its Newton (converged, determinant floor,
+time constant), on a proto chart with an unbounded radius and time
+constant and the final determinant floor, so a probe passes exactly what a
+query inside the finished chart must pass. ``chart_lipschitz_estimate``
+solves the n+1 finite-difference targets of each differential point as one
+stack too, each through a query's checks.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -229,99 +231,101 @@ def chart_from_dict(d, F, u: ControlPath) -> InversionChart:
 
 def _solve_alpha(chart: InversionChart, s, betas, alpha0=None):
     """Newton on alpha for E_s(u + sum alpha_i v_i) = beta, for a stack of
-    targets ``betas`` (K, n) that share the horizon s.
+    targets with one horizon s (K,) and one endpoint betas (K, n) each.
 
-    Returns one (alpha, path, det, converged, iterations) per target. The
-    Jacobian is the basis-image matrix at the current iterate, so
-    convergence certifies the round trip on the emitted piecewise-linear
-    control itself. Every kernel comes from one ``build_batch`` call per
-    round: the iterates that need one, then each line-search halving of the
-    trials still rejected. An iterate the line search accepted keeps the
-    kernel built for it; a target whose CHART_NEWTON_MAX_HALVINGS trials
-    were all rejected fails at its last iterate. Each target stops on its
-    own and gets the iterates a Newton run on it alone would give.
+    Returns (alpha, paths, det, converged, iterations): alpha (K, n), the
+    emitted paths, and (K,) arrays. The Jacobian is the basis-image matrix
+    at the current iterate, so convergence certifies the round trip on the
+    emitted piecewise-linear control itself. Every kernel comes from one
+    ``build_batch`` call per round: the starting iterates, then each
+    line-search halving of the trials still rejected. An iterate the line
+    search accepted keeps the control and kernel of its trial; a target whose
+    CHART_NEWTON_MAX_HALVINGS trials were all rejected fails at its last
+    iterate. Each target stops on its own and gets the iterates a Newton run
+    on it alone would give.
     """
-    K = len(betas)
-    alphas = ([np.zeros(chart.n) for _ in range(K)] if alpha0 is None
-              else [np.asarray(a, dtype=float).copy() for a in alpha0])
-    paths = [chart.emit(a) for a in alphas]
+    s = np.asarray(s, dtype=float)
+    K = len(s)
+    alpha = (np.zeros((K, chart.n)) if alpha0 is None
+             else np.array(alpha0, dtype=float))
+    paths = [chart.emit(a) for a in alpha]
     times, _ = fine_grid(s, chart.u.N, chart.substeps)
-    basis_fine = np.stack([ControlPath(chart.u.T, vals).at(times)
-                           for vals in chart.basis_coarse])
-    dets = [0.0] * K
-    kerns = [None] * K
-    done = [None] * K
-
-    def build(controls):
-        return DifferentialKernel.build_batch(
-            chart.F, controls, chart.x0, s, chart.substeps) if controls else []
-
+    basis_fine = [np.stack([ControlPath(chart.u.T, vals).at(times[:, k])
+                            for vals in chart.basis_coarse]) for k in range(K)]
+    det = np.zeros(K)
+    converged = np.zeros(K, dtype=bool)
+    iterations = np.full(K, CHART_NEWTON_MAX_ITER)
+    kerns = DifferentialKernel.build_batch(chart.F, paths, chart.x0, s,
+                                           chart.substeps)
+    done = np.array([kern is None for kern in kerns])
+    iterations[done] = 0
     for it in range(CHART_NEWTON_MAX_ITER):
-        need = [k for k in range(K) if done[k] is None and kerns[k] is None]
-        for k, kern in zip(need, build([paths[k] for k in need])):
-            kerns[k] = kern
-            if kern is None:
-                done[k] = (alphas[k], paths[k], dets[k], False, it)
-        steps, gns = {}, {}
-        for k in range(K):
-            if done[k] is not None:
-                continue
+        step = np.zeros_like(alpha)
+        gn = np.zeros(K)
+        for k in np.flatnonzero(~done):
             g = kerns[k].endpoint - betas[k]
-            gn = float(np.linalg.norm(g))
-            phi = kerns[k].apply_values(basis_fine).T
-            dets[k] = float(np.linalg.det(phi))
-            if gn < CHART_NEWTON_TOL:
-                done[k] = (alphas[k], paths[k], dets[k], True, it)
-            elif abs(dets[k]) < 1e-14:
-                done[k] = (alphas[k], paths[k], dets[k], False, it)
+            gn[k] = np.linalg.norm(g)
+            phi = kerns[k].apply_values(basis_fine[k]).T
+            det[k] = np.linalg.det(phi)
+            if gn[k] < CHART_NEWTON_TOL or abs(det[k]) < 1e-14:
+                converged[k] = gn[k] < CHART_NEWTON_TOL
+                done[k] = True
+                iterations[k] = it
             else:
-                steps[k] = np.linalg.solve(phi, g)
-                gns[k] = gn
-                kerns[k] = None
-        if not steps:
+                step[k] = np.linalg.solve(phi, g)
+        if done.all():
             break
-        scales = dict.fromkeys(steps, 1.0)
-        pending = list(steps)
+        scale = np.ones(K)
+        pending = ~done
         for _ in range(CHART_NEWTON_MAX_HALVINGS):
-            trials = build([chart.emit(alphas[k] - scales[k] * steps[k])
-                            for k in pending])
-            rejected = []
-            for k, trial in zip(pending, trials):
+            ks = np.flatnonzero(pending)
+            controls = [chart.emit(alpha[k] - scale[k] * step[k]) for k in ks]
+            trials = DifferentialKernel.build_batch(chart.F, controls, chart.x0,
+                                                    s[ks], chart.substeps)
+            for k, control, trial in zip(ks, controls, trials):
                 if (trial is not None and
-                        float(np.linalg.norm(trial.endpoint - betas[k])) < gns[k]):
-                    kerns[k] = trial
+                        np.linalg.norm(trial.endpoint - betas[k]) < gn[k]):
+                    kerns[k], paths[k] = trial, control
+                    pending[k] = False
                 else:
-                    scales[k] /= 2.0
-                    rejected.append(k)
-            pending = rejected
-            if not pending:
+                    scale[k] /= 2.0
+            if not pending.any():
                 break
-        for k in pending:
-            done[k] = (alphas[k], paths[k], dets[k], False, it)
-        for k, step in steps.items():
-            if done[k] is None:
-                alphas[k] = alphas[k] - scales[k] * step
-                paths[k] = chart.emit(alphas[k])
-    return [d if d is not None else
-            (alphas[k], paths[k], dets[k], False, CHART_NEWTON_MAX_ITER)
-            for k, d in enumerate(done)]
+        accepted = ~done & ~pending
+        alpha[accepted] -= scale[accepted, None] * step[accepted]
+        done |= pending
+        iterations[pending] = it
+    return alpha, paths, det, converged, iterations
 
 
-def _check_solution(chart: InversionChart, s, path, det, converged):
-    """The checks a Newton solution must pass to be returned by a query on
-    ``chart``; ``build_chart`` puts every sphere probe through them too."""
-    if not converged:
-        raise ChartIntegrityError(
-            f"Newton failed inside the certified ball at (s={s:.6g}); "
-            "the chart radius is no longer trustworthy")
-    if abs(det) < chart.det_floor:
-        raise ChartIntegrityError(
-            f"basis determinant {det:.3e} fell below the floor "
-            f"{chart.det_floor:.3e}")
-    if path.lipschitz_quotient > chart.k_time * (1.0 + 1e-9):
-        raise ChartIntegrityError(
-            f"emitted control Lipschitz quotient {path.lipschitz_quotient:.3e} "
-            f"exceeds the declared constant {chart.k_time:.3e}")
+def _check_target(chart: InversionChart, s, beta):
+    """A query's checks on its target: in the domain and the certified ball."""
+    if s <= 0.0 or s > chart.u.T * (1.0 + 1e-12):
+        raise ValueError(f"time {s} outside the anchor control's domain")
+    if chart.distance(s, beta) > chart.r * (1.0 + 1e-9):
+        raise ValueError(
+            f"target ({s}, {beta}) is outside the certified "
+            f"chart ball of radius {chart.r:g} around "
+            f"({chart.t:g}, {chart.anchor_endpoint})")
+
+
+def _check_solutions(chart: InversionChart, s, paths, det, converged):
+    """The checks each Newton solution of a stack passes, in order, to be
+    returned by a query on ``chart``, and each sphere probe of a chart."""
+    for s_k, path, det_k, ok in zip(s, paths, det, converged):
+        if not ok:
+            raise ChartIntegrityError(
+                f"Newton failed inside the certified ball at (s={s_k:.6g}); "
+                "the chart radius is no longer trustworthy")
+        if abs(det_k) < chart.det_floor:
+            raise ChartIntegrityError(
+                f"basis determinant {det_k:.3e} fell below the floor "
+                f"{chart.det_floor:.3e}")
+        if path.lipschitz_quotient > chart.k_time * (1.0 + 1e-9):
+            raise ChartIntegrityError(
+                f"emitted control Lipschitz quotient "
+                f"{path.lipschitz_quotient:.3e} exceeds the declared "
+                f"constant {chart.k_time:.3e}")
 
 
 def chart_eval_full(chart: InversionChart, s, beta, alpha0=None):
@@ -332,17 +336,11 @@ def chart_eval_full(chart: InversionChart, s, beta, alpha0=None):
     if beta.shape != (chart.n,):
         raise DimensionError(f"target has shape {beta.shape}, "
                              f"expected ({chart.n},)")
-    if s <= 0.0 or s > chart.u.T * (1.0 + 1e-12):
-        raise ValueError(f"time {s} outside the anchor control's domain")
-    if chart.distance(s, beta) > chart.r * (1.0 + 1e-9):
-        raise ValueError(
-            f"target ({s}, {beta}) is outside the certified "
-            f"chart ball of radius {chart.r:g} around "
-            f"({chart.t:g}, {chart.anchor_endpoint})")
-    (alpha, path, det, ok, iters), = _solve_alpha(
-        chart, s, beta[None], None if alpha0 is None else [alpha0])
-    _check_solution(chart, s, path, det, ok)
-    return path, alpha, det, iters
+    _check_target(chart, s, beta)
+    alpha, paths, det, ok, iterations = _solve_alpha(
+        chart, [s], beta[None], None if alpha0 is None else [alpha0])
+    _check_solutions(chart, [s], paths, det, ok)
+    return paths[0], alpha[0], float(det[0]), int(iterations[0])
 
 
 def chart_eval(chart: InversionChart, s, beta, alpha0=None) -> ControlPath:
@@ -365,20 +363,6 @@ def _probe_targets(t, anchor_endpoint, r, T):
     elif t - r > 0.0:
         probes.append((t - r, anchor_endpoint.copy()))
     return probes
-
-
-def _solve_probes(proto: InversionChart, probes):
-    """(s, beta, path, alpha) per probe, in order, from one batched Newton per
-    horizon; a probe that fails a query's checks on ``proto`` raises
-    ``ChartIntegrityError``."""
-    results = []
-    for s in dict.fromkeys(s for s, _ in probes):
-        betas = [beta for (s_k, beta) in probes if s_k == s]
-        for beta, (alpha, path, det, ok, _) in zip(
-                betas, _solve_alpha(proto, s, np.stack(betas))):
-            _check_solution(proto, s, path, det, ok)
-            results.append((s, beta, path, alpha))
-    return results
 
 
 def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
@@ -413,9 +397,10 @@ def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
 
     r = float(r_init)
     for _ in range(CHART_MAX_HALVINGS + 1):
+        s, betas = zip(*_probe_targets(t, anchor_endpoint, r, u.T))
         try:
-            results = _solve_probes(proto,
-                                    _probe_targets(t, anchor_endpoint, r, u.T))
+            alpha, paths, det, ok, _ = _solve_alpha(proto, s, betas)
+            _check_solutions(proto, s, paths, det, ok)
             break
         except ChartIntegrityError:
             r /= 2.0
@@ -428,21 +413,19 @@ def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
             f"probe certification failed after {CHART_MAX_HALVINGS} halvings "
             f"at anchor t={t:g}")
 
-    alpha_mag = np.max(np.abs(np.stack([a for (_, _, _, a) in results])), axis=0)
-    alpha_bound = 2.0 * alpha_mag + 1e-9
+    alpha_bound = 2.0 * np.max(np.abs(alpha), axis=0) + 1e-9
     k_time = u.lipschitz_quotient + float(
         sum(b * d.lip for b, d in zip(alpha_bound, basis.directions)))
 
     # Crude value/differential Lipschitz readings from the certified probes.
     k_hat = 0.0
     ell_hat = 0.0
-    center_path = results[0][2]
-    for (s, beta, path, alpha) in results[1:]:
-        d = math.hypot(s - t, float(np.linalg.norm(beta - anchor_endpoint)))
+    for k in range(1, len(s)):
+        d = proto.distance(s[k], betas[k])
         if d < 1e-12:
             continue
-        k_hat = max(k_hat, l2_distance(path, center_path) / d)
-        ell_hat = max(ell_hat, float(np.linalg.norm(alpha)) / d)
+        k_hat = max(k_hat, l2_distance(paths[k], paths[0]) / d)
+        ell_hat = max(ell_hat, float(np.linalg.norm(alpha[k])) / d)
 
     return dataclasses.replace(proto, r=r, k_time=k_time,
                                lipschitz_est={"k": k_hat, "ell": ell_hat})
@@ -478,15 +461,19 @@ def chart_lipschitz_estimate(chart: InversionChart, probes=60, seed=None,
         alphas.append(alpha)
         alpha0 = alpha
 
-    k_hat = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = math.hypot(pts[i][0] - pts[j][0],
-                           float(np.linalg.norm(pts[i][1] - pts[j][1])))
-            if d < 1e-12:
-                continue
-            k_hat = max(k_hat, l2_distance(paths[i], paths[j]) / d)
+    def worst_quotient(idx, gap):
+        """The largest gap(a, b) / |pts[idx[a]] - pts[idx[b]]| over the
+        pairs a < b, degenerate pairs skipped."""
+        q = 0.0
+        for a, b in itertools.combinations(range(len(idx)), 2):
+            (s_a, beta_a), (s_b, beta_b) = pts[idx[a]], pts[idx[b]]
+            d = math.hypot(s_a - s_b, float(np.linalg.norm(beta_a - beta_b)))
+            if d >= 1e-12:
+                q = max(q, gap(a, b) / d)
+        return q
 
+    k_hat = worst_quotient(range(len(pts)),
+                           lambda i, j: l2_distance(paths[i], paths[j]))
     ell_hat = 0.0
     if differential_points >= 2:
         eps = 1e-5 * chart.r
@@ -496,25 +483,20 @@ def chart_lipschitz_estimate(chart: InversionChart, probes=60, seed=None,
             s, beta = pts[idx]
             if chart.distance(s, beta) > 0.98 * chart.r:
                 continue
-            cols = []
+            # (s + s_step, beta) and each (s, beta + eps e_k) in one stack.
             s_step = eps if s + eps <= chart.u.T else -eps
+            fd_s = np.array([s + s_step] + [s] * n)
+            fd_betas = np.vstack((beta, beta + eps * np.eye(n)))
+            for args in zip(fd_s, fd_betas):
+                _check_target(chart, *args)
+            _, fd_paths, det, ok, _ = _solve_alpha(
+                chart, fd_s, fd_betas, np.repeat(alphas[idx][None], n + 1, 0))
+            _check_solutions(chart, fd_s, fd_paths, det, ok)
             ref = paths[idx].values
-            p_s, _, _, _ = chart_eval_full(chart, s + s_step, beta, alphas[idx])
-            cols.append((p_s.values - ref) / s_step)
-            for k in range(n):
-                e = np.zeros(n)
-                e[k] = eps
-                p_b, _, _, _ = chart_eval_full(chart, s, beta + e, alphas[idx])
-                cols.append((p_b.values - ref) / eps)
-            jacs.append(np.stack(cols, axis=-1))
+            widths = [s_step] + [eps] * n
+            jacs.append(np.stack([(p.values - ref) / w for p, w in
+                                  zip(fd_paths, widths)], axis=-1))
             kept.append(idx)
-        for a in range(len(jacs)):
-            for b in range(a + 1, len(jacs)):
-                i, j = kept[a], kept[b]
-                d = math.hypot(pts[i][0] - pts[j][0],
-                               float(np.linalg.norm(pts[i][1] - pts[j][1])))
-                if d < 1e-12:
-                    continue
-                ell_hat = max(ell_hat,
-                              float(np.linalg.norm(jacs[a] - jacs[b])) / d)
+        ell_hat = worst_quotient(
+            kept, lambda a, b: float(np.linalg.norm(jacs[a] - jacs[b])))
     return {"k_hat": k_hat, "ell_hat": ell_hat}

@@ -231,6 +231,30 @@ def test_batched_kernels_equal_the_serial_builds(name):
                                               getattr(alone, a))
 
 
+@pytest.mark.parametrize("name", ["heisenberg", "martinet"])
+def test_each_element_of_a_batch_keeps_its_own_horizon(name):
+    # Horizons T, 0.71 T and 0.3 T in one stack: every kernel is the one
+    # its control and horizon get alone. The control (3e13, 0) drives x1
+    # past the guard at the fourth fine node of its own grid on [0, 0.71 T].
+    sc = resolve_scenario(name)
+    F = scenario_fields(sc)
+    x0 = np.asarray(sc.x0, dtype=float)
+    us = random_smooth_controls(np.random.default_rng(6), sc.T, 16, sc.m,
+                                count=3)
+    wild = ControlPath.constant(sc.T, 16, [3e13, 0.0])
+    horizons = [sc.T, 0.71 * sc.T, 0.3 * sc.T, 0.71 * sc.T]
+    kerns = DifferentialKernel.build_batch(F, us + [wild], x0, horizons, 4)
+    assert kerns[-1] is None
+    for u, T, kern in zip(us, horizons, kerns):
+        alone = DifferentialKernel.build(F, u, x0, T, 4)
+        assert kern.T == alone.T == T
+        for a in KERNEL_ARRAYS:
+            np.testing.assert_array_equal(getattr(kern, a), getattr(alone, a))
+    with pytest.raises(DivergenceError) as info:
+        DifferentialKernel.build(F, wild, x0, horizons[-1], 4)
+    assert info.value.time == 4 * (horizons[-1] / 64)
+
+
 @pytest.mark.parametrize("name", ["identity", "heisenberg", "martinet",
                                   "grushin"])
 def test_trajectories_hold_the_kernel_states(name):
@@ -289,6 +313,9 @@ def test_a_batch_shares_one_control_grid():
         DifferentialKernel.build_batch(
             HEISENBERG, [us[0], ControlPath.constant(1.0, 16, [1.0])],
             np.zeros(3))
+    with pytest.raises(DimensionError, match="3 horizons for 2 controls"):
+        DifferentialKernel.build_batch(HEISENBERG, us[:1] * 2, np.zeros(3),
+                                       [1.0, 0.5, 0.3])
     assert DifferentialKernel.build_batch(HEISENBERG, [], np.zeros(3)) == []
 
 

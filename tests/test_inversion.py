@@ -22,7 +22,7 @@ from extremals.fields import parse_field_set
 from extremals.inversion import (CHART_NEWTON_MAX_HALVINGS,
                                  CHART_NEWTON_MAX_ITER, Dictionary,
                                  _probe_targets, _solve_alpha,
-                                 _solve_probes, build_chart, chart_eval,
+                                 build_chart, chart_eval,
                                  chart_eval_full, chart_from_dict,
                                  chart_lipschitz_estimate, default_dictionary,
                                  select_basis)
@@ -233,32 +233,51 @@ def test_chart_newton_builds_one_kernel_per_iterate(loop_chart, monkeypatch):
 
 
 def test_build_chart_solves_its_probes_in_batches(monkeypatch):
-    # The 2n+1 probes at s = t share one batched Newton and the time-shifted
-    # probe has its own: one anchor build, then one build per Newton round
-    # of each batch, where solving the eight probes one by one took 26.
+    # The 2n+2 probes, the time-shifted one included, share one batched
+    # Newton: one anchor build, then one build per Newton round, where
+    # solving the eight probes one by one took 26 and one batch per horizon 9.
     calls = []
     count_builds(monkeypatch, calls.append)
     build_chart(HEISENBERG, loop_control(), np.zeros(3), 0.7, substeps=8)
-    assert len(calls) <= 9
-    assert len(calls[1]) == 7
+    assert len(calls) <= 5
+    assert len(calls[1]) == 8
+
+
+def assert_stack_equals_serial_queries(proto, s, betas):
+    """One Newton on the stack of targets gives each the iterates, the
+    determinant and the control that a query on ``proto`` gives it alone."""
+    alpha, paths, det, ok, iters = _solve_alpha(proto, s, betas)
+    assert ok.all()
+    for k in range(len(s)):
+        q_path, q_alpha, q_det, q_iters = chart_eval_full(proto, s[k],
+                                                          betas[k])
+        assert (det[k], iters[k]) == (q_det, q_iters)
+        np.testing.assert_array_equal(alpha[k], q_alpha)
+        np.testing.assert_array_equal(paths[k].values, q_path.values)
 
 
 def test_batched_probes_equal_serial_queries():
-    # Each probe gets the iterates a query on the proto chart gives it alone.
+    # The probes of the finished chart, the time-shifted one among them,
+    # solved as one stack on the proto chart.
     chart = build_chart(HEISENBERG, loop_control(), np.zeros(3), 0.7,
                         substeps=8)
     proto = dataclasses.replace(chart, r=float("inf"), k_time=float("inf"),
                                 lipschitz_est={})
-    probes = _probe_targets(chart.t, chart.anchor_endpoint, chart.r,
-                            chart.u.T)
-    results = _solve_probes(proto, probes)
-    assert len(results) == len(probes) == 8
-    for (s, beta), (s_b, beta_b, path, alpha) in zip(probes, results):
-        assert s_b == s
-        np.testing.assert_array_equal(beta_b, beta)
-        q_path, q_alpha, _, _ = chart_eval_full(proto, s, beta)
-        np.testing.assert_array_equal(alpha, q_alpha)
-        np.testing.assert_array_equal(path.values, q_path.values)
+    s, betas = zip(*_probe_targets(chart.t, chart.anchor_endpoint, chart.r,
+                                   chart.u.T))
+    assert len(s) == 8 and s[-1] == chart.t + chart.r
+    assert_stack_equals_serial_queries(proto, s, betas)
+
+
+def test_a_mixed_horizon_stack_equals_serial_queries(loop_chart):
+    # Six interior targets of the loop chart at six different horizons.
+    rng = np.random.default_rng(11)
+    d = rng.standard_normal((6, 4))
+    d *= 0.8 * loop_chart.r / np.linalg.norm(d, axis=1, keepdims=True)
+    s = loop_chart.t + d[:, 0]
+    assert len(set(s)) == 6
+    assert_stack_equals_serial_queries(loop_chart, s,
+                                       loop_chart.anchor_endpoint + d[:, 1:])
 
 
 def test_a_stack_of_targets_gets_the_iterates_each_gets_alone():
@@ -273,14 +292,15 @@ def test_a_stack_of_targets_gets_the_iterates_each_gets_alone():
                                               [-0.1, -0.05, 0.0],
                                               [-0.18, -0.02, -0.1],
                                               [0.21, 0.02, -0.17]])
-    stacked = _solve_alpha(proto, chart.t, betas)
-    assert all(ok for (_, _, _, ok, _) in stacked)
-    assert stacked[0][4] == 0 < min(iters for (*_, iters) in stacked[1:])
-    for beta, (alpha, path, det, ok, iters) in zip(betas, stacked):
-        (a1, p1, d1, ok1, it1), = _solve_alpha(proto, chart.t, beta[None])
-        assert (det, ok, iters) == (d1, ok1, it1)
-        np.testing.assert_array_equal(alpha, a1)
-        np.testing.assert_array_equal(path.values, p1.values)
+    s = np.full(len(betas), chart.t)
+    alpha, paths, det, ok, iters = _solve_alpha(proto, s, betas)
+    assert ok.all()
+    assert iters[0] == 0 < iters[1:].min()
+    for k in range(len(betas)):
+        a1, (p1,), d1, ok1, it1 = _solve_alpha(proto, s[:1], betas[k:k + 1])
+        assert (det[k], ok[k], iters[k]) == (d1[0], ok1[0], it1[0])
+        np.testing.assert_array_equal(alpha[k], a1[0])
+        np.testing.assert_array_equal(paths[k].values, p1.values)
 
 
 def test_a_rejected_line_search_fails_its_target(monkeypatch):
@@ -297,8 +317,8 @@ def test_a_rejected_line_search_fails_its_target(monkeypatch):
     assert len(kernels) < 300
     kernels.clear()
     proto = dataclasses.replace(chart, r=float("inf"))
-    (alpha, path, _, ok, iters), = _solve_alpha(
-        proto, chart.t, (chart.anchor_endpoint + 0.08)[None])
+    (alpha,), (path,), _, (ok,), (iters,) = _solve_alpha(
+        proto, [chart.t], (chart.anchor_endpoint + 0.08)[None])
     assert not ok and iters < CHART_NEWTON_MAX_ITER
     assert CHART_NEWTON_MAX_HALVINGS < len(kernels) <= 30
     np.testing.assert_array_equal(path.values, proto.emit(alpha).values)

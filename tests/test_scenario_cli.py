@@ -202,6 +202,19 @@ def test_cli_chart_build_then_eval(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_eval_chart_takes_no_anchor_time(tmp_path, capsys):
+    # A chart carries its own anchor time, so eval-chart rejects the option
+    # build-chart takes instead of ignoring it.
+    out = str(tmp_path)
+    assert main(["build-chart", "--scenario", "identity", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["eval-chart", "--scenario", "identity",
+                 "--chart", str(tmp_path / "identity_chart.json"),
+                 "--point", "0.9,0.95,-0.03", "--out", out,
+                 "--anchor-time", "0.5"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_certify_lipschitz_is_certified_and_byte_stable(tmp_path, capsys):
     reports = []
     for run in ("a", "b"):
