@@ -10,16 +10,16 @@ control and lose order there. Each element of a batch may carry its own
 horizon, and then has its own fine grid and step.
 
 Every integration, here and in the Hamiltonian flow of ``shooting``, runs
-through one batched RK4 integrator, ``_rk4``. It takes a stage right-hand side
-over a tuple of state arrays and keeps an alive mask over the batch: an
-element dies when any of its components turns non-finite or leaves the
-blow-up guard, and is then frozen at its last state. The state equation has
-one loop on it, ``_states``, shared by ``integrate``, ``integrate_batch``
-and the kernel builds, so a trajectory and a kernel of one control hold the
-same states bit for bit. The first two raise ``DivergenceError`` at the
-first death; the Hamiltonian flow keeps the mask and its one scalar step.
-The fundamental solution Psi below is not integrated in that loop but
-multiplied out from the RK4 step matrices of its linear equation.
+through one batched RK4 integrator over one state array, ``_rk4``, with an
+alive mask over the batch: an element dies when any of its components turns
+non-finite or leaves the blow-up guard, and is then frozen at its last state.
+The state equation has one loop on it, ``_states``, shared by ``integrate``,
+``integrate_batch`` and the kernel builds, so a trajectory and a kernel of
+one control hold the same states bit for bit. The first two raise
+``DivergenceError`` at the first death; the Hamiltonian flow keeps the mask
+and its one scalar step. Psi below is multiplied out from the RK4 step
+matrices of its linear equation. The other shared batched driver is
+``_backtrack``, the line search of the shooting, chart and feedback Newtons.
 
 The differential of the endpoint map and its adjoint come from the
 variational equation: with Psi the fundamental solution of Psi' = A(s) Psi,
@@ -93,53 +93,65 @@ def _stage_controls(values, T_path, times, h):
     return np.stack((nodes[:-1], half, half, nodes[1:]), axis=1)
 
 
-def _rk4(rhs, ys, h, M, alive=None):
-    """The one fixed-step RK4 loop, batched over a tuple of state arrays.
+def _rk4(rhs, y, h, M, alive=None):
+    """The one fixed-step RK4 loop, batched over the leading axes of y.
 
-    ``rhs(j, stage, ys)`` returns the derivatives of ``ys`` at RK4 stage
-    0..3 of step j. All arrays in ``ys`` share the batch axes of ``ys[0]``,
-    all but its last. The step h is one scalar or one per element, as an
-    array that broadcasts against the states. An element dies when one of
-    its components turns non-finite or exceeds BLOWUP_GUARD, or when ``rhs``
-    clears it in an ``alive`` mask the caller shares with it; it then keeps
-    its last state, and the run stops once no element is left.
+    ``rhs(j, stage, y)`` returns the derivative of y at RK4 stage 0..3 of
+    step j. The step h is one scalar or one per element, as an array that
+    broadcasts against y. An element dies when one of its components turns
+    non-finite or exceeds BLOWUP_GUARD, or when ``rhs`` clears it in an
+    ``alive`` mask the caller shares with it; it then keeps its last state,
+    and the run stops once no element is left.
 
-    Returns (trajectories, alive, died): node values shaped (M+1,) + y.shape
-    per array, the final mask, and the step at which each element died
-    (-1 while alive), so it died near s = died * h.
+    Returns (trajectory, alive, died): node values shaped (M+1,) + y.shape,
+    the final mask, and the step at which each element died (-1 while
+    alive), so it died near s = died * h.
     """
     half, sixth = h / 2.0, h / 6.0
-    batch = ys[0].shape[:-1]
     shared = alive is not None
-    alive = alive if shared else np.ones(batch, dtype=bool)
-    died = np.full(batch, -1)
-    outs = tuple(np.empty((M + 1,) + y.shape, dtype=y.dtype) for y in ys)
-    for out, y in zip(outs, ys):
-        out[0] = y
+    alive = alive if shared else np.ones(y.shape[:-1], dtype=bool)
+    died = np.full(y.shape[:-1], -1)
+    out = np.empty((M + 1,) + y.shape, dtype=y.dtype)
+    out[0] = y
     for j in range(M):
-        k1 = rhs(j, 0, ys)
-        k2 = rhs(j, 1, [y + half * k for y, k in zip(ys, k1)])
-        k3 = rhs(j, 2, [y + half * k for y, k in zip(ys, k2)])
-        k4 = rhs(j, 3, [y + h * k for y, k in zip(ys, k3)])
-        new = [y + sixth * (a + 2.0 * b + 2.0 * c + d)
-               for y, a, b, c, d in zip(ys, k1, k2, k3, k4)]
-        # NaN fails every comparison, so one max per array guards the batch;
-        # between guard trips only rhs can clear a mask, and only a shared one.
-        if not (all([np.abs(y).max() <= BLOWUP_GUARD for y in new])
+        k1 = rhs(j, 0, y)
+        k2 = rhs(j, 1, y + half * k1)
+        k3 = rhs(j, 2, y + half * k2)
+        k4 = rhs(j, 3, y + h * k3)
+        new = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # NaN fails every comparison, so one max guards the batch; between
+        # guard trips only rhs can clear a mask, and only a shared one.
+        if not (np.abs(new).max() <= BLOWUP_GUARD
                 and (not shared or alive.all())):
-            for y in new:
-                alive &= np.abs(y).reshape(batch + (-1,)).max(axis=-1) <= BLOWUP_GUARD
+            alive &= np.abs(new).max(axis=-1) <= BLOWUP_GUARD
             died[~alive & (died < 0)] = j + 1
-            new = [np.where(alive.reshape(batch + (1,) * (y.ndim - len(batch))),
-                            y, old) for y, old in zip(new, ys)]
+            new = np.where(alive[..., None], new, y)
             if not alive.any():
-                for out, y in zip(outs, new):
-                    out[j + 1:] = y
-                return outs, alive, died
-        ys = new
-        for out, y in zip(outs, ys):
-            out[j + 1] = y
-    return outs, alive, died
+                out[j + 1:] = new
+                return out, alive, died
+        y = new
+        out[j + 1] = y
+    return out, alive, died
+
+
+def _backtrack(trial, x, step, todo, halvings):
+    """Backtracking line search (Nocedal & Wright, 2nd ed., section 3.1) on
+    the rows of x (K, d): each element of ``todo`` tries x - step, x - step/2,
+    ... at most ``halvings`` times; the pending ones share one scale.
+    ``trial(idx, x_try)`` evaluates the pending elements idx in one call,
+    keeps what it needs of those whose residual fell and returns their mask
+    over idx. Returns x with the accepted steps taken, and the mask of stuck
+    elements, which keep their iterate."""
+    x, pending = x.copy(), np.array(todo, dtype=bool)
+    for k in range(halvings):
+        idx = np.flatnonzero(pending)
+        if not idx.size:
+            break
+        x_try = x[idx] - 0.5 ** k * step[idx]
+        better = trial(idx, x_try)
+        x[idx[better]] = x_try[better]
+        pending[idx[better]] = False
+    return x, pending
 
 
 def _raise_if_dead(died, h):
@@ -178,13 +190,13 @@ def _states(F, values, T_path, x0, T, substeps):
     x = np.broadcast_to(x, (len(values), x.shape[-1])).copy()
     stages = np.empty(control.shape[:2] + x.shape, dtype=x.dtype)
 
-    def rhs(j, stage, ys):
-        stages[j, stage] = ys[0]
-        return ((F.field_matrix(ys[0]) @ control[j, stage][..., None])[..., 0],)
+    def rhs(j, stage, y):
+        stages[j, stage] = y
+        return (F.field_matrix(y) @ control[j, stage][..., None])[..., 0]
 
     # Laid out as the state: a product of one shape is the cheapest per stage.
     step = np.repeat(h[:, None], x.shape[-1], axis=1)
-    (states,), _, died = _rk4(rhs, (x,), step, len(control))
+    states, _, died = _rk4(rhs, x, step, len(control))
     return times, h, control, states, stages, died
 
 

@@ -20,16 +20,17 @@ trial is the next iterate's kernel.
 
 The Newton runs on a stack of targets (s, beta), each with its own horizon
 s, building the kernels of all their iterates, then of all their
-line-search trials, with one ``DifferentialKernel.build_batch`` call each;
-every target stops on its own, with the iterates it would get alone. A
-query is the batch of one. ``build_chart`` solves its 2n+2 sphere probes,
-the time-shifted one included, as one stack. Each probe then passes the
-checks a user query gets after its Newton (converged, determinant floor,
-time constant), on a proto chart with an unbounded radius and time
-constant and the final determinant floor, so a probe passes exactly what a
-query inside the finished chart must pass. ``chart_lipschitz_estimate``
-solves the n+1 finite-difference targets of each differential point as one
-stack too, each through a query's checks.
+line-search trials (``dynamics._backtrack``), with one
+``DifferentialKernel.build_batch`` call each; every target stops on its own,
+with the iterates it would get alone. A query is the batch of one.
+``build_chart`` solves its 2n+2 sphere probes, the time-shifted one
+included, as one stack. Each probe then passes the checks a user query
+gets after its Newton (converged, determinant floor, time constant), on a
+proto chart with an unbounded radius and time constant and the final
+determinant floor, so a probe passes exactly what a query inside the
+finished chart must pass. ``chart_lipschitz_estimate`` solves the n+1
+finite-difference targets of each differential point as one stack too, each
+through a query's checks.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ import numpy as np
 
 from . import expr as ex
 from .controls import ControlPath, l2_distance
-from .dynamics import DEFAULT_SUBSTEPS, DifferentialKernel, fine_grid
+from .dynamics import (DEFAULT_SUBSTEPS, DifferentialKernel, _backtrack,
+                       fine_grid)
 from .errors import (BasisDeficiencyError, ChartConstructionError,
                      ChartIntegrityError, DimensionError)
 
@@ -238,11 +240,11 @@ def _solve_alpha(chart: InversionChart, s, betas, alpha0=None):
     at the current iterate, so convergence certifies the round trip on the
     emitted piecewise-linear control itself. Every kernel comes from one
     ``build_batch`` call per round: the starting iterates, then each
-    line-search halving of the trials still rejected. An iterate the line
-    search accepted keeps the control and kernel of its trial; a target whose
-    CHART_NEWTON_MAX_HALVINGS trials were all rejected fails at its last
-    iterate. Each target stops on its own and gets the iterates a Newton run
-    on it alone would give.
+    halving of ``_backtrack``, on the trials still rejected. An iterate the
+    line search accepted keeps the control and kernel of its trial; a target
+    whose CHART_NEWTON_MAX_HALVINGS trials were all rejected fails at its
+    last iterate. Each target stops on its own and gets the iterates a
+    Newton run on it alone would give.
     """
     s = np.asarray(s, dtype=float)
     K = len(s)
@@ -259,9 +261,21 @@ def _solve_alpha(chart: InversionChart, s, betas, alpha0=None):
                                            chart.substeps)
     done = np.array([kern is None for kern in kerns])
     iterations[done] = 0
+    gn = np.zeros(K)
+
+    def trial(ks, alpha_try):
+        controls = [chart.emit(a) for a in alpha_try]
+        built = DifferentialKernel.build_batch(chart.F, controls, chart.x0,
+                                               s[ks], chart.substeps)
+        better = np.array([kern is not None and
+                           np.linalg.norm(kern.endpoint - betas[k]) < gn[k]
+                           for k, kern in zip(ks, built)], dtype=bool)
+        for i in np.flatnonzero(better):
+            kerns[ks[i]], paths[ks[i]] = built[i], controls[i]
+        return better
+
     for it in range(CHART_NEWTON_MAX_ITER):
         step = np.zeros_like(alpha)
-        gn = np.zeros(K)
         for k in np.flatnonzero(~done):
             g = kerns[k].endpoint - betas[k]
             gn[k] = np.linalg.norm(g)
@@ -275,26 +289,10 @@ def _solve_alpha(chart: InversionChart, s, betas, alpha0=None):
                 step[k] = np.linalg.solve(phi, g)
         if done.all():
             break
-        scale = np.ones(K)
-        pending = ~done
-        for _ in range(CHART_NEWTON_MAX_HALVINGS):
-            ks = np.flatnonzero(pending)
-            controls = [chart.emit(alpha[k] - scale[k] * step[k]) for k in ks]
-            trials = DifferentialKernel.build_batch(chart.F, controls, chart.x0,
-                                                    s[ks], chart.substeps)
-            for k, control, trial in zip(ks, controls, trials):
-                if (trial is not None and
-                        np.linalg.norm(trial.endpoint - betas[k]) < gn[k]):
-                    kerns[k], paths[k] = trial, control
-                    pending[k] = False
-                else:
-                    scale[k] /= 2.0
-            if not pending.any():
-                break
-        accepted = ~done & ~pending
-        alpha[accepted] -= scale[accepted, None] * step[accepted]
-        done |= pending
-        iterations[pending] = it
+        alpha, stuck = _backtrack(trial, alpha, step, ~done,
+                                  CHART_NEWTON_MAX_HALVINGS)
+        done |= stuck
+        iterations[stuck] = it
     return alpha, paths, det, converged, iterations
 
 

@@ -11,9 +11,9 @@ d_uL(x, u) - z grows with |z|. When no entry of the control Hessian depends
 on u, as for every cost quadratic in u, d_uL(x, u) = g0(x) + H(x) u is
 affine in u and the inverse is the linear solve u = H(x)^-1 (z - g0(x)),
 ``_affine_solve``; this is decided symbolically on the first solve. Any
-other cost goes through ``_damped_newton``, a damped Newton iteration with
-a line search, element by element. ``legendre_inverse`` takes g0 and H from
-one compiled evaluator.
+other cost goes through ``_damped_newton``, a damped Newton iteration on
+the shared line search ``dynamics._backtrack``. ``legendre_inverse`` takes
+g0 and H from one compiled evaluator.
 
 The Hamiltonian flow in ``shooting`` gets its stage from
 ``Lagrangian.flow_stage``. When H is moreover a constant matrix with a
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .dynamics import DEFAULT_SUBSTEPS, integrate
+from .dynamics import DEFAULT_SUBSTEPS, _backtrack, integrate
 from .errors import DiffeomorphismViolationError, DimensionError, EvaluationError
 
 LEGENDRE_TOL = 1e-10
@@ -287,55 +287,54 @@ def _solve_or(H, rhs, fallback):
         return np.where(regular[..., None], x, fallback), regular
 
 
-def _damped_newton(L: Lagrangian, x, z, u0, live=None):
+def _damped_newton(L: Lagrangian, x, z, u0, live=True):
     """Damped Newton on d_uL(x, u) = z for costs not affine in u.
 
-    Damping halves the step per batch element until the residual norm
-    decreases. Elements outside ``live`` (a flow's frozen dead elements,
-    whose residual can sit at a roundoff floor above tolerance), elements
-    whose residual turns non-finite and unconverged elements with a singular
-    control Hessian fail and hold up neither the stop test nor the line
-    search. Converged elements stop, so each ends as in a batch of one.
+    ``_backtrack`` halves each element's step, on the flattened batch, until
+    its residual norm falls, and the residual of the accepted trial is kept.
+    Elements outside ``live`` (a flow's frozen dead elements, whose residual
+    can sit at a roundoff floor above tolerance), elements whose residual is
+    non-finite, whose line search stalls or whose Newton step is singular or
+    non-finite fail at their iterate and hold up nothing. Converged elements
+    stop, so each ends as in a batch of one.
     """
-    u = u0.copy()
+    batch = np.broadcast_shapes(x.shape[:-1], z.shape[:-1], u0.shape[:-1])
+    x, z, u = (np.broadcast_to(a, batch + a.shape[-1:])
+               .reshape(-1, a.shape[-1]).copy() for a in (x, z, u0))
     tol = LEGENDRE_TOL * (1.0 + _norm(z))
     r = L.grad_u(x, u) - z
     rn = _norm(r)
-    live = np.isfinite(rn) if live is None else live & np.isfinite(rn)
+    live = np.isfinite(rn) & np.ravel(live)
+
+    def trial(idx, u_try):
+        r_try = L.grad_u(x[idx], u_try) - z[idx]
+        rn_try = _norm(r_try)
+        better = rn_try < rn[idx]
+        r[idx[better]], rn[idx[better]] = r_try[better], rn_try[better]
+        return better
+
     for _ in range(LEGENDRE_MAX_ITER):
         todo = live & (rn >= tol)
         if not np.any(todo):
             break
         step, regular = _solve_or(L.hess_u(x, u), r, 0.0)
-        live &= regular | ~todo
-        todo &= live
-        step = np.where(todo[..., None] & np.isfinite(step), step, 0.0)
-        alpha = np.ones(rn.shape)
-        for _ in range(LEGENDRE_MAX_HALVINGS):
-            u_try = u - alpha[..., None] * step
-            rn_try = _norm(L.grad_u(x, u_try) - z)
-            ok = (rn_try < rn) | ~todo
-            if np.all(ok):
-                break
-            alpha = np.where(ok, alpha, alpha / 2.0)
-        u = u - alpha[..., None] * step
-        r = L.grad_u(x, u) - z
-        rn = _norm(r)
-        live &= np.isfinite(rn)
-    return u, live & (rn < tol)
+        live &= (regular & np.isfinite(step).all(axis=-1)) | ~todo
+        u, stuck = _backtrack(trial, u, step, todo & live,
+                              LEGENDRE_MAX_HALVINGS)
+        live &= ~stuck
+    return u.reshape(batch + (L.m,)), (live & (rn < tol)).reshape(batch)
 
 
 def legendre_inverse(L: Lagrangian, x, z, u0=None):
     """Solve d_uL(x, u) = z for u; a Newton starts from u0 (default 0).
 
     Raises a diffeomorphism violation if any batch element fails to reach
-    tolerance: a singular control Hessian or a stalled line search.
+    tolerance: a singular control Hessian or a stalled line search, whose
+    LEGENDRE_MAX_HALVINGS trials were all rejected.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    batch = np.broadcast_shapes(x.shape[:-1], z.shape[:-1])
     u0 = np.zeros(L.m) if u0 is None else np.asarray(u0, dtype=float)
-    u0 = np.broadcast_to(u0, batch + (L.m,))
     if L.fiber_affine():
         u, ok = _affine_solve(*L.fiber_coefficients(x), z, u0)
     else:

@@ -19,7 +19,8 @@ masked damped Newton on z, warm-started from the previous stage (one or
 two steps in practice) and skipping the elements the flow has already
 frozen; either kills the elements it fails on.
 The shooting unknown is p(0): forward integration only, and the
-multiplier is read off as lam = p(T) on convergence.
+multiplier is read off as lam = p(T) on convergence. The line search,
+``dynamics._backtrack``, flows only the seeds whose trials were rejected.
 
 Everything is batched over seeds: ``shoot_extremals`` returns one extremal
 per row of a p(0) stack, ``shoot_extremal`` is its batch-of-one case, and
@@ -40,7 +41,7 @@ import numpy as np
 
 from .controls import ControlPath, l2_distance
 from .dynamics import (DEFAULT_SUBSTEPS, PSI_COND_FLAG, DifferentialKernel,
-                       Trajectory, _rk4, fine_grid)
+                       Trajectory, _backtrack, _rk4, fine_grid)
 from .errors import DimensionError, NonConvergenceError
 from .lagrangian import Lagrangian, _affine_solve, _damped_newton, trapezoid
 
@@ -134,18 +135,18 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
             u = out[..., :m]
             return u, np.isfinite(u).all(axis=-1), out[..., m:]
 
-    def rhs(j, step_stage, ys):
+    def rhs(j, step_stage, y):
         nonlocal w, alive
-        w, ok, rate = feedback(ys[0])
+        w, ok, rate = feedback(y)
         alive &= ok
         if step_stage == 0:
             us[j] = w
-        return (rate,)
+        return rate
 
     # Frozen dead elements' stages may overflow; the alive mask reports them.
     with np.errstate(over="ignore", invalid="ignore"):
-        (ys,), _, _ = _rk4(rhs, (y,), h, M, alive)
-        rhs(M, 0, (ys[-1],))
+        ys, _, _ = _rk4(rhs, y, h, M, alive)
+        rhs(M, 0, ys[-1])
     return times, ys[..., :n], ys[..., n:], us, alive
 
 
@@ -166,14 +167,13 @@ def _truncated_step(J, r):
 
 
 def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
-    """Damped least-squares Newton on the batched shooting residual.
+    """Damped least-squares Newton on the shooting residual of seeds (k, n).
 
     Returns (p0, resid_norm, converged, iterations) per element and the
     (xs, ps, us) of the flow behind each residual, batch on axis 1.
     """
     p0 = np.asarray(p0, dtype=float).copy()
-    batch = p0.shape[:-1]
-    n = F.n
+    k, n = p0.shape
 
     def residual(pts):
         _, xs, ps, us, alive = _hamiltonian_flow(F, L, x0, pts, T, N, substeps)
@@ -182,48 +182,39 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
 
     rn, flow = residual(p0)
     failed = ~np.isfinite(rn)
-    iterations = np.zeros(batch, dtype=int)
+    iterations = np.zeros(k, dtype=int)
     stall_rn = rn.copy()
+
+    def trial(idx, p_try):
+        rn_try, flow_try = residual(p_try)
+        better = rn_try < rn[idx]
+        rn[idx[better]] = rn_try[better]
+        for kept, new in zip(flow, flow_try):
+            kept[:, idx[better]] = new[:, better]
+        return better
+
     for it in range(max_iter):
         active = (rn >= tol) & ~failed
         if not np.any(active):
             break
         # Central-difference Jacobian, all probes in one batched flow:
-        # probes 2k and 2k + 1 move p0 by +step and -step along axis k.
+        # probes 2a and 2a + 1 move p0 by +step and -step along axis a.
         step = SHOOT_FD_STEP * (1.0 + np.linalg.norm(p0, axis=-1))
-        axes = np.eye(n).reshape((n,) + (1,) * len(batch) + (n,))
-        shift = step[..., None] * axes
+        shift = step[:, None] * np.eye(n)[:, None]
         probes = np.stack((p0 + shift, p0 - shift), axis=1)
         _, xs, _, _, alive = _hamiltonian_flow(
-            F, L, x0, probes.reshape((2 * n,) + batch + (n,)), T, N, substeps)
-        ends = xs[-1].reshape((n, 2) + batch + (n,))
+            F, L, x0, probes.reshape(2 * n, k, n), T, N, substeps)
+        ends = xs[-1].reshape(n, 2, k, n).transpose(2, 3, 0, 1)
         jac_ok = np.all(alive, axis=0)
-        J = np.moveaxis((ends[:, 0] - ends[:, 1]) / (2.0 * step[..., None]), 0, -1)
+        J = (ends[..., 0] - ends[..., 1]) / (2.0 * step[:, None, None])
 
         moving = active & jac_ok
         failed = failed | (active & ~jac_ok)
         # A zero Jacobian keeps no singular value: a zero step.
-        delta = _truncated_step(np.where(moving[..., None, None], J, 0.0),
+        delta = _truncated_step(np.where(moving[:, None, None], J, 0.0),
                                 flow[0][-1] - x)
-
-        alpha = np.ones(batch)
-        accepted = ~moving
-        best = p0.copy()
-        for _ in range(SHOOT_MAX_HALVINGS):
-            cand = p0 - (alpha * moving)[..., None] * delta
-            rn_try, flow_try = residual(cand)
-            better = moving & ~accepted & (rn_try < rn)
-            best = np.where(better[..., None], cand, best)
-            flow = tuple(np.where(better[..., None], new, kept)
-                         for new, kept in zip(flow_try, flow))
-            rn = np.where(better, rn_try, rn)
-            accepted = accepted | better
-            if np.all(accepted):
-                break
-            alpha = np.where(accepted, alpha, alpha / 2.0)
-        stuck = moving & ~accepted
+        p0, stuck = _backtrack(trial, p0, delta, moving, SHOOT_MAX_HALVINGS)
         failed = failed | stuck
-        p0 = best
         iterations = iterations + moving.astype(int)
         # Seeds that wander without real progress would otherwise burn the
         # whole iteration budget; anything that cannot even halve its

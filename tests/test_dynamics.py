@@ -10,8 +10,8 @@ import pytest
 
 from extremals import lagrangian
 from extremals.controls import ControlPath, random_smooth_controls
-from extremals.dynamics import (PSI_COND_FLAG, DifferentialKernel, integrate,
-                                integrate_batch, trapezoid_weights)
+from extremals.dynamics import (PSI_COND_FLAG, DifferentialKernel, _backtrack,
+                                integrate, integrate_batch, trapezoid_weights)
 from extremals.errors import DimensionError, DivergenceError, GridMismatchError
 from extremals.expr import CompiledVector
 from extremals.fields import parse_field_set
@@ -407,3 +407,63 @@ def test_feedback_newton_skips_a_dead_seed():
     alive2, calls2 = counted_flow([[0.1], [-0.5]])
     np.testing.assert_array_equal(alive2, [True, True])
     assert calls <= 3 * calls2
+
+
+LINE_X = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 6.0], [-7.0, 0.25]])
+LINE_STEP = np.array([[1.0, -1.0], [0.3, 0.5], [4.0, 4.0], [-0.7, 1.1]])
+
+
+def test_a_line_search_that_rejects_everything_keeps_its_iterates():
+    calls = []
+
+    def reject(idx, x_try):
+        calls.append((idx.copy(), x_try.copy()))
+        return np.zeros(len(idx), dtype=bool)
+
+    todo = np.array([True, False, True, True])
+    x, stuck = _backtrack(reject, LINE_X, LINE_STEP, todo, 7)
+    assert len(calls) == 7
+    for k, (idx, x_try) in enumerate(calls):
+        np.testing.assert_array_equal(idx, [0, 2, 3])
+        np.testing.assert_array_equal(
+            x_try, LINE_X[idx] - LINE_STEP[idx] / 2.0 ** k)
+    np.testing.assert_array_equal(x, LINE_X)
+    np.testing.assert_array_equal(stuck, todo)
+
+
+def test_a_line_search_takes_each_element_s_first_accepted_halving():
+    # Element i accepts its trial at halving accept_at[i] and is evaluated
+    # no more after it; the others are never evaluated at all.
+    accept_at = {0: 0, 1: 3, 3: 9}
+    halving = [0]
+    evaluated = []
+
+    def trial(idx, x_try):
+        evaluated.append(list(idx))
+        better = np.array([accept_at[i] == halving[0] for i in idx])
+        halving[0] += 1
+        return better
+
+    todo = np.array([True, True, False, True])
+    x, stuck = _backtrack(trial, LINE_X, LINE_STEP, todo, 10)
+    assert not stuck.any()
+    for i, k in accept_at.items():
+        np.testing.assert_array_equal(x[i], LINE_X[i] - LINE_STEP[i] / 2.0 ** k)
+        assert sum(i in idx for idx in evaluated) == k + 1
+    np.testing.assert_array_equal(x[2], LINE_X[2])
+    assert len(evaluated) == 10
+
+
+def test_a_line_search_never_evaluates_an_element_outside_its_mask():
+    evaluated = []
+
+    def trial(idx, x_try):
+        evaluated.extend(idx)
+        return x_try[:, 0] < 0.0
+
+    todo = np.array([False, True, False, True])
+    x, stuck = _backtrack(trial, LINE_X, LINE_STEP, todo, 4)
+    assert set(evaluated) <= {1, 3}
+    np.testing.assert_array_equal(x[[0, 2]], LINE_X[[0, 2]])
+    np.testing.assert_array_equal(stuck, [False, True, False, False])
+    np.testing.assert_array_equal(x[3], LINE_X[3] - LINE_STEP[3])

@@ -92,6 +92,20 @@ def test_legendre_inverse_quartic_against_bisection():
     assert float(u[0]) == pytest.approx(root, abs=1e-10)
 
 
+def test_a_stalled_line_search_fails_the_feedback():
+    # d_uL = u^3 - u has a vanishing Hessian at 1/sqrt(3). A Newton started
+    # 1e-9 beside it steps about 2.6e8 away, and every halving down to
+    # 2^-19 of that step raises the residual: the element fails at its
+    # iterate instead of taking an untried 2^-20 step.
+    L = parse_lagrangian("u1^4/4 - u1^2/2", 1, 1)
+    u0 = np.array([1.0 / np.sqrt(3.0) + 1e-9])
+    u, ok = _damped_newton(L, np.zeros((1, 1)), np.array([[0.5]]), u0[None])
+    assert not ok[0]
+    np.testing.assert_array_equal(u[0], u0)
+    with pytest.raises(DiffeomorphismViolationError):
+        legendre_inverse(L, np.zeros(1), np.array([0.5]), u0=u0)
+
+
 def test_legendre_inverse_needs_a_convex_fiber():
     L = parse_lagrangian("u1", 1, 1)  # d_uL is constant, not invertible
     assert L.fiber_affine()

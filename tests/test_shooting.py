@@ -297,6 +297,40 @@ def test_building_solutions_runs_no_flow(monkeypatch):
     assert during_build == [0, 0]
 
 
+def test_the_line_search_flows_only_the_pending_seeds(monkeypatch):
+    # Each halving flows the seeds whose trials were all rejected so far,
+    # not the whole batch: a seed leaves the flows once its residual fell.
+    flow, backtrack = shooting._hamiltonian_flow, shooting._backtrack
+    batches = []
+    rounds = []
+
+    def recording_flow(F, L, x0, p0, *args, **kwargs):
+        batches.append(np.shape(p0)[:-1])
+        return flow(F, L, x0, p0, *args, **kwargs)
+
+    def recording_backtrack(trial, x, step, todo, halvings):
+        pending = np.array(todo)
+
+        def recording_trial(idx, x_try):
+            before = len(batches)
+            better = trial(idx, x_try)
+            rounds.append((batches[before:], np.flatnonzero(pending), idx))
+            pending[idx[better]] = False
+            return better
+
+        return backtrack(recording_trial, x, step, todo, halvings)
+
+    monkeypatch.setattr(shooting, "_hamiltonian_flow", recording_flow)
+    monkeypatch.setattr(shooting, "_backtrack", recording_backtrack)
+    seeds = make_seeds(3, 11, 2.0, seed=4)
+    multi_start(HEISENBERG, QUAD_3, np.zeros(3), OFF_AXIS, 1.0, seeds, N=16)
+    assert rounds
+    for flows, pending, idx in rounds:
+        np.testing.assert_array_equal(idx, pending)
+        assert flows == [(len(pending),)]
+    assert min(len(idx) for _, _, idx in rounds) < len(seeds)
+
+
 def test_kept_flows_of_a_non_affine_cost_are_extremal():
     assert not QUARTIC_3.fiber_affine()
     for sol in _off_axis_solutions(QUARTIC_3):
