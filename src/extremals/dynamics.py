@@ -136,21 +136,37 @@ def _rk4(rhs, y, h, M, alive=None):
 
 def _backtrack(trial, x, step, todo, halvings):
     """Backtracking line search (Nocedal & Wright, 2nd ed., section 3.1) on
-    the rows of x (K, d): each element of ``todo`` tries x - step, x - step/2,
-    ... at most ``halvings`` times; the pending ones share one scale.
-    ``trial(idx, x_try)`` evaluates the pending elements idx in one call,
-    keeps what it needs of those whose residual fell and returns their mask
-    over idx. Returns x with the accepted steps taken, and the mask of stuck
-    elements, which keep their iterate."""
+    the rows of x (K, d), with the trials of each round evaluated together.
+
+    Each element of ``todo`` tries x - step. The elements it rejects then
+    try all their remaining scales 2^-1 ... 2^-(halvings-1) in one second
+    round, and each keeps its largest accepted scale. Every trial is judged
+    against the residual of its element's iterate, so that is the scale a
+    loop of one halving per round picks, in at most two rounds.
+
+    ``trial(idx, x_try)`` evaluates the candidates x_try of the elements
+    idx in one call; an element appears once per scale, largest scale
+    first. It returns (better, keep): the mask of the candidates whose
+    residual fell below their iterate's, and ``keep(sel)``, which stores
+    what the caller needs of the candidates sel, at most one per element.
+    Returns x with the accepted steps taken, and the mask of stuck
+    elements, whose every trial was rejected; they keep their iterate.
+    """
     x, pending = x.copy(), np.array(todo, dtype=bool)
-    for k in range(halvings):
+    for scales in (0.5 ** np.arange(min(halvings, 1)),
+                   0.5 ** np.arange(1, halvings)):
         idx = np.flatnonzero(pending)
-        if not idx.size:
+        if not (idx.size and scales.size):
             break
-        x_try = x[idx] - 0.5 ** k * step[idx]
-        better = trial(idx, x_try)
-        x[idx[better]] = x_try[better]
-        pending[idx[better]] = False
+        elements = np.repeat(idx, len(scales))
+        x_try = x[elements] - np.tile(scales, len(idx))[:, None] * step[elements]
+        better, keep = trial(elements, x_try)
+        better = better.reshape(len(idx), len(scales))
+        won = better.any(axis=1)
+        sel = np.flatnonzero(won) * len(scales) + better[won].argmax(axis=1)
+        keep(sel)
+        x[elements[sel]] = x_try[sel]
+        pending[elements[sel]] = False
     return x, pending
 
 

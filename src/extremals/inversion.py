@@ -270,9 +270,12 @@ def _solve_alpha(chart: InversionChart, s, betas, alpha0=None):
         better = np.array([kern is not None and
                            np.linalg.norm(kern.endpoint - betas[k]) < gn[k]
                            for k, kern in zip(ks, built)], dtype=bool)
-        for i in np.flatnonzero(better):
-            kerns[ks[i]], paths[ks[i]] = built[i], controls[i]
-        return better
+
+        def keep(sel):
+            for i in sel:
+                kerns[ks[i]], paths[ks[i]] = built[i], controls[i]
+
+        return better, keep
 
     for it in range(CHART_NEWTON_MAX_ITER):
         step = np.zeros_like(alpha)

@@ -309,9 +309,11 @@ def _damped_newton(L: Lagrangian, x, z, u0, live=True):
     def trial(idx, u_try):
         r_try = L.grad_u(x[idx], u_try) - z[idx]
         rn_try = _norm(r_try)
-        better = rn_try < rn[idx]
-        r[idx[better]], rn[idx[better]] = r_try[better], rn_try[better]
-        return better
+
+        def keep(sel):
+            r[idx[sel]], rn[idx[sel]] = r_try[sel], rn_try[sel]
+
+        return rn_try < rn[idx], keep
 
     for _ in range(LEGENDRE_MAX_ITER):
         todo = live & (rn >= tol)

@@ -187,11 +187,13 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
 
     def trial(idx, p_try):
         rn_try, flow_try = residual(p_try)
-        better = rn_try < rn[idx]
-        rn[idx[better]] = rn_try[better]
-        for kept, new in zip(flow, flow_try):
-            kept[:, idx[better]] = new[:, better]
-        return better
+
+        def keep(sel):
+            rn[idx[sel]] = rn_try[sel]
+            for kept, new in zip(flow, flow_try):
+                kept[:, idx[sel]] = new[:, sel]
+
+        return rn_try < rn[idx], keep
 
     for it in range(max_iter):
         active = (rn >= tol) & ~failed

@@ -413,45 +413,90 @@ LINE_X = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 6.0], [-7.0, 0.25]])
 LINE_STEP = np.array([[1.0, -1.0], [0.3, 0.5], [4.0, 4.0], [-0.7, 1.1]])
 
 
-def test_a_line_search_that_rejects_everything_keeps_its_iterates():
+def _keeping(accepts, kept):
+    """A trial from accepts(idx, x_try) -> mask that records what it keeps."""
     calls = []
 
-    def reject(idx, x_try):
+    def trial(idx, x_try):
         calls.append((idx.copy(), x_try.copy()))
-        return np.zeros(len(idx), dtype=bool)
+        better = accepts(idx, x_try)
 
+        def keep(sel):
+            kept.append((idx[sel], x_try[sel]))
+
+        return better, keep
+
+    return trial, calls
+
+
+def _one_halving_per_round(accepts, x, step, todo, halvings):
+    """The reference: one trial round per halving, on the pending rows."""
+    x, pending = x.copy(), np.array(todo, dtype=bool)
+    for k in range(halvings):
+        idx = np.flatnonzero(pending)
+        if not idx.size:
+            break
+        x_try = x[idx] - 0.5 ** k * step[idx]
+        better = accepts(idx, x_try)
+        x[idx[better]] = x_try[better]
+        pending[idx[better]] = False
+    return x, pending
+
+
+def test_a_line_search_that_rejects_everything_keeps_its_iterates():
+    kept = []
+    trial, calls = _keeping(lambda idx, x_try: np.zeros(len(idx), bool), kept)
     todo = np.array([True, False, True, True])
-    x, stuck = _backtrack(reject, LINE_X, LINE_STEP, todo, 7)
-    assert len(calls) == 7
-    for k, (idx, x_try) in enumerate(calls):
-        np.testing.assert_array_equal(idx, [0, 2, 3])
-        np.testing.assert_array_equal(
-            x_try, LINE_X[idx] - LINE_STEP[idx] / 2.0 ** k)
+    x, stuck = _backtrack(trial, LINE_X, LINE_STEP, todo, 7)
+    # alpha = 1 on every pending row, then the six halvings of all three
+    # rows in one call, each row's scales largest first.
+    assert len(calls) == 2
+    np.testing.assert_array_equal(calls[0][0], [0, 2, 3])
+    np.testing.assert_array_equal(calls[0][1], LINE_X[[0, 2, 3]]
+                                  - LINE_STEP[[0, 2, 3]])
+    idx, x_try = calls[1]
+    np.testing.assert_array_equal(idx, np.repeat([0, 2, 3], 6))
+    scales = np.tile(0.5 ** np.arange(1, 7), 3)[:, None]
+    np.testing.assert_array_equal(x_try, LINE_X[idx] - scales * LINE_STEP[idx])
+    assert all(len(i) == 0 for i, _ in kept)
     np.testing.assert_array_equal(x, LINE_X)
     np.testing.assert_array_equal(stuck, todo)
 
 
 def test_a_line_search_takes_each_element_s_first_accepted_halving():
-    # Element i accepts its trial at halving accept_at[i] and is evaluated
-    # no more after it; the others are never evaluated at all.
-    accept_at = {0: 0, 1: 3, 3: 9}
-    halving = [0]
-    evaluated = []
+    # Element i accepts exactly the scales 2^-k with k in accept[i], an
+    # arbitrary set: the stacked rounds give each element its first
+    # accepted halving, the scale the one-halving-per-round loop gives it,
+    # in at most two trial calls, and keep one candidate per element, the
+    # accepted one.
+    for halvings in (1, 2, 4, 10):
+        rng = np.random.default_rng(halvings)
+        K = 40
+        x0 = rng.normal(size=(K, 3))
+        step = rng.normal(size=(K, 3))
+        accept = [set(np.flatnonzero(rng.uniform(size=halvings) < q))
+                  for q in rng.uniform(0.0, 0.6, K)]
 
-    def trial(idx, x_try):
-        evaluated.append(list(idx))
-        better = np.array([accept_at[i] == halving[0] for i in idx])
-        halving[0] += 1
-        return better
+        def accepts(idx, x_try):
+            scale = (x0[idx] - x_try)[:, 0] / step[idx, 0]
+            k = np.rint(-np.log2(scale)).astype(int)
+            return np.array([kk in accept[i] for i, kk in zip(idx, k)], bool)
 
-    todo = np.array([True, True, False, True])
-    x, stuck = _backtrack(trial, LINE_X, LINE_STEP, todo, 10)
-    assert not stuck.any()
-    for i, k in accept_at.items():
-        np.testing.assert_array_equal(x[i], LINE_X[i] - LINE_STEP[i] / 2.0 ** k)
-        assert sum(i in idx for idx in evaluated) == k + 1
-    np.testing.assert_array_equal(x[2], LINE_X[2])
-    assert len(evaluated) == 10
+        todo = rng.uniform(size=K) < 0.8
+        kept = []
+        trial, calls = _keeping(accepts, kept)
+        x, stuck = _backtrack(trial, x0, step, todo, halvings)
+        want, want_stuck = _one_halving_per_round(accepts, x0, step, todo,
+                                                  halvings)
+        assert len(calls) <= 2
+        np.testing.assert_array_equal(x, want)
+        np.testing.assert_array_equal(stuck, want_stuck)
+        rows = np.concatenate([i for i, _ in kept])
+        assert len(rows) == len(set(rows))
+        np.testing.assert_array_equal(np.sort(rows),
+                                      np.flatnonzero(todo & ~stuck))
+        for i, x_kept in kept:
+            np.testing.assert_array_equal(x_kept, x[i])
 
 
 def test_a_line_search_never_evaluates_an_element_outside_its_mask():
@@ -459,7 +504,7 @@ def test_a_line_search_never_evaluates_an_element_outside_its_mask():
 
     def trial(idx, x_try):
         evaluated.extend(idx)
-        return x_try[:, 0] < 0.0
+        return x_try[:, 0] < 0.0, lambda sel: None
 
     todo = np.array([False, True, False, True])
     x, stuck = _backtrack(trial, LINE_X, LINE_STEP, todo, 4)

@@ -306,22 +306,46 @@ def test_a_stack_of_targets_gets_the_iterates_each_gets_alone():
 def test_a_rejected_line_search_fails_its_target(monkeypatch):
     # anchor + 0.08 (1, 1, 1) is out of the martinet loop chart's reach:
     # once all CHART_NEWTON_MAX_HALVINGS trials of a step are rejected, the
-    # target fails at its last iterate, after 24 kernels. Taking the
+    # target fails at its last iterate and nothing more is built. Taking the
     # smallest step and going on instead cost 239 kernels here, and 1117 to
-    # certify the chart.
-    kernels = []
-    count_builds(monkeypatch, kernels.extend)
+    # certify the chart. A line search builds its trials in at most two
+    # calls: alpha = 1, then every remaining halving of the rejected targets
+    # stacked. Certifying the chart takes 45 build calls (119 with one call
+    # per halving), at the price of 316 kernels where one call per halving
+    # built 254, and the stuck target 9 calls (24) of 33 kernels (24).
+    calls = []
+    count_builds(monkeypatch, calls.append)
     chart = build_chart(MARTINET, loop_control(), np.zeros(3), 0.7,
                         dictionary=default_dictionary(2, 1.0, k_max=3))
     assert chart.r == pytest.approx(0.007856234808287217, rel=1e-12)
-    assert len(kernels) < 300
-    kernels.clear()
+    assert len(calls) < 60
+    assert sum(map(len, calls)) < 400
+    calls.clear()
     proto = dataclasses.replace(chart, r=float("inf"))
+    beta = chart.anchor_endpoint + 0.08
     (alpha,), (path,), _, (ok,), (iters,) = _solve_alpha(
-        proto, [chart.t], (chart.anchor_endpoint + 0.08)[None])
+        proto, [chart.t], beta[None])
     assert not ok and iters < CHART_NEWTON_MAX_ITER
-    assert CHART_NEWTON_MAX_HALVINGS < len(kernels) <= 30
     np.testing.assert_array_equal(path.values, proto.emit(alpha).values)
+    # One build of the start, then per line search one call of alpha = 1
+    # and, when it is rejected, one of the nine remaining halvings.
+    sizes = [len(c) for c in calls]
+    assert sizes[0] == 1 and sizes[-2:] == [1, CHART_NEWTON_MAX_HALVINGS - 1]
+    assert all(k == 1 or (k == CHART_NEWTON_MAX_HALVINGS - 1 and prev == 1)
+               for prev, k in zip(sizes, sizes[1:]))
+    # The stuck search tried every scale of one step from the last iterate,
+    # largest first, and rejected each.
+    tried = [c.values - path.values for c in calls[-2] + calls[-1]]
+    for k, d in enumerate(tried):
+        np.testing.assert_allclose(d, tried[0] / 2.0 ** k, rtol=0,
+                                   atol=1e-14 * np.abs(tried[0]).max())
+
+    def gap(control):
+        end = integrate(MARTINET, control, np.zeros(3), chart.t,
+                        substeps=chart.substeps).endpoint
+        return float(np.linalg.norm(end - beta))
+
+    assert min(gap(c) for c in calls[-2] + calls[-1]) >= gap(path)
 
 
 def test_chart_serialization_round_trip(loop_chart):

@@ -298,37 +298,50 @@ def test_building_solutions_runs_no_flow(monkeypatch):
 
 
 def test_the_line_search_flows_only_the_pending_seeds(monkeypatch):
-    # Each halving flows the seeds whose trials were all rejected so far,
-    # not the whole batch: a seed leaves the flows once its residual fell.
+    # A line search makes one flow of alpha = 1 on the moving seeds, then at
+    # most one more: every remaining halving of the seeds that flow rejected,
+    # stacked, and nothing of the seeds it accepted.
     flow, backtrack = shooting._hamiltonian_flow, shooting._backtrack
     batches = []
-    rounds = []
+    searches = []
 
     def recording_flow(F, L, x0, p0, *args, **kwargs):
         batches.append(np.shape(p0)[:-1])
         return flow(F, L, x0, p0, *args, **kwargs)
 
     def recording_backtrack(trial, x, step, todo, halvings):
-        pending = np.array(todo)
+        rounds = []
 
         def recording_trial(idx, x_try):
             before = len(batches)
-            better = trial(idx, x_try)
-            rounds.append((batches[before:], np.flatnonzero(pending), idx))
-            pending[idx[better]] = False
-            return better
+            better, keep = trial(idx, x_try)
+            rounds.append((batches[before:], idx, better))
+            return better, keep
 
+        searches.append((np.flatnonzero(todo), halvings, rounds))
         return backtrack(recording_trial, x, step, todo, halvings)
 
     monkeypatch.setattr(shooting, "_hamiltonian_flow", recording_flow)
     monkeypatch.setattr(shooting, "_backtrack", recording_backtrack)
     seeds = make_seeds(3, 11, 2.0, seed=4)
     multi_start(HEISENBERG, QUAD_3, np.zeros(3), OFF_AXIS, 1.0, seeds, N=16)
-    assert rounds
-    for flows, pending, idx in rounds:
-        np.testing.assert_array_equal(idx, pending)
-        assert flows == [(len(pending),)]
-    assert min(len(idx) for _, _, idx in rounds) < len(seeds)
+    assert searches
+    second_rounds = 0
+    for moving, halvings, rounds in searches:
+        assert 1 <= len(rounds) <= 2
+        flows, idx, better = rounds[0]
+        np.testing.assert_array_equal(idx, moving)
+        assert flows == [(len(moving),)]
+        if len(rounds) == 2:
+            second_rounds += 1
+            flows, idx, _ = rounds[1]
+            np.testing.assert_array_equal(
+                idx, np.repeat(moving[~better], halvings - 1))
+            assert flows == [(len(idx),)]
+        else:
+            assert better.all()
+    assert second_rounds
+    assert min(len(moving) for moving, _, _ in searches) < len(seeds)
 
 
 def test_kept_flows_of_a_non_affine_cost_are_extremal():
