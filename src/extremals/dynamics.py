@@ -17,9 +17,13 @@ The state equation has one loop on it, ``_states``, shared by ``integrate``,
 ``integrate_batch`` and the kernel builds, so a trajectory and a kernel of
 one control hold the same states bit for bit. The first two raise
 ``DivergenceError`` at the first death; the Hamiltonian flow keeps the mask
-and its one scalar step. Psi below is multiplied out from the RK4 step
-matrices of its linear equation. The other shared batched driver is
-``_backtrack``, the line search of the shooting, chart and feedback Newtons.
+and its one scalar step. The RK4 step matrices of a linear equation
+Y' = A(s) Y and their product (``_step_matrices``, ``_step_products``) give
+Psi below and the exact shooting Jacobian of ``shooting``, the derivative of
+the discrete flow whose recorded stages gave A. The one line search of the
+shooting, chart and feedback Newtons is ``_backtrack``: it tries the full
+step, then every remaining halving of the rejected elements stacked in one
+second trial.
 
 The differential of the endpoint map and its adjoint come from the
 variational equation: with Psi the fundamental solution of Psi' = A(s) Psi,
@@ -170,6 +174,32 @@ def _backtrack(trial, x, step, todo, halvings):
     return x, pending
 
 
+def _step_matrices(A, h):
+    """RK4 step matrices of the linear equation Y' = A(s) Y.
+
+    A holds A at the four stages of each step, shaped (4, M, ..., d, d),
+    and h broadcasts against one stage's stack. Step j maps Y at node j to
+    Y at node j + 1, exactly as RK4 maps it, so a product of steps is the
+    derivative of the discrete flow whose stages gave A.
+    """
+    eye = np.eye(A.shape[-1])
+    k1 = A[0]
+    k2 = A[1] @ (eye + (h / 2.0) * k1)
+    k3 = A[2] @ (eye + (h / 2.0) * k2)
+    k4 = A[3] @ (eye + h * k3)
+    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _step_products(steps, start):
+    """Y_0 = start and Y_{j+1} = steps[j] Y_j, stacked (M + 1, ..., d, k)."""
+    out = np.empty((len(steps) + 1,) + steps.shape[1:-1] + start.shape[-1:],
+                   dtype=np.result_type(steps, start))
+    out[0] = start
+    for j in range(len(steps)):
+        np.matmul(steps[j], out[j], out=out[j + 1])
+    return out
+
+
 def _raise_if_dead(died, h):
     if np.any(died >= 0):
         s = float(np.min((died * h)[died >= 0]))
@@ -303,7 +333,7 @@ class DifferentialKernel:
         ``_states`` runs the whole stack and records its stage states; one
         batched Jacobian call gives A at all 4M stages of every surviving
         element, and Psi_{j+1} = Phi_j Psi_j with Phi_j the RK4 step matrix
-        of the linear equation Psi' = A Psi.
+        of the linear equation Psi' = A Psi (``_step_matrices``).
         Returns (kernels, died, h): died (B,) is the fine step at which each
         element's state or Psi first left the guard, -1 for a kernel.
         """
@@ -329,17 +359,8 @@ class DifferentialKernel:
             return kernels, died, h
         A = np.einsum("jsbi,jsbikl->sjbkl", control[:, :, live],
                       F.jacobian_stack(stages[:, :, live]))
-        eye = np.eye(F.n)
-        hl = h[live, None, None]
-        k1 = A[0]
-        k2 = A[1] @ (eye + (hl / 2.0) * k1)
-        k3 = A[2] @ (eye + (hl / 2.0) * k2)
-        k4 = A[3] @ (eye + hl * k3)
-        steps = eye + (hl / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        psis = np.empty((M + 1,) + steps.shape[1:], dtype=steps.dtype)
-        psis[0] = eye
-        for j in range(M):
-            np.matmul(steps[j], psis[j], out=psis[j + 1])
+        psis = _step_products(_step_matrices(A, h[live, None, None]),
+                              np.eye(F.n))
         # The joint loop would have stopped at the first Psi beyond the guard.
         blown = ~(np.abs(psis).reshape(M + 1, live.size, -1).max(axis=2)
                   <= BLOWUP_GUARD)

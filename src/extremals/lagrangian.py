@@ -25,7 +25,9 @@ stage is two evaluators with ``_affine_solve`` or ``_damped_newton`` in
 between, and the flow freezes the elements that failed.
 ``legendre_inverse`` raises a diffeomorphism violation for them rather than
 patching over, because every downstream construction assumes the fiber
-derivative is invertible.
+derivative is invertible. ``Lagrangian.rate_jacobian`` differentiates the
+stage's rates, with du*/dy from the implicit-function formula, for the
+exact shooting Jacobian.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ class Lagrangian:
         self._fiber = None
         self._affine = None
         self._stages = {}
+        self._rate_jacobians = {}
 
     def _pack(self, x, u):
         """(x, u) broadcast together and stacked on the last axis."""
@@ -143,6 +146,22 @@ class Lagrangian:
             self._stages[F] = _folded_stage(F, self) or _two_call_stage(F, self)
         return self._stages[F]
 
+    def rate_jacobian(self, F):
+        """The Jacobian of a flow stage's rates (xi', p') in y = (xi, p).
+
+        Returns a function of the stage inputs (xi, p, u*) stacked on the
+        last axis, (..., 2n + m), to the matrices (..., 2n, 2n), generated
+        once per field set F from the symbolic derivatives of the stage.
+        u* enters through the implicit-function derivative of
+        d_uL(xi, u*) = z(xi, p): du*/dy = H(xi, u*)^-1 d/dy (z - d_uL(xi, u))
+        at fixed u. This one formula serves the folded stage, the closed-form
+        solve and the damped Newton alike. An element whose H is singular
+        gets NaN.
+        """
+        if F not in self._rate_jacobians:
+            self._rate_jacobians[F] = _rate_jacobian(F, self)
+        return self._rate_jacobians[F]
+
 
 _ZERO = ex.Const(0.0)
 
@@ -192,6 +211,33 @@ def _stage_exprs(F, L: Lagrangian):
         rates.append(gx if At_p == _ZERO
                      else ex.Add((ex.Mul((ex.Const(-1.0), At_p)), gx)))
     return x, z, rates
+
+
+def _rate_jacobian(F, L: Lagrangian):
+    """``Lagrangian.rate_jacobian``: one evaluator of the partial
+    derivatives at fixed u, then H^-1 and the chain rule in numpy."""
+    n, m = F.n, F.m
+    d = 2 * n
+    x, z, rates = _stage_exprs(F, L)
+    u = [ex.Var(f"u{k + 1}", d + k) for k in range(m)]
+    grad, hess = L._fiber_exprs()
+    gap = [ex.add(z[i], ex.mul(ex.Const(-1.0), ex.substitute(grad[i], x + u)))
+           for i in range(m)]
+    exprs = [r.diff(k) for r in rates for k in range(d + m)]
+    exprs += [g.diff(k) for g in gap for k in range(d)]
+    exprs += [ex.substitute(e, x + u) for e in hess]
+    evaluate = ex.compile_vector(exprs, d + m)
+
+    def jacobian(v):
+        out = evaluate(v)
+        batch = out.shape[:-1]
+        f = out[..., :d * (d + m)].reshape(batch + (d, d + m))
+        dgap = out[..., d * (d + m):d * (d + 2 * m)].reshape(batch + (m, d))
+        H = out[..., d * (d + 2 * m):].reshape(batch + (m, m))
+        du, _ = _solve_or(H, dgap, np.nan)
+        return f[..., :d] + f[..., d:] @ du
+
+    return jacobian
 
 
 def _two_call_stage(F, L: Lagrangian):
@@ -263,10 +309,31 @@ def parse_lagrangian(text, n, m) -> Lagrangian:
 
 def _affine_solve(g0, H, z, u0):
     """(u, ok) for g0 + H u = z: u0 where H is singular, ok where the
-    residual is below LEGENDRE_TOL (1 + |z|)."""
-    u, solved = _solve_or(H, z - g0, u0)
-    rn = _norm(np.einsum("...ij,...j->...i", H, u) + g0 - z)
-    return u, solved & (rn < LEGENDRE_TOL * (1.0 + _norm(z)))
+    residual is below LEGENDRE_TOL (1 + |z|).
+
+    An element with a non-finite component of z - g0 fails. The LU
+    substitutions would carry that component into every later one as NaN,
+    so it is left out of the solve and enters u only through the entries
+    of H^-1 that multiply it, as in the closed form; the rest of u stays
+    finite.
+    """
+    rhs = z - g0
+    bad = ~np.isfinite(rhs)
+    u, solved = _solve_or(H, np.where(bad, 0.0, rhs)[..., None],
+                          u0[..., None])
+    u = u[..., 0]
+    failed = bad.any(axis=-1)
+    hit = failed & solved
+    # inf - inf is NaN here, in u and in the residual of a failed element.
+    with np.errstate(invalid="ignore"):
+        if np.any(hit):
+            H_inv = np.linalg.inv(
+                np.broadcast_to(H, rhs.shape + rhs.shape[-1:])[hit])
+            carry = bad[hit][..., None, :] & (H_inv != 0.0)
+            u[hit] += np.where(carry, H_inv * rhs[hit][..., None, :],
+                               0.0).sum(axis=-1)
+        rn = _norm(np.einsum("...ij,...j->...i", H, u) + g0 - z)
+    return u, solved & ~failed & (rn < LEGENDRE_TOL * (1.0 + _norm(z)))
 
 
 def _norm(v):
@@ -275,16 +342,17 @@ def _norm(v):
 
 
 def _solve_or(H, rhs, fallback):
-    """(H^-1 rhs, regular) per batch element; fallback where H is singular."""
+    """(H^-1 rhs, regular) per batch element for rhs (..., m, k); fallback
+    where H is singular."""
     try:
-        return np.linalg.solve(H, rhs[..., None])[..., 0], True
+        return np.linalg.solve(H, rhs), True
     except np.linalg.LinAlgError:
         # slogdet factors H as solve does: a zero sign marks the elements
         # with the exactly zero pivot solve raised for.
         regular = np.linalg.slogdet(H)[0] != 0.0
         H = np.where(regular[..., None, None], H, np.eye(H.shape[-1]))
-        x = np.linalg.solve(H, rhs[..., None])[..., 0]
-        return np.where(regular[..., None], x, fallback), regular
+        x = np.linalg.solve(H, rhs)
+        return np.where(regular[..., None, None], x, fallback), regular
 
 
 def _damped_newton(L: Lagrangian, x, z, u0, live=True):
@@ -319,7 +387,8 @@ def _damped_newton(L: Lagrangian, x, z, u0, live=True):
         todo = live & (rn >= tol)
         if not np.any(todo):
             break
-        step, regular = _solve_or(L.hess_u(x, u), r, 0.0)
+        step, regular = _solve_or(L.hess_u(x, u), r[..., None], 0.0)
+        step = step[..., 0]
         live &= (regular & np.isfinite(step).all(axis=-1)) | ~todo
         u, stuck = _backtrack(trial, u, step, todo & live,
                               LEGENDRE_MAX_HALVINGS)

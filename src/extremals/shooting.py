@@ -19,8 +19,19 @@ masked damped Newton on z, warm-started from the previous stage (one or
 two steps in practice) and skipping the elements the flow has already
 frozen; either kills the elements it fails on.
 The shooting unknown is p(0): forward integration only, and the
-multiplier is read off as lam = p(T) on convergence. The line search,
-``dynamics._backtrack``, flows only the seeds whose trials were rejected.
+multiplier is read off as lam = p(T) on convergence.
+
+A Newton iteration runs no probe flow. The flow records the input
+(xi, p, u*) of every RK4 stage, and ``_shooting_jacobian`` reads
+d xi(T) / d p0 off the product of the RK4 step matrices of the variational
+equation, with the stage-rate Jacobian of ``Lagrangian.rate_jacobian``: the
+exact derivative of the discrete shooting map, as HamPath takes it from the
+variational system (Caillau, Cots & Gergaud, Optim. Methods Softw. 27(2),
+2012). It is formed only for the seeds still iterating, a block of steps
+at a time. The line search, ``dynamics._backtrack``, then flows alpha = 1
+for the moving seeds and, for those it rejects, every remaining halving in
+one stacked flow: one sequential flow per iteration, two when a full step
+is rejected.
 
 Everything is batched over seeds: ``shoot_extremals`` returns one extremal
 per row of a p(0) stack, ``shoot_extremal`` is its batch-of-one case, and
@@ -41,19 +52,20 @@ import numpy as np
 
 from .controls import ControlPath, l2_distance
 from .dynamics import (DEFAULT_SUBSTEPS, PSI_COND_FLAG, DifferentialKernel,
-                       Trajectory, _backtrack, _rk4, fine_grid)
+                       Trajectory, _backtrack, _rk4, _step_matrices,
+                       _step_products, fine_grid)
 from .errors import DimensionError, NonConvergenceError
 from .lagrangian import Lagrangian, _affine_solve, _damped_newton, trapezoid
 
 SHOOT_TOL = 1e-8
 SHOOT_MAX_ITER = 100
-SHOOT_FD_STEP = 1e-6
 SHOOT_MAX_HALVINGS = 10
 DEDUP_TOL = 1e-5
 STAGE_ONE_TOL = 1e-6
 HANDOFF_TOL = 1e-3
 POLISH_MAX_ITER = 30
 JAC_TRUNCATION = 1e-3
+JACOBIAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -91,10 +103,13 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     """Batched feedback flow from stacked initial costates p0 (..., n).
 
     Integrates the stacked state y = (xi, p), shaped batch + (2n,), and
-    returns (times, xs, ps, us, alive): arrays shaped (M+1,) + batch +
-    (dim,), xs and ps being views of y's halves; alive marks elements that
-    stayed finite and feedback-solvable. Dead elements keep their last
-    finite state.
+    returns (times, xs, ps, us, alive, stages): arrays shaped (M+1,) +
+    batch + (dim,), xs and ps being views of y's halves; alive marks
+    elements that stayed finite and feedback-solvable; stages, shaped
+    (M, 4) + batch + (2n + m,), holds the input (xi, p, u*) of RK4 stage
+    0..3 of each step, from which ``_shooting_jacobian`` differentiates the
+    discrete flow, and NaN for the steps after the last element died. Dead
+    elements keep their last finite state.
 
     A stage is the one evaluator of ``Lagrangian.flow_stage`` when the cost
     has a constant control Hessian; an element whose u* is not finite is
@@ -113,6 +128,8 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     alive = np.ones(batch, dtype=bool)
     w = np.zeros(batch + (m,))
     us = np.zeros((M + 1,) + batch + (m,))
+    stages = np.full((M, 4) + batch + (2 * n + m,), np.nan)
+    stage_y, stage_u = stages[..., :2 * n], stages[..., 2 * n:]
 
     stage = L.flow_stage(F)
     if isinstance(stage, tuple):
@@ -141,13 +158,35 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
         alive &= ok
         if step_stage == 0:
             us[j] = w
+        if j < M:
+            stage_y[j, step_stage], stage_u[j, step_stage] = y, w
         return rate
 
     # Frozen dead elements' stages may overflow; the alive mask reports them.
     with np.errstate(over="ignore", invalid="ignore"):
         ys, _, _ = _rk4(rhs, y, h, M, alive)
         rhs(M, 0, ys[-1])
-    return times, ys[..., :n], ys[..., n:], us, alive
+    return times, ys[..., :n], ys[..., n:], us, alive, stages
+
+
+def _shooting_jacobian(F, L, stages, h):
+    """d xi(T) / d p0 (K, n, n) of the discrete flow behind ``stages``.
+
+    stages (M, 4, K, 2n + m) are the recorded stage inputs of K flows with
+    step h. The stage-rate Jacobians give the RK4 step matrices of the
+    variational equation, and their product, started from d y(0) / d p0 =
+    (0, I), is the derivative of the flow's own RK4 map. Both are formed
+    JACOBIAN_BLOCK steps at a time, so the memory held does not grow with
+    the horizon.
+    """
+    n = F.n
+    jacobian = L.rate_jacobian(F)
+    Y = np.zeros(stages.shape[2:3] + (2 * n, n))
+    Y[:, n:] = np.eye(n)
+    for j in range(0, len(stages), JACOBIAN_BLOCK):
+        A = jacobian(stages[j:j + JACOBIAN_BLOCK].swapaxes(0, 1))
+        Y = _step_products(_step_matrices(A, h), Y)[-1]
+    return Y[:, :n]
 
 
 def _truncated_step(J, r):
@@ -174,11 +213,13 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
     """
     p0 = np.asarray(p0, dtype=float).copy()
     k, n = p0.shape
+    h = fine_grid(T, N, substeps)[1]
 
     def residual(pts):
-        _, xs, ps, us, alive = _hamiltonian_flow(F, L, x0, pts, T, N, substeps)
+        _, xs, ps, us, alive, stages = _hamiltonian_flow(F, L, x0, pts, T, N,
+                                                         substeps)
         rn = np.linalg.norm(xs[-1] - x, axis=-1)
-        return np.where(alive, rn, np.inf), (xs, ps, us)
+        return np.where(alive, rn, np.inf), (xs, ps, us, stages)
 
     rn, flow = residual(p0)
     failed = ~np.isfinite(rn)
@@ -191,7 +232,7 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
         def keep(sel):
             rn[idx[sel]] = rn_try[sel]
             for kept, new in zip(flow, flow_try):
-                kept[:, idx[sel]] = new[:, sel]
+                kept[..., idx[sel], :] = new[..., sel, :]
 
         return rn_try < rn[idx], keep
 
@@ -199,17 +240,10 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
         active = (rn >= tol) & ~failed
         if not np.any(active):
             break
-        # Central-difference Jacobian, all probes in one batched flow:
-        # probes 2a and 2a + 1 move p0 by +step and -step along axis a.
-        step = SHOOT_FD_STEP * (1.0 + np.linalg.norm(p0, axis=-1))
-        shift = step[:, None] * np.eye(n)[:, None]
-        probes = np.stack((p0 + shift, p0 - shift), axis=1)
-        _, xs, _, _, alive = _hamiltonian_flow(
-            F, L, x0, probes.reshape(2 * n, k, n), T, N, substeps)
-        ends = xs[-1].reshape(n, 2, k, n).transpose(2, 3, 0, 1)
-        jac_ok = np.all(alive, axis=0)
-        J = (ends[..., 0] - ends[..., 1]) / (2.0 * step[:, None, None])
-
+        # The exact Jacobian of the accepted flows of the active seeds.
+        J = np.zeros((k, n, n))
+        J[active] = _shooting_jacobian(F, L, flow[3][:, :, active], h)
+        jac_ok = np.isfinite(J).all(axis=(1, 2))
         moving = active & jac_ok
         failed = failed | (active & ~jac_ok)
         # A zero Jacobian keeps no singular value: a zero step.
@@ -228,7 +262,7 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
             failed = failed | stalled
             stall_rn = rn.copy()
     converged = (rn < tol) & ~failed
-    return p0, rn, converged, iterations, flow
+    return p0, rn, converged, iterations, flow[:3]
 
 
 def _build_solution(F, L, x0, x, T, N, shot, substeps) -> list:
@@ -338,17 +372,22 @@ def multi_start(F, L: Lagrangian, x0, x, T, seeds, N=64, tol=SHOOT_TOL,
     """Batched shooting from every seed; distinct converged extremals.
 
     Solutions are deduplicated by exact piecewise-linear L2 distance on the
-    controls (tie-break toward smaller |lam|) and sorted by (phi, |lam|).
-    Returns a list; empty means no seed converged.
+    controls, keeping the one with the smaller |lam| of a close pair on one
+    cost level. They come out by cost level, phi rounded at ``dedup_tol``,
+    then by seed row, so a roundoff-level change of phi does not reorder
+    the extremals of one level. Returns a list; empty means no seed
+    converged.
     """
     shot = _shoot_two_stage(F, L, x0, x, T, N, seeds, tol, max_iter, substeps)
     sols = _build_solution(F, L, x0, x, T, N, shot, substeps)
-    sols.sort(key=lambda s: (s.phi, float(np.linalg.norm(s.lam))))
+    # _build_solution keeps seed row order, so a list index orders rows.
+    level = [round(s.phi / dedup_tol) for s in sols]
     kept = []
-    for s in sols:
-        if all(l2_distance(s.u, k.u) >= dedup_tol for k in kept):
-            kept.append(s)
-    return kept
+    for i in sorted(range(len(sols)), key=lambda i: (
+            level[i], float(np.linalg.norm(sols[i].lam)), i)):
+        if all(l2_distance(sols[i].u, sols[k].u) >= dedup_tol for k in kept):
+            kept.append(i)
+    return [sols[i] for i in sorted(kept, key=lambda i: (level[i], i))]
 
 
 def costate_from_lambda(F, L: Lagrangian, u: ControlPath, x0, T=None,

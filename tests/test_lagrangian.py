@@ -175,6 +175,31 @@ def test_closed_form_agrees_with_newton_on_random_quadratics(a, g, k, seed):
     np.testing.assert_allclose(u, u_newton, rtol=0, atol=1e-12)
 
 
+def test_a_non_finite_momentum_fails_without_spreading_nan():
+    # A non-finite component of z - g0 fails its element, and enters u only
+    # through the entries of H^-1 that multiply it: the LU substitutions
+    # turned (1, -inf) into (nan, -inf). The other elements keep their bits.
+    L = parse_lagrangian("((1 + x1^2)*u1^2 + u1*u2 + 2*u2^2)/2", 1, 2)
+    x = np.array([[0.0], [1.0], [0.5], [2.0]])
+    z = np.array([[1.0, -np.inf], [2.0, 3.0], [np.inf, 1.0], [np.nan, 1.0]])
+    g0, H = L.fiber_coefficients(x)
+    u, ok = _affine_solve(g0, H, z, np.zeros((4, 2)))
+    np.testing.assert_array_equal(ok, [False, True, False, False])
+    H_inv = np.linalg.inv(H)
+    with np.errstate(invalid="ignore"):
+        for i in (0, 2, 3):
+            bad = ~np.isfinite(z[i])
+            want = H_inv[i][:, ~bad] @ z[i][~bad] + H_inv[i][:, bad] @ z[i][bad]
+            np.testing.assert_allclose(u[i], want, rtol=1e-15)
+    u1, ok1 = _affine_solve(g0[1:2], H[1:2], z[1:2], np.zeros((1, 2)))
+    np.testing.assert_array_equal(u[1:2], u1)
+    # H = I: the finite part is z itself.
+    u, ok = _affine_solve(np.zeros(2), np.eye(2), np.array([1.0, -np.inf]),
+                          np.zeros(2))
+    assert not ok
+    np.testing.assert_array_equal(u, [1.0, -np.inf])
+
+
 def test_singular_fiber_fails_elementwise():
     # d2_uL = x1 vanishes at x1 = 0 only: that element fails, the others
     # are solved exactly.
@@ -391,7 +416,8 @@ def test_a_singular_constant_hessian_keeps_the_solve():
     assert L.fiber_affine()
     assert isinstance(L.flow_stage(HEISENBERG), tuple)
     seeds = np.random.default_rng(3).normal(0.0, 1.0, (6, 3))
-    *_, alive = _hamiltonian_flow(HEISENBERG, L, np.zeros(3), seeds, 1.0, 8)
+    *_, alive, _ = _hamiltonian_flow(HEISENBERG, L, np.zeros(3), seeds, 1.0,
+                                     8)
     assert not alive.any()
     assert multi_start(HEISENBERG, L, np.zeros(3), np.array([0.3, 0.2, 0.05]),
                        1.0, seeds, N=8) == []

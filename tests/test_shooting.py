@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from extremals import expr as ex
-from extremals import shooting
+from extremals import lagrangian, shooting
 from extremals.controls import ControlPath, l2_distance
 from extremals.errors import DimensionError, NonConvergenceError
 from extremals.fields import FieldSet, parse_field_set
 from extremals.lagrangian import parse_lagrangian
+from extremals.scenario import (resolve_scenario, scenario_fields,
+                                scenario_lagrangian)
 from extremals.shooting import (JAC_TRUNCATION, _hamiltonian_flow,
                                 _truncated_step, costate_from_lambda,
                                 extremality_residual, make_seeds, multi_start,
@@ -99,6 +101,45 @@ def test_multi_start_deduplicates_the_unique_extremal():
     assert len(sols) == 1
     assert float(np.max(np.abs(sols[0].u.values
                                - np.array([1.0, 0.0])))) < 1e-8
+
+
+def _fake_solutions(monkeypatch, specs):
+    """multi_start on solutions (phi, |lam|, control value) in seed-row
+    order, without shooting."""
+    sols = [shooting.ExtremalSolution(
+        u=ControlPath.constant(1.0, 4, [c, 0.0]), xi=None, p=None,
+        lam=np.array([lam, 0.0]), phi=phi) for phi, lam, c in specs]
+    monkeypatch.setattr(shooting, "_shoot_two_stage", lambda *a: None)
+    monkeypatch.setattr(shooting, "_build_solution", lambda *a: list(sols))
+    out = multi_start(IDENTITY, QUAD, np.zeros(2), np.ones(2), 1.0,
+                      np.zeros((len(specs), 2)))
+    return [next(i for i, s in enumerate(sols) if s is o) for o in out]
+
+
+def test_multi_start_orders_a_level_by_seed_row(monkeypatch):
+    # Rows 0, 2 and 3 lie on the level 0.5 up to roundoff, row 3 a copy of
+    # row 0 with a larger |lam|. Sorting by the float phi kept row 3 and put
+    # it first; the level and then the row give rows 0, 2, then 1.
+    rows = _fake_solutions(monkeypatch, [(0.5 + 3e-16, 1.0, 1.0),
+                                         (1.0, 1.0, 3.0),
+                                         (0.5, 1.0, 2.0),
+                                         (0.5 - 1e-15, 2.0, 1.0 + 1e-9)])
+    assert rows == [0, 2, 1]
+
+
+def test_multi_start_orders_rotated_copies_by_seed_row():
+    # The symmetric heisenberg target has a circle of equal-cost extremals:
+    # reversing the seeds reverses the copies on a level, bit for bit.
+    sc = resolve_scenario("heisenberg")
+    F, L = scenario_fields(sc), scenario_lagrangian(sc)
+    seeds = make_seeds(3, 2, 8.0, seed=0)[1:]
+    runs = [multi_start(F, L, np.zeros(3), np.asarray(sc.target), 1.0, s,
+                        N=sc.N, substeps=sc.substeps) for s in (seeds,
+                                                               seeds[::-1])]
+    assert [len(r) for r in runs] == [2, 2]
+    for got, want in zip(runs[0], runs[1][::-1]):
+        np.testing.assert_array_equal(got.p0, want.p0)
+        np.testing.assert_array_equal(got.u_fine.values, want.u_fine.values)
 
 
 def test_make_seeds_shape_and_origin():
@@ -229,7 +270,7 @@ def test_solutions_are_the_flows_shooting_accepted():
     # affine fiber derivative the feedback is elementwise closed form, so
     # that flow equals a fresh batch-of-one flow from p0 bit for bit.
     for sol in _off_axis_solutions(QUAD_3):
-        times, xs, ps, us, alive = _hamiltonian_flow(
+        times, xs, ps, us, alive, _ = _hamiltonian_flow(
             HEISENBERG, QUAD_3, np.zeros(3), sol.p0[None], 1.0, 16, 4)
         assert alive[0]
         np.testing.assert_array_equal(sol.xi.times, times)
@@ -268,8 +309,8 @@ def test_a_flow_stage_is_two_compiled_calls(monkeypatch):
     for L, per_stage in ((QUAD_3, 1), (x_dependent, 2)):
         for key in calls:
             calls[key] = 0
-        *_, alive = _hamiltonian_flow(HEISENBERG, L, np.zeros(3),
-                                      OFF_AXIS_SEEDS, 1.0, N, substeps)
+        *_, alive, _ = _hamiltonian_flow(HEISENBERG, L, np.zeros(3),
+                                         OFF_AXIS_SEEDS, 1.0, N, substeps)
         assert alive.all()
         assert calls == {"expr": per_stage * (4 * M + 1), "field_matrix": 0,
                          "jacobian_stack": 0}
@@ -342,6 +383,123 @@ def test_the_line_search_flows_only_the_pending_seeds(monkeypatch):
             assert better.all()
     assert second_rounds
     assert min(len(moving) for moving, _, _ in searches) < len(seeds)
+
+
+FD_STEP = 1e-5
+
+
+def _jacobian_and_central_differences(F, L, x0, p0, N, substeps):
+    """The flow's exact d xi(T) / d p0 and its central differences with
+    steps FD_STEP (1 + |p0|), for seeds p0 (k, n); and the endpoints of the
+    2n probe flows."""
+    _, _, _, _, alive, stages = _hamiltonian_flow(F, L, x0, p0, 1.0, N,
+                                                  substeps)
+    assert alive.all()
+    J = shooting._shooting_jacobian(F, L, stages, 1.0 / (N * substeps))
+    k, n = p0.shape
+    delta = FD_STEP * (1.0 + np.linalg.norm(p0, axis=-1))
+    shift = delta[:, None] * np.eye(n)[:, None]
+    _, xs, *_ = _hamiltonian_flow(F, L, x0, np.concatenate(
+        (p0 + shift, p0 - shift)), 1.0, N, substeps)
+    ends = xs[-1]
+    fd = ((ends[:n] - ends[n:]) / (2.0 * delta[:, None])).transpose(1, 2, 0)
+    return J, fd, delta, ends
+
+
+def _relative(J, fd):
+    return np.linalg.norm(J - fd, axis=(1, 2)) / np.linalg.norm(J, axis=(1, 2))
+
+
+@pytest.mark.parametrize("name", ["identity", "heisenberg", "martinet",
+                                  "grushin"])
+def test_the_shooting_jacobian_is_the_flow_s_derivative(name):
+    # The step-matrix product differentiates the discrete flow itself, so
+    # central differences meet it to their own error: O(FD_STEP^2), 1e-8
+    # here, plus roundoff over FD_STEP. Horizon 1 on every built-in.
+    sc = resolve_scenario(name)
+    F, L = scenario_fields(sc), scenario_lagrangian(sc)
+    p0 = make_seeds(sc.n, 4, 3.0, seed=3)
+    for substeps in (1, 4):
+        J, fd, _, _ = _jacobian_and_central_differences(
+            F, L, np.asarray(sc.x0, dtype=float), p0, 16, substeps)
+        assert _relative(J, fd).max() <= 1e-7
+
+
+def test_the_shooting_jacobian_of_an_x_dependent_hessian():
+    # H = (1 + x1^2) I takes the two-call stage and the closed-form solve,
+    # exact to roundoff like the folded stage, so the same bound holds.
+    L = parse_lagrangian("(1 + x1^2)*(u1^2+u2^2)/2", 3, 2)
+    assert isinstance(L.flow_stage(HEISENBERG), tuple)
+    for substeps in (1, 4):
+        J, fd, _, _ = _jacobian_and_central_differences(
+            HEISENBERG, L, np.zeros(3), OFF_AXIS_SEEDS, 16, substeps)
+        assert _relative(J, fd).max() <= 1e-7
+
+
+def test_the_shooting_jacobian_of_a_non_affine_cost(monkeypatch):
+    # The damped Newton stops anywhere below LEGENDRE_TOL (1 + |z|), so the
+    # flow is smooth in p0 only up to the endpoint error eps that stopping
+    # leaves. The central difference carries at most eps / FD_STEP(1+|p0|)
+    # of it, on top of its error on a smooth flow. eps is read off the same
+    # flows with the tolerance at 1e-14: |J - fd| <= 1e-7 |J| + eps / delta.
+    J, fd, delta, ends = _jacobian_and_central_differences(
+        HEISENBERG, QUARTIC_3, np.zeros(3), OFF_AXIS_SEEDS, 16, 4)
+    tight = parse_lagrangian("(u1^2 + u2^2)/2 + u1^4/4", 3, 2)
+    monkeypatch.setattr(lagrangian, "LEGENDRE_TOL", 1e-14)
+    J_tight, fd_tight, _, ends_tight = _jacobian_and_central_differences(
+        HEISENBERG, tight, np.zeros(3), OFF_AXIS_SEEDS, 16, 4)
+    eps = np.abs(ends - ends_tight).max(axis=(0, 2))
+    assert eps.max() < 1e-9
+    # With the Newton tight, the flow is smooth as for an affine cost.
+    assert _relative(J_tight, fd_tight).max() <= 1e-7
+    np.testing.assert_allclose(J, J_tight, rtol=0, atol=1e-9)
+    bound = 1e-7 * np.linalg.norm(J, axis=(1, 2)) + eps / delta
+    assert (np.linalg.norm(J - fd, axis=(1, 2)) <= bound).all()
+
+
+def test_the_jacobian_is_formed_only_for_active_seeds(monkeypatch):
+    # Each Newton iteration differentiates the accepted flows of the seeds
+    # still iterating, never those of converged or failed seeds, and flows
+    # only alpha = 1 and, when it is rejected, the stacked halvings.
+    jacobian, backtrack = shooting._shooting_jacobian, shooting._backtrack
+    flow = shooting._hamiltonian_flow
+    events = []
+
+    def recording_jacobian(F, L, stages, h):
+        events.append(("jacobian", stages.shape[2]))
+        return jacobian(F, L, stages, h)
+
+    def recording_backtrack(trial, x, step, todo, halvings):
+        events.append(("moving", int(np.count_nonzero(todo))))
+        return backtrack(trial, x, step, todo, halvings)
+
+    def recording_flow(*args, **kwargs):
+        events.append(("flow", None))
+        return flow(*args, **kwargs)
+
+    def recording_shoot(*args, **kwargs):
+        events.append(("newton", None))
+        return shoot(*args, **kwargs)
+
+    shoot = shooting._shoot_batch
+    monkeypatch.setattr(shooting, "_shooting_jacobian", recording_jacobian)
+    monkeypatch.setattr(shooting, "_backtrack", recording_backtrack)
+    monkeypatch.setattr(shooting, "_hamiltonian_flow", recording_flow)
+    monkeypatch.setattr(shooting, "_shoot_batch", recording_shoot)
+    seeds = make_seeds(3, 11, 2.0, seed=4)
+    multi_start(HEISENBERG, QUAD_3, np.zeros(3), OFF_AXIS, 1.0, seeds, N=16)
+    kinds = [kind for kind, _ in events]
+    assert kinds.count("jacobian") == kinds.count("moving") > 0
+    sizes = []
+    for i, (kind, size) in enumerate(events):
+        if kind == "jacobian":
+            assert events[i + 1] == ("moving", size)
+            sizes.append(size)
+            tail = kinds[i + 2:] + ["newton"]
+            iteration = tail[:min(tail.index(k) for k in ("jacobian", "newton")
+                                  if k in tail)]
+            assert 1 <= iteration.count("flow") <= 2
+    assert min(sizes) < len(seeds)
 
 
 def test_kept_flows_of_a_non_affine_cost_are_extremal():
