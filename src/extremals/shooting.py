@@ -222,6 +222,7 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
         return np.where(alive, rn, np.inf), (xs, ps, us, stages)
 
     rn, flow = residual(p0)
+    xs, stages = flow[0], flow[3]   # the line search keeps them in place
     failed = ~np.isfinite(rn)
     iterations = np.zeros(k, dtype=int)
     stall_rn = rn.copy()
@@ -242,13 +243,13 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
             break
         # The exact Jacobian of the accepted flows of the active seeds.
         J = np.zeros((k, n, n))
-        J[active] = _shooting_jacobian(F, L, flow[3][:, :, active], h)
+        J[active] = _shooting_jacobian(F, L, stages[:, :, active], h)
         jac_ok = np.isfinite(J).all(axis=(1, 2))
         moving = active & jac_ok
         failed = failed | (active & ~jac_ok)
         # A zero Jacobian keeps no singular value: a zero step.
         delta = _truncated_step(np.where(moving[:, None, None], J, 0.0),
-                                flow[0][-1] - x)
+                                xs[-1] - x)
         p0, stuck = _backtrack(trial, p0, delta, moving, SHOOT_MAX_HALVINGS)
         failed = failed | stuck
         iterations = iterations + moving.astype(int)
