@@ -51,7 +51,9 @@ the stack, one Jacobian call over every stage state of every surviving
 element and one stacked Psi product. It gives None where an element's state
 or Psi left the guard, and each kernel equals its control's own build bit
 for bit; ``build`` is its batch of one and raises ``DivergenceError``
-instead.
+instead. A caller that has judged a stack by the endpoints of its own
+``_states`` run passes that run, cut down by ``_take``, to build the
+kernels of the controls it keeps without a second state loop.
 """
 
 from __future__ import annotations
@@ -246,6 +248,13 @@ def _states(F, values, T_path, x0, T, substeps):
     return times, h, control, states, stages, died
 
 
+def _take(run, idx):
+    """The elements idx of a ``_states`` run, as a run of their own."""
+    times, h, control, states, stages, died = run
+    return (times[:, idx], h[idx], control[:, :, idx], states[:, idx],
+            stages[:, :, idx], died[idx])
+
+
 def _checked_start(F, u: ControlPath, x0, T):
     """(x0, T) as floats, T defaulting to u.T, checked against F and u."""
     x0 = np.asarray(x0, dtype=float)
@@ -318,22 +327,27 @@ class DifferentialKernel:
         return kern
 
     @classmethod
-    def build_batch(cls, F, paths, x0, T=None, substeps=DEFAULT_SUBSTEPS):
+    def build_batch(cls, F, paths, x0, T=None, substeps=DEFAULT_SUBSTEPS,
+                    run=None):
         """Kernels of a stack of controls on one grid (same N and u.T), all
         from x0 over [0, T], T one horizon or one per path: one kernel per
         path, or None where that path's state or Psi left the blow-up guard.
         Each kernel equals the one ``build`` gives its path alone, bit for
-        bit."""
-        return cls._build_stack(F, paths, x0, T, substeps)[0] if paths else []
+        bit. ``run`` is the paths' own ``_states`` run, when the caller has
+        already made it (``_take`` picks elements out of a larger one); the
+        state loop is then not run again."""
+        return (cls._build_stack(F, paths, x0, T, substeps, run)[0] if paths
+                else [])
 
     @classmethod
-    def _build_stack(cls, F, paths, x0, T, substeps):
+    def _build_stack(cls, F, paths, x0, T, substeps, run=None):
         """RK4 states and Psi, Psi(0) = I, on the fine grid, then K.
 
-        ``_states`` runs the whole stack and records its stage states; one
-        batched Jacobian call gives A at all 4M stages of every surviving
-        element, and Psi_{j+1} = Phi_j Psi_j with Phi_j the RK4 step matrix
-        of the linear equation Psi' = A Psi (``_step_matrices``).
+        ``_states`` runs the whole stack, unless ``run`` holds that run, and
+        records its stage states; one batched Jacobian call gives A at all
+        4M stages of every surviving element, and Psi_{j+1} = Phi_j Psi_j
+        with Phi_j the RK4 step matrix of the linear equation Psi' = A Psi
+        (``_step_matrices``).
         Returns (kernels, died, h): died (B,) is the fine step at which each
         element's state or Psi first left the guard, -1 for a kernel.
         """
@@ -349,9 +363,11 @@ class DifferentialKernel:
                     f"a batch shares one control grid: N = {p.N} on "
                     f"[0, {p.T}] against N = {u.N} on [0, {u.T}]")
         T = [t for _, t in starts]
-        times, h, control, states, stages, died = _states(
-            F, np.stack([p.values for p in paths]), u.T, starts[0][0],
-            np.array(T), substeps)
+        if run is None:
+            run = _states(F, np.stack([p.values for p in paths]), u.T,
+                          starts[0][0], np.array(T), substeps)
+        times, h, control, states, stages, died = run
+        died = died.copy()
         M = len(times) - 1
         kernels = [None] * len(paths)
         live = np.flatnonzero(died < 0)

@@ -19,10 +19,12 @@ quadrature. Each Newton iterate's endpoint and Jacobian come from one
 trial is the next iterate's kernel.
 
 The Newton runs on a stack of targets (s, beta), each with its own horizon
-s, building the kernels of all their iterates, then of all their
-line-search trials (``dynamics._backtrack``), with one
-``DifferentialKernel.build_batch`` call each; every target stops on its own,
-with the iterates it would get alone. A query is the batch of one.
+s. It builds the kernels of all their starting iterates with one
+``DifferentialKernel.build_batch`` call. Each line-search trial
+(``dynamics._backtrack``) integrates all its candidates in one state loop,
+judges them by their endpoints, and builds kernels only for the
+candidates it keeps. Every target stops on its own, with the iterates it
+would get alone. A query is the batch of one.
 ``build_chart`` solves its 2n+2 sphere probes, the time-shifted one
 included, as one stack. Each probe then passes the checks a user query
 gets after its Newton (converged, determinant floor, time constant), on a
@@ -46,7 +48,7 @@ import numpy as np
 from . import expr as ex
 from .controls import ControlPath, l2_distance
 from .dynamics import (DEFAULT_SUBSTEPS, DifferentialKernel, _backtrack,
-                       fine_grid)
+                       _states, _take, fine_grid)
 from .errors import (BasisDeficiencyError, ChartConstructionError,
                      ChartIntegrityError, DimensionError)
 
@@ -238,13 +240,17 @@ def _solve_alpha(chart: InversionChart, s, betas, alpha0=None):
     Returns (alpha, paths, det, converged, iterations): alpha (K, n), the
     emitted paths, and (K,) arrays. The Jacobian is the basis-image matrix
     at the current iterate, so convergence certifies the round trip on the
-    emitted piecewise-linear control itself. Every kernel comes from one
-    ``build_batch`` call per round: the starting iterates, then each
-    halving of ``_backtrack``, on the trials still rejected. An iterate the
-    line search accepted keeps the control and kernel of its trial; a target
-    whose CHART_NEWTON_MAX_HALVINGS trials were all rejected fails at its
-    last iterate. Each target stops on its own and gets the iterates a
-    Newton run on it alone would give.
+    emitted piecewise-linear control itself. The starting iterates' kernels
+    come from one ``build_batch`` call. A line search of ``_backtrack``
+    then makes at most two trials, alpha = 1 and every remaining halving
+    stacked; a trial runs the state loop ``_states`` once over its
+    candidates and judges them by their endpoints, which a kernel of the
+    same control reproduces bit for bit, and builds kernels, from that same
+    run, only for the candidates it keeps. An iterate the line search
+    accepted keeps the control and kernel of its trial; a target whose
+    CHART_NEWTON_MAX_HALVINGS trials were all rejected fails at its last
+    iterate. Each target stops on its own and gets the iterates a Newton
+    run on it alone would give.
     """
     s = np.asarray(s, dtype=float)
     K = len(s)
@@ -265,11 +271,27 @@ def _solve_alpha(chart: InversionChart, s, betas, alpha0=None):
 
     def trial(ks, alpha_try):
         controls = [chart.emit(a) for a in alpha_try]
-        built = DifferentialKernel.build_batch(chart.F, controls, chart.x0,
-                                               s[ks], chart.substeps)
-        better = np.array([kern is not None and
-                           np.linalg.norm(kern.endpoint - betas[k]) < gn[k]
-                           for k, kern in zip(ks, built)], dtype=bool)
+        run = _states(chart.F, np.stack([c.values for c in controls]),
+                      chart.u.T, chart.x0, s[ks], chart.substeps)
+        _, _, _, states, _, died = run
+        better = np.array([died[i] < 0 and
+                           np.linalg.norm(states[-1, i] - betas[k]) < gn[k]
+                           for i, k in enumerate(ks)], dtype=bool)
+        # A kernel only for the trial each target keeps, its first better
+        # one; a trial whose Psi left the guard is rejected after all, and
+        # the next better one of its target takes its place.
+        built = {}
+        while True:
+            cand = np.flatnonzero(better)
+            first = cand[np.unique(ks[cand], return_index=True)[1]]
+            picks = [i for i in first if i not in built]
+            if not picks:
+                break
+            for i, kern in zip(picks, DifferentialKernel.build_batch(
+                    chart.F, [controls[i] for i in picks], chart.x0,
+                    s[ks[picks]], chart.substeps, run=_take(run, picks))):
+                built[i] = kern
+                better[i] = kern is not None
 
         def keep(sel):
             for i in sel:

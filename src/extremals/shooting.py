@@ -27,11 +27,13 @@ d xi(T) / d p0 off the product of the RK4 step matrices of the variational
 equation, with the stage-rate Jacobian of ``Lagrangian.rate_jacobian``: the
 exact derivative of the discrete shooting map, as HamPath takes it from the
 variational system (Caillau, Cots & Gergaud, Optim. Methods Softw. 27(2),
-2012). It is formed only for the seeds still iterating, a block of steps
-at a time. The line search, ``dynamics._backtrack``, then flows alpha = 1
-for the moving seeds and, for those it rejects, every remaining halving in
-one stacked flow: one sequential flow per iteration, two when a full step
-is rejected.
+2012). It is formed when a seed's flow is accepted, the first one or a
+line-search trial's, and only where the seed iterates on from it, a block
+of steps at a time; the stage records are dropped once the flow is judged,
+so no more than one flow's records are held. The line search,
+``dynamics._backtrack``, then flows alpha = 1 for the moving seeds and,
+for those it rejects, every remaining halving in one stacked flow: one
+sequential flow per iteration, two when a full step is rejected.
 
 Everything is batched over seeds: ``shoot_extremals`` returns one extremal
 per row of a p(0) stack, ``shoot_extremal`` is its batch-of-one case, and
@@ -214,26 +216,40 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
     p0 = np.asarray(p0, dtype=float).copy()
     k, n = p0.shape
     h = fine_grid(T, N, substeps)[1]
+    # The exact Jacobian of each seed's accepted flow, formed when the flow
+    # is accepted and only if the seed iterates on from it.
+    J = np.full((k, n, n), np.nan)
 
     def residual(pts):
         _, xs, ps, us, alive, stages = _hamiltonian_flow(F, L, x0, pts, T, N,
                                                          substeps)
         rn = np.linalg.norm(xs[-1] - x, axis=-1)
-        return np.where(alive, rn, np.inf), (xs, ps, us, stages)
+        return np.where(alive, rn, np.inf), (xs, ps, us), stages
 
-    rn, flow = residual(p0)
-    xs, stages = flow[0], flow[3]   # the line search keeps them in place
+    def differentiate(rows, stages, cols):
+        """Form J of the seed rows, whose accepted flows are the columns
+        cols of the flow with these stages, where the seed iterates on:
+        where its residual is finite and at least tol."""
+        on = (rn[rows] >= tol) & np.isfinite(rn[rows])
+        if on.any():
+            J[rows[on]] = _shooting_jacobian(F, L, stages[:, :, cols[on]], h)
+
+    rn, flow, stages = residual(p0)
+    differentiate(np.arange(k), stages, np.arange(k))
+    del stages   # the stage records of a flow live until it is judged
+    xs = flow[0]   # the line search keeps the flow arrays in place
     failed = ~np.isfinite(rn)
     iterations = np.zeros(k, dtype=int)
     stall_rn = rn.copy()
 
     def trial(idx, p_try):
-        rn_try, flow_try = residual(p_try)
+        rn_try, flow_try, stages_try = residual(p_try)
 
         def keep(sel):
             rn[idx[sel]] = rn_try[sel]
             for kept, new in zip(flow, flow_try):
                 kept[..., idx[sel], :] = new[..., sel, :]
+            differentiate(idx[sel], stages_try, sel)
 
         return rn_try < rn[idx], keep
 
@@ -241,9 +257,6 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
         active = (rn >= tol) & ~failed
         if not np.any(active):
             break
-        # The exact Jacobian of the accepted flows of the active seeds.
-        J = np.zeros((k, n, n))
-        J[active] = _shooting_jacobian(F, L, stages[:, :, active], h)
         jac_ok = np.isfinite(J).all(axis=(1, 2))
         moving = active & jac_ok
         failed = failed | (active & ~jac_ok)
@@ -374,15 +387,20 @@ def multi_start(F, L: Lagrangian, x0, x, T, seeds, N=64, tol=SHOOT_TOL,
 
     Solutions are deduplicated by exact piecewise-linear L2 distance on the
     controls, keeping the one with the smaller |lam| of a close pair on one
-    cost level. They come out by cost level, phi rounded at ``dedup_tol``,
-    then by seed row, so a roundoff-level change of phi does not reorder
-    the extremals of one level. Returns a list; empty means no seed
-    converged.
+    cost level. They come out by cost level, then by seed row. A level is a
+    run of costs that, sorted, lie closer than ``dedup_tol`` each to the
+    next, so it has no fixed edges: a roundoff-level change of phi neither
+    reorders nor splits the extremals of one level. Returns a list; empty
+    means no seed converged.
     """
     shot = _shoot_two_stage(F, L, x0, x, T, N, seeds, tol, max_iter, substeps)
     sols = _build_solution(F, L, x0, x, T, N, shot, substeps)
     # _build_solution keeps seed row order, so a list index orders rows.
-    level = [round(s.phi / dedup_tol) for s in sols]
+    phi = np.array([s.phi for s in sols])
+    order = np.argsort(phi, kind="stable")
+    level = np.empty(len(sols), dtype=int)
+    level[order] = np.cumsum(np.diff(phi[order], prepend=phi[order[:1]])
+                             >= dedup_tol)
     kept = []
     for i in sorted(range(len(sols)), key=lambda i: (
             level[i], float(np.linalg.norm(sols[i].lam)), i)):

@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from extremals import expr
+from extremals import expr, inversion
 from extremals.controls import ControlPath
 from extremals.dynamics import DEFAULT_SUBSTEPS, DifferentialKernel, integrate
 from extremals.errors import (BasisDeficiencyError, ChartConstructionError,
@@ -306,46 +306,89 @@ def test_a_stack_of_targets_gets_the_iterates_each_gets_alone():
 def test_a_rejected_line_search_fails_its_target(monkeypatch):
     # anchor + 0.08 (1, 1, 1) is out of the martinet loop chart's reach:
     # once all CHART_NEWTON_MAX_HALVINGS trials of a step are rejected, the
-    # target fails at its last iterate and nothing more is built. Taking the
-    # smallest step and going on instead cost 239 kernels here, and 1117 to
-    # certify the chart. A line search builds its trials in at most two
-    # calls: alpha = 1, then every remaining halving of the rejected targets
-    # stacked. Certifying the chart takes 45 build calls (119 with one call
-    # per halving), at the price of 316 kernels where one call per halving
-    # built 254, and the stuck target 9 calls (24) of 33 kernels (24).
-    calls = []
-    count_builds(monkeypatch, calls.append)
+    # target fails at its last iterate. Taking the smallest step and going
+    # on instead cost 239 kernels here, and 1117 to certify the chart. A
+    # line search integrates its trials in at most two state loops, alpha =
+    # 1 and then every remaining halving stacked, judges them by their
+    # endpoints and builds a kernel only for the trial it keeps: 159 kernels
+    # to certify the chart (254 with a kernel for every trial), and for the
+    # stuck target one per iterate, 5 (24).
+    kernels = []
+    count_builds(monkeypatch, kernels.extend)
     chart = build_chart(MARTINET, loop_control(), np.zeros(3), 0.7,
                         dictionary=default_dictionary(2, 1.0, k_max=3))
     assert chart.r == pytest.approx(0.007856234808287217, rel=1e-12)
-    assert len(calls) < 60
-    assert sum(map(len, calls)) < 400
-    calls.clear()
+    assert len(kernels) < 300
+    kernels.clear()
+    runs = []
+    states = inversion._states
+
+    def recording_states(F, values, *args):
+        runs.append(values)
+        return states(F, values, *args)
+
+    monkeypatch.setattr(inversion, "_states", recording_states)
     proto = dataclasses.replace(chart, r=float("inf"))
     beta = chart.anchor_endpoint + 0.08
     (alpha,), (path,), _, (ok,), (iters,) = _solve_alpha(
         proto, [chart.t], beta[None])
     assert not ok and iters < CHART_NEWTON_MAX_ITER
+    assert len(kernels) == iters + 1 <= 30
     np.testing.assert_array_equal(path.values, proto.emit(alpha).values)
-    # One build of the start, then per line search one call of alpha = 1
-    # and, when it is rejected, one of the nine remaining halvings.
-    sizes = [len(c) for c in calls]
-    assert sizes[0] == 1 and sizes[-2:] == [1, CHART_NEWTON_MAX_HALVINGS - 1]
+    # Per line search one trial of alpha = 1 and, when it is rejected, one
+    # of the remaining halvings. The stuck search tried all
+    # CHART_NEWTON_MAX_HALVINGS scales of one step from the last iterate,
+    # largest first, and rejected each.
+    sizes = [len(r) for r in runs]
+    assert sizes[-2:] == [1, CHART_NEWTON_MAX_HALVINGS - 1]
     assert all(k == 1 or (k == CHART_NEWTON_MAX_HALVINGS - 1 and prev == 1)
                for prev, k in zip(sizes, sizes[1:]))
-    # The stuck search tried every scale of one step from the last iterate,
-    # largest first, and rejected each.
-    tried = [c.values - path.values for c in calls[-2] + calls[-1]]
+    tried = [v - path.values for v in np.concatenate(runs[-2:])]
+    assert len(tried) == CHART_NEWTON_MAX_HALVINGS
     for k, d in enumerate(tried):
         np.testing.assert_allclose(d, tried[0] / 2.0 ** k, rtol=0,
                                    atol=1e-14 * np.abs(tried[0]).max())
 
-    def gap(control):
-        end = integrate(MARTINET, control, np.zeros(3), chart.t,
-                        substeps=chart.substeps).endpoint
+    def gap(values):
+        end = integrate(MARTINET, ControlPath(path.T, values), np.zeros(3),
+                        chart.t, substeps=chart.substeps).endpoint
         return float(np.linalg.norm(end - beta))
 
-    assert min(gap(c) for c in calls[-2] + calls[-1]) >= gap(path)
+    assert min(map(gap, np.concatenate(runs[-2:]))) >= gap(path.values)
+
+
+def test_a_trial_whose_psi_blows_up_is_rejected(monkeypatch):
+    # A trial is judged by its endpoint, but its kernel is None where Psi
+    # left the guard: that trial is then rejected and the next better one
+    # of its target kept, as when a kernel was built for every trial. Psi is
+    # made to blow up for the first two trials kept: the full step, and the
+    # first halving the stacked round picks in its place.
+    chart = build_chart(MARTINET, loop_control(), np.zeros(3), 0.7,
+                        dictionary=default_dictionary(2, 1.0, k_max=3),
+                        r_init=0.005)
+    proto = dataclasses.replace(chart, r=float("inf"))
+    s, beta = [chart.t], chart.anchor_endpoint + [-0.1, -0.05, 0.0]
+    build_batch = DifferentialKernel.build_batch
+    kept = []
+
+    def psi_blows_twice(cls, F, controls, *args, **kwargs):
+        kerns = build_batch(F, controls, *args, **kwargs)
+        if kwargs.get("run") is not None:
+            kept.append(controls[0].values)
+            if len(kept) <= 2:
+                kerns[0] = None
+        return kerns
+
+    monkeypatch.setattr(DifferentialKernel, "build_batch",
+                        classmethod(psi_blows_twice))
+    _, (path,), _, (ok,), _ = _solve_alpha(proto, s, beta[None])
+    assert ok
+    end = integrate(MARTINET, path, np.zeros(3), chart.t,
+                    substeps=chart.substeps).endpoint
+    assert float(np.linalg.norm(end - beta)) < 1e-9
+    full, first, second = (v - chart.u.values for v in kept[:3])
+    np.testing.assert_allclose(first, full / 2.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(second, full / 4.0, rtol=0, atol=1e-15)
 
 
 def test_chart_serialization_round_trip(loop_chart):

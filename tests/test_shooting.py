@@ -11,10 +11,11 @@ from extremals.fields import FieldSet, parse_field_set
 from extremals.lagrangian import parse_lagrangian
 from extremals.scenario import (resolve_scenario, scenario_fields,
                                 scenario_lagrangian)
-from extremals.shooting import (JAC_TRUNCATION, _hamiltonian_flow,
-                                _truncated_step, costate_from_lambda,
-                                extremality_residual, make_seeds, multi_start,
-                                shoot_extremal, shoot_extremals)
+from extremals.shooting import (DEDUP_TOL, JAC_TRUNCATION,
+                                _hamiltonian_flow, _truncated_step,
+                                costate_from_lambda, extremality_residual,
+                                make_seeds, multi_start, shoot_extremal,
+                                shoot_extremals)
 
 IDENTITY = parse_field_set("X1 = (1, 0)\nX2 = (0, 1)", 2, 2)
 QUAD = parse_lagrangian("(u1^2 + u2^2)/2", 2, 2)
@@ -124,6 +125,18 @@ def test_multi_start_orders_a_level_by_seed_row(monkeypatch):
                                          (1.0, 1.0, 3.0),
                                          (0.5, 1.0, 2.0),
                                          (0.5 - 1e-15, 2.0, 1.0 + 1e-9)])
+    assert rows == [0, 2, 1]
+
+
+def test_a_cost_level_has_no_fixed_edges(monkeypatch):
+    # Rows 0 and 2 are one extremal's cost 2 dedup_tol + 0.5 dedup_tol up to
+    # roundoff, on either side of the half-way mark where rounding phi /
+    # dedup_tol splits them: they share a level and come out by seed row,
+    # ahead of row 1 on the level 1.0.
+    half = 2.5 * DEDUP_TOL
+    rows = _fake_solutions(monkeypatch, [(half * (1.0 + 1e-15), 1.0, 2.0),
+                                         (1.0, 1.0, 3.0),
+                                         (half * (1.0 - 1e-15), 1.0, 1.0)])
     assert rows == [0, 2, 1]
 
 
@@ -458,19 +471,23 @@ def test_the_shooting_jacobian_of_a_non_affine_cost(monkeypatch):
 
 
 def test_the_jacobian_is_formed_only_for_active_seeds(monkeypatch):
-    # Each Newton iteration differentiates the accepted flows of the seeds
-    # still iterating, never those of converged or failed seeds, and flows
-    # only alpha = 1 and, when it is rejected, the stacked halvings.
+    # A seed's Jacobian is formed when its flow is accepted, the first flow
+    # or a line-search trial's, and only if the seed iterates on from it:
+    # each line search moves exactly the seeds whose Jacobians were formed
+    # since the last one, from the flows of their current iterates. A
+    # Newton iteration flows alpha = 1 and, when it is rejected, the
+    # stacked halvings.
     jacobian, backtrack = shooting._shooting_jacobian, shooting._backtrack
     flow = shooting._hamiltonian_flow
     events = []
 
     def recording_jacobian(F, L, stages, h):
-        events.append(("jacobian", stages.shape[2]))
+        # A flow's first stage input holds its p0 rows.
+        events.append(("jacobian", stages[0, 0, :, F.n:2 * F.n].copy()))
         return jacobian(F, L, stages, h)
 
     def recording_backtrack(trial, x, step, todo, halvings):
-        events.append(("moving", int(np.count_nonzero(todo))))
+        events.append(("moving", x[todo].copy()))
         return backtrack(trial, x, step, todo, halvings)
 
     def recording_flow(*args, **kwargs):
@@ -489,14 +506,24 @@ def test_the_jacobian_is_formed_only_for_active_seeds(monkeypatch):
     seeds = make_seeds(3, 11, 2.0, seed=4)
     multi_start(HEISENBERG, QUAD_3, np.zeros(3), OFF_AXIS, 1.0, seeds, N=16)
     kinds = [kind for kind, _ in events]
-    assert kinds.count("jacobian") == kinds.count("moving") > 0
+    assert kinds.count("moving") > 0
+    formed = []
     sizes = []
-    for i, (kind, size) in enumerate(events):
-        if kind == "jacobian":
-            assert events[i + 1] == ("moving", size)
-            sizes.append(size)
-            tail = kinds[i + 2:] + ["newton"]
-            iteration = tail[:min(tail.index(k) for k in ("jacobian", "newton")
+    for i, (kind, rows) in enumerate(events):
+        if kind == "newton":
+            formed = []
+        elif kind == "jacobian":
+            formed.append(rows)
+        elif kind == "moving":
+            # The same p0 rows, each once, in any order.
+            done = np.concatenate(formed + [np.zeros((0, 3))])
+            assert len(done) == len(rows)
+            np.testing.assert_array_equal(np.unique(done, axis=0),
+                                          np.unique(rows, axis=0))
+            sizes.append(len(rows))
+            formed = []
+            tail = kinds[i + 1:] + ["newton"]
+            iteration = tail[:min(tail.index(k) for k in ("moving", "newton")
                                   if k in tail)]
             assert 1 <= iteration.count("flow") <= 2
     assert min(sizes) < len(seeds)
