@@ -21,6 +21,26 @@ derivatives work out of the box. A compiled evaluator has one calling
 convention: one array with the variables stacked on its last axis, any
 leading batch shape in front.
 
+The generator emits as few numpy operations as exact IEEE arithmetic
+allows, which is what a call costs at small batches:
+
+* an operation on the same operands is computed once, across all the
+  expressions of one evaluator;
+* a negative constant or a -1.0 factor never multiplies: (-a) * b is
+  -(a * b) exactly, and a + (-b) is a - b, so the sign ends in a
+  subtraction, or in one negation where there is none to end in; a unit
+  factor multiplies nothing;
+* a run of constants the tree evaluates first is evaluated once, at
+  compile time, with the same float arithmetic;
+* a +0.0 term is kept, added last, unless another term of the sum is
+  never -0.0 (a sum is -0.0 only when every term is), as after an earlier
+  ``+ 0.0`` or ``0.0 - x``; so einsum-style zero sums keep their +0.0;
+* all constant outputs are written by one copy of a template row.
+
+The contract is that on real inputs a compiled output equals ``Expr.eval``
+of its expression bit for bit, the sign of every zero included; only the
+sign bit of a NaN may differ. On complex inputs the two agree to roundoff.
+
 One evaluator can serve expressions written over different variable tuples:
 ``substitute`` moves each onto a combined tuple, or pins a variable to a
 constant, node for node, so the emitted code does the same arithmetic as
@@ -544,22 +564,173 @@ def parse_field_statements(text, n, m):
 # ---------------------------------------------------------------------------
 # compilation to numpy
 
-def _emit(e):
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return f"_v{e.index}"
-    if isinstance(e, Add):
-        return "(" + " + ".join(_emit(t) for t in e.terms) + ")"
-    if isinstance(e, Mul):
-        return "(" + " * ".join(_emit(f) for f in e.factors) + ")"
-    if isinstance(e, Pow):
-        expo = e.exponent
-        es = repr(int(expo)) if expo == int(expo) else repr(expo)
-        return f"({_emit(e.base)} ** {es})"
-    fn = {"sin": "_np.sin", "cos": "_np.cos", "exp": "_np.exp",
-          "abs": "_np.abs"}[e.name]
-    return f"{fn}({_emit(e.arg)})"
+def _negative(v):
+    """Whether the float v carries a sign bit (-0.0 included, NaN not)."""
+    return math.copysign(1.0, v) < 0.0 and not math.isnan(v)
+
+
+def _folded(compute):
+    """compute() on constants, or None where it raises or leaves the reals.
+
+    A constant keeps its type: a Python float where the tree's arithmetic
+    gives one, and a numpy float where a numpy function made it, so that
+    later folds overflow or divide by zero as the call would, raising or
+    not.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            v = compute()
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return v if isinstance(v, (float, np.floating)) else None
+
+
+class _Lowering:
+    """Expressions lowered to one DAG of numpy operations.
+
+    A node is a tuple (op, *operands), op one of "const", "var", "+", "-",
+    "*", "neg", "pow", "func", with operands given by node number; nodes
+    are numbered in creation order, so every operand precedes its users,
+    and one operation on the same operands is one node. ``lower`` maps an
+    expression to (negated, node): the expression's value is the node's,
+    with its sign flipped when negated, bit for bit, by the rules of the
+    module docstring. ``never_minus_zero`` marks the nodes whose value
+    cannot be -0.0: constants other than -0.0, and sums with such a term
+    (a - b counts a).
+    """
+
+    def __init__(self, nvars):
+        self.nvars = nvars
+        self.nodes = []
+        self.never_minus_zero = []
+        self.numbers = {}
+        # By object id: the caller's expressions outlive the lowering.
+        self.memo = {}
+        self.outputs = []
+
+    def node(self, op, *operands, nz=False):
+        key = (op,) + operands
+        if op == "const":
+            v = operands[0]
+            key = ("const", float(v).hex(), isinstance(v, np.floating))
+        k = self.numbers.get(key)
+        if k is None:
+            k = self.numbers[key] = len(self.nodes)
+            self.nodes.append((op,) + operands)
+            self.never_minus_zero.append(nz)
+        return k
+
+    def const(self, v):
+        return self.node("const", v, nz=not (v == 0.0 and _negative(v)))
+
+    def value(self, k):
+        """The float of a constant node, None for any other."""
+        node = self.nodes[k]
+        return node[1] if node[0] == "const" else None
+
+    def signed(self, v):
+        """(negated, node) of the constant v."""
+        if _negative(v):
+            return True, self.const(-v)
+        return False, self.const(v)
+
+    def plain(self, term):
+        """The node of a signed term's value, negating where it must."""
+        negated, k = term
+        if not negated:
+            return k
+        node = self.nodes[k]
+        if node[0] == "const":
+            return self.const(-node[1])
+        if node[0] == "*" and self.value(node[1]) is not None:
+            return self.node("*", self.const(-self.value(node[1])), node[2])
+        return self.node("neg", k)
+
+    def lower(self, e):
+        key = id(e)
+        if key not in self.memo:
+            self.memo[key] = self._lower(e)
+        return self.memo[key]
+
+    def _lower(self, e):
+        if isinstance(e, Const):
+            return self.signed(e.value)
+        if isinstance(e, Var):
+            if e.index < self.nvars:
+                return False, self.node("var", e.index)
+            j = e.index - self.nvars
+            if j >= len(self.outputs):
+                raise ValueError(f"output {len(self.outputs)} uses a variable "
+                                 "that is neither an input nor an earlier "
+                                 "output")
+            return self.outputs[j]
+        if isinstance(e, Add):
+            return self.add([self.lower(t) for t in e.terms])
+        if isinstance(e, Mul):
+            total = self.lower(e.factors[0])
+            for f in e.factors[1:]:
+                total = self.mul(total, self.lower(f))
+            return total
+        if isinstance(e, Pow):
+            base = self.plain(self.lower(e.base))
+            expo = int(e.exponent) if e.exponent == int(e.exponent) \
+                else e.exponent
+            v = self.value(base)
+            if v is not None:
+                folded = _folded(lambda: v ** expo)
+                if folded is not None:
+                    return self.signed(folded)
+            return False, self.node("pow", base, expo)
+        arg = self.plain(self.lower(e.arg))
+        v = self.value(arg)
+        if v is not None:
+            folded = _folded(lambda: getattr(np, e.name)(v))
+            if folded is not None:
+                return self.signed(folded)
+        return False, self.node("func", e.name, arg)
+
+    def mul(self, a, b):
+        (na, ka), (nb, kb) = a, b
+        va, vb = self.value(ka), self.value(kb)
+        if va is not None and vb is not None:
+            return self.signed(_folded(
+                lambda: (-va if na else va) * (-vb if nb else vb)))
+        if va == 1.0:
+            return na != nb, kb
+        if vb == 1.0:
+            return na != nb, ka
+        return na != nb, self.node("*", ka, kb)
+
+    def add(self, terms):
+        zero = (False, self.const(0.0))
+        rest = [t for t in terms if t != zero]
+        if len(rest) < len(terms) and not any(
+                not n and self.never_minus_zero[k] for n, k in rest):
+            rest.append(zero)
+        total = rest[0]
+        for t in rest[1:]:
+            total = self.add2(total, t)
+        return total
+
+    def add2(self, a, b):
+        (na, ka), (nb, kb) = a, b
+        va, vb = self.value(ka), self.value(kb)
+        if va is not None and vb is not None:
+            return self.signed(_folded(
+                lambda: (-va if na else va) + (-vb if nb else vb)))
+        nz = self.never_minus_zero
+        if not na and not nb:
+            return False, self.node("+", ka, kb, nz=nz[ka] or nz[kb])
+        if not nb:
+            ka, kb = kb, ka
+        elif na:
+            ka = self.plain(a)
+        return False, self.node("-", ka, kb, nz=nz[ka])
+
+
+def _literal(v):
+    s = repr(float(v))
+    return f"({s})" if _negative(v) else s
 
 
 class CompiledVector:
@@ -572,31 +743,27 @@ class CompiledVector:
 
     An expression may use an earlier output as a variable: ``Var(nvars + j)``
     stands for output j, which is then computed once and reused.
+
+    The generated code, kept as ``source``, computes every repeated
+    operation once, folds signs into subtractions, evaluates constant runs
+    at compile time, keeps a +0.0 term only where a -0.0 could reach it,
+    and writes all constant outputs in one template copy (the rules are in
+    the module docstring). On real inputs each output equals ``Expr.eval``
+    of its expression bit for bit, signed zeros included; only NaN sign
+    bits may differ. On complex inputs the two agree to roundoff: where a
+    sign was folded, an exact negation replaces a complex product by -1.0.
     """
 
     def __init__(self, exprs, nvars):
         self.exprs = tuple(exprs)
         self.nvars = nvars
-        used = set()
-        body = []
-        for j, e in enumerate(self.exprs):
-            mine = set()
-            _collect_vars(e, mine)
-            if max(mine, default=-1) >= nvars + j:
-                raise ValueError(f"output {j} uses a variable that is neither "
-                                 "an input nor an earlier output")
-            used |= mine
-        for j, e in enumerate(self.exprs):
-            if nvars + j in used:
-                body += [f"    _v{nvars + j} = {_emit(e)}",
-                         f"    _out[..., {j}] = _v{nvars + j}"]
-            else:
-                body.append(f"    _out[..., {j}] = {_emit(e)}")
-        lines = ["def _fn(_a, _out, _np):"]
-        lines += [f"    _v{i} = _a[..., {i}]" for i in sorted(used) if i < nvars]
-        lines += body or ["    pass"]
-        namespace = {}
-        exec("\n".join(lines), namespace)  # noqa: S102 - generated from our own AST
+        low = _Lowering(nvars)
+        for e in self.exprs:
+            low.outputs.append(low.lower(e))
+        roots = [low.plain(t) for t in low.outputs]
+        self.source, template = _generate(low.nodes, roots)
+        namespace = {"inf": math.inf, "nan": math.nan, "_k": template}
+        exec(self.source, namespace)  # noqa: S102 - generated from our own AST
         self._fn = namespace["_fn"]
 
     def __call__(self, a):
@@ -606,19 +773,108 @@ class CompiledVector:
         return out
 
 
-def _collect_vars(e, out):
-    if isinstance(e, Var):
-        out.add(e.index)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            _collect_vars(t, out)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            _collect_vars(f, out)
-    elif isinstance(e, Pow):
-        _collect_vars(e.base, out)
-    elif isinstance(e, Func):
-        _collect_vars(e.arg, out)
+_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "neg": "negative"}
+
+
+def _operands(node):
+    """The node numbers a node reads."""
+    op = node[0]
+    if op in ("+", "-", "*"):
+        return node[1:3]
+    if op in ("neg", "pow"):
+        return node[1:2]
+    return node[2:3] if op == "func" else ()
+
+
+def _generate(nodes, roots):
+    """Source of ``_fn(_a, _out, _np)`` computing ``roots`` into ``_out``,
+    and the template row of its constant outputs (None if it has none).
+
+    An operation used once is written inline where it is used; one used
+    more often is assigned to a local first. An output whose last
+    operation is +, -, * or a negation has that ufunc write it in place;
+    any other is stored. Those four are exact, so where their result lands
+    changes no bit.
+    """
+    uses = [0] * len(nodes)
+    for k in roots:
+        uses[k] += 1
+    for k in range(len(nodes) - 1, -1, -1):
+        if uses[k]:
+            for o in _operands(nodes[k]):
+                uses[o] += 1
+
+    def write(k, parts):
+        """An operand: a name, a literal or a parenthesized operation."""
+        op = nodes[k][0]
+        if op == "const":
+            parts.append(_literal(nodes[k][1]))
+        elif op == "var":
+            parts.append(f"_v{nodes[k][1]}")
+        elif uses[k] > 1:
+            parts.append(f"_t{k}")
+        elif op == "func":
+            expand(k, parts)
+        else:
+            parts.append("(")
+            expand(k, parts)
+            parts.append(")")
+
+    def expand(k, parts, out=None):
+        """The operation of node k on its operands, into output out."""
+        node = nodes[k]
+        op = node[0]
+        if out is not None:
+            parts.append(f"_np.{_UFUNCS[op]}(")
+            for o in _operands(node):
+                write(o, parts)
+                parts.append(", ")
+            parts.append(f"out=_out[..., {out}])")
+        elif op == "func":
+            parts.append(f"_np.{node[1]}(")
+            write(node[2], parts)
+            parts.append(")")
+        elif op == "neg":
+            parts.append("-")
+            write(node[1], parts)
+        elif op == "pow":
+            write(node[1], parts)
+            parts.append(f" ** {node[2]!r}")
+        else:
+            write(node[1], parts)
+            parts.append(f" {op} ")
+            write(node[2], parts)
+
+    constant = [nodes[k][0] == "const" for k in roots]
+    # The output each in-place operation writes: its first.
+    direct = {}
+    for j, k in enumerate(roots):
+        if nodes[k][0] in _UFUNCS:
+            direct.setdefault(k, j)
+    lines = [f"    _v{node[1]} = _a[..., {node[1]}]"
+             for k, node in enumerate(nodes) if node[0] == "var" and uses[k]]
+    template = None
+    if any(constant):
+        template = np.array([nodes[k][1] if c else 0.0
+                             for k, c in zip(roots, constant)])
+        lines.append("    _out[...] = _k")
+    for k, node in enumerate(nodes):
+        if uses[k] > 1 and node[0] not in ("const", "var"):
+            parts = [f"    _t{k} = "]
+            expand(k, parts, direct.get(k))
+            lines.append("".join(parts))
+    for j, k in enumerate(roots):
+        if constant[j] or direct.get(k) == j and uses[k] > 1:
+            continue   # in the template, or written where its local is set
+        parts = ["    "]
+        if direct.get(k) == j:
+            expand(k, parts, j)
+        else:
+            parts.append(f"_out[..., {j}] = ")
+            write(k, parts)
+        lines.append("".join(parts))
+    return "\n".join(["def _fn(_a, _out, _np):"] + (lines or ["    pass"])), \
+        template
 
 
 def compile_vector(exprs, nvars):

@@ -172,7 +172,9 @@ def _dot(pairs, einsum=False):
     Symbolically zero entries are dropped and unit entries multiply
     nothing. An einsum sums from a +0.0 accumulator, so its zero sums are
     never -0.0; ``einsum`` keeps that by adding 0.0 last, which changes
-    nothing else.
+    nothing else. The generated code keeps that accumulator wherever a
+    -0.0 could reach it, and drops it only where another term is never
+    -0.0 (``expr.CompiledVector``).
     """
     terms = tuple(b if a == ex.Const(1.0) else ex.Mul((a, b))
                   for a, b in pairs if a != _ZERO)

@@ -21,12 +21,13 @@ frozen; either kills the elements it fails on.
 The shooting unknown is p(0): forward integration only, and the
 multiplier is read off as lam = p(T) on convergence.
 
-A Newton iteration runs no probe flow. The flow records the input
-(xi, p, u*) of every RK4 stage, and ``_shooting_jacobian`` reads
-d xi(T) / d p0 off the product of the RK4 step matrices of the variational
-equation, with the stage-rate Jacobian of ``Lagrangian.rate_jacobian``: the
-exact derivative of the discrete shooting map, as HamPath takes it from the
-variational system (Caillau, Cots & Gergaud, Optim. Methods Softw. 27(2),
+A Newton iteration runs no probe flow. The flow keeps its nodes
+(xi, p, u*), the inputs of RK4 stage 0, and records the inputs of stages
+1..3. From both, ``_shooting_jacobian`` reads d xi(T) / d p0 off the
+product of the RK4 step matrices of the variational equation, with the
+stage-rate Jacobian of ``Lagrangian.rate_jacobian``: the exact derivative
+of the discrete shooting map, as HamPath takes it from the variational
+system (Caillau, Cots & Gergaud, Optim. Methods Softw. 27(2),
 2012). It is formed when a seed's flow is accepted, the first one or a
 line-search trial's, and only where the seed iterates on from it, a block
 of steps at a time; the stage records are dropped once the flow is judged,
@@ -106,18 +107,22 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
 
     Integrates the stacked state y = (xi, p), shaped batch + (2n,), and
     returns (times, xs, ps, us, alive, stages): arrays shaped (M+1,) +
-    batch + (dim,), xs and ps being views of y's halves; alive marks
-    elements that stayed finite and feedback-solvable; stages, shaped
-    (M, 4) + batch + (2n + m,), holds the input (xi, p, u*) of RK4 stage
-    0..3 of each step, from which ``_shooting_jacobian`` differentiates the
-    discrete flow, and NaN for the steps after the last element died. Dead
-    elements keep their last finite state.
+    batch + (dim,), xs and ps being views of y's halves and us the
+    controls at the nodes, which are RK4 stage 0's; alive marks elements
+    that stayed finite and feedback-solvable; stages, shaped (M, 3) +
+    batch + (2n + m,), holds the input (xi, p, u*) of RK4 stages 1..3 of
+    each step, and NaN for the steps after the last element died. Stage
+    0's input is the node (xs, ps, us)[j]; ``_shooting_jacobian``
+    differentiates the discrete flow from the two. Dead elements keep
+    their last finite state.
 
     A stage is the one evaluator of ``Lagrangian.flow_stage`` when the cost
-    has a constant control Hessian; an element whose u* is not finite is
-    then dead. Otherwise it is ``pre``, the closed-form solve
+    has a constant control Hessian; an element whose u* is not finite at
+    some stage of a step is then dead, as checked once the step's four
+    controls are recorded. Otherwise it is ``pre``, the closed-form solve
     (``_affine_solve``) or the damped Newton, and ``post``, and an element
-    dies where the solve fails.
+    dies where the solve fails, at that stage: the Newton skips it from
+    the next stage on.
     """
     p0 = np.asarray(p0, dtype=float)
     batch = p0.shape[:-1]
@@ -130,15 +135,21 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     alive = np.ones(batch, dtype=bool)
     w = np.zeros(batch + (m,))
     us = np.zeros((M + 1,) + batch + (m,))
-    stages = np.full((M, 4) + batch + (2 * n + m,), np.nan)
+    stages = np.full((M, 3) + batch + (2 * n + m,), np.nan)
     stage_y, stage_u = stages[..., :2 * n], stages[..., 2 * n:]
 
     stage = L.flow_stage(F)
-    if isinstance(stage, tuple):
+    folded = not isinstance(stage, tuple)
+    if folded:
+        def feedback(y):
+            out = stage(y)
+            return out[..., :m], out[..., m:]
+    else:
         pre, post = stage
         affine = L.fiber_affine()
 
         def feedback(y):
+            nonlocal alive
             head = pre(y)
             z = head[..., :m]
             if affine:
@@ -147,46 +158,53 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
                                       H.reshape(H.shape[:-1] + (m, m)), z, w)
             else:
                 u, ok = _damped_newton(L, y[..., :n], z, w, alive)
-            return u, ok, post(np.concatenate((y, u), axis=-1))
-    else:
-        def feedback(y):
-            out = stage(y)
-            u = out[..., :m]
-            return u, np.isfinite(u).all(axis=-1), out[..., m:]
+            alive &= ok
+            return u, post(np.concatenate((y, u), axis=-1))
+
+    def finite(u, axis=-1):
+        return np.isfinite(u).all(axis=axis)
 
     def rhs(j, step_stage, y):
         nonlocal w, alive
-        w, ok, rate = feedback(y)
-        alive &= ok
+        w, rate = feedback(y)
         if step_stage == 0:
             us[j] = w
-        if j < M:
-            stage_y[j, step_stage], stage_u[j, step_stage] = y, w
+        else:
+            stage_y[j, step_stage - 1], stage_u[j, step_stage - 1] = y, w
+            if folded and step_stage == 3:
+                # _rk4 reads the mask only once the step is taken.
+                alive &= finite(us[j]) & finite(stage_u[j], (0, -1))
         return rate
 
     # Frozen dead elements' stages may overflow; the alive mask reports them.
     with np.errstate(over="ignore", invalid="ignore"):
         ys, _, _ = _rk4(rhs, y, h, M, alive)
         rhs(M, 0, ys[-1])
+    if folded:
+        alive &= finite(us[M])
     return times, ys[..., :n], ys[..., n:], us, alive, stages
 
 
-def _shooting_jacobian(F, L, stages, h):
-    """d xi(T) / d p0 (K, n, n) of the discrete flow behind ``stages``.
+def _shooting_jacobian(F, L, flow, stages, h):
+    """d xi(T) / d p0 (K, n, n) of K discrete flows with step h.
 
-    stages (M, 4, K, 2n + m) are the recorded stage inputs of K flows with
-    step h. The stage-rate Jacobians give the RK4 step matrices of the
-    variational equation, and their product, started from d y(0) / d p0 =
-    (0, I), is the derivative of the flow's own RK4 map. Both are formed
-    JACOBIAN_BLOCK steps at a time, so the memory held does not grow with
-    the horizon.
+    flow = (xs, ps, us) holds the flows' nodes, shaped (M+1, K, dim), and
+    stages (M, 3, K, 2n + m) their recorded inputs of RK4 stages 1..3;
+    stage 0's input is the node. The stage-rate Jacobians give the RK4
+    step matrices of the variational equation, and their product, started
+    from d y(0) / d p0 = (0, I), is the derivative of the flow's own RK4
+    map. Both are formed JACOBIAN_BLOCK steps at a time, so the memory
+    held does not grow with the horizon.
     """
     n = F.n
     jacobian = L.rate_jacobian(F)
     Y = np.zeros(stages.shape[2:3] + (2 * n, n))
     Y[:, n:] = np.eye(n)
     for j in range(0, len(stages), JACOBIAN_BLOCK):
-        A = jacobian(stages[j:j + JACOBIAN_BLOCK].swapaxes(0, 1))
+        block = stages[j:j + JACOBIAN_BLOCK].swapaxes(0, 1)
+        nodes = np.concatenate([a[j:j + block.shape[1]] for a in flow],
+                               axis=-1)
+        A = jacobian(np.concatenate((nodes[None], block)))
         Y = _step_products(_step_matrices(A, h), Y)[-1]
     return Y[:, :n]
 
@@ -226,16 +244,18 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
         rn = np.linalg.norm(xs[-1] - x, axis=-1)
         return np.where(alive, rn, np.inf), (xs, ps, us), stages
 
-    def differentiate(rows, stages, cols):
+    def differentiate(rows, flow, stages, cols):
         """Form J of the seed rows, whose accepted flows are the columns
-        cols of the flow with these stages, where the seed iterates on:
-        where its residual is finite and at least tol."""
+        cols of this flow, where the seed iterates on: where its residual
+        is finite and at least tol."""
         on = (rn[rows] >= tol) & np.isfinite(rn[rows])
         if on.any():
-            J[rows[on]] = _shooting_jacobian(F, L, stages[:, :, cols[on]], h)
+            c = cols[on]
+            J[rows[on]] = _shooting_jacobian(
+                F, L, [a[:, c] for a in flow], stages[:, :, c], h)
 
     rn, flow, stages = residual(p0)
-    differentiate(np.arange(k), stages, np.arange(k))
+    differentiate(np.arange(k), flow, stages, np.arange(k))
     del stages   # the stage records of a flow live until it is judged
     xs = flow[0]   # the line search keeps the flow arrays in place
     failed = ~np.isfinite(rn)
@@ -249,7 +269,7 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
             rn[idx[sel]] = rn_try[sel]
             for kept, new in zip(flow, flow_try):
                 kept[..., idx[sel], :] = new[..., sel, :]
-            differentiate(idx[sel], stages_try, sel)
+            differentiate(idx[sel], flow_try, stages_try, sel)
 
         return rn_try < rn[idx], keep
 

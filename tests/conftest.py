@@ -6,9 +6,11 @@ checks and the module tests.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from extremals.scenario import (resolve_scenario, scenario_fields,
                                 scenario_lagrangian)
@@ -18,6 +20,12 @@ from extremals.shooting import (make_seeds, multi_start, shoot_extremal,
 from oracles import HeisenbergCollocationOracle
 
 SMOOTH_BUILTINS = ("identity", "heisenberg", "martinet", "grushin")
+
+# In CI (GitHub Actions sets CI) the property tests draw the same examples
+# on every run, so a failure there reproduces locally with CI=1.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def seed_scale(sc):

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from extremals import expr as ex
 from extremals.errors import ExpressionGrowthError, ParseError
+from extremals.scenario import (resolve_scenario, scenario_fields,
+                                scenario_lagrangian)
 
 COMPLEX_STEP = 1e-30
 
@@ -114,3 +118,190 @@ def test_str_round_trips_through_parser():
     for _ in range(10):
         pt = tuple(rng.uniform(-1.5, 1.5, size=2))
         assert again.eval(pt) == pytest.approx(e.eval(pt), rel=1e-14)
+
+
+# -- the generator ----------------------------------------------------------
+#
+# Random expression DAGs: each new node combines earlier ones, so subtrees
+# repeat both as shared objects and as equal copies, with negative
+# constants, -1 factors, +0.0 and -0.0 terms, unit factors, powers and
+# sin/cos/exp. Add and Mul are built raw, as ``substitute`` and the flow
+# stage build them, so none of this is folded away before compilation.
+
+CONSTANTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -3.0]) \
+    | st.floats(-4.0, 4.0)
+NVARS = 3
+
+
+def _size(e, memo):
+    """Tree size of e, shared subtrees counted at each use."""
+    if id(e) not in memo:
+        kids = (e.terms if isinstance(e, ex.Add) else
+                e.factors if isinstance(e, ex.Mul) else
+                (e.base,) if isinstance(e, ex.Pow) else
+                (e.arg,) if isinstance(e, ex.Func) else ())
+        memo[id(e)] = 1 + sum(_size(k, memo) for k in kids)
+    return memo[id(e)]
+
+
+def _negated(e):
+    return ex.Mul((ex.Const(-1.0), e))
+
+
+@st.composite
+def expression_dags(draw):
+    pool = [ex.Var(f"x{i + 1}", i) for i in range(NVARS)]
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["const", "add", "mul", "neg", "pow",
+                                     "func", "copy"]))
+        pick = st.sampled_from(pool)
+        operand = st.one_of(pick, pick.map(_negated), CONSTANTS.map(ex.Const))
+        if kind == "const":
+            e = ex.Const(draw(CONSTANTS))
+        elif kind == "add":
+            e = ex.Add(tuple(draw(st.lists(operand, min_size=2, max_size=4))))
+        elif kind == "mul":
+            e = ex.Mul(tuple(draw(st.lists(operand, min_size=2, max_size=3))))
+        elif kind == "neg":
+            e = _negated(draw(pick))
+        elif kind == "pow":
+            e = ex.Pow(draw(pick), draw(st.sampled_from([2.0, 3.0, -1.0])))
+        elif kind == "func":
+            e = ex.Func(draw(st.sampled_from(["sin", "cos", "exp"])),
+                        draw(pick))
+        else:
+            # An equal copy that is another object.
+            e = ex.substitute(draw(pick), pool[:NVARS])
+        pool.append(e)
+    outputs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    memo = {}
+    assume(sum(_size(e, memo) for e in outputs) <= 2000)
+    return outputs
+
+
+# Every row of +-0.0 and +-1.0, where sums cancel exactly, then uniform rows.
+SPECIAL_ROWS = np.stack(np.meshgrid(*[[0.0, -0.0, 1.0, -1.0]] * NVARS),
+                        axis=-1).reshape(-1, NVARS)
+
+
+def _outcome(fn):
+    """fn()'s value, or the type of the arithmetic error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn()
+    except (OverflowError, ZeroDivisionError) as err:
+        return type(err)
+
+
+def _evaluated(exprs, a):
+    cols = tuple(np.moveaxis(a, -1, 0))
+    return [_outcome(lambda: e.eval(cols)) for e in exprs]
+
+
+def _assert_eval_bits(exprs, a):
+    """The compiled exprs equal Expr.eval on the rows a, bit for bit."""
+    want = _evaluated(exprs, a)
+    fn = ex.compile_vector(exprs, NVARS)
+    got = _outcome(lambda: fn(a))
+    errors = [w for w in want if isinstance(w, type)]
+    if errors:
+        # A constant power that Python cannot take raises in both.
+        assert got in errors
+        return
+    for j, w in enumerate(want):
+        w = np.broadcast_to(w, got.shape[:-1])
+        np.testing.assert_array_equal(got[..., j], w)
+        # Signed zeros included; IEEE leaves the sign of a NaN open.
+        number = ~np.isnan(w)
+        np.testing.assert_array_equal(np.signbit(got[..., j])[number],
+                                      np.signbit(w)[number])
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs=expression_dags(), seed=st.integers(0, 2 ** 32 - 1))
+def test_generated_code_is_expr_eval_to_the_bit(exprs, seed):
+    _assert_eval_bits(exprs, np.concatenate((
+        SPECIAL_ROWS,
+        np.random.default_rng(seed).uniform(-2.0, 2.0, (8, NVARS)))))
+
+
+X1, X2, X3 = (ex.Var(f"x{i + 1}", i) for i in range(NVARS))
+ZERO, MINUS_ZERO = ex.Const(0.0), ex.Const(-0.0)
+# One case per rewrite, each where a signed zero would show a slip.
+CORNERS = [
+    ex.Mul((X1, ex.Const(-1.0))),
+    ex.Mul((ex.Const(-0.5), X1)),
+    ex.Mul((ex.Const(-0.5), X1, X2)),
+    ex.Mul((X1, ex.Const(-2.0), X2)),
+    ex.Mul((ex.Const(2.0), ex.Const(-0.5), X1)),
+    ex.Mul((ex.Const(1.0), X1)),
+    ex.Add((_negated(X1), _negated(X2))),
+    ex.Add((_negated(X1), X2, _negated(X3))),
+    ex.Add((X1, _negated(X2))),
+    ex.Add((ex.Const(-3.0), X1)),
+    ex.Add((X1, ZERO)),
+    ex.Add((ZERO, X1, X2)),
+    ex.Add((X1, MINUS_ZERO)),
+    ex.Add((_negated(X1), ZERO)),
+    ex.Add((ex.Add((X1, ZERO)), ZERO)),
+    ex.Add((ex.Add((X1, _negated(ex.Add((X2, ZERO))))), ZERO)),
+    ex.Add((ex.Add((_negated(X1), ZERO)), X2, ZERO)),
+    ex.Pow(_negated(X1), 2.0),
+    ex.Func("sin", _negated(X1)),
+    ex.Add((ex.Mul((ex.Const(0.5), X1)), ex.Mul((ex.Const(-0.5), X1)))),
+]
+
+
+@pytest.mark.parametrize("corner", CORNERS, ids=str)
+def test_generated_code_keeps_each_rewrite_to_the_bit(corner):
+    _assert_eval_bits([corner, ex.Mul((corner, X3))], SPECIAL_ROWS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exprs=expression_dags(), seed=st.integers(0, 2 ** 32 - 1))
+def test_generated_code_agrees_with_expr_eval_on_complex_inputs(exprs, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.5, 2.0, (7, NVARS)) * rng.choice([-1.0, 1.0], (7, NVARS))
+    a = a + 1j * COMPLEX_STEP * rng.uniform(-1.0, 1.0, a.shape)
+    want = _evaluated(exprs, a)
+    assume(not any(isinstance(w, type) for w in want))
+    got = ex.compile_vector(exprs, NVARS)(a)
+    for j, w in enumerate(want):
+        w = np.broadcast_to(w, got.shape[:-1])
+        finite = np.isfinite(w)
+        # Real and complex-step parts alike, each to its own roundoff.
+        for part in (np.real, np.imag):
+            np.testing.assert_allclose(part(got[..., j])[finite],
+                                       part(w)[finite], rtol=1e-12, atol=0)
+
+
+def test_an_output_may_read_an_earlier_one():
+    x1, x2 = ex.Var("x1", 0), ex.Var("x2", 1)
+    z = ex.Add((x1, ex.Mul((ex.Const(-0.5), x2)), ex.Const(0.0)))
+    fn = ex.compile_vector([z, ex.Add((ex.Var("z", 2), ex.Const(0.0))),
+                            ex.Mul((ex.Var("z", 2), x2))], 2)
+    a = np.array([[0.0, 0.0], [-0.0, 0.0], [1.0, 2.0]])
+    out = fn(a)
+    want = z.eval(tuple(a.T))
+    for j in range(2):
+        np.testing.assert_array_equal(out[:, j], want)
+        np.testing.assert_array_equal(np.signbit(out[:, j]), np.signbit(want))
+    np.testing.assert_array_equal(out[:, 2], want * a[:, 1])
+    with pytest.raises(ValueError, match="earlier output"):
+        ex.compile_vector([ex.Var("z", 2)], 2)
+
+
+def test_the_heisenberg_stage_is_generated_lean():
+    # Machine-independent counts of the emitted code: 0.5 * x1 and 0.5 * x2
+    # (inputs 0 and 1) are computed once each, no sign is multiplied in,
+    # and the all-constant Jacobian stack of the fields is one copy of its
+    # template row, with no store per output.
+    sc = resolve_scenario("heisenberg")
+    F, L = scenario_fields(sc), scenario_lagrangian(sc)
+    source = L.flow_stage(F).source
+    assert source.count("0.5 * _v0") == 1
+    assert source.count("0.5 * _v1") == 1
+    assert "-1.0 *" not in source
+    assert "(-1.0)" not in source
+    body = F._jac.source.splitlines()[1:]
+    assert body == ["    _out[...] = _k"]

@@ -405,10 +405,11 @@ def _jacobian_and_central_differences(F, L, x0, p0, N, substeps):
     """The flow's exact d xi(T) / d p0 and its central differences with
     steps FD_STEP (1 + |p0|), for seeds p0 (k, n); and the endpoints of the
     2n probe flows."""
-    _, _, _, _, alive, stages = _hamiltonian_flow(F, L, x0, p0, 1.0, N,
-                                                  substeps)
+    _, xs, ps, us, alive, stages = _hamiltonian_flow(F, L, x0, p0, 1.0, N,
+                                                     substeps)
     assert alive.all()
-    J = shooting._shooting_jacobian(F, L, stages, 1.0 / (N * substeps))
+    J = shooting._shooting_jacobian(F, L, (xs, ps, us), stages,
+                                    1.0 / (N * substeps))
     k, n = p0.shape
     delta = FD_STEP * (1.0 + np.linalg.norm(p0, axis=-1))
     shift = delta[:, None] * np.eye(n)[:, None]
@@ -481,10 +482,10 @@ def test_the_jacobian_is_formed_only_for_active_seeds(monkeypatch):
     flow = shooting._hamiltonian_flow
     events = []
 
-    def recording_jacobian(F, L, stages, h):
-        # A flow's first stage input holds its p0 rows.
-        events.append(("jacobian", stages[0, 0, :, F.n:2 * F.n].copy()))
-        return jacobian(F, L, stages, h)
+    def recording_jacobian(F, L, flow, stages, h):
+        # A flow's first node holds its p0 rows.
+        events.append(("jacobian", flow[1][0].copy()))
+        return jacobian(F, L, flow, stages, h)
 
     def recording_backtrack(trial, x, step, todo, halvings):
         events.append(("moving", x[todo].copy()))
