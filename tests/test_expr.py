@@ -249,6 +249,9 @@ CORNERS = [
     ex.Pow(_negated(X1), 2.0),
     ex.Func("sin", _negated(X1)),
     ex.Add((ex.Mul((ex.Const(0.5), X1)), ex.Mul((ex.Const(-0.5), X1)))),
+    # Constant runs: a negative base, and a product that overflows to inf.
+    ex.Mul((ex.Pow(ex.Const(-2.0), 2.0), X1)),
+    ex.Mul((ex.Const(1e300), ex.Const(1e300), X1)),
 ]
 
 
@@ -273,6 +276,14 @@ def test_generated_code_agrees_with_expr_eval_on_complex_inputs(exprs, seed):
         for part in (np.real, np.imag):
             np.testing.assert_allclose(part(got[..., j])[finite],
                                        part(w)[finite], rtol=1e-12, atol=0)
+
+
+def test_a_non_finite_constant_compiles():
+    e = ex.parse_scalar("x1 + 1e400 - x2*1e400", ["x1", "x2"])
+    a = np.array([[1.0, 2.0], [0.0, -1.0]])
+    with np.errstate(invalid="ignore"):
+        np.testing.assert_array_equal(ex.compile_vector([e], 2)(a)[:, 0],
+                                      e.eval(tuple(a.T)))
 
 
 def test_an_output_may_read_an_earlier_one():
