@@ -3,8 +3,8 @@ systems: solving, certification, and local inversion of the endpoint map.
 """
 
 from .analysis import (BoundReport, GramReport, LipschitzCertificate,
-                       SingularityScan, assumption4_check, costate_bound_check,
-                       lipschitz_certificate, singularity_report)
+                       costate_bound_check, lipschitz_certificate,
+                       singularity_report)
 from .controls import ControlPath, l2_distance, random_smooth_controls
 from .dynamics import (DifferentialKernel, Trajectory, fine_grid, integrate,
                        integrate_batch, trapezoid_weights)
@@ -18,13 +18,10 @@ from .expr import Expr, compile_vector, parse_components, parse_scalar
 from .fields import FieldSet, LieRankResult, lie_bracket, lie_rank, parse_field_set
 from .inversion import (Dictionary, DictionaryDirection, InversionChart,
                         SelectedBasis, build_chart, chart_eval,
-                        chart_eval_full, chart_from_dict,
-                        chart_lipschitz_estimate, default_dictionary,
+                        chart_eval_full, chart_from_dict, default_dictionary,
                         select_basis)
-from .lagrangian import (GrowthProfile, GrowthReport, Lagrangian,
-                         growth_spot_check, hamiltonian, legendre_inverse,
-                         maximizing_control, parse_growth_profile,
-                         parse_lagrangian, phi_from_samples, phi_functional)
+from .lagrangian import (Lagrangian, legendre_inverse, parse_lagrangian,
+                         phi_from_samples)
 from .scenario import (Scenario, builtin_scenario, load_scenario,
                        parse_scenario, resolve_scenario, scenario_control,
                        scenario_fields, scenario_lagrangian)
@@ -41,20 +38,19 @@ __all__ = [
     "DifferentialKernel", "DiffeomorphismViolationError", "DimensionError",
     "DivergenceError", "EvaluationError", "Expr", "ExpressionGrowthError",
     "ExtremalSolution", "ExtremalsError", "FieldSet",
-    "GramReport", "GridMismatchError",
-    "GrowthProfile", "GrowthReport", "InversionChart", "Lagrangian",
+    "GramReport", "GridMismatchError", "InversionChart", "Lagrangian",
     "LieRankResult", "LipschitzCertificate", "NonConvergenceError",
     "ParseError", "Scenario", "ScenarioError", "SelectedBasis",
-    "SingularityScan", "Trajectory", "assumption4_check", "build_chart",
+    "Trajectory", "build_chart",
     "builtin_scenario", "chart_eval", "chart_eval_full", "chart_from_dict",
-    "chart_lipschitz_estimate", "compile_vector", "costate_bound_check",
+    "compile_vector", "costate_bound_check",
     "costate_from_lambda", "default_dictionary", "extremality_residual",
-    "fine_grid", "growth_spot_check", "hamiltonian", "integrate",
+    "fine_grid", "integrate",
     "integrate_batch", "l2_distance", "legendre_inverse", "lie_bracket",
     "lie_rank", "lipschitz_certificate", "load_scenario", "make_seeds",
-    "maximizing_control", "multi_start", "parse_components", "parse_field_set",
-    "parse_growth_profile", "parse_lagrangian", "parse_scalar",
-    "parse_scenario", "phi_from_samples", "phi_functional",
+    "multi_start", "parse_components", "parse_field_set",
+    "parse_lagrangian", "parse_scalar",
+    "parse_scenario", "phi_from_samples",
     "random_smooth_controls", "resolve_scenario", "scenario_control",
     "scenario_fields", "scenario_lagrangian", "select_basis",
     "shoot_extremal", "shoot_extremals", "singularity_report",

@@ -65,41 +65,6 @@ def singularity_report(F, u: ControlPath, x0, T=None,
                       threshold=threshold)
 
 
-@dataclass(frozen=True)
-class SingularityScan:
-    reports: tuple
-    violations: tuple
-    clean: bool
-
-    def to_dict(self):
-        return {"clean": self.clean, "violations": list(self.violations),
-                "reports": [r.to_dict() for r in self.reports]}
-
-
-def assumption4_check(F, items, threshold=SINGULARITY_THRESHOLD,
-                      substeps=DEFAULT_SUBSTEPS) -> SingularityScan:
-    """Scan a solution family for singular members.
-
-    The working hypothesis downstream is that no extremal is singular; any
-    singular member is reported as a violation, never raised. Items may be
-    solution objects (with .u and .x0) or (u, x0) pairs, so candidate
-    controls can be screened before they are dressed up as extremals.
-    """
-    reports = []
-    violations = []
-    for i, item in enumerate(items):
-        if hasattr(item, "u") and hasattr(item, "x0"):
-            u, x0 = item.u, item.x0
-        else:
-            u, x0 = item
-        rep = singularity_report(F, u, x0, None, threshold, substeps)
-        reports.append(rep)
-        if rep.singular:
-            violations.append(i)
-    return SingularityScan(reports=tuple(reports), violations=tuple(violations),
-                           clean=not violations)
-
-
 def _lip_value(u: ControlPath):
     """Lipschitz reading of one control: max node quotient plus |u(T)|."""
     return u.lipschitz_quotient + float(np.linalg.norm(u.values[-1]))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import (costate_bound_check, lipschitz_certificate,
                        singularity_report)
-from .controls import ControlPath, random_smooth_controls
+from .controls import random_smooth_controls
 from .dynamics import DifferentialKernel, integrate, integrate_batch
 from .errors import (BasisDeficiencyError, CertificateFailure,
                      ChartConstructionError, ChartIntegrityError,

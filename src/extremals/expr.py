@@ -300,14 +300,22 @@ def check_node_cap(exprs, cap=NODE_CAP):
 # ---------------------------------------------------------------------------
 # printing (round-trips through the parser)
 
+def _number(v):
+    """v as text the parser reads back: +-inf as +-1e999, which overflows
+    to it, and NaN as the product that folds to it."""
+    if math.isnan(v):
+        return "(0*1e999)"
+    if math.isinf(v):
+        return "1e999" if v > 0 else "-1e999"
+    if v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(v)
+
+
 def _to_str(e, prec):
     if isinstance(e, Const):
-        v = e.value
-        if v == int(v) and abs(v) < 1e16:
-            s = str(int(v))
-        else:
-            s = repr(v)
-        return f"({s})" if v < 0 and prec > 0 else s
+        s = _number(e.value)
+        return f"({s})" if e.value < 0 and prec > 0 else s
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Add):
@@ -317,11 +325,12 @@ def _to_str(e, prec):
         s = "*".join(_to_str(f, 2) for f in e.factors)
         return f"({s})" if prec > 2 else s
     if isinstance(e, Pow):
-        expo = e.exponent
-        es = str(int(expo)) if expo == int(expo) else repr(expo)
-        if expo < 0:
+        es = _number(e.exponent)
+        if e.exponent < 0:
             es = f"({es})"
-        return f"{_to_str(e.base, 3)}^{es}"
+        # ^ is right-associative, so a power as a base keeps its parentheses.
+        s = f"{_to_str(e.base, 3)}^{es}"
+        return f"({s})" if prec > 2 else s
     return f"{e.name}({_to_str(e.arg, 0)})"
 
 

@@ -61,19 +61,6 @@ class FieldSet:
         """Z(x, p) = (<p, X_i(x)>)_i, shape (..., m)."""
         return np.einsum("...nm,...n->...m", self.field_matrix(x), p)
 
-    def boundedness_spot_check(self, radius=10.0, samples=200, seed=0):
-        """Sample |X_i| on a box; returns (max_norm, bounded_looking flag).
-
-        The rank condition does not need boundedness, but configs may want
-        the flag recorded. Polynomial fields of positive degree will simply
-        report large norms at large radius.
-        """
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(-radius, radius, size=(samples, self.n))
-        norms = np.linalg.norm(self.field_matrix(x), axis=-2)
-        max_norm = float(norms.max())
-        return max_norm, bool(max_norm < 1e3)
-
 
 def parse_field_set(text, n, m):
     """Parse ``Xi = (...)`` statements into a FieldSet."""

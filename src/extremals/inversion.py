@@ -30,16 +30,13 @@ included, as one stack. Each probe then passes the checks a user query
 gets after its Newton (converged, determinant floor, time constant), on a
 proto chart with an unbounded radius and time constant and the final
 determinant floor, so a probe passes exactly what a query inside the
-finished chart must pass. ``chart_lipschitz_estimate`` solves the n+1
-finite-difference targets of each differential point as one stack too, each
-through a query's checks.
+finished chart must pass.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -80,8 +77,6 @@ class DictionaryDirection:
 @dataclass(frozen=True)
 class Dictionary:
     directions: tuple
-    T: float
-    k_max: int = 8
 
     def __len__(self):
         return len(self.directions)
@@ -106,7 +101,7 @@ def default_dictionary(m, T, k_max=8) -> Dictionary:
         for c in range(m):
             dirs.append(direction(c, f"sin({w!r}*s)", w))
             dirs.append(direction(c, f"cos({w!r}*s)", w))
-    return Dictionary(directions=tuple(dirs), T=T, k_max=k_max)
+    return Dictionary(directions=tuple(dirs))
 
 
 @dataclass(frozen=True)
@@ -323,9 +318,10 @@ def _solve_alpha(chart: InversionChart, s, betas, alpha0=None):
 
 def _check_target(chart: InversionChart, s, beta):
     """A query's checks on its target: in the domain and the certified ball."""
-    if s <= 0.0 or s > chart.u.T * (1.0 + 1e-12):
+    # Negated comparisons, so that a NaN coordinate fails them.
+    if not 0.0 < s <= chart.u.T * (1.0 + 1e-12):
         raise ValueError(f"time {s} outside the anchor control's domain")
-    if chart.distance(s, beta) > chart.r * (1.0 + 1e-9):
+    if not chart.distance(s, beta) <= chart.r * (1.0 + 1e-9):
         raise ValueError(
             f"target ({s}, {beta}) is outside the certified "
             f"chart ball of radius {chart.r:g} around "
@@ -452,74 +448,3 @@ def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
 
     return dataclasses.replace(proto, r=r, k_time=k_time,
                                lipschitz_est={"k": k_hat, "ell": ell_hat})
-
-
-def chart_lipschitz_estimate(chart: InversionChart, probes=60, seed=None,
-                             differential_points=8):
-    """Monte-Carlo Lipschitz readings over random interior targets.
-
-    k_hat: worst L2-vs-parameter quotient over all probe pairs. ell_hat:
-    worst pairwise variation of finite-difference chart Jacobians over a
-    subset of probes (Jacobians cost n+1 evaluations each). Degenerate
-    pairs are skipped.
-    """
-    rng = np.random.default_rng(chart.probe_seed if seed is None else seed)
-    n = chart.n
-    pts = [(chart.t, chart.anchor_endpoint.copy())]
-    while len(pts) < probes:
-        raw = rng.normal(size=n + 1)
-        raw /= np.linalg.norm(raw)
-        rad = 0.9 * chart.r * rng.uniform() ** (1.0 / (n + 1))
-        s = chart.t + rad * raw[0]
-        if not 0.0 < s <= chart.u.T:
-            continue
-        pts.append((s, chart.anchor_endpoint + rad * raw[1:]))
-
-    paths = []
-    alphas = []
-    alpha0 = None
-    for (s, beta) in pts:
-        path, alpha, _, _ = chart_eval_full(chart, s, beta, alpha0)
-        paths.append(path)
-        alphas.append(alpha)
-        alpha0 = alpha
-
-    def worst_quotient(idx, gap):
-        """The largest gap(a, b) / |pts[idx[a]] - pts[idx[b]]| over the
-        pairs a < b, degenerate pairs skipped."""
-        q = 0.0
-        for a, b in itertools.combinations(range(len(idx)), 2):
-            (s_a, beta_a), (s_b, beta_b) = pts[idx[a]], pts[idx[b]]
-            d = math.hypot(s_a - s_b, float(np.linalg.norm(beta_a - beta_b)))
-            if d >= 1e-12:
-                q = max(q, gap(a, b) / d)
-        return q
-
-    k_hat = worst_quotient(range(len(pts)),
-                           lambda i, j: l2_distance(paths[i], paths[j]))
-    ell_hat = 0.0
-    if differential_points >= 2:
-        eps = 1e-5 * chart.r
-        jacs = []
-        kept = []
-        for idx in range(min(differential_points, len(pts))):
-            s, beta = pts[idx]
-            if chart.distance(s, beta) > 0.98 * chart.r:
-                continue
-            # (s + s_step, beta) and each (s, beta + eps e_k) in one stack.
-            s_step = eps if s + eps <= chart.u.T else -eps
-            fd_s = np.array([s + s_step] + [s] * n)
-            fd_betas = np.vstack((beta, beta + eps * np.eye(n)))
-            for args in zip(fd_s, fd_betas):
-                _check_target(chart, *args)
-            _, fd_paths, det, ok, _ = _solve_alpha(
-                chart, fd_s, fd_betas, np.repeat(alphas[idx][None], n + 1, 0))
-            _check_solutions(chart, fd_s, fd_paths, det, ok)
-            ref = paths[idx].values
-            widths = [s_step] + [eps] * n
-            jacs.append(np.stack([(p.values - ref) / w for p, w in
-                                  zip(fd_paths, widths)], axis=-1))
-            kept.append(idx)
-        ell_hat = worst_quotient(
-            kept, lambda a, b: float(np.linalg.norm(jacs[a] - jacs[b])))
-    return {"k_hat": k_hat, "ell_hat": ell_hat}

@@ -32,12 +32,10 @@ exact shooting Jacobian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import expr as ex
-from .dynamics import DEFAULT_SUBSTEPS, _backtrack, integrate
+from .dynamics import _backtrack
 from .errors import DiffeomorphismViolationError, DimensionError, EvaluationError
 
 LEGENDRE_TOL = 1e-10
@@ -421,18 +419,6 @@ def legendre_inverse(L: Lagrangian, x, z, u0=None):
     return u
 
 
-def maximizing_control(L: Lagrangian, F, x, p, u0=None):
-    """The feedback control w(x, Z(x, p)) staticizing the pre-Hamiltonian."""
-    return legendre_inverse(L, x, F.momentum(x, p), u0=u0)
-
-
-def hamiltonian(L: Lagrangian, F, x, p, u0=None):
-    """H(x, p) = <Z(x,p), w> - L(x, w) at the staticizing control w."""
-    z = F.momentum(x, p)
-    w = legendre_inverse(L, x, z, u0=u0)
-    return np.einsum("...m,...m->...", z, w) - L.value(x, w)
-
-
 def trapezoid(values, times):
     dt = np.diff(times)
     return float(np.sum(dt * (values[..., :-1] + values[..., 1:]) / 2.0))
@@ -441,78 +427,3 @@ def trapezoid(values, times):
 def phi_from_samples(L: Lagrangian, times, x_nodes, u_nodes):
     """Trapezoid value of the running cost from explicit node samples."""
     return trapezoid(L.value(x_nodes, u_nodes), times)
-
-
-def phi_functional(L: Lagrangian, F, u, x0, T=None,
-                   substeps=DEFAULT_SUBSTEPS):
-    """Phi(u) = integral of L along the trajectory of u from x0."""
-    traj = integrate(F, u, x0, T, substeps)
-    return phi_from_samples(L, traj.times, traj.states, u.at(traj.times))
-
-
-@dataclass(frozen=True)
-class GrowthProfile:
-    """Three comparison functions of a radius r >= 0.
-
-    control_floor bounds the cost from below in |u|, state_slack is the
-    allowed drop in |x|, gradient_factor caps |d_xL| against 1 + |u|^2.
-    """
-    control_floor: object = field(repr=False)
-    state_slack: object = field(repr=False)
-    gradient_factor: object = field(repr=False)
-    source: tuple = ("", "", "")
-
-    def floor(self, r):
-        return self.control_floor(np.asarray(r)[..., None])[..., 0]
-
-    def slack(self, r):
-        return self.state_slack(np.asarray(r)[..., None])[..., 0]
-
-    def factor(self, r):
-        return self.gradient_factor(np.asarray(r)[..., None])[..., 0]
-
-
-def parse_growth_profile(floor_text, slack_text, factor_text) -> GrowthProfile:
-    compiled = [ex.compile_vector([ex.parse_scalar(t, ["r"])], 1)
-                for t in (floor_text, slack_text, factor_text)]
-    return GrowthProfile(*compiled, source=(floor_text, slack_text, factor_text))
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    lower_margin: float
-    gradient_margin: float
-    satisfied: bool
-    worst_lower: tuple
-    worst_gradient: tuple
-    samples: int
-
-
-def growth_spot_check(L: Lagrangian, profile: GrowthProfile, box,
-                      samples=1000, seed=0) -> GrowthReport:
-    """Sample (x, u) in a box and report the worst growth-bound margins.
-
-    box is (x_radius, u_radius); a scalar is used for both. Margins are
-    L - floor(|u|) + slack(|x|) and factor(|x|) (1 + |u|^2) - |d_xL|;
-    negative margins mean the profile fails at the recorded sample, which
-    is reported, never raised.
-    """
-    rx, ru = (box, box) if np.isscalar(box) else box
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-rx, rx, size=(samples, L.n))
-    u = rng.uniform(-ru, ru, size=(samples, L.m))
-    xn = np.linalg.norm(x, axis=-1)
-    un = np.linalg.norm(u, axis=-1)
-
-    lower = L.value(x, u) - profile.floor(un) + profile.slack(xn)
-    i = int(np.argmin(lower))
-    grad = (profile.factor(xn) * (1.0 + un ** 2)
-            - np.linalg.norm(L.grad_x(x, u), axis=-1))
-    j = int(np.argmin(grad))
-    return GrowthReport(
-        lower_margin=float(lower[i]),
-        gradient_margin=float(grad[j]),
-        satisfied=bool(lower[i] >= 0.0 and grad[j] >= 0.0),
-        worst_lower=(tuple(x[i]), tuple(u[i])),
-        worst_gradient=(tuple(x[j]), tuple(u[j])),
-        samples=samples)

@@ -21,7 +21,7 @@ typos fail loudly instead of silently running defaults.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 

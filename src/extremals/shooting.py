@@ -87,10 +87,7 @@ class ExtremalSolution:
     p0: np.ndarray = None
     phi: float = 0.0
     residuals: dict = None
-    converged: bool = False
     iterations: int = 0
-    x0: np.ndarray = None
-    target: np.ndarray = None
     u_fine: ControlPath = None
 
     @property
@@ -299,7 +296,7 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
     return p0, rn, converged, iterations, flow[:3]
 
 
-def _build_solution(F, L, x0, x, T, N, shot, substeps) -> list:
+def _build_solution(F, L, T, N, shot, substeps) -> list:
     """The converged extremals of a ``_shoot_two_stage`` result, assembled
     from the flows its Newton accepted; no flow is run again."""
     p0, rn, conv, iterations, (xs, ps, us) = shot
@@ -324,9 +321,7 @@ def _build_solution(F, L, x0, x, T, N, shot, substeps) -> list:
             u=coarse, xi=Trajectory(times=times, states=xi_s), p=p_s,
             lam=p_s[-1].copy(),
             p0=p0[i].copy(), phi=float(phi), residuals=residuals,
-            converged=True, iterations=int(iterations[i]),
-            x0=np.asarray(x0, dtype=float), target=np.asarray(x, dtype=float),
-            u_fine=fine))
+            iterations=int(iterations[i]), u_fine=fine))
     return sols
 
 
@@ -382,7 +377,7 @@ def shoot_extremals(F, L: Lagrangian, x0, x, T, p0, N=64, tol=SHOOT_TOL,
             f"shooting from p0 row {i} did not reach endpoint tolerance "
             f"{tol:g} (best residual {best:.3e})",
             best_residual=best, best_p0=pf[i])
-    return _build_solution(F, L, x0, x, T, N, shot, substeps)
+    return _build_solution(F, L, T, N, shot, substeps)
 
 
 def shoot_extremal(F, L: Lagrangian, x0, x, T, p0=None, N=64,
@@ -414,7 +409,7 @@ def multi_start(F, L: Lagrangian, x0, x, T, seeds, N=64, tol=SHOOT_TOL,
     means no seed converged.
     """
     shot = _shoot_two_stage(F, L, x0, x, T, N, seeds, tol, max_iter, substeps)
-    sols = _build_solution(F, L, x0, x, T, N, shot, substeps)
+    sols = _build_solution(F, L, T, N, shot, substeps)
     # _build_solution keeps seed row order, so a list index orders rows.
     phi = np.array([s.phi for s in sols])
     order = np.argsort(phi, kind="stable")

@@ -1,16 +1,14 @@
 """Singularity reports and family certificates."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from extremals.analysis import (assumption4_check, costate_bound_check,
-                                lipschitz_certificate, singularity_report)
+from extremals.analysis import (costate_bound_check, lipschitz_certificate,
+                                singularity_report)
 from extremals.controls import ControlPath
 from extremals.dynamics import DifferentialKernel
-from extremals.reports import canonical_json
 from extremals.scenario import (resolve_scenario, scenario_control,
                                 scenario_fields)
 
@@ -65,25 +63,6 @@ def test_gram_ratio_reads_the_kernel_at_the_given_substeps():
     assert (rep.sigma_min, rep.sigma_max) == (evals[0], evals[-1])
     assert rep.ratio == evals[0] / evals[-1]
     assert rep.ratio != singularity_report(F, u, x0, sc.T).ratio
-    scan = assumption4_check(F, [(u, x0)], substeps=8)
-    assert scan.reports[0].ratio == rep.ratio
-
-
-def test_family_scan_accepts_solutions_and_pairs(martinet, heis_sols64,
-                                                 heis_parts):
-    F_h = heis_parts[0]
-    scan = assumption4_check(F_h, heis_sols64[:3])
-    assert scan.clean
-    assert len(scan.reports) == 3
-    assert scan.violations == ()
-
-    sc, F_m = martinet
-    mixed = [(scenario_control(sc), np.asarray(sc.x0, dtype=float))]
-    bad = assumption4_check(F_m, mixed)
-    assert not bad.clean
-    assert bad.violations == (0,)
-    # The report dict round-trips through the canonical serializer.
-    json.loads(canonical_json(bad.to_dict()))
 
 
 def test_certificate_chain_on_the_loop_family(heis_sols64, heis_refined128):

@@ -1,8 +1,10 @@
 """Expression mini-language: parsing, exact derivatives, guard rails."""
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from extremals import expr as ex
@@ -276,6 +278,47 @@ def test_generated_code_agrees_with_expr_eval_on_complex_inputs(exprs, seed):
         for part in (np.real, np.imag):
             np.testing.assert_allclose(part(got[..., j])[finite],
                                        part(w)[finite], rtol=1e-12, atol=0)
+
+
+def _as_read(e):
+    """e as the parser builds it from str(e): sums and products nested in
+    their own kind print flat and are read left to right, and every node
+    goes through the folding constructors."""
+    if isinstance(e, (ex.Add, ex.Mul)):
+        fold = ex.add if isinstance(e, ex.Add) else ex.mul
+
+        def leaves(x):
+            if type(x) is not type(e):
+                return [x]
+            kids = x.terms if isinstance(x, ex.Add) else x.factors
+            return [leaf for k in kids for leaf in leaves(k)]
+
+        return functools.reduce(fold, map(_as_read, leaves(e)))
+    if isinstance(e, ex.Pow):
+        return ex.power(_as_read(e.base), e.exponent)
+    if isinstance(e, ex.Func):
+        return ex.func(e.name, _as_read(e.arg))
+    return e
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs=expression_dags())
+# ^ is right-associative: x1^3^(-1) would read back as x1^(1/3).
+@example(exprs=[ex.Pow(ex.Pow(ex.Var("x1", 0), 3.0), -1.0)])
+def test_printed_expressions_parse_back_to_their_trees(exprs):
+    # Exact, not a comparison of values: folding reorders sums, so a value
+    # check fails on cancellations such as -x1 + 2.2e-311 + x1.
+    names = [f"x{i + 1}" for i in range(NVARS)]
+    for e in exprs:
+        assert ex.parse_scalar(str(e), names) == _as_read(e)
+
+
+def test_non_finite_constants_print_and_parse_back():
+    for text in ("1e400*x1", "x1 - 1e400", "x1 + 1e400 - 1e400"):
+        e = ex.parse_scalar(text, ["x1"])
+        again = ex.parse_scalar(str(e), ["x1"])
+        assert str(again) == str(e)
+        np.testing.assert_array_equal(again.eval((2.0,)), e.eval((2.0,)))
 
 
 def test_a_non_finite_constant_compiles():

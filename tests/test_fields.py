@@ -117,12 +117,3 @@ def test_dimension_validation():
         parse_field_set("X1 = (1, 0)", 2, 2)  # X2 missing
     with pytest.raises(ParseError):
         parse_field_set("X1 = (1, 0, 0)\nX2 = (0, 1, 0)", 2, 2)  # arity 3
-
-
-def test_boundedness_spot_check_flags():
-    flat = parse_field_set("X1 = (1, 0)\nX2 = (0, 1)", 2, 2)
-    norm_flat, ok_flat = flat.boundedness_spot_check()
-    assert ok_flat and norm_flat == pytest.approx(1.0)
-    steep = parse_field_set("X1 = (x1^3, 0)\nX2 = (0, 1)", 2, 2)
-    _, ok_steep = steep.boundedness_spot_check(radius=50.0)
-    assert not ok_steep

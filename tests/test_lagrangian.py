@@ -10,20 +10,16 @@ from extremals.errors import (DiffeomorphismViolationError, DimensionError,
                               ParseError)
 from extremals.expr import CompiledVector
 from extremals.fields import parse_field_set
-from extremals.controls import ControlPath
 from extremals.lagrangian import (_affine_solve, _damped_newton,
-                                  _two_call_stage, growth_spot_check,
-                                  hamiltonian, legendre_inverse,
-                                  maximizing_control, parse_growth_profile,
+                                  _two_call_stage, legendre_inverse,
                                   parse_lagrangian, phi_from_samples,
-                                  phi_functional, trapezoid)
+                                  trapezoid)
 from extremals.scenario import (resolve_scenario, scenario_fields,
                                 scenario_lagrangian)
 from extremals.shooting import _hamiltonian_flow, multi_start
 
 from oracles import bisect_root
 
-IDENTITY = parse_field_set("X1 = (1, 0)\nX2 = (0, 1)", 2, 2)
 HEISENBERG = parse_field_set("X1 = (1, 0, -x2/2)\nX2 = (0, 1, x1/2)", 3, 2)
 # Every entry of B and of both Jacobians is non-zero: three-term sums.
 DENSE = parse_field_set("X1 = (1 + x1*x2*x3, sin(x1 + x2 + x3), x1^2 + x2*x3)\n"
@@ -263,20 +259,6 @@ def test_feedback_solves_at_large_momenta():
         np.testing.assert_allclose(L.grad_u(x, u), z, rtol=0, atol=1e-9 * 1e6)
 
 
-def test_momentum_and_maximizing_control():
-    x = np.array([0.5, -0.25, 0.0])
-    p = np.array([1.0, 2.0, 4.0])
-    z = HEISENBERG.momentum(x, p)
-    # z_i = <p, X_i(x)>: z1 = p1 - x2 p3 / 2, z2 = p2 + x1 p3 / 2.
-    np.testing.assert_allclose(z, [1.5, 3.0], atol=1e-14)
-    L = quadratic(n=3, m=2)
-    u = maximizing_control(L, HEISENBERG, x, p)
-    np.testing.assert_allclose(u, z, atol=1e-12)
-    # H = <p, B u*> - L(u*) = |Z|^2 / 2 for the quadratic cost.
-    assert hamiltonian(L, HEISENBERG, x, p) == pytest.approx(
-        0.5 * float(z @ z), abs=1e-12)
-
-
 SMOOTH_BUILT_INS = [(scenario_fields(sc), scenario_lagrangian(sc))
                     for sc in map(resolve_scenario, ("heisenberg", "grushin",
                                                      "martinet", "identity"))]
@@ -434,37 +416,3 @@ def test_trapezoid_and_phi_from_samples():
     x = np.zeros((101, 2))
     u = np.tile([1.0, 0.0], (101, 1))
     assert phi_from_samples(L, times, x, u) == pytest.approx(0.5)
-
-
-def test_phi_functional_known_values():
-    L = quadratic()
-    u = ControlPath.constant(1.0, 16, [1.0, 0.0])
-    assert phi_functional(L, IDENTITY, u, np.zeros(2)) == pytest.approx(
-        0.5, abs=1e-12)
-    t = np.linspace(0.0, 1.0, 65)
-    circle = ControlPath(1.0, np.stack([np.cos(2 * np.pi * t),
-                                        np.sin(2 * np.pi * t)], axis=-1))
-    Lh = quadratic(n=3, m=2)
-    # |u| = 1 at every node; with substeps=1 the quadrature sees only the
-    # nodes, so the sampled cost is exactly 1/2.  Refining would interpolate
-    # between nodes, where the piecewise-linear circle has |u| < 1.
-    assert phi_functional(Lh, HEISENBERG, circle, np.zeros(3),
-                          substeps=1) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_growth_profile_spot_check():
-    L = quadratic()
-    # Keep the floor strictly below the cost; r^2/2 ties it exactly and the
-    # margin then sits at float roundoff, on either side of zero.
-    good = parse_growth_profile("r^2/4", "0", "1")
-    rep = growth_spot_check(L, good, box=3.0, samples=500, seed=1)
-    assert rep.satisfied
-    assert rep.lower_margin > 0.0
-    assert rep.samples == 500
-    # A floor above the cost must fail, and the failure is reported with
-    # the witnessing sample rather than raised.
-    bad = parse_growth_profile("r^2", "0", "1")
-    rep_bad = growth_spot_check(L, bad, box=3.0, samples=500, seed=1)
-    assert not rep_bad.satisfied
-    assert rep_bad.lower_margin < 0.0
-    assert len(rep_bad.worst_lower) == 2

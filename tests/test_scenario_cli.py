@@ -137,6 +137,10 @@ def test_cli_validation_errors_exit_one(tmp_path, capsys):
     good.write_text(json.dumps({"chart": chart}))
     assert main(["eval-chart", "--scenario", "identity", "--out", out,
                  "--chart", str(good)] + point) == 0
+    # A NaN time or endpoint coordinate is a target outside the chart.
+    for nan_point in ("nan,1,0", "1,nan,0"):
+        assert main(["eval-chart", "--scenario", "identity", "--out", out,
+                     "--chart", str(good), "--point", nan_point]) == 1
     malformed = [{"chart": {**chart, "anchor_time": None}},
                  {"chart": {**chart, "basis": [{"source": 5, "lip": 0.0,
                                                 "index": 0}] * 2}},
@@ -150,7 +154,9 @@ def test_cli_validation_errors_exit_one(tmp_path, capsys):
         assert main(["eval-chart", "--scenario", "identity", "--out", out,
                      "--chart", str(bad)] + point) == 1
     err = capsys.readouterr().err
-    assert err.count("error:") == 13
+    assert err.count("error:") == 15
+    assert "time nan outside the anchor control's domain" in err
+    assert "is outside the certified chart ball" in err
 
 
 def test_cli_solver_errors_exit_two(tmp_path, capsys):

@@ -40,7 +40,6 @@ def _off_axis_solutions(L):
 
 def test_straight_line_solution_details(identity_sol):
     sol = identity_sol
-    assert sol.converged
     assert sol.residuals["endpoint_gap"] < 1e-8
     assert sol.residuals["stationarity"] < 1e-10
     np.testing.assert_allclose(sol.lam, [1.0, 0.0], atol=1e-10)
