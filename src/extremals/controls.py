@@ -22,8 +22,8 @@ class ControlPath:
             raise DimensionError("control values must be (N+1) x m with N >= 1")
         if not np.all(np.isfinite(vals)):
             raise DimensionError("control samples must be finite")
-        if not self.T > 0:
-            raise DimensionError("horizon T must be positive")
+        if not 0 < self.T < np.inf:
+            raise DimensionError("horizon T must be positive and finite")
         object.__setattr__(self, "values", vals)
 
     @property

@@ -155,14 +155,14 @@ class Pow(Expr):
     exponent: float
 
     def diff(self, index):
+        d = self.base.diff(index)
+        if d == Const(0.0):   # not 0 * inf where a constant power overflows
+            return Const(0.0)
         return mul(Const(self.exponent), power(self.base, self.exponent - 1.0),
-                   self.base.diff(index))
+                   d)
 
     def eval(self, values):
-        e = self.exponent
-        if e == int(e):
-            e = int(e)
-        return self.base.eval(values) ** e
+        return self.base.eval(values) ** _integral(self.exponent)
 
     def node_count(self):
         return 1 + self.base.node_count()
@@ -251,13 +251,18 @@ def power(base, exponent: float):
     if exponent == 1.0:
         return base
     if isinstance(base, Const):
-        try:
-            return Const(float(base.value ** exponent))
-        except (OverflowError, ZeroDivisionError):
-            pass
+        # float64 arithmetic where Python's raises or leaves the reals:
+        # overflow is +-inf, 0^-1 is inf and (-2)^0.5 is NaN.
+        with np.errstate(all="ignore"):
+            return Const(float(np.float64(base.value) ** exponent))
     if isinstance(base, Pow):
         return power(base.base, base.exponent * exponent)
     return Pow(base, float(exponent))
+
+
+def _integral(exponent):
+    """A finite integral exponent as an int, which keeps (-2)^3 real."""
+    return int(exponent) if float(exponent).is_integer() else exponent
 
 
 def func(name, arg):
@@ -682,8 +687,7 @@ class _Lowering:
             return total
         if isinstance(e, Pow):
             base = self.plain(self.lower(e.base))
-            expo = int(e.exponent) if e.exponent == int(e.exponent) \
-                else e.exponent
+            expo = _integral(e.exponent)
             v = self.value(base)
             if v is not None:
                 folded = _folded(lambda: v ** expo)

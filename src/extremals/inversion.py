@@ -228,9 +228,10 @@ def chart_from_dict(d, F, u: ControlPath) -> InversionChart:
         probe_seed=int(d["probe_seed"]), substeps=substeps)
 
 
-def _solve_alpha(chart: InversionChart, s, betas, alpha0=None):
-    """Newton on alpha for E_s(u + sum alpha_i v_i) = beta, for a stack of
-    targets with one horizon s (K,) and one endpoint betas (K, n) each.
+def _solve_alpha(chart: InversionChart, s, betas):
+    """Newton on alpha, from 0, for E_s(u + sum alpha_i v_i) = beta, for a
+    stack of targets with one horizon s (K,) and one endpoint betas (K, n)
+    each.
 
     Returns (alpha, paths, det, converged, iterations): alpha (K, n), the
     emitted paths, and (K,) arrays. The Jacobian is the basis-image matrix
@@ -249,8 +250,7 @@ def _solve_alpha(chart: InversionChart, s, betas, alpha0=None):
     """
     s = np.asarray(s, dtype=float)
     K = len(s)
-    alpha = (np.zeros((K, chart.n)) if alpha0 is None
-             else np.array(alpha0, dtype=float))
+    alpha = np.zeros((K, chart.n))
     paths = [chart.emit(a) for a in alpha]
     times, _ = fine_grid(s, chart.u.N, chart.substeps)
     basis_fine = [np.stack([ControlPath(chart.u.T, vals).at(times[:, k])
@@ -347,7 +347,7 @@ def _check_solutions(chart: InversionChart, s, paths, det, converged):
                 f"constant {chart.k_time:.3e}")
 
 
-def chart_eval_full(chart: InversionChart, s, beta, alpha0=None):
+def chart_eval_full(chart: InversionChart, s, beta):
     """``chart_eval`` that also returns alpha, the basis determinant and the
     Newton iteration count."""
     s = float(s)
@@ -356,15 +356,14 @@ def chart_eval_full(chart: InversionChart, s, beta, alpha0=None):
         raise DimensionError(f"target has shape {beta.shape}, "
                              f"expected ({chart.n},)")
     _check_target(chart, s, beta)
-    alpha, paths, det, ok, iterations = _solve_alpha(
-        chart, [s], beta[None], None if alpha0 is None else [alpha0])
+    alpha, paths, det, ok, iterations = _solve_alpha(chart, [s], beta[None])
     _check_solutions(chart, [s], paths, det, ok)
     return paths[0], alpha[0], float(det[0]), int(iterations[0])
 
 
-def chart_eval(chart: InversionChart, s, beta, alpha0=None) -> ControlPath:
+def chart_eval(chart: InversionChart, s, beta) -> ControlPath:
     """Control steering x0 to beta in time s, within the certified ball."""
-    path, _, _, _ = chart_eval_full(chart, s, beta, alpha0)
+    path, _, _, _ = chart_eval_full(chart, s, beta)
     return path
 
 

@@ -12,22 +12,20 @@ on u, as for every cost quadratic in u, d_uL(x, u) = g0(x) + H(x) u is
 affine in u and the inverse is the linear solve u = H(x)^-1 (z - g0(x)),
 ``_affine_solve``; this is decided symbolically on the first solve. Any
 other cost goes through ``_damped_newton``, a damped Newton iteration on
-the shared line search ``dynamics._backtrack``. ``legendre_inverse`` takes
-g0 and H from one compiled evaluator.
+the shared line search ``dynamics._backtrack``; ``_fiber_solve`` picks.
 
-The Hamiltonian flow in ``shooting`` gets its stage from
-``Lagrangian.flow_stage``. When H is moreover a constant matrix with a
-condition number small enough for the roundoff of its solves to stay far
-below the tolerance, H^-1 is computed once at compile time and the stage
-is one generated evaluator that returns u* = H^-1 (z - g0(xi)) with the
-rates, and the flow kills elements whose u* is not finite. Otherwise the
-stage is two evaluators with ``_affine_solve`` or ``_damped_newton`` in
-between, and the flow freezes the elements that failed.
-``legendre_inverse`` raises a diffeomorphism violation for them rather than
-patching over, because every downstream construction assumes the fiber
-derivative is invertible. ``Lagrangian.rate_jacobian`` differentiates the
-stage's rates, with du*/dy from the implicit-function formula, for the
-exact shooting Jacobian.
+The Hamiltonian flow in ``shooting`` gets its stage, one function for
+every cost, from ``Lagrangian.flow_stage``. When H is moreover a constant
+matrix with a condition number small enough for the roundoff of its
+solves to stay far below the tolerance, H^-1 is computed once at compile
+time and the stage is one generated evaluator that returns
+u* = H^-1 (z - g0(xi)) with the rates. Otherwise the stage is two
+evaluators with the solve in between, and it clears the flow's alive mask
+where the solve fails. ``legendre_inverse`` raises a diffeomorphism
+violation there rather than patching over, because every downstream
+construction assumes the fiber derivative is invertible.
+``Lagrangian.rate_jacobian`` differentiates the stage's rates, with du*/dy
+from the implicit-function formula, for the exact shooting Jacobian.
 """
 
 from __future__ import annotations
@@ -112,36 +110,22 @@ class Lagrangian:
         zero. Like every derivative, this raises for a non-smooth cost.
         """
         if self._affine is None:
-            grad, hess = self._fiber_exprs()
-            if all(h.diff(self.n + k) == ex.Const(0.0)
-                   for h in hess for k in range(self.m)):
-                self._affine = ex.compile_vector(grad + hess, self.n + self.m)
-            else:
-                self._affine = False
-        return self._affine is not False
-
-    def fiber_coefficients(self, x):
-        """(g0, H) with d_uL(x, u) = g0(x) + H(x) u, for a cost affine in u."""
-        if not self.fiber_affine():
-            raise ValueError("d_uL is not affine in u")
-        flat = self._affine(self._pack(x, np.zeros(self.m)))
-        hess = flat[..., self.m:]
-        return (flat[..., :self.m],
-                hess.reshape(hess.shape[:-1] + (self.m, self.m)))
+            hess = self._fiber_exprs()[1]
+            self._affine = all(h.diff(self.n + k) == ex.Const(0.0)
+                               for h in hess for k in range(self.m))
+        return self._affine
 
     def flow_stage(self, F):
-        """The generated evaluators of a Hamiltonian flow stage for F.
+        """The Hamiltonian flow's stage for F, (y, w, alive) -> (u*, rates).
 
-        Compiled once per field set F, on the first call, over the stacked
-        state y = (xi, p), with p and u of F's dimensions n and m. When the
-        control Hessian H is a constant, well-conditioned matrix, as for
-        every smooth built-in, this is one evaluator, ``_folded_stage``:
-        y -> (u*, xi', p') with the feedback u* = H^-1 (z - g0(xi)) in
-        closed form. Otherwise it is the pair (pre, post) of
-        ``_two_call_stage``, with the feedback solved in between.
+        Generated once per field set F over the stacked state y = (xi, p),
+        with the rates (xi', p') at the feedback u*: one ``_folded_stage``
+        call, or else ``_two_call_stage``'s ``pre``, ``_fiber_solve`` from
+        the warm start w and ``post``, which clears ``alive`` where the
+        solve fails and lets the damped Newton skip the cleared elements.
         """
         if F not in self._stages:
-            self._stages[F] = _folded_stage(F, self) or _two_call_stage(F, self)
+            self._stages[F] = _stage(F, self)
         return self._stages[F]
 
     def rate_jacobian(self, F):
@@ -240,6 +224,26 @@ def _rate_jacobian(F, L: Lagrangian):
     return jacobian
 
 
+def _stage(F, L: Lagrangian):
+    """The function ``Lagrangian.flow_stage`` returns for F."""
+    n, m = F.n, F.m
+    folded = _folded_stage(F, L)
+    if folded is not None:
+        def stage(y, w, alive):
+            out = folded(y)
+            return out[..., :m], out[..., m:]
+        return stage
+    pre, post = _two_call_stage(F, L)
+
+    def stage(y, w, alive):
+        head = pre(y)
+        u, ok = _fiber_solve(L, y[..., :n], head[..., :m], w, alive,
+                             head[..., m:])
+        alive &= ok
+        return u, post(np.concatenate((y, u), axis=-1))
+    return stage
+
+
 def _two_call_stage(F, L: Lagrangian):
     """(pre, post): the stage as two evaluators with the feedback between.
 
@@ -264,9 +268,10 @@ def _folded_stage(F, L: Lagrangian):
     code as constants: zero entries and symbolically zero g0 components
     are dropped and unit entries multiply nothing, so H = I gives u* = z,
     the bits of the solve. u* is computed once and reused by xi' and p'.
-    The flow tests only that u* is finite. Unlike the solve's residual
-    test, this keeps an element whose |g0| exceeds about 1e6 (1 + |z|),
-    where the roundoff of z - g0 alone is above LEGENDRE_TOL (1 + |z|).
+    The flow's test that u* is finite is its only one: unlike the solve's
+    residual test, it keeps an element whose |g0| exceeds about
+    1e6 (1 + |z|), where the roundoff of z - g0 alone is above the
+    tolerance.
     A singular or ill-conditioned constant H, an x-dependent H and a cost
     not affine in u keep the two-call stage and its per-element test.
     """
@@ -277,7 +282,7 @@ def _folded_stage(F, L: Lagrangian):
     if any(e.diff(k) != _ZERO for e in hess for k in range(n)):
         return None
     with np.errstate(all="ignore"):
-        g0, H = L.fiber_coefficients(np.zeros(n))
+        g0, H = (f(np.zeros(n), np.zeros(m)) for f in (L.grad_u, L.hess_u))
         if not np.all(np.isfinite(H)):
             return None
         cond = np.linalg.cond(H)
@@ -396,6 +401,21 @@ def _damped_newton(L: Lagrangian, x, z, u0, live=True):
     return u.reshape(batch + (L.m,)), (live & (rn < tol)).reshape(batch)
 
 
+def _fiber_solve(L: Lagrangian, x, z, u0, live=True, fiber=None):
+    """(u, ok) for d_uL(x, u) = z: ``_affine_solve`` on g0 and the row-major
+    H, stacked in ``fiber`` or else read at u = 0, for a cost affine in u,
+    and ``_damped_newton`` from u0 over ``live`` for any other."""
+    if not L.fiber_affine():
+        return _damped_newton(L, x, z, u0, live)
+    m = L.m
+    if fiber is None:
+        zero = np.zeros(m)
+        return _affine_solve(L.grad_u(x, zero), L.hess_u(x, zero), z, u0)
+    H = fiber[..., m:]
+    return _affine_solve(fiber[..., :m], H.reshape(H.shape[:-1] + (m, m)),
+                         z, u0)
+
+
 def legendre_inverse(L: Lagrangian, x, z, u0=None):
     """Solve d_uL(x, u) = z for u; a Newton starts from u0 (default 0).
 
@@ -406,10 +426,7 @@ def legendre_inverse(L: Lagrangian, x, z, u0=None):
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     u0 = np.zeros(L.m) if u0 is None else np.asarray(u0, dtype=float)
-    if L.fiber_affine():
-        u, ok = _affine_solve(*L.fiber_coefficients(x), z, u0)
-    else:
-        u, ok = _damped_newton(L, x, z, u0)
+    u, ok = _fiber_solve(L, x, z, u0)
     if not np.all(ok):
         rn = np.linalg.norm(L.grad_u(x, u) - z, axis=-1)
         raise DiffeomorphismViolationError(

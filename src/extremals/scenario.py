@@ -144,8 +144,8 @@ def parse_scenario(text, source_path=None) -> Scenario:
         raise ScenarioError("dimensions must be at least 1")
     if sc.m > sc.n:
         raise ScenarioError(f"m = {sc.m} exceeds n = {sc.n}")
-    if sc.T <= 0:
-        raise ScenarioError("horizon T must be positive")
+    if not 0 < sc.T < np.inf:
+        raise ScenarioError("horizon T must be positive and finite")
     if sc.N < 1 or sc.substeps < 1:
         raise ScenarioError("grid N and substeps must be at least 1")
     if len(sc.x0) != sc.n:

@@ -6,18 +6,11 @@ The flow integrated here is
 
 with the feedback control u* = w(xi, B(xi)^T p) re-solved at every RK4
 stage. The flow integrates the stacked state y = (xi, p) as one array on
-the RK4 integrator of ``dynamics``, and a stage is generated once per
-field set by ``Lagrangian.flow_stage``. For a cost with a constant,
-well-conditioned control Hessian H, which covers every smooth built-in,
-it is one compiled call y -> (u*, xi', p') with the feedback
-u* = H^-1 (z - g0(xi)), z = B(xi)^T p, in closed form; an element whose
-u* is not finite dies. Any other cost takes two calls: ``pre`` gives z
-(and g0(xi), H(xi) when d_uL is affine in u) and ``post`` gives xi' and
-p' at the solved control. In between, an x-dependent H is solved per
-element (``lagrangian._affine_solve``); a cost not affine in u runs the
-masked damped Newton on z, warm-started from the previous stage (one or
-two steps in practice) and skipping the elements the flow has already
-frozen; either kills the elements it fails on.
+the RK4 integrator of ``dynamics``. Every cost gives one stage function,
+generated per field set by ``Lagrangian.flow_stage``: it returns u*,
+warm-started from the previous stage's, and the rates, and clears the
+alive mask where its feedback solve fails. An element whose u* is not
+finite dies too.
 The shooting unknown is p(0): forward integration only, and the
 multiplier is read off as lam = p(T) on convergence.
 
@@ -58,7 +51,7 @@ from .dynamics import (DEFAULT_SUBSTEPS, PSI_COND_FLAG, DifferentialKernel,
                        Trajectory, _backtrack, _rk4, _step_matrices,
                        _step_products, fine_grid)
 from .errors import DimensionError, NonConvergenceError
-from .lagrangian import Lagrangian, _affine_solve, _damped_newton, trapezoid
+from .lagrangian import Lagrangian, trapezoid
 
 SHOOT_TOL = 1e-8
 SHOOT_MAX_ITER = 100
@@ -110,16 +103,10 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     batch + (2n + m,), holds the input (xi, p, u*) of RK4 stages 1..3 of
     each step, and NaN for the steps after the last element died. Stage
     0's input is the node (xs, ps, us)[j]; ``_shooting_jacobian``
-    differentiates the discrete flow from the two. Dead elements keep
-    their last finite state.
-
-    A stage is the one evaluator of ``Lagrangian.flow_stage`` when the cost
-    has a constant control Hessian; an element whose u* is not finite at
-    some stage of a step is then dead, as checked once the step's four
-    controls are recorded. Otherwise it is ``pre``, the closed-form solve
-    (``_affine_solve``) or the damped Newton, and ``post``, and an element
-    dies where the solve fails, at that stage: the Newton skips it from
-    the next stage on.
+    differentiates the discrete flow from the two. An element dies where
+    the stage of ``Lagrangian.flow_stage`` clears the mask or where u* is
+    not finite at a stage of a step, checked once the step's four controls
+    are recorded, and keeps its last finite state.
     """
     p0 = np.asarray(p0, dtype=float)
     batch = p0.shape[:-1]
@@ -136,39 +123,18 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     stage_y, stage_u = stages[..., :2 * n], stages[..., 2 * n:]
 
     stage = L.flow_stage(F)
-    folded = not isinstance(stage, tuple)
-    if folded:
-        def feedback(y):
-            out = stage(y)
-            return out[..., :m], out[..., m:]
-    else:
-        pre, post = stage
-        affine = L.fiber_affine()
-
-        def feedback(y):
-            nonlocal alive
-            head = pre(y)
-            z = head[..., :m]
-            if affine:
-                H = head[..., 2 * m:]
-                u, ok = _affine_solve(head[..., m:2 * m],
-                                      H.reshape(H.shape[:-1] + (m, m)), z, w)
-            else:
-                u, ok = _damped_newton(L, y[..., :n], z, w, alive)
-            alive &= ok
-            return u, post(np.concatenate((y, u), axis=-1))
 
     def finite(u, axis=-1):
         return np.isfinite(u).all(axis=axis)
 
     def rhs(j, step_stage, y):
         nonlocal w, alive
-        w, rate = feedback(y)
+        w, rate = stage(y, w, alive)
         if step_stage == 0:
             us[j] = w
         else:
             stage_y[j, step_stage - 1], stage_u[j, step_stage - 1] = y, w
-            if folded and step_stage == 3:
+            if step_stage == 3:
                 # _rk4 reads the mask only once the step is taken.
                 alive &= finite(us[j]) & finite(stage_u[j], (0, -1))
         return rate
@@ -177,8 +143,7 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     with np.errstate(over="ignore", invalid="ignore"):
         ys, _, _ = _rk4(rhs, y, h, M, alive)
         rhs(M, 0, ys[-1])
-    if folded:
-        alive &= finite(us[M])
+    alive &= finite(us[M])
     return times, ys[..., :n], ys[..., n:], us, alive, stages
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from extremals import expr as ex
 from extremals.errors import ExpressionGrowthError, ParseError
+from extremals.lagrangian import _folded_stage
 from extremals.scenario import (resolve_scenario, scenario_fields,
                                 scenario_lagrangian)
 
@@ -219,8 +220,20 @@ def _assert_eval_bits(exprs, a):
                                       np.signbit(w)[number])
 
 
+def _parsed(text):
+    return [ex.parse_scalar(text, [f"x{i + 1}" for i in range(NVARS)])]
+
+
 @settings(max_examples=300, deadline=None)
 @given(exprs=expression_dags(), seed=st.integers(0, 2 ** 32 - 1))
+# Constant powers Python's float power cannot take fold as float64 does,
+# and a non-finite exponent evaluates as numpy takes it.
+@example(exprs=_parsed("x1^1e400"), seed=0)
+@example(exprs=_parsed("x1^(1e400-1e400)"), seed=0)
+@example(exprs=_parsed("(x1^1e200)^1e200"), seed=0)
+@example(exprs=_parsed("(-2)^0.5 + x1"), seed=0)
+@example(exprs=_parsed("1e308^2 + x1"), seed=0)
+@example(exprs=_parsed("0^(-1) + x1"), seed=0)
 def test_generated_code_is_expr_eval_to_the_bit(exprs, seed):
     _assert_eval_bits(exprs, np.concatenate((
         SPECIAL_ROWS,
@@ -278,6 +291,34 @@ def test_generated_code_agrees_with_expr_eval_on_complex_inputs(exprs, seed):
         for part in (np.real, np.imag):
             np.testing.assert_allclose(part(got[..., j])[finite],
                                        part(w)[finite], rtol=1e-12, atol=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exprs=expression_dags(), seed=st.integers(0, 2 ** 32 - 1))
+def test_compiled_derivatives_match_the_complex_step(exprs, seed):
+    # Im e(x + i h e_k) / h is e's k-th derivative up to O(h^2) and
+    # roundoff, with no cancellation in h. The DAGs' powers are integral,
+    # so every point is on the real branch; points where e, its step or
+    # its derivative is not finite are left out.
+    a = np.random.default_rng(seed).uniform(-2.0, 2.0, (8, NVARS))
+    for e in exprs:
+        grad = ex.compile_vector([e.diff(k) for k in range(NVARS)], NVARS)
+        fn = ex.compile_vector([e], NVARS)
+        value = _outcome(lambda: fn(a)[:, 0])
+        # A constant power that Python cannot take raises.
+        assume(not isinstance(value, type))
+        with np.errstate(all="ignore"):
+            steps = [fn(a + 1j * COMPLEX_STEP * np.eye(NVARS)[k])[:, 0]
+                     for k in range(NVARS)]
+            got = grad(a)
+        want = np.stack([s.imag / COMPLEX_STEP for s in steps], axis=-1)
+        finite = np.isfinite(value) & np.isfinite(want).all(axis=-1) \
+            & np.isfinite(got).all(axis=-1)
+        assume(finite.any())
+        # A derivative that cancels, as that of x1 * x1^-1, keeps the
+        # roundoff of its terms: below 1e-10 the bound is absolute.
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-10,
+                                   atol=1e-10)
 
 
 def _as_read(e):
@@ -352,7 +393,7 @@ def test_the_heisenberg_stage_is_generated_lean():
     # template row, with no store per output.
     sc = resolve_scenario("heisenberg")
     F, L = scenario_fields(sc), scenario_lagrangian(sc)
-    source = L.flow_stage(F).source
+    source = _folded_stage(F, L).source
     assert source.count("0.5 * _v0") == 1
     assert source.count("0.5 * _v1") == 1
     assert "-1.0 *" not in source

@@ -6,7 +6,8 @@ import pytest
 from extremals import expr as ex
 from extremals.errors import DimensionError, ParseError
 from extremals.fields import FieldSet, lie_bracket, lie_rank, parse_field_set
-from extremals.lagrangian import _two_call_stage, parse_lagrangian
+from extremals.lagrangian import (_folded_stage, _two_call_stage,
+                                  parse_lagrangian)
 
 HEISENBERG = """
 X1 = (1, 0, -x2/2)
@@ -57,7 +58,7 @@ def test_momentum_and_costate_rate():
     # The folded stage solves u* = z - (x3, 0) itself, here z as x3 = 0,
     # and returns post's rates at u*.
     y = np.concatenate((x, p))
-    out = L.flow_stage(F)(y)
+    out = _folded_stage(F, L)(y)
     np.testing.assert_array_equal(out[:2], z)
     np.testing.assert_array_equal(out[2:], post(np.concatenate((y, z))))
 

@@ -53,6 +53,8 @@ def test_parse_scenario_round_trip():
     (lambda t: t.replace("N = 16", "N = sixteen"), "expects an integer"),
     (lambda t: t.replace("x0 = 0, 0", "x0 = 0"), "components"),
     (lambda t: t + "substeps = 0\n", "substeps must be at least 1"),
+    (lambda t: t.replace("T = 1\n", "T = inf\n"), "positive and finite"),
+    (lambda t: t.replace("T = 1\n", "T = nan\n"), "positive and finite"),
 ])
 def test_parse_scenario_rejects_bad_input(mangle, needle):
     with pytest.raises(ScenarioError, match=needle):
@@ -157,6 +159,13 @@ def test_cli_validation_errors_exit_one(tmp_path, capsys):
     assert err.count("error:") == 15
     assert "time nan outside the anchor control's domain" in err
     assert "is outside the certified chart ball" in err
+    # An infinite horizon is bad input, not an index overflow.
+    scn = tmp_path / "endless.scn"
+    scn.write_text(MINIMAL.replace("T = 1\n", "T = inf\n")
+                   + "control = (1, 0)\n")
+    assert main(["simulate", "--scenario", str(scn), "--out", out]) == 1
+    assert "error: horizon T must be positive and finite" \
+        in capsys.readouterr().err
 
 
 def test_cli_solver_errors_exit_two(tmp_path, capsys):
@@ -168,6 +177,22 @@ def test_cli_solver_errors_exit_two(tmp_path, capsys):
     assert main(["solve-extremal", "--scenario", str(scn),
                  "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("power", ["x1^1e400", "x1^(1e400-1e400)",
+                                   "(x1^1e200)^1e200", "(-2)^0.5",
+                                   "1e308^2", "0^(-1)"])
+def test_cli_constant_powers_end_in_a_report(tmp_path, capsys, power):
+    # Python's float power raises or turns complex on these; the cost
+    # evaluates as float64 does instead, and the solve fails in words.
+    scn = tmp_path / "power.scn"
+    scn.write_text("name = power\nn = 1\nm = 1\nfields:\n  X1 = (1)\n"
+                   f"lagrangian:\n  u1^2/2 + {power}\nx0 = 0\ntarget = 1\n"
+                   "T = 1\nN = 8\nseeds_count = 2\n")
+    assert main(["solve-extremal", "--scenario", str(scn),
+                 "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert "solver failure:" in err or "0 distinct extremal(s)" in out
 
 
 def test_cli_certificate_errors_exit_three(tmp_path, capsys):
