@@ -156,7 +156,7 @@ class Pow(Expr):
 
     def diff(self, index):
         d = self.base.diff(index)
-        if d == Const(0.0):   # not 0 * inf where a constant power overflows
+        if d == Const(0.0):   # not inf * 0 = NaN for a non-finite exponent
             return Const(0.0)
         return mul(Const(self.exponent), power(self.base, self.exponent - 1.0),
                    d)

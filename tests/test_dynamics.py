@@ -344,9 +344,14 @@ def _folded_and_two_call_flows(monkeypatch, F, text, x0, p0, substeps):
     folded = parse_lagrangian(text, F.n, F.m)
     assert isinstance(lagrangian._folded_stage(F, folded), CompiledVector)
     two_call = parse_lagrangian(text, F.n, F.m)
+    built = []
+    two_call_stage = lagrangian._two_call_stage
     with monkeypatch.context() as patch:
         patch.setattr(lagrangian, "_folded_stage", lambda F, L: None)
+        patch.setattr(lagrangian, "_two_call_stage",
+                      lambda F, L: built.append(L) or two_call_stage(F, L))
         two_call.flow_stage(F)  # cached: the flow below takes two calls
+    assert len(built) == 1 and built[0] is two_call
     return (_hamiltonian_flow(F, folded, x0, p0, 1.0, 16, substeps),
             _hamiltonian_flow(F, two_call, x0, p0, 1.0, 16, substeps))
 

@@ -293,32 +293,77 @@ def test_generated_code_agrees_with_expr_eval_on_complex_inputs(exprs, seed):
                                        part(w)[finite], rtol=1e-12, atol=0)
 
 
+def _term_size(e, cols, memo):
+    """e's value at the points cols and a bound on the size of the terms
+    it is computed from: the first-order roundoff of every node in units
+    of the machine epsilon, so a sum that cancels keeps its terms' size."""
+    if id(e) not in memo:
+        if isinstance(e, ex.Const):
+            v = e.value
+            size = abs(v)
+        elif isinstance(e, ex.Var):
+            v = cols[e.index]
+            size = np.abs(v)
+        elif isinstance(e, (ex.Add, ex.Mul)):
+            parts = [_term_size(t, cols, memo) for t in
+                     (e.terms if isinstance(e, ex.Add) else e.factors)]
+            join = np.add if isinstance(e, ex.Add) else np.multiply
+            v = functools.reduce(join, (v for v, _ in parts))
+            size = functools.reduce(join, (size for _, size in parts))
+        elif isinstance(e, ex.Pow):
+            b, b_size = _term_size(e.base, cols, memo)
+            v = b ** e.exponent
+            size = np.abs(v) + abs(e.exponent) * np.abs(b) ** (
+                e.exponent - 1.0) * b_size
+        else:
+            a, a_size = _term_size(e.arg, cols, memo)
+            v = getattr(np, e.name)(a)
+            # |sin'| and |cos'| are at most 1; exp' is exp.
+            size = np.abs(v) * (1.0 + a_size) if e.name == "exp" \
+                else np.abs(v) + a_size
+        memo[id(e)] = (e, v, size)
+    return memo[id(e)][1:]
+
+
 @settings(max_examples=200, deadline=None)
 @given(exprs=expression_dags(), seed=st.integers(0, 2 ** 32 - 1))
 def test_compiled_derivatives_match_the_complex_step(exprs, seed):
     # Im e(x + i h e_k) / h is e's k-th derivative up to O(h^2) and
     # roundoff, with no cancellation in h. The DAGs' powers are integral,
     # so every point is on the real branch; points where e, its step or
-    # its derivative is not finite are left out.
+    # its derivative is not finite are left out, and so are those where
+    # two steps disagree: there the imaginary parts underflow.
     a = np.random.default_rng(seed).uniform(-2.0, 2.0, (8, NVARS))
     for e in exprs:
-        grad = ex.compile_vector([e.diff(k) for k in range(NVARS)], NVARS)
+        derivatives = [e.diff(k) for k in range(NVARS)]
+        grad = ex.compile_vector(derivatives, NVARS)
         fn = ex.compile_vector([e], NVARS)
         value = _outcome(lambda: fn(a)[:, 0])
         # A constant power that Python cannot take raises.
         assume(not isinstance(value, type))
+        memo = {}
         with np.errstate(all="ignore"):
-            steps = [fn(a + 1j * COMPLEX_STEP * np.eye(NVARS)[k])[:, 0]
-                     for k in range(NVARS)]
+            want, coarse = (np.stack(
+                [fn(a + 1j * h * np.eye(NVARS)[k])[:, 0].imag / h
+                 for k in range(NVARS)], axis=-1)
+                for h in (COMPLEX_STEP, 1e-20))
             got = grad(a)
-        want = np.stack([s.imag / COMPLEX_STEP for s in steps], axis=-1)
-        finite = np.isfinite(value) & np.isfinite(want).all(axis=-1) \
-            & np.isfinite(got).all(axis=-1)
-        assume(finite.any())
+            size = np.stack([np.broadcast_to(
+                _term_size(d, tuple(a.T), memo)[1], a.shape[:1])
+                for d in derivatives], axis=-1)
         # A derivative that cancels, as that of x1 * x1^-1, keeps the
-        # roundoff of its terms: below 1e-10 the bound is absolute.
-        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-10,
-                                   atol=1e-10)
+        # roundoff of its terms: the absolute floor is 1e-10 of their size,
+        # and what the step resolves above the smallest normal float.
+        with np.errstate(all="ignore"):
+            bound = 1e-10 * (np.abs(want) + size) \
+                + np.finfo(float).smallest_normal / COMPLEX_STEP
+            close = np.abs(got - want) <= bound
+            finite = np.isfinite(value) & np.isfinite(want).all(axis=-1) \
+                & np.isfinite(got).all(axis=-1) \
+                & np.isfinite(bound).all(axis=-1) \
+                & (np.abs(coarse - want) <= bound).all(axis=-1)
+        assume(finite.any())
+        assert close[finite].all(), (got[finite], want[finite])
 
 
 def _as_read(e):
