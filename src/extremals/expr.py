@@ -31,10 +31,11 @@ allows, which is what a call costs at small batches:
   subtraction, or in one negation where there is none to end in; a unit
   factor multiplies nothing;
 * a run of constants the tree evaluates first is evaluated once, at
-  compile time, with the same float arithmetic;
+  compile time, with the same float arithmetic: float64, also for a power
+  or a function of a constant, as ``Expr.eval`` takes them;
 * a +0.0 term is kept, added last, unless another term of the sum is
   never -0.0 (a sum is -0.0 only when every term is), as after an earlier
-  ``+ 0.0`` or ``0.0 - x``; so einsum-style zero sums keep their +0.0;
+  ``+ 0.0`` or ``0.0 - x``;
 * all constant outputs are written by one copy of a template row.
 
 The contract is that on real inputs a compiled output equals ``Expr.eval``
@@ -45,8 +46,10 @@ One evaluator can serve expressions written over different variable tuples:
 ``substitute`` moves each onto a combined tuple, or pins a variable to a
 constant, node for node, so the emitted code does the same arithmetic as
 the original expression on the same values. The Hamiltonian flow compiles
-its stage this way over (xi, p, u): field components over x, cost
-derivatives over (x, u), with u pinned to 0 for the fiber coefficients.
+its stage this way over (xi, p, u): the rates are the derivatives of the
+Hamiltonian <B(xi)^T p, u> - L(xi, u), built from the field components
+over x and the cost over (x, u), and u is pinned to 0 for the fiber
+coefficients.
 An expression may also read an earlier output as a variable, which is how
 the flow's stage computes u* once and feeds it to the rates.
 """
@@ -162,7 +165,12 @@ class Pow(Expr):
                    d)
 
     def eval(self, values):
-        return self.base.eval(values) ** _integral(self.exponent)
+        base = self.base.eval(values)
+        if not isinstance(base, float):
+            return base ** _integral(self.exponent)
+        # A constant base: float64 arithmetic, as ``power`` folds it.
+        with np.errstate(all="ignore"):
+            return np.float64(base) ** _integral(self.exponent)
 
     def node_count(self):
         return 1 + self.base.node_count()
@@ -584,19 +592,13 @@ def _negative(v):
 
 
 def _folded(compute):
-    """compute() on constants, or None where it raises or leaves the reals.
+    """compute() on constants in float64, its warnings silenced, as a float.
 
-    A constant keeps its type: a Python float where the tree's arithmetic
-    gives one, and a numpy float where a numpy function made it, so that
-    later folds overflow or divide by zero as the call would, raising or
-    not.
+    ``Expr.eval`` takes a function or a power of a constant the same way;
+    the sums and products of floats round as float64 does and never raise.
     """
-    try:
-        with np.errstate(all="ignore"):
-            v = compute()
-    except (OverflowError, ZeroDivisionError):
-        return None
-    return v if isinstance(v, (float, np.floating)) else None
+    with np.errstate(all="ignore"):
+        return float(compute())
 
 
 class _Lowering:
@@ -625,8 +627,7 @@ class _Lowering:
     def node(self, op, *operands, nz=False):
         key = (op,) + operands
         if op == "const":
-            v = operands[0]
-            key = ("const", float(v).hex(), isinstance(v, np.floating))
+            key = ("const", operands[0].hex())
         k = self.numbers.get(key)
         if k is None:
             k = self.numbers[key] = len(self.nodes)
@@ -635,7 +636,8 @@ class _Lowering:
         return k
 
     def const(self, v):
-        return self.node("const", v, nz=not (v == 0.0 and _negative(v)))
+        return self.node("const", float(v),
+                         nz=not (v == 0.0 and _negative(v)))
 
     def value(self, k):
         """The float of a constant node, None for any other."""
@@ -690,24 +692,19 @@ class _Lowering:
             expo = _integral(e.exponent)
             v = self.value(base)
             if v is not None:
-                folded = _folded(lambda: v ** expo)
-                if folded is not None:
-                    return self.signed(folded)
+                return self.signed(_folded(lambda: np.float64(v) ** expo))
             return False, self.node("pow", base, expo)
         arg = self.plain(self.lower(e.arg))
         v = self.value(arg)
         if v is not None:
-            folded = _folded(lambda: getattr(np, e.name)(v))
-            if folded is not None:
-                return self.signed(folded)
+            return self.signed(_folded(lambda: getattr(np, e.name)(v)))
         return False, self.node("func", e.name, arg)
 
     def mul(self, a, b):
         (na, ka), (nb, kb) = a, b
         va, vb = self.value(ka), self.value(kb)
         if va is not None and vb is not None:
-            return self.signed(_folded(
-                lambda: (-va if na else va) * (-vb if nb else vb)))
+            return self.signed((-va if na else va) * (-vb if nb else vb))
         if va == 1.0:
             return na != nb, kb
         if vb == 1.0:
@@ -729,8 +726,7 @@ class _Lowering:
         (na, ka), (nb, kb) = a, b
         va, vb = self.value(ka), self.value(kb)
         if va is not None and vb is not None:
-            return self.signed(_folded(
-                lambda: (-va if na else va) + (-vb if nb else vb)))
+            return self.signed((-va if na else va) + (-vb if nb else vb))
         nz = self.never_minus_zero
         if not na and not nb:
             return False, self.node("+", ka, kb, nz=nz[ka] or nz[kb])

@@ -15,10 +15,11 @@ other cost goes through ``_damped_newton``, a damped Newton iteration on
 the shared line search ``dynamics._backtrack``; ``_fiber_solve`` picks.
 
 The Hamiltonian flow in ``shooting`` gets its stage, one function for
-every cost, from ``Lagrangian.flow_stage``. When H is moreover a constant
-matrix with a condition number small enough for the roundoff of its
-solves to stay far below the tolerance, H^-1 is computed once at compile
-time and the stage is one generated evaluator that returns
+every cost, from ``Lagrangian.flow_stage``; its rates are the exact
+derivatives of the Hamiltonian <B(xi)^T p, u> - L(xi, u). When H is
+moreover a constant matrix with a condition number small enough for the
+roundoff of its solves to stay far below the tolerance, H^-1 is computed
+once at compile time and the stage is one generated evaluator that returns
 u* = H^-1 (z - g0(xi)) with the rates. Otherwise the stage is two
 evaluators with the solve in between, and it clears the flow's alive mask
 where the solve fails. ``legendre_inverse`` raises a diffeomorphism
@@ -148,52 +149,25 @@ class Lagrangian:
 _ZERO = ex.Const(0.0)
 
 
-def _dot(pairs, einsum=False):
-    """Sum of entry * operand over (entry, operand) pairs, in index order.
-
-    Symbolically zero entries are dropped and unit entries multiply
-    nothing. An einsum sums from a +0.0 accumulator, so its zero sums are
-    never -0.0; ``einsum`` keeps that by adding 0.0 last, which changes
-    nothing else. The generated code keeps that accumulator wherever a
-    -0.0 could reach it, and drops it only where another term is never
-    -0.0 (``expr.CompiledVector``).
-    """
-    terms = tuple(b if a == ex.Const(1.0) else ex.Mul((a, b))
-                  for a, b in pairs if a != _ZERO)
-    if not terms:
-        return _ZERO
-    if einsum:
-        return ex.Add(terms + (_ZERO,))
-    return terms[0] if len(terms) == 1 else ex.Add(terms)
-
-
 def _stage_exprs(F, L: Lagrangian):
     """x, z and the rates (xi', p') of a flow stage for the field set F.
 
     The variables are x1..xn, p1..pn, u1..um at indices 0..2n+m-1. z is
-    B(xi)^T p; xi' = B u and p' = -(sum_i u_i dX_i)^T p + d_xL. Products
-    and sums are grouped as the einsums over ``FieldSet.field_matrix`` and
-    ``jacobian_stack`` group them, with symbolically zero terms dropped,
-    so the values are those einsums' bits.
+    B(xi)^T p, and the rates are Hamilton's equations of the Hamiltonian
+    h(xi, p, u) = <z, u> - L(xi, u), from its exact derivatives:
+    xi' = dh/dp = B u and p' = -dh/dxi = -(sum_i u_i dX_i)^T p + d_xL,
+    with symbolically zero terms dropped.
     """
     n, m = F.n, F.m
     x = [ex.Var(f"x{k + 1}", k) for k in range(n)]
     p = [ex.Var(f"p{k + 1}", n + k) for k in range(n)]
     u = [ex.Var(f"u{k + 1}", 2 * n + k) for k in range(m)]
     X = F.components  # X[i][j] = (X_i)_j = B[j, i]
-    z = [_dot(((X[i][j], p[j]) for j in range(n)), True) for i in range(m)]
-    # A[j][k] = sum_i u_i d(X_i)_j / dx_k.
-    A = [[_dot((X[i][j].diff(k), u[i]) for i in range(m)) for k in range(n)]
-         for j in range(n)]
-    rates = [_dot(((X[i][j], u[i]) for i in range(m)), True)
-             for j in range(n)]
-    for k in range(n):
-        # p'_k = -(A^T p)_k + d_xL_k; a zero d_xL_k is added as the einsum
-        # path adds it, and then stands in for the accumulator of A^T p.
-        gx = ex.substitute(L.expression.diff(k), x + u)
-        At_p = _dot(((A[j][k], p[j]) for j in range(n)), gx != _ZERO)
-        rates.append(gx if At_p == _ZERO
-                     else ex.Add((ex.Mul((ex.Const(-1.0), At_p)), gx)))
+    z = [ex.add(*(ex.mul(X[i][j], p[j]) for j in range(n))) for i in range(m)]
+    h = ex.add(*(ex.mul(u[i], z[i]) for i in range(m)),
+               ex.mul(ex.Const(-1.0), ex.substitute(L.expression, x + u)))
+    rates = [h.diff(n + k) for k in range(n)]
+    rates += [ex.mul(ex.Const(-1.0), h.diff(k)) for k in range(n)]
     return x, z, rates
 
 
@@ -295,8 +269,10 @@ def _folded_stage(F, L: Lagrangian):
             g0_k = ex.substitute(grad[k], x + [_ZERO] * m)
             z[k] = ex.Add((z[k], ex.Mul((ex.Const(-1.0), g0_k))))
     # Output i is u*_i, which the rates read as the variable 2n + i.
-    u_star = [_dot((ex.Const(float(H_inv[i, k])), z[k]) for k in range(m))
-              for i in range(m)]
+    rows = [[z[k] if h == 1.0 else ex.Mul((ex.Const(float(h)), z[k]))
+             for k, h in enumerate(row) if h != 0.0] for row in H_inv]
+    u_star = [ex.Add(tuple(t)) if len(t) > 1 else t[0] if t else _ZERO
+              for t in rows]
     return ex.compile_vector(u_star + rates, 2 * n)
 
 

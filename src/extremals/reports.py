@@ -69,12 +69,23 @@ def write_costate_csv(path, times, values):
 
 def read_control_csv(path) -> ControlPath:
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("s,"):
+        lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("s,"):
         raise ScenarioError(f"{path}: not a control CSV (missing header)")
     if len(lines) < 3:
         raise ScenarioError(f"{path}: a control CSV needs at least two samples")
-    data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+    width = lines[0][1].count(",") + 1
+    rows = []
+    for k, ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != width:
+            raise ScenarioError(f"{path}, line {k}: {len(cells)} columns, "
+                                f"but the header has {width}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as e:
+            raise ScenarioError(f"{path}, line {k}: {e}") from e
+    data = np.array(rows)
     times, values = data[:, 0], data[:, 1:]
     T = float(times[-1])
     expected = np.linspace(0.0, T, len(times))

@@ -6,7 +6,11 @@ Heisenberg steering problem from scratch so the two sides are free to
 disagree.
 """
 
+import functools
+
 import numpy as np
+
+from extremals import expr as ex
 
 COMPLEX_STEP = 1e-30
 
@@ -38,6 +42,39 @@ def bisect_root(f, lo, hi, tol=1e-14, max_iter=200):
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def term_size(e, cols, memo):
+    """e's value at the points cols and a bound on the size of the terms
+    it is computed from: the first-order roundoff of every node in units
+    of the machine epsilon, so a sum that cancels keeps its terms' size.
+    Constants are float64, so a power of one is taken as numpy takes it."""
+    if id(e) not in memo:
+        if isinstance(e, ex.Const):
+            v = np.float64(e.value)
+            size = abs(v)
+        elif isinstance(e, ex.Var):
+            v = cols[e.index]
+            size = np.abs(v)
+        elif isinstance(e, (ex.Add, ex.Mul)):
+            parts = [term_size(t, cols, memo) for t in
+                     (e.terms if isinstance(e, ex.Add) else e.factors)]
+            join = np.add if isinstance(e, ex.Add) else np.multiply
+            v = functools.reduce(join, (v for v, _ in parts))
+            size = functools.reduce(join, (size for _, size in parts))
+        elif isinstance(e, ex.Pow):
+            b, b_size = term_size(e.base, cols, memo)
+            v = b ** e.exponent
+            size = np.abs(v) + abs(e.exponent) * np.abs(b) ** (
+                e.exponent - 1.0) * b_size
+        else:
+            a, a_size = term_size(e.arg, cols, memo)
+            v = getattr(np, e.name)(a)
+            # |sin'| and |cos'| are at most 1; exp' is exp.
+            size = np.abs(v) * (1.0 + a_size) if e.name == "exp" \
+                else np.abs(v) + a_size
+        memo[id(e)] = (e, v, size)
+    return memo[id(e)][1:]
 
 
 def _f(x, u):

@@ -18,7 +18,7 @@ from extremals.scenario import (resolve_scenario, scenario_fields,
                                 scenario_lagrangian)
 from extremals.shooting import _hamiltonian_flow, multi_start
 
-from oracles import bisect_root
+from oracles import bisect_root, term_size
 
 HEISENBERG = parse_field_set("X1 = (1, 0, -x2/2)\nX2 = (0, 1, x1/2)", 3, 2)
 # Every entry of B and of both Jacobians is non-zero: three-term sums.
@@ -301,11 +301,21 @@ def _check_stage(F, L, point):
     x, p, u = point[0, :, :F.n], point[1, :, :F.n], point[2, :, :F.m]
     pre, post = _two_call_stage(F, L)
     head = pre(np.concatenate((x, p), axis=-1))
-    tail = post(np.concatenate((x, p, u), axis=-1))
+    v = np.concatenate((x, p, u), axis=-1)
+    tail = post(v)
     z, x_rate, p_rate = _per_expression_stage(F, L, x, p, u)
-    _assert_same_bits(head[:, :F.m], z)
-    _assert_same_bits(tail[:, :F.n], x_rate)
-    _assert_same_bits(tail[:, F.n:], p_rate)
+    # z makes the einsum's products and sums, without its +0.0
+    # accumulator: the same values, but a zero may keep its sign.
+    np.testing.assert_array_equal(head[:, :F.m], z)
+    # The rates are the Hamiltonian's derivatives, which group the sums
+    # otherwise than the einsums do: they agree to the roundoff of the
+    # terms they sum.
+    memo = {}
+    size = np.stack([np.broadcast_to(term_size(e, tuple(v.T), memo)[1],
+                                     v.shape[:1]) for e in post.exprs],
+                    axis=-1)
+    err = np.abs(tail - np.concatenate((x_rate, p_rate), axis=-1))
+    assert np.all(err <= 4 * np.finfo(float).eps * size), (err, size)
     if L.fiber_affine():
         g0, H = fiber_coefficients(L, x)
         _assert_same_bits(head[:, F.m:2 * F.m], g0)
@@ -360,7 +370,8 @@ def _solved_between_two_calls(F, L, y):
 @given(point=stage_point)
 def test_folded_stage_is_the_solve_between_two_calls_on_the_built_ins(point):
     # H = I and g0 = 0: the folded stage's u* is z itself, which is the
-    # solve's u to the bit, and xi', p' are post's at that u.
+    # solve's u to the bit, and xi', p' are post's at that u. Only the sign
+    # of a zero may differ: the solve makes +0.0 of a -0.0 in z.
     for F, L in SMOOTH_BUILT_INS:
         fold = _folded_stage(F, L)
         assert isinstance(fold, CompiledVector)
@@ -368,8 +379,8 @@ def test_folded_stage_is_the_solve_between_two_calls_on_the_built_ins(point):
         u, ok, rates = _solved_between_two_calls(F, L, y)
         assert ok.all()
         out = fold(y)
-        _assert_same_bits(out[:, :F.m], u)
-        _assert_same_bits(out[:, F.m:], rates)
+        np.testing.assert_array_equal(out[:, :F.m], u)
+        np.testing.assert_array_equal(out[:, F.m:], rates)
 
 
 @settings(max_examples=25, deadline=None)

@@ -246,6 +246,34 @@ def test_cli_eval_chart_takes_no_anchor_time(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_cli_eval_chart_names_a_ragged_anchor_csv(tmp_path, capsys):
+    # A short row in the chart's anchor control is bad input that names
+    # the file and the line, not numpy's message about ragged arrays.
+    out = str(tmp_path)
+    assert main(["build-chart", "--scenario", "identity", "--out", out]) == 0
+    capsys.readouterr()
+    chart_file = tmp_path / "identity_chart.json"
+    anchor = tmp_path / json.loads(chart_file.read_text())["chart"][
+        "control_ref"]
+    lines = anchor.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    anchor.write_text("\n".join(lines) + "\n")
+    assert main(["eval-chart", "--scenario", "identity",
+                 "--chart", str(chart_file),
+                 "--point", "0.9,0.95,-0.03", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{anchor}, line 3: 2 columns, but the header has 3" in err
+    # So is a cell that is not a number.
+    lines[2] = "0.1,one,0"
+    anchor.write_text("\n".join(lines) + "\n")
+    assert main(["eval-chart", "--scenario", "identity",
+                 "--chart", str(chart_file),
+                 "--point", "0.9,0.95,-0.03", "--out", out]) == 1
+    assert f"error: {anchor}, line 3: could not convert" \
+        in capsys.readouterr().err
+
+
 def test_cli_certify_lipschitz_is_certified_and_byte_stable(tmp_path, capsys):
     reports = []
     for run in ("a", "b"):
