@@ -13,13 +13,16 @@ Two deliberate extensions:
 * ``abs`` is accepted only when the caller opts in (evaluation-only
   Lagrangians); differentiating through it raises.
 
-Evaluation has two paths. ``Expr.eval`` walks the tree and is used where
-clarity beats speed. ``compile_vector`` generates one numpy function for a
-list of expressions; all hot loops (integration, shooting) go through
-compiled evaluators, which also accept complex arrays so complex-step
-derivatives work out of the box. A compiled evaluator has one calling
-convention: one array with the variables stacked on its last axis, any
-leading batch shape in front.
+Evaluation has three paths. ``Expr.eval`` walks the tree and is used
+where clarity beats speed. ``compile_vector`` generates one numpy function
+for a list of expressions; the batched hot loops (the Hamiltonian flow,
+the kernels' Jacobians) go through compiled evaluators, which also accept
+complex arrays so complex-step derivatives work out of the box. A compiled
+evaluator has one calling convention: one array with the variables stacked
+on its last axis, any leading batch shape in front. ``scalar_code`` emits
+the same lowering as straight-line Python on scalars, for loops that run
+one element at a time, where a numpy call on a few numbers costs far more
+than its arithmetic: the state loop ``fields`` generates is built from it.
 
 The generator emits as few numpy operations as exact IEEE arithmetic
 allows, which is what a call costs at small batches:
@@ -888,3 +891,100 @@ def _generate(nodes, roots):
 
 def compile_vector(exprs, nvars):
     return CompiledVector(exprs, nvars)
+
+
+# ---------------------------------------------------------------------------
+# compilation to Python scalars
+
+def _scalar_power(x, exponent):
+    """x^exponent as numpy takes it on an array of x, as a Python number:
+    inf or NaN where float64 gives them, never an exception."""
+    with np.errstate(all="ignore"):
+        return (np.asarray(x) ** exponent).item()
+
+
+def _scalar_function(ufunc):
+    def apply(x):
+        with np.errstate(all="ignore"):
+            return ufunc(x).item()
+    return apply
+
+
+_SCALAR_NAMES = {"inf": math.inf, "nan": math.nan, "_pow": _scalar_power,
+                 **{f"_{name}": _scalar_function(getattr(np, name))
+                    for name in _FUNCTIONS + ("abs",)}}
+
+
+def _scalar_operands(node):
+    """The node numbers a node's scalar code reads, once per reading: a
+    square and a reciprocal read their base more than once."""
+    if node[0] == "pow" and node[2] in (2, -1):
+        return node[1:2] * 2
+    return _operands(node)
+
+
+def scalar_code(exprs, names):
+    """Straight-line Python computing exprs on scalars, from the lowering
+    of ``CompiledVector``.
+
+    Variable i is the local ``names[i]``; an expression may read output j
+    as ``Var(len(names) + j)``. Returns (lines, outputs): statements that
+    assign each operation used more than once to a local ``_t<k>``, then
+    an expression of each output. On real inputs, held as Python floats,
+    each output equals ``Expr.eval`` bit for bit, the sign of a NaN aside:
+    +, -, * and negation are the IEEE operations numpy takes, a square is
+    a product and a reciprocal a division, as numpy takes them on arrays,
+    and any other power, a reciprocal of zero and every function is
+    numpy's own, on the scalar (``scalar_function`` binds them), so
+    nothing raises where float64 gives inf or NaN. Complex inputs agree
+    with ``Expr.eval`` to roundoff.
+    """
+    low = _Lowering(len(names))
+    for e in exprs:
+        low.outputs.append(low.lower(e))
+    nodes = low.nodes
+    roots = [low.plain(t) for t in low.outputs]
+    uses = [0] * len(nodes)
+    for k in roots:
+        uses[k] += 1
+    for k in range(len(nodes) - 1, -1, -1):
+        if uses[k]:
+            for o in _scalar_operands(nodes[k]):
+                uses[o] += 1
+
+    def term(k):
+        """An operand: a name, a literal or a parenthesized operation."""
+        op = nodes[k][0]
+        if op == "const":
+            return _literal(nodes[k][1])
+        if op == "var":
+            return names[nodes[k][1]]
+        return f"_t{k}" if uses[k] > 1 else operation(k)
+
+    def operation(k):
+        node = nodes[k]
+        op = node[0]
+        if op == "neg":
+            return f"(-{term(node[1])})"
+        if op == "func":
+            return f"_{node[1]}({term(node[2])})"
+        if op == "pow":
+            a, e = term(node[1]), node[2]
+            if e == 2:
+                return f"({a} * {a})"
+            if e == -1:
+                return f"(1.0 / {a} if {a} else _pow({a}, -1))"
+            return f"_pow({a}, {e!r})"
+        return f"({term(node[1])} {op} {term(node[2])})"
+
+    lines = [f"_t{k} = {operation(k)}" for k, node in enumerate(nodes)
+             if uses[k] > 1 and node[0] not in ("const", "var")]
+    return lines, [term(k) for k in roots]
+
+
+def scalar_function(source, name):
+    """The function ``name`` that source defines, with the powers and
+    functions of ``scalar_code`` in its globals."""
+    namespace = dict(_SCALAR_NAMES)
+    exec(source, namespace)  # noqa: S102 - generated from our own AST
+    return namespace[name]

@@ -18,7 +18,13 @@ class FieldSet:
 
     ``components[i][j]`` is the j-th component of X_i as an expression in
     x1..xn. Instances are immutable by convention; all evaluators are
-    compiled once at construction and broadcast over leading batch axes.
+    compiled once at construction. B(x) and the Jacobians broadcast over
+    leading batch axes. The state loop ``_loop`` (see ``_state_loop``)
+    integrates xi' = B(xi) u for one control at a time in straight-line
+    Python-float code: at batch one a 256-step heisenberg loop costs about
+    0.33 ms against about 5.3 ms for the same loop over numpy arrays, while
+    the array loop, whose cost hardly grows with the batch, wins only from
+    about 22 controls integrated together.
     """
 
     def __init__(self, n, m, components, source=None):
@@ -38,6 +44,7 @@ class FieldSet:
         self._jac = ex.compile_vector(
             [self.components[i][j].diff(k)
              for i in range(m) for j in range(n) for k in range(n)], n)
+        self._loop = _state_loop(n, m, self.components)
 
     # -- evaluation ------------------------------------------------------
 
@@ -60,6 +67,77 @@ class FieldSet:
     def momentum(self, x, p):
         """Z(x, p) = (<p, X_i(x)>)_i, shape (..., m)."""
         return np.einsum("...nm,...n->...m", self.field_matrix(x), p)
+
+
+def _state_loop(n, m, components):
+    """The generated RK4 loop of xi' = sum_i u_i X_i(xi) for one control.
+
+    ``_loop(y, steps, h, guard)`` integrates from the state y, a list of
+    n numbers, with step h, taking for each step of ``steps`` the controls
+    of its four RK4 stages, one list of 4m numbers. A step computes the
+    rates sum_i u_i X_i at each stage input, the stage inputs y + (h/2) k1,
+    y + (h/2) k2 and y + h k3, and the new state
+    y + (h/6) (k1 + 2 k2 + 2 k3 + k4), with the operations and the
+    operation order of ``dynamics._rk4``, as one ``expr.scalar_code``
+    lowering. Returns (states, stages): the node states and the inputs of
+    RK4 stages 1..3 of each step taken, flat. The loop ends early at the
+    first step whose new state has a component that is not finite or
+    exceeds ``guard`` in modulus; its stages are kept and its state is not.
+    """
+    x = [ex.Var(f"x{j + 1}", j) for j in range(n)]
+    u = [[ex.Var(f"u{i + 1}_{s}", n + s * m + i) for i in range(m)]
+         for s in range(4)]
+    half, h, sixth = (ex.Var(v, n + 4 * m + k)
+                      for k, v in enumerate(("half", "h", "sixth")))
+    two = ex.Const(2.0)
+
+    # Built raw, as ``substitute`` builds, so no operation folds away.
+    def rates(y, c):
+        return [ex.Add(tuple(ex.Mul((c[i], ex.substitute(components[i][j], y)))
+                             for i in range(m))) for j in range(n)]
+
+    def moved(k, step):
+        return [ex.Add((x[j], ex.Mul((step, k[j])))) for j in range(n)]
+
+    k1 = rates(x, u[0])
+    s1 = moved(k1, half)
+    k2 = rates(s1, u[1])
+    s2 = moved(k2, half)
+    k3 = rates(s2, u[2])
+    s3 = moved(k3, h)
+    k4 = rates(s3, u[3])
+    new = [ex.Add((x[j], ex.Mul((sixth, ex.Add((
+        k1[j], ex.Mul((two, k2[j])), ex.Mul((two, k3[j])), k4[j]))))))
+        for j in range(n)]
+    names = ([f"_x{j}" for j in range(n)]
+             + [f"_u{s}_{i}" for s in range(4) for i in range(m)]
+             + ["_half", "_h", "_sixth"])
+    lines, outputs = ex.scalar_code(s1 + s2 + s3 + new, names)
+
+    def tup(items):
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+    ys = tup(names[:n])
+    body = lines + [
+        f"_stages += {tup(outputs[:3 * n])}",
+        # Each new component reads the old state: all are evaluated first.
+        f"{ys} = _new = {tup(outputs[3 * n:])}",
+        "if not (" + " and ".join(f"abs({v}) <= _guard"
+                                  for v in names[:n]) + "):",
+        "    return _states, _stages",
+        "_states += _new"]
+    controls = ", ".join(names[n:n + 4 * m])
+    source = "\n".join([
+        "def _loop(_y, _steps, _h, _guard):",
+        f"    {ys} = _y",
+        "    _half = _h / 2.0",
+        "    _sixth = _h / 6.0",
+        "    _states = list(_y)",
+        "    _stages = []",
+        f"    for {controls} in _steps:"]
+        + [f"        {line}" for line in body]
+        + ["    return _states, _stages"])
+    return ex.scalar_function(source, "_loop")
 
 
 def parse_field_set(text, n, m):

@@ -141,7 +141,7 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
 
     # Frozen dead elements' stages may overflow; the alive mask reports them.
     with np.errstate(over="ignore", invalid="ignore"):
-        ys, _, _ = _rk4(rhs, y, h, M, alive)
+        ys = _rk4(rhs, y, h, M, alive)
         rhs(M, 0, ys[-1])
     alive &= finite(us[M])
     return times, ys[..., :n], ys[..., n:], us, alive, stages

@@ -11,7 +11,8 @@ import pytest
 from extremals import lagrangian
 from extremals.controls import ControlPath, random_smooth_controls
 from extremals.dynamics import (PSI_COND_FLAG, DifferentialKernel, _backtrack,
-                                integrate, integrate_batch, trapezoid_weights)
+                                fine_grid, integrate, integrate_batch,
+                                trapezoid_weights)
 from extremals.errors import DimensionError, DivergenceError, GridMismatchError
 from extremals.expr import CompiledVector
 from extremals.fields import parse_field_set
@@ -67,6 +68,21 @@ def test_integrate_rejects_empty_grids():
         integrate(IDENTITY, u, np.zeros(2), substeps=0)
     with pytest.raises(ValueError, match="count N"):
         integrate_batch(IDENTITY, u.values[:1], np.zeros(2), 1.0)
+
+
+def test_integrate_batch_checks_its_input_as_integrate_does():
+    u = ControlPath.constant(1.0, 8, [1.0, 0.5])
+    # A horizon outside (0, T]: backward, empty, endless or undefined.
+    for T in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(GridMismatchError):
+            integrate_batch(HEISENBERG, u.values[None], np.zeros(3), T)
+    # Three channels for two fields, a stack of starts, no node axis.
+    for values, x0 in ((np.ones((1, 9, 3)), np.zeros(3)),
+                       (u.values[None], np.zeros((2, 3))),
+                       (u.values[None], np.zeros(2)),
+                       (np.ones(2), np.zeros(3))):
+        with pytest.raises(DimensionError):
+            integrate_batch(HEISENBERG, values, x0, 1.0)
 
 
 def test_kernel_build_rejects_empty_grids():
@@ -278,6 +294,42 @@ def test_trajectories_hold_the_kernel_states(name):
                 batch[:, i], DifferentialKernel.build(F, on_T, x0, T, 8).states)
 
 
+def _array_states(F, u, x0, T, substeps):
+    """RK4 over numpy arrays with B(xi) u by matmul and the controls read
+    by ``ControlPath.at``: the reference for the generated state loop."""
+    times, h = fine_grid(T, u.N, substeps)
+    y = np.asarray(x0, dtype=float)
+    out = [y]
+    for s in times[:-1]:
+        c = u.at(np.array([s, s + h / 2.0, s + h]))
+        k1 = F.field_matrix(y) @ c[0]
+        k2 = F.field_matrix(y + h / 2.0 * k1) @ c[1]
+        k3 = F.field_matrix(y + h / 2.0 * k2) @ c[1]
+        k4 = F.field_matrix(y + h * k3) @ c[2]
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["identity", "heisenberg", "martinet",
+                                  "grushin", "gl"])
+def test_the_generated_state_loop_is_rk4_over_arrays(name):
+    # Only the rounding may differ: matmul and ControlPath.at round their
+    # sums their own way, so the states agree to a few ulps of the
+    # trajectory's size, on the control grid's horizon and off it.
+    sc = resolve_scenario(name)
+    F = scenario_fields(sc)
+    x0 = np.asarray(sc.x0, dtype=float)
+    for u in random_smooth_controls(np.random.default_rng(5), sc.T, 16,
+                                    sc.m, count=3):
+        for T in (sc.T, 0.71 * sc.T):
+            want = _array_states(F, u, x0, T, 8)
+            got = integrate(F, u, x0, T, 8).states
+            np.testing.assert_allclose(
+                got, want, rtol=0,
+                atol=16 * np.finfo(float).eps * np.abs(want).max())
+
+
 def test_a_diverging_element_leaves_its_batch_alone():
     # Psi' = 30 Psi leaves the guard at step 45 of 48 (see above) while the
     # control 0.1 stays tame: the batch gives None for the first element
@@ -302,6 +354,21 @@ def test_a_diverging_element_leaves_its_batch_alone():
     np.testing.assert_array_equal(
         live.kernels, DifferentialKernel.build(BLOWUP, short,
                                                np.ones(1)).kernels)
+    # Under the control 1e200 the second stage input has x2 near 1e198, so
+    # martinet's x2^2/2 overflows before the first step is taken: the
+    # element dies at that step, and nothing raises but the guard's error.
+    wild = ControlPath.constant(1.0, 16, [1e200, 1e200])
+    tame = random_smooth_controls(np.random.default_rng(3), 1.0, 16, 2,
+                                  count=1)[0]
+    with pytest.raises(DivergenceError) as info:
+        integrate(MARTINET, wild, np.zeros(3))
+    assert info.value.time == 1.0 / 64
+    dead, live = DifferentialKernel.build_batch(MARTINET, [wild, tame],
+                                                np.zeros(3))
+    assert dead is None
+    alone = DifferentialKernel.build(MARTINET, tame, np.zeros(3))
+    for a in KERNEL_ARRAYS:
+        np.testing.assert_array_equal(getattr(live, a), getattr(alone, a))
 
 
 def test_a_batch_shares_one_control_grid():

@@ -201,17 +201,32 @@ def _evaluated(exprs, a):
     return [_quiet(lambda: e.eval(cols)) for e in exprs]
 
 
+def _scalar_evaluated(exprs, a):
+    """exprs by the code of ``scalar_code``, on each row of a (rows, k)
+    held as Python numbers; outputs on the last axis."""
+    names = [f"_x{i}" for i in range(NVARS)]
+    lines, outputs = ex.scalar_code(exprs, names)
+    fn = ex.scalar_function("\n    ".join(
+        [f"def _fn({', '.join(names)}):"] + lines
+        + [f"return [{', '.join(outputs)}]"]), "_fn")
+    return np.array([fn(*row) for row in a.tolist()])
+
+
 def _assert_eval_bits(exprs, a):
-    """The compiled exprs equal Expr.eval on the rows a, bit for bit."""
+    """The compiled exprs, and their scalar code, equal Expr.eval on the
+    rows a, bit for bit."""
     want = _evaluated(exprs, a)
-    got = _quiet(lambda: ex.compile_vector(exprs, NVARS)(a))
-    for j, w in enumerate(want):
-        w = np.broadcast_to(w, got.shape[:-1])
-        np.testing.assert_array_equal(got[..., j], w)
-        # Signed zeros included; IEEE leaves the sign of a NaN open.
-        number = ~np.isnan(w)
-        np.testing.assert_array_equal(np.signbit(got[..., j])[number],
-                                      np.signbit(w)[number])
+    compiled = _quiet(lambda: ex.compile_vector(exprs, NVARS)(a))
+    # Python's float power and division raise where float64 does not; the
+    # scalar code must not, so no warning is silenced around it.
+    for got in (compiled, _scalar_evaluated(exprs, a)):
+        for j, w in enumerate(want):
+            w = np.broadcast_to(w, got.shape[:-1])
+            np.testing.assert_array_equal(got[..., j], w)
+            # Signed zeros included; IEEE leaves the sign of a NaN open.
+            number = ~np.isnan(w)
+            np.testing.assert_array_equal(np.signbit(got[..., j])[number],
+                                          np.signbit(w)[number])
 
 
 def _parsed(text):
@@ -228,6 +243,17 @@ def _parsed(text):
 @example(exprs=_parsed("(-2)^0.5 + x1"), seed=0)
 @example(exprs=_parsed("1e308^2 + x1"), seed=0)
 @example(exprs=_parsed("0^(-1) + x1"), seed=0)
+# Where Python's float arithmetic raises and float64 does not: powers of
+# constants the lowering folds, a square that overflows, and a reciprocal
+# of x1 = 0 and x1 = -0.
+@example(exprs=[ex.Pow(ex.Const(0.0), -1.0)], seed=0)
+@example(exprs=[ex.Pow(ex.Const(1e200), 2.0)], seed=0)
+@example(exprs=[ex.Pow(ex.Var("x1", 0), -1.0)], seed=0)
+@example(exprs=[ex.Pow(ex.Mul((ex.Const(1e200), ex.Var("x1", 0))), 2.0)],
+         seed=0)
+@example(exprs=[ex.Pow(ex.Var("x1", 0), 3.0), ex.Pow(ex.Var("x2", 1), 0.5),
+                ex.Func("exp", ex.Mul((ex.Const(1e3), ex.Var("x3", 2))))],
+         seed=0)
 def test_generated_code_is_expr_eval_to_the_bit(exprs, seed):
     _assert_eval_bits(exprs, np.concatenate((
         SPECIAL_ROWS,
@@ -295,14 +321,16 @@ def test_generated_code_agrees_with_expr_eval_on_complex_inputs(exprs, seed):
     a = rng.uniform(0.5, 2.0, (7, NVARS)) * rng.choice([-1.0, 1.0], (7, NVARS))
     a = a + 1j * COMPLEX_STEP * rng.uniform(-1.0, 1.0, a.shape)
     want = _evaluated(exprs, a)
-    got = ex.compile_vector(exprs, NVARS)(a)
-    for j, w in enumerate(want):
-        w = np.broadcast_to(w, got.shape[:-1])
-        finite = np.isfinite(w)
-        # Real and complex-step parts alike, each to its own roundoff.
-        for part in (np.real, np.imag):
-            np.testing.assert_allclose(part(got[..., j])[finite],
-                                       part(w)[finite], rtol=1e-12, atol=0)
+    for got in (ex.compile_vector(exprs, NVARS)(a),
+                _scalar_evaluated(exprs, a)):
+        for j, w in enumerate(want):
+            w = np.broadcast_to(w, got.shape[:-1])
+            finite = np.isfinite(w)
+            # Real and complex-step parts alike, each to its own roundoff.
+            for part in (np.real, np.imag):
+                np.testing.assert_allclose(part(got[..., j])[finite],
+                                           part(w)[finite], rtol=1e-12,
+                                           atol=0)
 
 
 @settings(max_examples=200, deadline=None)
