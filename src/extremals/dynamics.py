@@ -15,9 +15,11 @@ and a kernel of one control hold the same states bit for bit. It runs each
 control alone through the RK4 loop its field set generated at construction
 (``fields._state_loop``): straight-line Python-float code for the rates
 sum_i u_i X_i(xi), the stage inputs, the RK4 combination in ``_rk4``'s
-operation order and the blow-up guard. An element dies when any of its
-components turns non-finite or leaves the guard, and is then frozen at its
-last state; ``integrate`` and ``integrate_batch`` raise
+operation order and the blow-up guard. A run keeps each element's stage
+states as the flat list its loop recorded: only a kernel build reads them,
+and it stacks them for the elements it builds. An element dies when any of
+its components turns non-finite or leaves the guard, and is then frozen at
+its last state; ``integrate`` and ``integrate_batch`` raise
 ``DivergenceError`` at the first death. Over numpy arrays a heisenberg
 step at batch one cost about 21 us, nearly all of it dispatch on (1, 3)
 arrays; the generated loop takes about 1.3 us per step, conversions
@@ -26,12 +28,17 @@ win only from about 22 controls integrated together, more than a chart
 query or a chart build integrates at once (2-core x86-64 box, Python
 3.11.7, numpy 2.4.6).
 
-The Hamiltonian flow of ``shooting`` runs ``_rk4``, one batched RK4 loop
-over one state array with one scalar step and an alive mask it shares with
-its stage. The RK4 step matrices of a linear equation
-Y' = A(s) Y and their product (``_step_matrices``, ``_step_products``) give
-Psi below and the exact shooting Jacobian of ``shooting``, the derivative of
-the discrete flow whose recorded stages gave A. The one line search of the
+The Hamiltonian flow of ``shooting`` has two loops. A batch of a few
+elements whose cost has a folded stage runs the loop
+``Lagrangian.flow_loop`` generates, one element at a time; its RK4 text
+comes from ``fields._rk4_loop``, the emitter of the state loop. Every other
+batch runs ``_rk4``, one batched RK4 loop over one state array with one
+scalar step and an alive mask it shares with its stage; it reports the step
+each element died in, so the flow treats dead elements alike in both. The
+RK4 step matrices of a linear equation Y' = A(s) Y and their product
+(``_step_matrices``, ``_step_products``) give Psi below and the exact
+shooting Jacobian of ``shooting``, the derivative of the discrete flow
+whose recorded stages gave A. The one line search of the
 shooting, chart and feedback Newtons is ``_backtrack``: it tries the full
 step, then every remaining halving of the rejected elements stacked in one
 second trial.
@@ -111,19 +118,21 @@ def _stage_controls(values, T_path, times, h):
 
 
 def _rk4(rhs, y, h, M, alive):
-    """The fixed-step RK4 loop of the Hamiltonian flow, batched over the
-    leading axes of y, with one scalar step h.
+    """The fixed-step RK4 loop of the Hamiltonian flow over numpy arrays,
+    batched over the leading axes of y, with one scalar step h.
 
     ``rhs(j, stage, y)`` returns the derivative of y at RK4 stage 0..3 of
     step j. An element dies when one of its components turns non-finite or
     exceeds BLOWUP_GUARD, or when ``rhs`` clears it in the ``alive`` mask
-    the caller shares with it; it then keeps its last state, and the run
-    stops once no element is left. Returns the node values, shaped
-    (M+1,) + y.shape.
+    the caller shares with it, which enters all set; it then keeps its last
+    state, and the run stops once no element is left. Returns the node
+    values, shaped (M+1,) + y.shape, and for each element the node j + 1
+    of the step j it died in, -1 while alive.
     """
     half, sixth = h / 2.0, h / 6.0
     out = np.empty((M + 1,) + y.shape, dtype=y.dtype)
     out[0] = y
+    died = np.full(alive.shape, -1)
     for j in range(M):
         k1 = rhs(j, 0, y)
         k2 = rhs(j, 1, y + half * k1)
@@ -133,13 +142,14 @@ def _rk4(rhs, y, h, M, alive):
         # NaN fails every comparison, so one max guards the batch.
         if not (np.abs(new).max() <= BLOWUP_GUARD and alive.all()):
             alive &= np.abs(new).max(axis=-1) <= BLOWUP_GUARD
+            died[(died < 0) & ~alive] = j + 1
             new = np.where(alive[..., None], new, y)
             if not alive.any():
                 out[j + 1:] = new
-                return out
+                return out, died
         y = new
         out[j + 1] = y
-    return out
+    return out, died
 
 
 def _backtrack(trial, x, step, todo, halvings):
@@ -230,9 +240,11 @@ def _states(F, values, T_path, x0, T, substeps):
 
     Returns (times, h, control, states, stages, died): the grids (M+1, B)
     and steps (B,), the stage controls (M, 4, B, m), the states (M+1, B, n),
-    the recorded stage states (M, 4, B, n), and the step at which each
-    element left the guard, -1 while alive. A dead element keeps its last
-    state, and its stage states after the step it died in are NaN.
+    each element's inputs of RK4 stages 1..3 as the flat list its loop
+    recorded, and the node at which each element left the guard, -1 while
+    alive. A dead element keeps its last state, and its list ends with the
+    step it died in. Only ``_build_stack`` reads the stage lists, and only
+    for the elements it builds kernels of.
     """
     times, h = fine_grid(np.broadcast_to(T, len(values)),
                          values.shape[-2] - 1, substeps)
@@ -240,7 +252,7 @@ def _states(F, values, T_path, x0, T, substeps):
     x = np.asarray(x0, dtype=np.result_type(x0, control))
     (M, _, B, _), n, dtype = control.shape, F.n, x.dtype
     states = np.empty((M + 1, B, n), dtype)
-    stages = np.empty((M, 4, B, n), dtype)
+    stages = []
     died = np.full(B, -1)
     start = x.tolist()
     for b in range(B):
@@ -248,13 +260,10 @@ def _states(F, values, T_path, x0, T, substeps):
                          float(h[b]), BLOWUP_GUARD)
         k = len(ys) // n
         states[:k, b] = np.array(ys, dtype).reshape(k, n)
-        stages[:len(ks) // (3 * n), 1:, b] = np.array(ks, dtype).reshape(
-            -1, 3, n)
+        stages.append(ks)
         if k <= M:
             died[b] = k
             states[k:, b] = states[k - 1, b]
-            stages[k:, 1:, b] = np.nan
-    stages[:, 0] = states[:-1]
     return times, h, control, states, stages, died
 
 
@@ -262,7 +271,7 @@ def _take(run, idx):
     """The elements idx of a ``_states`` run, as a run of their own."""
     times, h, control, states, stages, died = run
     return (times[:, idx], h[idx], control[:, :, idx], states[:, idx],
-            stages[:, :, idx], died[idx])
+            [stages[i] for i in idx], died[idx])
 
 
 def _checked_start(F, m, T_path, x0, T):
@@ -361,8 +370,10 @@ class DifferentialKernel:
         """RK4 states and Psi, Psi(0) = I, on the fine grid, then K.
 
         ``_states`` runs the whole stack, unless ``run`` holds that run, and
-        records its stage states; one batched Jacobian call gives A at all
-        4M stages of every surviving element, and Psi_{j+1} = Phi_j Psi_j
+        records its stage states. The surviving elements' lists are
+        stacked, with their node states, into the inputs (M, 4, K, n) of
+        one batched Jacobian call, which gives A at all 4M stages of each,
+        and Psi_{j+1} = Phi_j Psi_j
         with Phi_j the RK4 step matrix of the linear equation Psi' = A Psi
         (``_step_matrices``).
         Returns (kernels, died, h): died (B,) is the fine step at which each
@@ -391,8 +402,13 @@ class DifferentialKernel:
         live = np.flatnonzero(died < 0)
         if live.size == 0:
             return kernels, died, h
+        recorded = np.array([stages[b] for b in live], states.dtype)
+        inputs = np.empty((M, 4, live.size, F.n), states.dtype)
+        inputs[:, 0] = states[:-1, live]
+        inputs[:, 1:] = recorded.reshape(live.size, M, 3, F.n).transpose(
+            1, 2, 0, 3)
         A = np.einsum("jsbi,jsbikl->sjbkl", control[:, :, live],
-                      F.jacobian_stack(stages[:, :, live]))
+                      F.jacobian_stack(inputs))
         psis = _step_products(_step_matrices(A, h[live, None, None]),
                               np.eye(F.n))
         # The joint loop would have stopped at the first Psi beyond the guard.

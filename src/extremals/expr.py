@@ -22,7 +22,8 @@ evaluator has one calling convention: one array with the variables stacked
 on its last axis, any leading batch shape in front. ``scalar_code`` emits
 the same lowering as straight-line Python on scalars, for loops that run
 one element at a time, where a numpy call on a few numbers costs far more
-than its arithmetic: the state loop ``fields`` generates is built from it.
+than its arithmetic: the RK4 loops ``fields._rk4_loop`` emits, the state
+loop and the Hamiltonian flow loop of a folded stage, are built from it.
 
 The generator emits as few numpy operations as exact IEEE arithmetic
 allows, which is what a call costs at small batches:

@@ -74,59 +74,84 @@ def _state_loop(n, m, components):
 
     ``_loop(y, steps, h, guard)`` integrates from the state y, a list of
     n numbers, with step h, taking for each step of ``steps`` the controls
-    of its four RK4 stages, one list of 4m numbers. A step computes the
-    rates sum_i u_i X_i at each stage input, the stage inputs y + (h/2) k1,
-    y + (h/2) k2 and y + h k3, and the new state
-    y + (h/6) (k1 + 2 k2 + 2 k3 + k4), with the operations and the
-    operation order of ``dynamics._rk4``, as one ``expr.scalar_code``
-    lowering. Returns (states, stages): the node states and the inputs of
-    RK4 stages 1..3 of each step taken, flat. The loop ends early at the
-    first step whose new state has a component that is not finite or
-    exceeds ``guard`` in modulus; its stages are kept and its state is not.
+    of its four RK4 stages, one list of 4m numbers. Each stage's rates are
+    sum_i u_i X_i at the stage input, and the loop is ``_rk4_loop``'s:
+    it returns (states, stages), the node states and the inputs of RK4
+    stages 1..3 of each step taken, flat, and ends early at the first step
+    whose new state leaves ``guard``.
     """
-    x = [ex.Var(f"x{j + 1}", j) for j in range(n)]
-    u = [[ex.Var(f"u{i + 1}_{s}", n + s * m + i) for i in range(m)]
-         for s in range(4)]
-    half, h, sixth = (ex.Var(v, n + 4 * m + k)
-                      for k, v in enumerate(("half", "h", "sixth")))
-    two = ex.Const(2.0)
+    names = ([f"_x{j}" for j in range(n)]
+             + [f"_u{s}_{i}" for s in range(4) for i in range(m)])
 
     # Built raw, as ``substitute`` builds, so no operation folds away.
-    def rates(y, c):
-        return [ex.Add(tuple(ex.Mul((c[i], ex.substitute(components[i][j], y)))
-                             for i in range(m))) for j in range(n)]
+    def stage(s, y):
+        c = [ex.Var(f"u{i + 1}_{s}", n + s * m + i) for i in range(m)]
+        return [], [ex.Add(tuple(ex.Mul((c[i], ex.substitute(
+            components[i][j], y))) for i in range(m))) for j in range(n)]
 
-    def moved(k, step):
-        return [ex.Add((x[j], ex.Mul((step, k[j])))) for j in range(n)]
+    return _rk4_loop(n, names, stage)
 
-    k1 = rates(x, u[0])
-    s1 = moved(k1, half)
-    k2 = rates(s1, u[1])
-    s2 = moved(k2, half)
-    k3 = rates(s2, u[2])
-    s3 = moved(k3, h)
-    k4 = rates(s3, u[3])
+
+def _rk4_loop(d, names, stage):
+    """One generated RK4 loop ``_loop(y, steps, h, guard)`` on a state of
+    d components, in straight-line Python-number code.
+
+    ``names`` are the locals of the loop's variables: the d components of
+    the state, then the numbers each item of ``steps`` unpacks to. For RK4
+    stage s = 0..3 at the stage input y, a list of d expressions,
+    ``stage(s, y)`` returns (values, rates): numbers the loop records and
+    requires to be finite (the flow's u*), and the d rates. A step
+    computes the stage inputs y + (h/2) k1, y + (h/2) k2 and y + h k3 and
+    the new state y + (h/6) (k1 + 2 k2 + 2 k3 + k4), with the operations
+    and the operation order of ``dynamics._rk4``, as one
+    ``expr.scalar_code`` lowering. It records stage 0's values, then the
+    input and the values of each of stages 1..3.
+
+    The loop starts from the state y, a list of d numbers, and returns
+    (states, records): the node states and the records of each step
+    taken, flat. It ends early at the first step with a value that is not
+    finite or a new state component that is not finite or exceeds
+    ``guard`` in modulus; that step's records are kept and its state is
+    not.
+    """
+    x = [ex.Var(f"x{j + 1}", j) for j in range(d)]
+    half, h, sixth = (ex.Var(v, len(names) + k)
+                      for k, v in enumerate(("half", "h", "sixth")))
+    two = ex.Const(2.0)
+    records, checked, ks, y = [], [], [], x
+    for s, step in enumerate((half, half, h, None)):
+        v, k = stage(s, y)
+        if s:
+            records += y
+        checked += range(len(records), len(records) + len(v))
+        records += v
+        ks.append(k)
+        if step is not None:
+            y = [ex.Add((x[j], ex.Mul((step, k[j])))) for j in range(d)]
+    k1, k2, k3, k4 = ks
     new = [ex.Add((x[j], ex.Mul((sixth, ex.Add((
         k1[j], ex.Mul((two, k2[j])), ex.Mul((two, k3[j])), k4[j]))))))
-        for j in range(n)]
-    names = ([f"_x{j}" for j in range(n)]
-             + [f"_u{s}_{i}" for s in range(4) for i in range(m)]
-             + ["_half", "_h", "_sixth"])
-    lines, outputs = ex.scalar_code(s1 + s2 + s3 + new, names)
+        for j in range(d)]
+    lines, outputs = ex.scalar_code(records + new,
+                                    names + ["_half", "_h", "_sixth"])
 
     def tup(items):
         return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
-    ys = tup(names[:n])
-    body = lines + [
-        f"_stages += {tup(outputs[:3 * n])}",
+    ys = tup(names[:d])
+    body = lines + [f"_stages += {tup(outputs[:len(records)])}"]
+    if checked:
+        # Checked before the state moves on: a value may be a state local.
+        body += ["if not (" + " and ".join(f"abs({outputs[i]}) < inf"
+                                           for i in checked) + "):",
+                 "    return _states, _stages"]
+    body += [
         # Each new component reads the old state: all are evaluated first.
-        f"{ys} = _new = {tup(outputs[3 * n:])}",
+        f"{ys} = _new = {tup(outputs[len(records):])}",
         "if not (" + " and ".join(f"abs({v}) <= _guard"
-                                  for v in names[:n]) + "):",
+                                  for v in names[:d]) + "):",
         "    return _states, _stages",
         "_states += _new"]
-    controls = ", ".join(names[n:n + 4 * m])
     source = "\n".join([
         "def _loop(_y, _steps, _h, _guard):",
         f"    {ys} = _y",
@@ -134,7 +159,7 @@ def _state_loop(n, m, components):
         "    _sixth = _h / 6.0",
         "    _states = list(_y)",
         "    _stages = []",
-        f"    for {controls} in _steps:"]
+        f"    for {', '.join(names[d:])} in _steps:"]
         + [f"        {line}" for line in body]
         + ["    return _states, _stages"])
     return ex.scalar_function(source, "_loop")

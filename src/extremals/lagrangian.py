@@ -20,11 +20,13 @@ derivatives of the Hamiltonian <B(xi)^T p, u> - L(xi, u). When H is
 moreover a constant matrix with a condition number small enough for the
 roundoff of its solves to stay far below the tolerance, H^-1 is computed
 once at compile time and the stage is one generated evaluator that returns
-u* = H^-1 (z - g0(xi)) with the rates. Otherwise the stage is two
-evaluators with the solve in between, and it clears the flow's alive mask
-where the solve fails. ``legendre_inverse`` raises a diffeomorphism
-violation there rather than patching over, because every downstream
-construction assumes the fiber derivative is invertible.
+u* = H^-1 (z - g0(xi)) with the rates; ``Lagrangian.flow_loop`` then
+also generates the flow's whole RK4 loop from it, which ``shooting`` runs
+on small batches. Otherwise the stage is two evaluators with the solve in
+between, and it clears the flow's alive mask where the solve fails.
+``legendre_inverse`` raises a diffeomorphism violation there rather than
+patching over, because every downstream construction assumes the fiber
+derivative is invertible.
 ``Lagrangian.rate_jacobian`` differentiates the stage's rates, with du*/dy
 from the implicit-function formula, for the exact shooting Jacobian.
 """
@@ -36,6 +38,7 @@ import numpy as np
 from . import expr as ex
 from .dynamics import _backtrack
 from .errors import DiffeomorphismViolationError, DimensionError, EvaluationError
+from .fields import _rk4_loop
 
 LEGENDRE_TOL = 1e-10
 LEGENDRE_MAX_ITER = 25
@@ -57,6 +60,7 @@ class Lagrangian:
         self._fiber = None
         self._affine = None
         self._stages = {}
+        self._loops = {}
         self._rate_jacobians = {}
 
     def _pack(self, x, u):
@@ -127,7 +131,20 @@ class Lagrangian:
         """
         if F not in self._stages:
             self._stages[F] = _stage(F, self)
-        return self._stages[F]
+        return self._stages[F][0]
+
+    def flow_loop(self, F):
+        """The Hamiltonian flow's generated RK4 loop for F, or None.
+
+        It exists when the flow stage of F is the folded one, and is
+        generated on the first call from that stage's u* and rates
+        (``_flow_loop``).
+        """
+        if F not in self._loops:
+            self.flow_stage(F)
+            folded = self._stages[F][1]
+            self._loops[F] = None if folded is None else _flow_loop(F, folded)
+        return self._loops[F]
 
     def rate_jacobian(self, F):
         """The Jacobian of a flow stage's rates (xi', p') in y = (xi, p).
@@ -199,14 +216,15 @@ def _rate_jacobian(F, L: Lagrangian):
 
 
 def _stage(F, L: Lagrangian):
-    """The function ``Lagrangian.flow_stage`` returns for F."""
+    """(stage, folded): the function ``Lagrangian.flow_stage`` returns for
+    F, and the folded evaluator it calls, None for the two-call stage."""
     n, m = F.n, F.m
     folded = _folded_stage(F, L)
     if folded is not None:
         def stage(y, w, alive):
             out = folded(y)
             return out[..., :m], out[..., m:]
-        return stage
+        return stage, folded
     pre, post = _two_call_stage(F, L)
 
     def stage(y, w, alive):
@@ -215,7 +233,26 @@ def _stage(F, L: Lagrangian):
                              head[..., m:])
         alive &= ok
         return u, post(np.concatenate((y, u), axis=-1))
-    return stage
+    return stage, None
+
+
+def _flow_loop(F, folded):
+    """``Lagrangian.flow_loop``: ``fields._rk4_loop`` on y = (xi, p), each
+    stage's values the folded stage's u* at the stage input and its rates
+    the folded stage's rates at that u*, so one step does the arithmetic
+    of ``dynamics._rk4`` over the folded evaluator, bit for bit.
+
+    The loop takes ``range(M)`` for its steps, and records per step the
+    node control u*, then (xi, p, u*) at RK4 stages 1..3.
+    """
+    m, d = F.m, 2 * F.n
+    u_star, rates = folded.exprs[:m], folded.exprs[m:]
+
+    def stage(s, y):
+        u = [ex.substitute(e, y) for e in u_star]
+        return u, [ex.substitute(r, y + u) for r in rates]
+
+    return _rk4_loop(d, [f"_x{j}" for j in range(d)] + ["_j"], stage)
 
 
 def _two_call_stage(F, L: Lagrangian):

@@ -5,12 +5,34 @@ The flow integrated here is
     xi' = B(xi) u*,    p' = -A(xi, u*)^T p + d_xL(xi, u*),
 
 with the feedback control u* = w(xi, B(xi)^T p) re-solved at every RK4
-stage. The flow integrates the stacked state y = (xi, p) as one array on
-the RK4 integrator of ``dynamics``. Every cost gives one stage function,
-generated per field set by ``Lagrangian.flow_stage``: it returns u*,
-warm-started from the previous stage's, and the rates, and clears the
-alive mask where its feedback solve fails. An element whose u* is not
-finite dies too.
+stage, on the stacked state y = (xi, p). Every cost gives one stage
+function, generated per field set by ``Lagrangian.flow_stage``: it returns
+u*, warm-started from the previous stage's, and the rates, and clears the
+alive mask where its feedback solve fails.
+
+``_hamiltonian_flow`` runs one of two RK4 loops, with the same arithmetic,
+so a live element's flow is the same bit for bit in either:
+
+* a batch of fewer than FLOW_LOOP_MAX_BATCH elements whose cost has a
+  folded stage (``lagrangian._folded_stage``, every smooth built-in) runs
+  ``Lagrangian.flow_loop``, straight-line Python-float code generated per
+  field set, once per element;
+* any other batch, and every cost with the two-call stage, runs
+  ``dynamics._rk4`` over numpy arrays of the whole batch.
+
+The generated loop costs about 2.3 us per element and step; the array loop
+about 41 + 0.27 B us per step at batch B, nearly all of it numpy dispatch
+(heisenberg, N = 64, one substep). They cross at 19 to 21 elements on the
+four smooth built-ins (2-core x86-64 box, Python 3.11.7, numpy 2.4.6).
+FLOW_LOOP_MAX_BATCH = 16 sits just below; the 51-seed multi-starts of the
+CLI take the same time with 16 and with 20.
+
+In both loops an element dies at the step where its feedback solve fails,
+a u* is not finite or the new state leaves the blow-up guard. It then
+keeps its last state at every later node, its controls and stage inputs
+after that step are NaN, and its closing control is the stage's at its
+frozen state.
+
 The shooting unknown is p(0): forward integration only, and the
 multiplier is read off as lam = p(T) on convergence.
 
@@ -33,11 +55,11 @@ Everything is batched over seeds: ``shoot_extremals`` returns one extremal
 per row of a p(0) stack, ``shoot_extremal`` is its batch-of-one case, and
 ``multi_start`` keeps the distinct converged extremals of a seed family. A
 solution is built from the flow its shooting Newton accepted, never re-run.
-A blown-up or feedback-infeasible batch element is frozen and marked dead in
-the integrator's alive mask instead of raising, so one wild seed cannot take
-down a multi-start sweep; the per-seed Newton uses least-squares steps
-because extremal families here are routinely non-isolated (phase circles),
-which makes the shooting Jacobian rank-deficient on purpose.
+A blown-up or feedback-infeasible batch element is frozen and marked dead
+instead of raising, so one wild seed cannot take down a multi-start sweep;
+the per-seed Newton uses least-squares steps because extremal families here
+are routinely non-isolated (phase circles), which makes the shooting
+Jacobian rank-deficient on purpose.
 """
 
 from __future__ import annotations
@@ -47,9 +69,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import ControlPath, l2_distance
-from .dynamics import (DEFAULT_SUBSTEPS, PSI_COND_FLAG, DifferentialKernel,
-                       Trajectory, _backtrack, _rk4, _step_matrices,
-                       _step_products, fine_grid)
+from .dynamics import (BLOWUP_GUARD, DEFAULT_SUBSTEPS, PSI_COND_FLAG,
+                       DifferentialKernel, Trajectory, _backtrack, _rk4,
+                       _step_matrices, _step_products, fine_grid)
 from .errors import DimensionError, NonConvergenceError
 from .lagrangian import Lagrangian, trapezoid
 
@@ -62,6 +84,10 @@ HANDOFF_TOL = 1e-3
 POLISH_MAX_ITER = 30
 JAC_TRUNCATION = 1e-3
 JACOBIAN_BLOCK = 64
+# Folded-stage batches this large run _rk4: the generated loop's cost grows
+# with the batch (2.3 us per element-step on heisenberg), the array loop's
+# hardly (41 + 0.27 B us per step); they cross at 19 to 21 elements.
+FLOW_LOOP_MAX_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -101,34 +127,60 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     controls at the nodes, which are RK4 stage 0's; alive marks elements
     that stayed finite and feedback-solvable; stages, shaped (M, 3) +
     batch + (2n + m,), holds the input (xi, p, u*) of RK4 stages 1..3 of
-    each step, and NaN for the steps after the last element died. Stage
-    0's input is the node (xs, ps, us)[j]; ``_shooting_jacobian``
-    differentiates the discrete flow from the two. An element dies where
-    the stage of ``Lagrangian.flow_stage`` clears the mask or where u* is
-    not finite at a stage of a step, checked once the step's four controls
-    are recorded, and keeps its last finite state.
+    each step. Stage 0's input is the node (xs, ps, us)[j];
+    ``_shooting_jacobian`` differentiates the discrete flow from the two.
+
+    A batch of fewer than FLOW_LOOP_MAX_BATCH elements whose cost has a
+    folded stage runs ``Lagrangian.flow_loop`` once per element; any other
+    runs ``_rk4`` over the batch with the stage of ``Lagrangian.flow_stage``.
+    Both take the same arithmetic, so a live element's flow is the same
+    bit for bit. An element dies at the step where the stage's feedback
+    solve fails, where a u* of the step is not finite or where the new
+    state leaves the blow-up guard. In either loop it then keeps its last
+    state at every later node, its controls and stage inputs after that
+    step are NaN, and its closing control us[M] is the stage's at its
+    frozen state.
     """
     p0 = np.asarray(p0, dtype=float)
     batch = p0.shape[:-1]
     times, h = fine_grid(T, N, substeps)
     M = len(times) - 1
     n, m = F.n, F.m
-    y = np.empty(batch + (2 * n,))
-    y[..., :n] = np.asarray(x0, dtype=float)
-    y[..., n:] = p0
-    alive = np.ones(batch, dtype=bool)
-    w = np.zeros(batch + (m,))
-    us = np.zeros((M + 1,) + batch + (m,))
-    stages = np.full((M, 3) + batch + (2 * n + m,), np.nan)
-    stage_y, stage_u = stages[..., :2 * n], stages[..., 2 * n:]
-
+    B = int(np.prod(batch))
+    y = np.empty((B, 2 * n))
+    y[:, :n] = np.asarray(x0, dtype=float)
+    y[:, n:] = p0.reshape(B, n)
+    us = np.full((M + 1, B, m), np.nan)
+    stages = np.full((M, 3, B, 2 * n + m), np.nan)
     stage = L.flow_stage(F)
+    loop = L.flow_loop(F) if B < FLOW_LOOP_MAX_BATCH else None
+    # Frozen dead elements' stages may overflow; the death steps report them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if loop is None:
+            ys, died, w = _array_flow(stage, y, h, M, us, stages)
+        else:
+            ys, died = _generated_flow(loop, y, h, M, us, stages)
+            w = None   # the folded stage takes no warm start
+        closing = np.ones(B, dtype=bool)
+        us[M] = stage(ys[-1], w, closing)[0]
+    alive = (died < 0) & closing & np.isfinite(us[M]).all(axis=-1)
+    ys = ys.reshape((M + 1,) + batch + (2 * n,))
+    return (times, ys[..., :n], ys[..., n:],
+            us.reshape((M + 1,) + batch + (m,)), alive.reshape(batch),
+            stages.reshape((M, 3) + batch + (2 * n + m,)))
 
-    def finite(u, axis=-1):
-        return np.isfinite(u).all(axis=axis)
+
+def _array_flow(stage, y, h, M, us, stages):
+    """The flow of the batch y (B, 2n) on ``_rk4``: fills the node controls
+    us[:M] and the stage inputs, NaN after each element's death step, and
+    returns the node states, the death steps and the last stage's u*."""
+    n2 = y.shape[-1]
+    stage_y, stage_u = stages[..., :n2], stages[..., n2:]
+    alive = np.ones(len(y), dtype=bool)
+    w = np.zeros(us.shape[1:])
 
     def rhs(j, step_stage, y):
-        nonlocal w, alive
+        nonlocal w
         w, rate = stage(y, w, alive)
         if step_stage == 0:
             us[j] = w
@@ -136,15 +188,36 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
             stage_y[j, step_stage - 1], stage_u[j, step_stage - 1] = y, w
             if step_stage == 3:
                 # _rk4 reads the mask only once the step is taken.
-                alive &= finite(us[j]) & finite(stage_u[j], (0, -1))
+                alive[...] &= (np.isfinite(us[j]).all(axis=-1)
+                               & np.isfinite(stage_u[j]).all(axis=(0, -1)))
         return rate
 
-    # Frozen dead elements' stages may overflow; the alive mask reports them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        ys = _rk4(rhs, y, h, M, alive)
-        rhs(M, 0, ys[-1])
-    alive &= finite(us[M])
-    return times, ys[..., :n], ys[..., n:], us, alive, stages
+    ys, died = _rk4(rhs, y, h, M, alive)
+    for b in np.flatnonzero(died >= 0):
+        us[died[b]:M, b] = np.nan
+        stages[died[b]:, :, b] = np.nan
+    return ys, died, w
+
+
+def _generated_flow(loop, y, h, M, us, stages):
+    """The flow of the batch y (B, 2n) on the generated loop, one element
+    at a time: fills what ``_array_flow`` fills and returns the node
+    states and the death steps."""
+    (B, n2), m = y.shape, us.shape[-1]
+    ys = np.empty((M + 1, B, n2))
+    died = np.full(B, -1)
+    for b in range(B):
+        states, records = loop(y[b].tolist(), range(M), float(h),
+                               BLOWUP_GUARD)
+        k = len(states) // n2
+        ys[:k, b] = np.array(states, float).reshape(k, n2)
+        steps = np.array(records, float).reshape(-1, m + 3 * (n2 + m))
+        us[:len(steps), b] = steps[:, :m]
+        stages[:len(steps), :, b] = steps[:, m:].reshape(-1, 3, n2 + m)
+        if k <= M:
+            died[b] = k
+            ys[k:, b] = ys[k - 1, b]
+    return ys, died
 
 
 def _shooting_jacobian(F, L, flow, stages, h):

@@ -8,7 +8,7 @@ below rely on systems whose flow is known in closed form.
 import numpy as np
 import pytest
 
-from extremals import lagrangian
+from extremals import lagrangian, shooting
 from extremals.controls import ControlPath, random_smooth_controls
 from extremals.dynamics import (PSI_COND_FLAG, DifferentialKernel, _backtrack,
                                 fine_grid, integrate, integrate_batch,
@@ -17,8 +17,10 @@ from extremals.errors import DimensionError, DivergenceError, GridMismatchError
 from extremals.expr import CompiledVector
 from extremals.fields import parse_field_set
 from extremals.lagrangian import parse_lagrangian
-from extremals.scenario import resolve_scenario, scenario_fields
-from extremals.shooting import _hamiltonian_flow
+from extremals.scenario import (resolve_scenario, scenario_fields,
+                                scenario_lagrangian)
+from extremals.shooting import (_hamiltonian_flow, _shooting_jacobian,
+                                make_seeds)
 
 IDENTITY = parse_field_set("X1 = (1, 0)\nX2 = (0, 1)", 2, 2)
 HEISENBERG = parse_field_set("X1 = (1, 0, -x2/2)\nX2 = (0, 1, x1/2)", 3, 2)
@@ -450,6 +452,50 @@ def test_an_infeasible_feedback_dies_as_through_the_solve(monkeypatch):
     for got, want in zip(folded, two_call):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(folded[3][[0, -1], :, 0], [[1.0, 0.5]] * 2)
+
+
+def _flow_case(name):
+    """(F, L, x0, seeds) for the generated-against-array flow test. Each
+    seed family holds seeds that die: on heisenberg, martinet and grushin
+    seeds of width 100 run off within a few steps, and the last row, a
+    costate past the blow-up guard, dies at the first step everywhere."""
+    if name == "blowup":
+        return (BLOWUP, parse_lagrangian("u1^2/2 + exp(x1)*u1", 1, 1),
+                np.ones(1), np.linspace(-40.0, 40.0, 9)[:, None])
+    sc = resolve_scenario(name)
+    seeds = np.vstack([make_seeds(sc.n, 4, 100.0, seed=2),
+                       np.full((1, sc.n), 2e12)])
+    return (scenario_fields(sc), scenario_lagrangian(sc),
+            np.asarray(sc.x0, dtype=float), seeds)
+
+
+@pytest.mark.parametrize("name", ["identity", "heisenberg", "martinet",
+                                  "grushin", "blowup"])
+def test_the_generated_flow_is_the_array_flow_to_the_bit(monkeypatch, name):
+    # Each batch runs once on the generated loop and once on _rk4, with
+    # FLOW_LOOP_MAX_BATCH set so that each loop takes it. Every array the
+    # flow returns is the same, NaN included, so the dead elements follow
+    # one rule in both, and so are the shooting Jacobians of the records.
+    # "blowup" has the x-dependent g0 = exp(x1).
+    F, L, x0, seeds = _flow_case(name)
+    for batch in (seeds[:1], seeds):
+        for substeps in (1, 8):
+            runs = []
+            for max_batch in (len(batch) + 1, 0):
+                monkeypatch.setattr(shooting, "FLOW_LOOP_MAX_BATCH", max_batch)
+                runs.append(_hamiltonian_flow(F, L, x0, batch, 1.0, 16,
+                                              substeps))
+            generated, array = runs
+            alive = np.count_nonzero(array[4])
+            assert len(batch) == 1 or 0 < alive < len(batch)
+            for got, want in zip(generated, array):
+                np.testing.assert_array_equal(got, want)
+            h = fine_grid(1.0, 16, substeps)[1]
+            # A dead element's records overflow before they turn NaN.
+            with np.errstate(over="ignore", invalid="ignore"):
+                jacobians = [_shooting_jacobian(F, L, flow[1:4], flow[5], h)
+                             for flow in runs]
+            np.testing.assert_array_equal(*jacobians)
 
 
 def test_feedback_newton_skips_a_dead_seed():

@@ -297,7 +297,10 @@ def test_a_flow_stage_is_two_compiled_calls(monkeypatch):
     # A constant control Hessian folds the feedback into one generated
     # evaluator, (xi, p) -> (u*, xi', p'); an x-dependent one keeps two,
     # z and the coefficients from one, xi' and p' from the other. Neither
-    # evaluates a field matrix or a Jacobian stack on the way.
+    # evaluates a field matrix or a Jacobian stack on the way. That is the
+    # array loop, which every batch takes with FLOW_LOOP_MAX_BATCH at 0; a
+    # smaller batch of the folded stage runs its generated loop, which calls
+    # the evaluator only for the closing control.
     calls = {"expr": 0, "field_matrix": 0, "jacobian_stack": 0}
 
     def counted(owner, attr, key):
@@ -318,14 +321,23 @@ def test_a_flow_stage_is_two_compiled_calls(monkeypatch):
     counted(FieldSet, "jacobian_stack", "jacobian_stack")
     N, substeps = 8, 2
     M = N * substeps
-    for L, per_stage in ((QUAD_3, 1), (x_dependent, 2)):
+
+    def flow_calls(L):
         for key in calls:
             calls[key] = 0
         *_, alive, _ = _hamiltonian_flow(HEISENBERG, L, np.zeros(3),
                                          OFF_AXIS_SEEDS, 1.0, N, substeps)
         assert alive.all()
-        assert calls == {"expr": per_stage * (4 * M + 1), "field_matrix": 0,
-                         "jacobian_stack": 0}
+        return calls
+
+    with monkeypatch.context() as patch:
+        patch.setattr(shooting, "FLOW_LOOP_MAX_BATCH", 0)
+        for L, per_stage in ((QUAD_3, 1), (x_dependent, 2)):
+            assert flow_calls(L) == {"expr": per_stage * (4 * M + 1),
+                                     "field_matrix": 0, "jacobian_stack": 0}
+    assert len(OFF_AXIS_SEEDS) < shooting.FLOW_LOOP_MAX_BATCH
+    assert flow_calls(QUAD_3) == {"expr": 1, "field_matrix": 0,
+                                  "jacobian_stack": 0}
 
 
 def test_building_solutions_runs_no_flow(monkeypatch):
