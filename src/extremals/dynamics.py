@@ -16,8 +16,9 @@ control alone through the RK4 loop its field set generated at construction
 (``fields._state_loop``): straight-line Python-float code for the rates
 sum_i u_i X_i(xi), the stage inputs, the RK4 combination in ``_rk4``'s
 operation order and the blow-up guard. A run keeps each element's stage
-states as the flat list its loop recorded: only a kernel build reads them,
-and it stacks them for the elements it builds. An element dies when any of
+states as one flat float array, made from the list its loop recorded:
+only a kernel build reads them, and it stacks them for the elements it
+builds. An element dies when any of
 its components turns non-finite or leaves the guard, and is then frozen at
 its last state; ``integrate`` and ``integrate_batch`` raise
 ``DivergenceError`` at the first death. Over numpy arrays a heisenberg
@@ -35,13 +36,19 @@ comes from ``fields._rk4_loop``, the emitter of the state loop. Every other
 batch runs ``_rk4``, one batched RK4 loop over one state array with one
 scalar step and an alive mask it shares with its stage; it reports the step
 each element died in, so the flow treats dead elements alike in both. The
-RK4 step matrices of a linear equation Y' = A(s) Y and their product
-(``_step_matrices``, ``_step_products``) give Psi below and the exact
-shooting Jacobian of ``shooting``, the derivative of the discrete flow
-whose recorded stages gave A. The one line search of the
-shooting, chart and feedback Newtons is ``_backtrack``: it tries the full
-step, then every remaining halving of the rejected elements stacked in one
-second trial.
+RK4 step matrices of a linear equation Y' = A(s) Y (``_step_matrices``)
+give Psi below and the exact shooting Jacobian of ``shooting``, the
+derivative of the discrete flow whose recorded stages gave A. Psi is their
+product by a pair scan (``_step_products``): 2 log2 M batched matmuls, 16
+at M = 256, instead of M, for about twice the arithmetic. Kernels are
+built in small stacks (one per chart query, eight chart probes), where
+the scan is not slower. The shooting Jacobian folds its step matrices
+into Y one by one instead: over a 51-seed batch the doubled arithmetic
+costs more than the saved calls, a (64, 51, 6, 6) block about 0.15 ms
+sequentially against 0.8 ms scanned, and the sequential fold keeps every
+shooting result bit for bit. The one line search of the shooting, chart and feedback Newtons is
+``_backtrack``: it tries the full step, then every remaining halving of the
+rejected elements stacked in one second trial.
 
 The differential of the endpoint map and its adjoint come from the
 variational equation: with Psi the fundamental solution of Psi' = A(s) Psi,
@@ -205,12 +212,39 @@ def _step_matrices(A, h):
 
 
 def _step_products(steps, start):
-    """Y_0 = start and Y_{j+1} = steps[j] Y_j, stacked (M + 1, ..., d, k)."""
+    """Y_0 = start and Y_{j+1} = steps[j] Y_j, stacked (M + 1, ..., d, k).
+
+    A pair scan (Ladner & Fischer 1980; Blelloch 1990) forms the prefix
+    products P_j = steps[j-1] ... steps[0]: ``_prefix_products`` pairs
+    adjacent steps, recurses on the pairs and fills the even nodes, two
+    batched matmuls per halving, so 2 log2 M calls (16 at M = 256) replace
+    M, for about twice the arithmetic. Y_j = P_j start is one more call.
+    Each Y_j differs from the sequential product by rounding only, about
+    1e-15 of Psi's size on the built-ins. At (256, 1, 3, 3) the product
+    takes 0.05 ms against 0.25 ms sequentially, at (256, 8, 3, 3) 0.19
+    against 0.31 ms. Over many columns the doubled arithmetic outweighs
+    the saved calls, so the shooting Jacobian, 51 seeds at once, folds its
+    steps sequentially (see the module docstring).
+    """
     out = np.empty((len(steps) + 1,) + steps.shape[1:-1] + start.shape[-1:],
                    dtype=np.result_type(steps, start))
     out[0] = start
-    for j in range(len(steps)):
-        np.matmul(steps[j], out[j], out=out[j + 1])
+    np.matmul(_prefix_products(steps), start, out=out[1:])
+    return out
+
+
+def _prefix_products(steps):
+    """The prefix products steps[j] ... steps[0], j < M, of a stack
+    (M, ..., d, d), by the pair scan described in ``_step_products``."""
+    if len(steps) == 1:
+        return steps
+    # pairs[i] = steps[2i+1] steps[2i] and its prefix is the odd node 2i+1.
+    odd = _prefix_products(steps[1::2] @ steps[0:-1:2])
+    out = np.empty_like(steps)
+    out[0] = steps[0]
+    out[1::2] = odd
+    even = steps[2::2]
+    out[2::2] = even @ odd[:len(even)]
     return out
 
 
@@ -240,11 +274,11 @@ def _states(F, values, T_path, x0, T, substeps):
 
     Returns (times, h, control, states, stages, died): the grids (M+1, B)
     and steps (B,), the stage controls (M, 4, B, m), the states (M+1, B, n),
-    each element's inputs of RK4 stages 1..3 as the flat list its loop
-    recorded, and the node at which each element left the guard, -1 while
-    alive. A dead element keeps its last state, and its list ends with the
-    step it died in. Only ``_build_stack`` reads the stage lists, and only
-    for the elements it builds kernels of.
+    each element's inputs of RK4 stages 1..3 as one flat array of what its
+    loop recorded, and the node at which each element left the guard, -1
+    while alive. A dead element keeps its last state, and its array ends
+    with the step it died in. Only ``_build_stack`` reads the stage arrays,
+    and only for the elements it builds kernels of.
     """
     times, h = fine_grid(np.broadcast_to(T, len(values)),
                          values.shape[-2] - 1, substeps)
@@ -260,7 +294,7 @@ def _states(F, values, T_path, x0, T, substeps):
                          float(h[b]), BLOWUP_GUARD)
         k = len(ys) // n
         states[:k, b] = np.array(ys, dtype).reshape(k, n)
-        stages.append(ks)
+        stages.append(np.array(ks, dtype))
         if k <= M:
             died[b] = k
             states[k:, b] = states[k - 1, b]
@@ -370,12 +404,12 @@ class DifferentialKernel:
         """RK4 states and Psi, Psi(0) = I, on the fine grid, then K.
 
         ``_states`` runs the whole stack, unless ``run`` holds that run, and
-        records its stage states. The surviving elements' lists are
+        records its stage states. The surviving elements' arrays are
         stacked, with their node states, into the inputs (M, 4, K, n) of
         one batched Jacobian call, which gives A at all 4M stages of each,
-        and Psi_{j+1} = Phi_j Psi_j
-        with Phi_j the RK4 step matrix of the linear equation Psi' = A Psi
-        (``_step_matrices``).
+        and Psi_{j+1} = Phi_j Psi_j, formed by the pair scan of
+        ``_step_products``, with Phi_j the RK4 step matrix of the linear
+        equation Psi' = A Psi (``_step_matrices``).
         Returns (kernels, died, h): died (B,) is the fine step at which each
         element's state or Psi first left the guard, -1 for a kernel.
         """

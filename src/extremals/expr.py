@@ -237,18 +237,17 @@ def add(*terms):
 def mul(*factors):
     flat = []
     const = 1.0
+    zero = False
     for f in factors:
-        if isinstance(f, Mul):
-            for g in f.factors:
-                if isinstance(g, Const):
-                    const *= g.value
-                else:
-                    flat.append(g)
-        elif isinstance(f, Const):
-            const *= f.value
-        else:
-            flat.append(f)
-    if const == 0.0:
+        for g in f.factors if isinstance(f, Mul) else (f,):
+            if isinstance(g, Const):
+                const *= g.value
+                zero = zero or g.value == 0.0
+            else:
+                flat.append(g)
+    # A zero factor gives 0 whatever the others are, constants included:
+    # folded in order, 0 * inf would leave a NaN constant.
+    if zero or const == 0.0:
         return Const(0.0)
     if const != 1.0 or not flat:
         flat.insert(0, Const(const))
@@ -319,9 +318,10 @@ def check_node_cap(exprs, cap=NODE_CAP):
 
 def _number(v):
     """v as text the parser reads back: +-inf as +-1e999, which overflows
-    to it, and NaN as the product that folds to it."""
+    to it, and NaN as the difference that folds to it (``mul`` folds a
+    zero factor to 0, so 0*1e999 would read back as 0)."""
     if math.isnan(v):
-        return "(0*1e999)"
+        return "(1e999-1e999)"
     if math.isinf(v):
         return "1e999" if v > 0 else "-1e999"
     if v == int(v) and abs(v) < 1e16:

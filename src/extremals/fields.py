@@ -11,6 +11,7 @@ from .errors import DimensionError
 
 LIE_RANK_TOL = 1e-9
 BRACKET_NODE_CAP = ex.NODE_CAP
+ZERO = ex.Const(0.0)
 
 
 class FieldSet:
@@ -22,7 +23,7 @@ class FieldSet:
     leading batch axes. The state loop ``_loop`` (see ``_state_loop``)
     integrates xi' = B(xi) u for one control at a time in straight-line
     Python-float code: at batch one a 256-step heisenberg loop costs about
-    0.33 ms against about 5.3 ms for the same loop over numpy arrays, while
+    0.30 ms against about 5.3 ms for the same loop over numpy arrays, while
     the array loop, whose cost hardly grows with the batch, wins only from
     about 22 controls integrated together.
     """
@@ -83,11 +84,18 @@ def _state_loop(n, m, components):
     names = ([f"_x{j}" for j in range(n)]
              + [f"_u{s}_{i}" for s in range(4) for i in range(m)])
 
-    # Built raw, as ``substitute`` builds, so no operation folds away.
+    # A zero component adds no term: u_i * 0.0 is a signed zero, which
+    # moves no rate but the sign of an exact zero. The other terms are
+    # built raw, as ``substitute`` builds, since ``ex.mul`` would move a
+    # constant factor to the front and round differently.
     def stage(s, y):
         c = [ex.Var(f"u{i + 1}_{s}", n + s * m + i) for i in range(m)]
-        return [], [ex.Add(tuple(ex.Mul((c[i], ex.substitute(
-            components[i][j], y))) for i in range(m))) for j in range(n)]
+        rates = []
+        for j in range(n):
+            terms = tuple(ex.Mul((c[i], ex.substitute(components[i][j], y)))
+                          for i in range(m) if components[i][j] != ZERO)
+            rates.append(ex.Add(terms) if terms else ZERO)
+        return [], rates
 
     return _rk4_loop(n, names, stage)
 

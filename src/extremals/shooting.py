@@ -71,7 +71,7 @@ import numpy as np
 from .controls import ControlPath, l2_distance
 from .dynamics import (BLOWUP_GUARD, DEFAULT_SUBSTEPS, PSI_COND_FLAG,
                        DifferentialKernel, Trajectory, _backtrack, _rk4,
-                       _step_matrices, _step_products, fine_grid)
+                       _step_matrices, fine_grid)
 from .errors import DimensionError, NonConvergenceError
 from .lagrangian import Lagrangian, trapezoid
 
@@ -229,7 +229,9 @@ def _shooting_jacobian(F, L, flow, stages, h):
     step matrices of the variational equation, and their product, started
     from d y(0) / d p0 = (0, I), is the derivative of the flow's own RK4
     map. Both are formed JACOBIAN_BLOCK steps at a time, so the memory
-    held does not grow with the horizon.
+    held does not grow with the horizon. The product is a sequential fold,
+    not ``dynamics._step_products``' pair scan: over a batch of seeds the
+    scan's doubled arithmetic costs more than the matmul calls it saves.
     """
     n = F.n
     jacobian = L.rate_jacobian(F)
@@ -240,7 +242,8 @@ def _shooting_jacobian(F, L, flow, stages, h):
         nodes = np.concatenate([a[j:j + block.shape[1]] for a in flow],
                                axis=-1)
         A = jacobian(np.concatenate((nodes[None], block)))
-        Y = _step_products(_step_matrices(A, h), Y)[-1]
+        for step in _step_matrices(A, h):
+            Y = step @ Y
     return Y[:, :n]
 
 

@@ -11,8 +11,8 @@ import pytest
 from extremals import lagrangian, shooting
 from extremals.controls import ControlPath, random_smooth_controls
 from extremals.dynamics import (PSI_COND_FLAG, DifferentialKernel, _backtrack,
-                                fine_grid, integrate, integrate_batch,
-                                trapezoid_weights)
+                                _step_matrices, _step_products, fine_grid,
+                                integrate, integrate_batch, trapezoid_weights)
 from extremals.errors import DimensionError, DivergenceError, GridMismatchError
 from extremals.expr import CompiledVector
 from extremals.fields import parse_field_set
@@ -330,6 +330,53 @@ def test_the_generated_state_loop_is_rk4_over_arrays(name):
             np.testing.assert_allclose(
                 got, want, rtol=0,
                 atol=16 * np.finfo(float).eps * np.abs(want).max())
+
+
+def _sequential_products(steps, start):
+    """Y_0 = start and Y_{j+1} = steps[j] Y_j, one matmul per step."""
+    out = np.empty((len(steps) + 1,) + steps.shape[1:-1] + start.shape[-1:])
+    out[0] = start
+    for j in range(len(steps)):
+        np.matmul(steps[j], out[j], out=out[j + 1])
+    return out
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 7, 255, 256, 257])
+@pytest.mark.parametrize("d", [3, 6])
+@pytest.mark.parametrize("K", [1, 8])
+def test_the_pair_scan_is_the_sequential_product(M, d, K):
+    # Every node, odd and even, from the identity and from a (d, k) slice
+    # as the shooting Jacobian starts: the scan only regroups the products,
+    # so each node matches to rounding.
+    rng = np.random.default_rng(M * 100 + d * 10 + K)
+    steps = np.eye(d) + 0.05 * rng.standard_normal((M, K, d, d))
+    for start in (np.eye(d), rng.standard_normal((d, d))[:, d // 2:]):
+        got = _step_products(steps, start)
+        want = _sequential_products(steps, start)
+        assert got.shape == want.shape == (M + 1, K, d, start.shape[1])
+        scale = np.abs(want).reshape(M + 1, -1).max(axis=1)
+        err = np.abs(got - want).reshape(M + 1, -1).max(axis=1)
+        assert np.all(err <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "martinet"])
+def test_the_shooting_jacobian_folds_sequentially(name):
+    # The shooting Jacobian is the sequential product of the flow's step
+    # matrices from (0, I), bit for bit: no pair scan regroups it. 128
+    # steps span two blocks of JACOBIAN_BLOCK.
+    sc = resolve_scenario(name)
+    F, L = scenario_fields(sc), scenario_lagrangian(sc)
+    flow = _hamiltonian_flow(F, L, np.asarray(sc.x0, dtype=float),
+                             make_seeds(sc.n, 4, 1.0, seed=2), 1.0, 16, 8)
+    assert flow[4].all()
+    h = fine_grid(1.0, 16, 8)[1]
+    nodes = np.concatenate(flow[1:4], axis=-1)[:-1]
+    A = L.rate_jacobian(F)(np.concatenate((nodes[None],
+                                           flow[5].swapaxes(0, 1))))
+    start = np.eye(2 * sc.n)[:, sc.n:]
+    want = _sequential_products(_step_matrices(A, h), start)[-1, :, :sc.n]
+    np.testing.assert_array_equal(
+        _shooting_jacobian(F, L, flow[1:4], flow[5], h), want)
 
 
 def test_a_diverging_element_leaves_its_batch_alone():

@@ -413,6 +413,14 @@ def test_non_finite_constants_print_and_parse_back():
         np.testing.assert_array_equal(again.eval((2.0,)), e.eval((2.0,)))
 
 
+@pytest.mark.parametrize("text", ["1e400*0*x1", "0*1e400*x1", "x1*1e400*0",
+                                  "(1e400-1e400)*0*x1", "1e-200*1e-200*x1"])
+def test_a_zero_constant_factor_folds_the_product_to_zero(text):
+    # Folded in order, 0 * inf would leave NaN * x1; a zero factor gives
+    # 0 whatever the other constants are, as beside a variable.
+    assert ex.parse_scalar(text, ["x1"]) == ex.Const(0.0)
+
+
 def test_a_non_finite_constant_compiles():
     e = ex.parse_scalar("x1 + 1e400 - x2*1e400", ["x1", "x2"])
     a = np.array([[1.0, 2.0], [0.0, -1.0]])
