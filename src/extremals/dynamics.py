@@ -15,19 +15,21 @@ and a kernel of one control hold the same states bit for bit. It runs each
 control alone through the RK4 loop its field set generated at construction
 (``fields._state_loop``): straight-line Python-float code for the rates
 sum_i u_i X_i(xi), the stage inputs, the RK4 combination in ``_rk4``'s
-operation order and the blow-up guard. A run keeps each element's stage
-states as one flat float array, made from the list its loop recorded:
-only a kernel build reads them, and it stacks them for the elements it
-builds. An element dies when any of
-its components turns non-finite or leaves the guard, and is then frozen at
-its last state; ``integrate`` and ``integrate_batch`` raise
+operation order and the blow-up guard. The loop keeps only the node
+states. A kernel build, the one reader of the stage inputs, re-forms them
+for the elements it builds from their nodes, in three batched calls of the
+field set's compiled rates (``FieldSet._rates``): the loop's expressions
+and operations, so the loop's stage inputs bit for bit. An element dies
+when any of its components turns non-finite or leaves the guard, and is
+then frozen at its last state; ``integrate`` and ``integrate_batch`` raise
 ``DivergenceError`` at the first death. Over numpy arrays a heisenberg
 step at batch one cost about 21 us, nearly all of it dispatch on (1, 3)
-arrays; the generated loop takes about 1.3 us per step, conversions
-included. The array loop's cost hardly grows with the batch, so it would
-win only from about 22 controls integrated together, more than a chart
-query or a chart build integrates at once (2-core x86-64 box, Python
-3.11.7, numpy 2.4.6).
+arrays; the generated loop takes about 1.4 us per step, conversions
+included (1.9 us while it kept its stage inputs, on the same box). The
+array loop's cost hardly grows with the batch, so it would win only from
+about 22 controls integrated together, more than a chart query or a
+chart build integrates at once (2-core x86-64 box, Python 3.11.7, numpy
+2.4.6).
 
 The Hamiltonian flow of ``shooting`` has two loops. A batch of a few
 elements whose cost has a folded stage runs the loop
@@ -38,7 +40,7 @@ scalar step and an alive mask it shares with its stage; it reports the step
 each element died in, so the flow treats dead elements alike in both. The
 RK4 step matrices of a linear equation Y' = A(s) Y (``_step_matrices``)
 give Psi below and the exact shooting Jacobian of ``shooting``, the
-derivative of the discrete flow whose recorded stages gave A. Psi is their
+derivative of the discrete flow whose stage inputs gave A. Psi is their
 product by a pair scan (``_step_products``): 2 log2 M batched matmuls, 16
 at M = 256, instead of M, for about twice the arithmetic. Kernels are
 built in small stacks (one per chart query, eight chart probes), where
@@ -272,13 +274,12 @@ def _states(F, values, T_path, x0, T, substeps):
     one per element, for the node values (B, N+1, m) of B controls on
     [0, T_path], each integrated alone by the field set's generated loop.
 
-    Returns (times, h, control, states, stages, died): the grids (M+1, B)
-    and steps (B,), the stage controls (M, 4, B, m), the states (M+1, B, n),
-    each element's inputs of RK4 stages 1..3 as one flat array of what its
-    loop recorded, and the node at which each element left the guard, -1
-    while alive. A dead element keeps its last state, and its array ends
-    with the step it died in. Only ``_build_stack`` reads the stage arrays,
-    and only for the elements it builds kernels of.
+    Returns (times, h, control, states, died): the grids (M+1, B) and
+    steps (B,), the stage controls (M, 4, B, m), the states (M+1, B, n)
+    and the node at which each element left the guard, -1 while alive. A
+    dead element keeps its last state. The loop keeps nothing but the
+    nodes; ``_build_stack`` re-forms the stage inputs of the elements it
+    builds kernels of.
     """
     times, h = fine_grid(np.broadcast_to(T, len(values)),
                          values.shape[-2] - 1, substeps)
@@ -286,26 +287,24 @@ def _states(F, values, T_path, x0, T, substeps):
     x = np.asarray(x0, dtype=np.result_type(x0, control))
     (M, _, B, _), n, dtype = control.shape, F.n, x.dtype
     states = np.empty((M + 1, B, n), dtype)
-    stages = []
     died = np.full(B, -1)
     start = x.tolist()
     for b in range(B):
-        ys, ks = F._loop(start, control[:, :, b].reshape(M, -1).tolist(),
-                         float(h[b]), BLOWUP_GUARD)
+        ys = F._loop(start, control[:, :, b].reshape(M, -1).tolist(),
+                     float(h[b]), BLOWUP_GUARD)
         k = len(ys) // n
         states[:k, b] = np.array(ys, dtype).reshape(k, n)
-        stages.append(np.array(ks, dtype))
         if k <= M:
             died[b] = k
             states[k:, b] = states[k - 1, b]
-    return times, h, control, states, stages, died
+    return times, h, control, states, died
 
 
 def _take(run, idx):
     """The elements idx of a ``_states`` run, as a run of their own."""
-    times, h, control, states, stages, died = run
+    times, h, control, states, died = run
     return (times[:, idx], h[idx], control[:, :, idx], states[:, idx],
-            [stages[i] for i in idx], died[idx])
+            died[idx])
 
 
 def _checked_start(F, m, T_path, x0, T):
@@ -326,8 +325,8 @@ def _checked_start(F, m, T_path, x0, T):
 def integrate(F, u: ControlPath, x0, T=None, substeps=DEFAULT_SUBSTEPS) -> Trajectory:
     """RK4 solution on [0, T] (default T = u.T); M = u.N * substeps steps."""
     x0, T = _checked_start(F, u.m, u.T, x0, T)
-    times, h, _, states, _, died = _states(F, u.values[None], u.T, x0, T,
-                                           substeps)
+    times, h, _, states, died = _states(F, u.values[None], u.T, x0, T,
+                                        substeps)
     _raise_if_dead(died, h)
     return Trajectory(times=times[:, 0], states=states[:, 0])
 
@@ -346,7 +345,7 @@ def integrate_batch(F, values, x0, T, substeps=DEFAULT_SUBSTEPS):
         raise DimensionError(f"node values have shape {values.shape}, "
                              "expected (..., N+1, m)")
     x0, T = _checked_start(F, values.shape[-1], T, x0, T)
-    _, h, _, states, _, died = _states(
+    _, h, _, states, died = _states(
         F, values.reshape((-1,) + values.shape[-2:]), T, x0, T, substeps)
     _raise_if_dead(died, h)
     return states.reshape((len(states),) + values.shape[:-2] + (-1,))
@@ -403,11 +402,12 @@ class DifferentialKernel:
     def _build_stack(cls, F, paths, x0, T, substeps, run=None):
         """RK4 states and Psi, Psi(0) = I, on the fine grid, then K.
 
-        ``_states`` runs the whole stack, unless ``run`` holds that run, and
-        records its stage states. The surviving elements' arrays are
-        stacked, with their node states, into the inputs (M, 4, K, n) of
-        one batched Jacobian call, which gives A at all 4M stages of each,
-        and Psi_{j+1} = Phi_j Psi_j, formed by the pair scan of
+        ``_states`` runs the whole stack, unless ``run`` holds that run.
+        The RK4 stage inputs (M, 4, K, n) of the K surviving elements are
+        re-formed from their nodes: the node, then the node plus h/2, h/2
+        or h times the rates ``FieldSet._rates`` gives at the input before,
+        the loop's own bits. One batched Jacobian call on them gives A at
+        all 4M stages, and Psi_{j+1} = Phi_j Psi_j, formed by the pair scan of
         ``_step_products``, with Phi_j the RK4 step matrix of the linear
         equation Psi' = A Psi (``_step_matrices``).
         Returns (kernels, died, h): died (B,) is the fine step at which each
@@ -429,21 +429,21 @@ class DifferentialKernel:
         if run is None:
             run = _states(F, np.stack([p.values for p in paths]), u.T,
                           starts[0][0], np.array(T), substeps)
-        times, h, control, states, stages, died = run
+        times, h, control, states, died = run
         died = died.copy()
         M = len(times) - 1
         kernels = [None] * len(paths)
         live = np.flatnonzero(died < 0)
         if live.size == 0:
             return kernels, died, h
-        recorded = np.array([stages[b] for b in live], states.dtype)
+        x, c, step = states[:-1, live], control[:, :, live], h[live, None]
         inputs = np.empty((M, 4, live.size, F.n), states.dtype)
-        inputs[:, 0] = states[:-1, live]
-        inputs[:, 1:] = recorded.reshape(live.size, M, 3, F.n).transpose(
-            1, 2, 0, 3)
-        A = np.einsum("jsbi,jsbikl->sjbkl", control[:, :, live],
-                      F.jacobian_stack(inputs))
-        psis = _step_products(_step_matrices(A, h[live, None, None]),
+        inputs[:, 0] = x
+        for s, scale in enumerate((step / 2.0, step / 2.0, step)):
+            k = F._rates(np.concatenate((inputs[:, s], c[:, s]), axis=-1))
+            np.add(x, scale * k, out=inputs[:, s + 1])
+        A = np.einsum("jsbi,jsbikl->sjbkl", c, F.jacobian_stack(inputs))
+        psis = _step_products(_step_matrices(A, step[:, :, None]),
                               np.eye(F.n))
         # The joint loop would have stopped at the first Psi beyond the guard.
         blown = ~(np.abs(psis).reshape(M + 1, live.size, -1).max(axis=2)

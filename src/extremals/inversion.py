@@ -268,7 +268,7 @@ def _solve_alpha(chart: InversionChart, s, betas):
         controls = [chart.emit(a) for a in alpha_try]
         run = _states(chart.F, np.stack([c.values for c in controls]),
                       chart.u.T, chart.x0, s[ks], chart.substeps)
-        _, _, _, states, _, died = run
+        _, _, _, states, died = run
         better = np.array([died[i] < 0 and
                            np.linalg.norm(states[-1, i] - betas[k]) < gn[k]
                            for i, k in enumerate(ks)], dtype=bool)

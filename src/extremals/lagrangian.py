@@ -242,8 +242,10 @@ def _flow_loop(F, folded):
     the folded stage's rates at that u*, so one step does the arithmetic
     of ``dynamics._rk4`` over the folded evaluator, bit for bit.
 
-    The loop takes ``range(M)`` for its steps, and records per step the
-    node control u*, then (xi, p, u*) at RK4 stages 1..3.
+    The loop takes ``range(M)`` for its steps and returns the node states
+    only; u* is checked at every stage and kept at none.
+    ``shooting._generated_flow`` re-forms the controls and the stage
+    inputs from the nodes with the folded evaluator itself.
     """
     m, d = F.m, 2 * F.n
     u_star, rates = folded.exprs[:m], folded.exprs[m:]

@@ -20,12 +20,13 @@ so a live element's flow is the same bit for bit in either:
 * any other batch, and every cost with the two-call stage, runs
   ``dynamics._rk4`` over numpy arrays of the whole batch.
 
-The generated loop costs about 2.3 us per element and step; the array loop
-about 41 + 0.27 B us per step at batch B, nearly all of it numpy dispatch
-(heisenberg, N = 64, one substep). They cross at 19 to 21 elements on the
-four smooth built-ins (2-core x86-64 box, Python 3.11.7, numpy 2.4.6).
-FLOW_LOOP_MAX_BATCH = 16 sits just below; the 51-seed multi-starts of the
-CLI take the same time with 16 and with 20.
+The generated loop, re-formed stage inputs included, costs about 2.1 us
+per element and step, the array loop about 65 + 0.27 B us per step at
+batch B (heisenberg, N = 64, one substep; a busy 2-core x86-64 box,
+Python 3.11.7, numpy 2.4.6). By back-to-back runs they cross at 36 to 45
+elements on heisenberg, martinet and grushin and 56 on identity, against
+23 to 30 when the loop recorded its stage inputs. FLOW_LOOP_MAX_BATCH =
+16 stays below; 51-seed multi-starts took the same time with 16 and 20.
 
 In both loops an element dies at the step where its feedback solve fails,
 a u* is not finite or the new state leaves the blow-up guard. It then
@@ -36,17 +37,17 @@ frozen state.
 The shooting unknown is p(0): forward integration only, and the
 multiplier is read off as lam = p(T) on convergence.
 
-A Newton iteration runs no probe flow. The flow keeps its nodes
-(xi, p, u*), the inputs of RK4 stage 0, and records the inputs of stages
-1..3. From both, ``_shooting_jacobian`` reads d xi(T) / d p0 off the
+A Newton iteration runs no probe flow. The flow gives its nodes
+(xi, p, u*), the inputs of RK4 stage 0, and the inputs of stages 1..3.
+From both, ``_shooting_jacobian`` reads d xi(T) / d p0 off the
 product of the RK4 step matrices of the variational equation, with the
 stage-rate Jacobian of ``Lagrangian.rate_jacobian``: the exact derivative
 of the discrete shooting map, as HamPath takes it from the variational
 system (Caillau, Cots & Gergaud, Optim. Methods Softw. 27(2),
 2012). It is formed when a seed's flow is accepted, the first one or a
 line-search trial's, and only where the seed iterates on from it, a block
-of steps at a time; the stage records are dropped once the flow is judged,
-so no more than one flow's records are held. The line search,
+of steps at a time; the stage inputs are dropped once the flow is judged,
+so no more than one flow's stage inputs are held. The line search,
 ``dynamics._backtrack``, then flows alpha = 1 for the moving seeds and,
 for those it rejects, every remaining halving in one stacked flow: one
 sequential flow per iteration, two when a full step is rejected.
@@ -85,8 +86,8 @@ POLISH_MAX_ITER = 30
 JAC_TRUNCATION = 1e-3
 JACOBIAN_BLOCK = 64
 # Folded-stage batches this large run _rk4: the generated loop's cost grows
-# with the batch (2.3 us per element-step on heisenberg), the array loop's
-# hardly (41 + 0.27 B us per step); they cross at 19 to 21 elements.
+# with the batch (2.1 us per element-step on heisenberg), the array loop's
+# hardly (65 + 0.27 B us per step); they cross at 36 to 56 elements.
 FLOW_LOOP_MAX_BATCH = 16
 
 
@@ -129,6 +130,7 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     batch + (2n + m,), holds the input (xi, p, u*) of RK4 stages 1..3 of
     each step. Stage 0's input is the node (xs, ps, us)[j];
     ``_shooting_jacobian`` differentiates the discrete flow from the two.
+    ``_rk4`` records the stage inputs, ``_generated_flow`` re-forms them.
 
     A batch of fewer than FLOW_LOOP_MAX_BATCH elements whose cost has a
     folded stage runs ``Lagrangian.flow_loop`` once per element; any other
@@ -157,12 +159,13 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     # Frozen dead elements' stages may overflow; the death steps report them.
     with np.errstate(over="ignore", invalid="ignore"):
         if loop is None:
-            ys, died, w = _array_flow(stage, y, h, M, us, stages)
+            ys, died, closing = _array_flow(stage, y, h, M, us, stages)
         else:
-            ys, died = _generated_flow(loop, y, h, M, us, stages)
-            w = None   # the folded stage takes no warm start
-        closing = np.ones(B, dtype=bool)
-        us[M] = stage(ys[-1], w, closing)[0]
+            ys, died = _generated_flow(loop, stage, y, h, M, us, stages)
+            closing = True   # the folded stage clears no element
+    for b in np.flatnonzero(died >= 0):
+        us[died[b]:M, b] = np.nan
+        stages[died[b]:, :, b] = np.nan
     alive = (died < 0) & closing & np.isfinite(us[M]).all(axis=-1)
     ys = ys.reshape((M + 1,) + batch + (2 * n,))
     return (times, ys[..., :n], ys[..., n:],
@@ -171,9 +174,9 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
 
 
 def _array_flow(stage, y, h, M, us, stages):
-    """The flow of the batch y (B, 2n) on ``_rk4``: fills the node controls
-    us[:M] and the stage inputs, NaN after each element's death step, and
-    returns the node states, the death steps and the last stage's u*."""
+    """The flow of the batch y (B, 2n) on ``_rk4``: fills the controls us
+    and the stage inputs, and returns the node states, the death steps and
+    the mask of the elements whose closing feedback solve succeeded."""
     n2 = y.shape[-1]
     stage_y, stage_u = stages[..., :n2], stages[..., n2:]
     alive = np.ones(len(y), dtype=bool)
@@ -193,30 +196,33 @@ def _array_flow(stage, y, h, M, us, stages):
         return rate
 
     ys, died = _rk4(rhs, y, h, M, alive)
-    for b in np.flatnonzero(died >= 0):
-        us[died[b]:M, b] = np.nan
-        stages[died[b]:, :, b] = np.nan
-    return ys, died, w
+    closing = np.ones(len(y), dtype=bool)
+    us[M] = stage(ys[-1], w, closing)[0]
+    return ys, died, closing
 
 
-def _generated_flow(loop, y, h, M, us, stages):
+def _generated_flow(loop, stage, y, h, M, us, stages):
     """The flow of the batch y (B, 2n) on the generated loop, one element
     at a time: fills what ``_array_flow`` fills and returns the node
-    states and the death steps."""
-    (B, n2), m = y.shape, us.shape[-1]
-    ys = np.empty((M + 1, B, n2))
-    died = np.full(B, -1)
-    for b in range(B):
-        states, records = loop(y[b].tolist(), range(M), float(h),
-                               BLOWUP_GUARD)
+    states and the death steps. The loop keeps only the node states. The
+    folded stage on all nodes gives us and k1, then on each stage input
+    node + (h/2) k1, node + (h/2) k2 and node + h k3 its u* and the next
+    rates: the loop's operations on its expressions, so its bits."""
+    n2 = y.shape[-1]
+    ys = np.empty((M + 1,) + y.shape)
+    died = np.full(len(y), -1)
+    for b in range(len(y)):
+        states = loop(y[b].tolist(), range(M), float(h), BLOWUP_GUARD)
         k = len(states) // n2
         ys[:k, b] = np.array(states, float).reshape(k, n2)
-        steps = np.array(records, float).reshape(-1, m + 3 * (n2 + m))
-        us[:len(steps), b] = steps[:, :m]
-        stages[:len(steps), :, b] = steps[:, m:].reshape(-1, 3, n2 + m)
         if k <= M:
             died[b] = k
             ys[k:, b] = ys[k - 1, b]
+    us[:], rates = stage(ys, None, None)
+    for s, scale in enumerate((h / 2.0, h / 2.0, h)):
+        inputs = stages[:, s, :, :n2]
+        np.add(ys[:M], scale * rates[:M], out=inputs)
+        stages[:, s, :, n2:], rates = stage(inputs, None, None)
     return ys, died
 
 
@@ -224,7 +230,7 @@ def _shooting_jacobian(F, L, flow, stages, h):
     """d xi(T) / d p0 (K, n, n) of K discrete flows with step h.
 
     flow = (xs, ps, us) holds the flows' nodes, shaped (M+1, K, dim), and
-    stages (M, 3, K, 2n + m) their recorded inputs of RK4 stages 1..3;
+    stages (M, 3, K, 2n + m) their inputs of RK4 stages 1..3;
     stage 0's input is the node. The stage-rate Jacobians give the RK4
     step matrices of the variational equation, and their product, started
     from d y(0) / d p0 = (0, I), is the derivative of the flow's own RK4

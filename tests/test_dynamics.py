@@ -11,8 +11,9 @@ import pytest
 from extremals import lagrangian, shooting
 from extremals.controls import ControlPath, random_smooth_controls
 from extremals.dynamics import (PSI_COND_FLAG, DifferentialKernel, _backtrack,
-                                _step_matrices, _step_products, fine_grid,
-                                integrate, integrate_batch, trapezoid_weights)
+                                _stage_controls, _step_matrices,
+                                _step_products, fine_grid, integrate,
+                                integrate_batch, trapezoid_weights)
 from extremals.errors import DimensionError, DivergenceError, GridMismatchError
 from extremals.expr import CompiledVector
 from extremals.fields import parse_field_set
@@ -26,6 +27,8 @@ IDENTITY = parse_field_set("X1 = (1, 0)\nX2 = (0, 1)", 2, 2)
 HEISENBERG = parse_field_set("X1 = (1, 0, -x2/2)\nX2 = (0, 1, x1/2)", 3, 2)
 GRUSHIN = parse_field_set("X1 = (1, 0)\nX2 = (0, x1)", 2, 2)
 MARTINET = parse_field_set("X1 = (1, 0, x2^2/2)\nX2 = (0, 1, 0)", 3, 2)
+# Constants that are not powers of two, so that every product rounds.
+THIRDS = parse_field_set("X1 = (1, 0, -0.3*x2)\nX2 = (0, 1, x1/3)", 3, 2)
 
 
 def circle_control(N):
@@ -332,6 +335,58 @@ def test_the_generated_state_loop_is_rk4_over_arrays(name):
                 atol=16 * np.finfo(float).eps * np.abs(want).max())
 
 
+def _rk4_on_rates(F, x0, control, h):
+    """RK4 over numpy arrays on the field set's compiled rates from x0,
+    for the stage controls (M, 4, B, m) and steps (B,): the states
+    (M+1, B, n) and the inputs (M, 4, B, n) of every RK4 stage."""
+    M, _, B, _ = control.shape
+    h = h[:, None]
+    x = np.broadcast_to(x0, (B, F.n))
+    states, inputs = [x], []
+    for j in range(M):
+        y, k = [x], []
+        for s, scale in enumerate((h / 2.0, h / 2.0, h, None)):
+            k.append(F._rates(np.concatenate((y[s], control[j, s]), axis=-1)))
+            if scale is not None:
+                y.append(x + scale * k[s])
+        x = x + h / 6.0 * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+        states.append(x)
+        inputs.append(y)
+    return np.array(states), np.array(inputs)
+
+
+@pytest.mark.parametrize("name", ["identity", "heisenberg", "martinet",
+                                  "grushin", "thirds"])
+def test_stage_inputs_are_the_loops_to_the_bit(monkeypatch, name):
+    # The kernel's stage inputs are re-formed from the loop's nodes with
+    # the rates FieldSet._rates compiles. An RK4 over numpy arrays on those
+    # rates takes the generated loop's operations: it reproduces the states
+    # integrate_batch gives and the stage inputs _build_stack hands the
+    # Jacobian, bit for bit. B(x) u by matmul rounds its sums otherwise.
+    if name == "thirds":
+        F, x0, T = THIRDS, np.zeros(3), 1.0
+    else:
+        sc = resolve_scenario(name)
+        F, x0, T = scenario_fields(sc), np.asarray(sc.x0, dtype=float), sc.T
+    values = np.stack([u.values for u in random_smooth_controls(
+        np.random.default_rng(9), T, 16, F.m, count=3)])
+    seen = []
+    jacobian_stack = F.jacobian_stack
+    monkeypatch.setattr(F, "jacobian_stack",
+                        lambda x: seen.append(x) or jacobian_stack(x))
+    for substeps in (1, 8):
+        for t in (T, 0.71 * T):
+            times, h = fine_grid(np.full(len(values), t), 16, substeps)
+            states, inputs = _rk4_on_rates(
+                F, x0, _stage_controls(values, t, times, h), h)
+            np.testing.assert_array_equal(
+                integrate_batch(F, values, x0, t, substeps), states)
+            seen.clear()
+            DifferentialKernel.build_batch(
+                F, [ControlPath(t, v) for v in values], x0, t, substeps)
+            np.testing.assert_array_equal(seen[0], inputs)
+
+
 def _sequential_products(steps, start):
     """Y_0 = start and Y_{j+1} = steps[j] Y_j, one matmul per step."""
     out = np.empty((len(steps) + 1,) + steps.shape[1:-1] + start.shape[-1:])
@@ -503,27 +558,34 @@ def test_an_infeasible_feedback_dies_as_through_the_solve(monkeypatch):
 
 def _flow_case(name):
     """(F, L, x0, seeds) for the generated-against-array flow test. Each
-    seed family holds seeds that die: on heisenberg, martinet and grushin
-    seeds of width 100 run off within a few steps, and the last row, a
-    costate past the blow-up guard, dies at the first step everywhere."""
+    seed family holds seeds that die: on heisenberg, martinet, grushin and
+    thirds seeds of width 100 run off within a few steps, and the last
+    row, a costate past the blow-up guard, dies at the first step
+    everywhere."""
     if name == "blowup":
         return (BLOWUP, parse_lagrangian("u1^2/2 + exp(x1)*u1", 1, 1),
                 np.ones(1), np.linspace(-40.0, 40.0, 9)[:, None])
-    sc = resolve_scenario(name)
-    seeds = np.vstack([make_seeds(sc.n, 4, 100.0, seed=2),
-                       np.full((1, sc.n), 2e12)])
-    return (scenario_fields(sc), scenario_lagrangian(sc),
-            np.asarray(sc.x0, dtype=float), seeds)
+    if name == "thirds":
+        F, x0 = THIRDS, np.zeros(3)
+        L = parse_lagrangian("(2*u1^2 + 3*u2^2)/2", 3, 2)
+    else:
+        sc = resolve_scenario(name)
+        F, L = scenario_fields(sc), scenario_lagrangian(sc)
+        x0 = np.asarray(sc.x0, dtype=float)
+    seeds = np.vstack([make_seeds(F.n, 4, 100.0, seed=2),
+                       np.full((1, F.n), 2e12)])
+    return F, L, x0, seeds
 
 
 @pytest.mark.parametrize("name", ["identity", "heisenberg", "martinet",
-                                  "grushin", "blowup"])
+                                  "grushin", "blowup", "thirds"])
 def test_the_generated_flow_is_the_array_flow_to_the_bit(monkeypatch, name):
     # Each batch runs once on the generated loop and once on _rk4, with
     # FLOW_LOOP_MAX_BATCH set so that each loop takes it. Every array the
     # flow returns is the same, NaN included, so the dead elements follow
-    # one rule in both, and so are the shooting Jacobians of the records.
-    # "blowup" has the x-dependent g0 = exp(x1).
+    # one rule in both, and so are the shooting Jacobians of the stage
+    # inputs. "blowup" has the x-dependent g0 = exp(x1), "thirds" the
+    # H^-1 = diag(0.5, 1/3) whose u*_2 rounds in the generated code.
     F, L, x0, seeds = _flow_case(name)
     for batch in (seeds[:1], seeds):
         for substeps in (1, 8):
@@ -538,7 +600,7 @@ def test_the_generated_flow_is_the_array_flow_to_the_bit(monkeypatch, name):
             for got, want in zip(generated, array):
                 np.testing.assert_array_equal(got, want)
             h = fine_grid(1.0, 16, substeps)[1]
-            # A dead element's records overflow before they turn NaN.
+            # A dead element's stage inputs overflow before they turn NaN.
             with np.errstate(over="ignore", invalid="ignore"):
                 jacobians = [_shooting_jacobian(F, L, flow[1:4], flow[5], h)
                              for flow in runs]

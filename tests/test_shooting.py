@@ -299,8 +299,10 @@ def test_a_flow_stage_is_two_compiled_calls(monkeypatch):
     # z and the coefficients from one, xi' and p' from the other. Neither
     # evaluates a field matrix or a Jacobian stack on the way. That is the
     # array loop, which every batch takes with FLOW_LOOP_MAX_BATCH at 0; a
-    # smaller batch of the folded stage runs its generated loop, which calls
-    # the evaluator only for the closing control.
+    # smaller batch of the folded stage runs its generated loop, which keeps
+    # only the nodes. Four evaluator calls then re-form the rest: one on
+    # the nodes for their controls, the closing one included, and k1, and
+    # one on each of the stage inputs of RK4 stages 1..3 for their u*.
     calls = {"expr": 0, "field_matrix": 0, "jacobian_stack": 0}
 
     def counted(owner, attr, key):
@@ -336,7 +338,7 @@ def test_a_flow_stage_is_two_compiled_calls(monkeypatch):
             assert flow_calls(L) == {"expr": per_stage * (4 * M + 1),
                                      "field_matrix": 0, "jacobian_stack": 0}
     assert len(OFF_AXIS_SEEDS) < shooting.FLOW_LOOP_MAX_BATCH
-    assert flow_calls(QUAD_3) == {"expr": 1, "field_matrix": 0,
+    assert flow_calls(QUAD_3) == {"expr": 4, "field_matrix": 0,
                                   "jacobian_stack": 0}
 
 
