@@ -52,15 +52,6 @@ class ControlPath:
         hi = self.values[idx + 1]
         return lo + w[..., None] * (hi - lo)
 
-    def l2_norm_sq(self):
-        """Exact integral of |u(s)|^2 (the interpolant is linear per interval)."""
-        a = self.values[:-1]
-        b = self.values[1:]
-        return float(self.h / 3.0 * np.sum(a * a + a * b + b * b))
-
-    def l2_norm(self):
-        return float(np.sqrt(max(self.l2_norm_sq(), 0.0)))
-
     @property
     def sup_norm(self):
         return float(np.max(np.linalg.norm(self.values, axis=1)))

@@ -244,8 +244,8 @@ def _flow_loop(F, folded):
 
     The loop takes ``range(M)`` for its steps and returns the node states
     only; u* is checked at every stage and kept at none.
-    ``shooting._generated_flow`` re-forms the controls and the stage
-    inputs from the nodes with the folded evaluator itself.
+    ``shooting._generated_flow`` re-forms the controls at the nodes with
+    the folded evaluator itself.
     """
     m, d = F.m, 2 * F.n
     u_star, rates = folded.exprs[:m], folded.exprs[m:]

@@ -20,34 +20,31 @@ so a live element's flow is the same bit for bit in either:
 * any other batch, and every cost with the two-call stage, runs
   ``dynamics._rk4`` over numpy arrays of the whole batch.
 
-The generated loop, re-formed stage inputs included, costs about 2.1 us
-per element and step, the array loop about 65 + 0.27 B us per step at
-batch B (heisenberg, N = 64, one substep; a busy 2-core x86-64 box,
-Python 3.11.7, numpy 2.4.6). By back-to-back runs they cross at 36 to 45
-elements on heisenberg, martinet and grushin and 56 on identity, against
-23 to 30 when the loop recorded its stage inputs. FLOW_LOOP_MAX_BATCH =
-16 stays below; 51-seed multi-starts took the same time with 16 and 20.
+The generated loop costs about 2 us per element and step, the array loop
+about 60 + 0.4 B us per step at batch B (heisenberg, N = 64, one substep;
+a busy 2-core x86-64 box, Python 3.11.7, numpy 2.4.6). By back-to-back
+runs they cross at 41 to 47 elements on heisenberg, martinet and grushin
+and 59 on identity. FLOW_LOOP_MAX_BATCH = 16 stays below.
 
 In both loops an element dies at the step where its feedback solve fails,
 a u* is not finite or the new state leaves the blow-up guard. It then
-keeps its last state at every later node, its controls and stage inputs
-after that step are NaN, and its closing control is the stage's at its
-frozen state.
+keeps its last state at every later node, its controls after that step
+are NaN, and its closing control is the stage's at its frozen state.
 
 The shooting unknown is p(0): forward integration only, and the
 multiplier is read off as lam = p(T) on convergence.
 
-A Newton iteration runs no probe flow. The flow gives its nodes
-(xi, p, u*), the inputs of RK4 stage 0, and the inputs of stages 1..3.
-From both, ``_shooting_jacobian`` reads d xi(T) / d p0 off the
-product of the RK4 step matrices of the variational equation, with the
-stage-rate Jacobian of ``Lagrangian.rate_jacobian``: the exact derivative
-of the discrete shooting map, as HamPath takes it from the variational
-system (Caillau, Cots & Gergaud, Optim. Methods Softw. 27(2),
-2012). It is formed when a seed's flow is accepted, the first one or a
-line-search trial's, and only where the seed iterates on from it, a block
-of steps at a time; the stage inputs are dropped once the flow is judged,
-so no more than one flow's stage inputs are held. The line search,
+A Newton iteration runs no probe flow. A flow keeps only its nodes
+(xi, p, u*), and ``_shooting_jacobian`` alone forms the inputs of the four
+RK4 stage calls of each step, from the nodes of the flows it
+differentiates. It reads d xi(T) / d p0 off the product of the RK4 step
+matrices of the variational equation, with the stage-rate Jacobian of
+``Lagrangian.rate_jacobian``: the exact derivative of the discrete
+shooting map, as HamPath takes it from the variational system (Caillau,
+Cots & Gergaud, Optim. Methods Softw. 27(2), 2012). It is formed when a
+seed's flow is accepted, the first one or a line-search trial's, and only
+where the seed iterates on from it, a block of steps at a time, so
+rejected trials and polish flows form no stage input. The line search,
 ``dynamics._backtrack``, then flows alpha = 1 for the moving seeds and,
 for those it rejects, every remaining halving in one stacked flow: one
 sequential flow per iteration, two when a full step is rejected.
@@ -86,8 +83,9 @@ POLISH_MAX_ITER = 30
 JAC_TRUNCATION = 1e-3
 JACOBIAN_BLOCK = 64
 # Folded-stage batches this large run _rk4: the generated loop's cost grows
-# with the batch (2.1 us per element-step on heisenberg), the array loop's
-# hardly (65 + 0.27 B us per step); they cross at 36 to 56 elements.
+# with the batch (2 us per element-step on heisenberg), the array loop's
+# hardly (60 + 0.4 B us per step). They cross at 41 to 59 elements, a few
+# more than the 36 to 56 when the generated flow re-formed stage inputs.
 FLOW_LOOP_MAX_BATCH = 16
 
 
@@ -123,14 +121,11 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     """Batched feedback flow from stacked initial costates p0 (..., n).
 
     Integrates the stacked state y = (xi, p), shaped batch + (2n,), and
-    returns (times, xs, ps, us, alive, stages): arrays shaped (M+1,) +
-    batch + (dim,), xs and ps being views of y's halves and us the
-    controls at the nodes, which are RK4 stage 0's; alive marks elements
-    that stayed finite and feedback-solvable; stages, shaped (M, 3) +
-    batch + (2n + m,), holds the input (xi, p, u*) of RK4 stages 1..3 of
-    each step. Stage 0's input is the node (xs, ps, us)[j];
-    ``_shooting_jacobian`` differentiates the discrete flow from the two.
-    ``_rk4`` records the stage inputs, ``_generated_flow`` re-forms them.
+    returns (times, xs, ps, us, alive): arrays shaped (M+1,) + batch +
+    (dim,), xs and ps being views of y's halves and us the controls at the
+    nodes, which are RK4 stage 0's; alive marks elements that stayed finite
+    and feedback-solvable. The nodes are all a flow keeps:
+    ``_shooting_jacobian`` re-forms the stage inputs from them.
 
     A batch of fewer than FLOW_LOOP_MAX_BATCH elements whose cost has a
     folded stage runs ``Lagrangian.flow_loop`` once per element; any other
@@ -139,9 +134,8 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     bit for bit. An element dies at the step where the stage's feedback
     solve fails, where a u* of the step is not finite or where the new
     state leaves the blow-up guard. In either loop it then keeps its last
-    state at every later node, its controls and stage inputs after that
-    step are NaN, and its closing control us[M] is the stage's at its
-    frozen state.
+    state at every later node, its controls after that step are NaN, and
+    its closing control us[M] is the stage's at its frozen state.
     """
     p0 = np.asarray(p0, dtype=float)
     batch = p0.shape[:-1]
@@ -153,34 +147,31 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     y[:, :n] = np.asarray(x0, dtype=float)
     y[:, n:] = p0.reshape(B, n)
     us = np.full((M + 1, B, m), np.nan)
-    stages = np.full((M, 3, B, 2 * n + m), np.nan)
     stage = L.flow_stage(F)
     loop = L.flow_loop(F) if B < FLOW_LOOP_MAX_BATCH else None
-    # Frozen dead elements' stages may overflow; the death steps report them.
+    # Frozen dead elements may overflow; the death steps report them.
     with np.errstate(over="ignore", invalid="ignore"):
         if loop is None:
-            ys, died, closing = _array_flow(stage, y, h, M, us, stages)
+            ys, died, closing = _array_flow(stage, y, h, M, us)
         else:
-            ys, died = _generated_flow(loop, stage, y, h, M, us, stages)
+            ys, died = _generated_flow(loop, stage, y, h, M, us)
             closing = True   # the folded stage clears no element
     for b in np.flatnonzero(died >= 0):
         us[died[b]:M, b] = np.nan
-        stages[died[b]:, :, b] = np.nan
     alive = (died < 0) & closing & np.isfinite(us[M]).all(axis=-1)
     ys = ys.reshape((M + 1,) + batch + (2 * n,))
     return (times, ys[..., :n], ys[..., n:],
-            us.reshape((M + 1,) + batch + (m,)), alive.reshape(batch),
-            stages.reshape((M, 3) + batch + (2 * n + m,)))
+            us.reshape((M + 1,) + batch + (m,)), alive.reshape(batch))
 
 
-def _array_flow(stage, y, h, M, us, stages):
+def _array_flow(stage, y, h, M, us):
     """The flow of the batch y (B, 2n) on ``_rk4``: fills the controls us
-    and the stage inputs, and returns the node states, the death steps and
-    the mask of the elements whose closing feedback solve succeeded."""
-    n2 = y.shape[-1]
-    stage_y, stage_u = stages[..., :n2], stages[..., n2:]
+    and returns the node states, the death steps and the mask of the
+    elements whose closing feedback solve succeeded. The u* of RK4 stage
+    1..3 go to one scratch buffer, checked once per step."""
     alive = np.ones(len(y), dtype=bool)
     w = np.zeros(us.shape[1:])
+    later = np.empty((3,) + w.shape)
 
     def rhs(j, step_stage, y):
         nonlocal w
@@ -188,11 +179,11 @@ def _array_flow(stage, y, h, M, us, stages):
         if step_stage == 0:
             us[j] = w
         else:
-            stage_y[j, step_stage - 1], stage_u[j, step_stage - 1] = y, w
+            later[step_stage - 1] = w
             if step_stage == 3:
                 # _rk4 reads the mask only once the step is taken.
                 alive[...] &= (np.isfinite(us[j]).all(axis=-1)
-                               & np.isfinite(stage_u[j]).all(axis=(0, -1)))
+                               & np.isfinite(later).all(axis=(0, -1)))
         return rate
 
     ys, died = _rk4(rhs, y, h, M, alive)
@@ -201,13 +192,12 @@ def _array_flow(stage, y, h, M, us, stages):
     return ys, died, closing
 
 
-def _generated_flow(loop, stage, y, h, M, us, stages):
+def _generated_flow(loop, stage, y, h, M, us):
     """The flow of the batch y (B, 2n) on the generated loop, one element
-    at a time: fills what ``_array_flow`` fills and returns the node
-    states and the death steps. The loop keeps only the node states. The
-    folded stage on all nodes gives us and k1, then on each stage input
-    node + (h/2) k1, node + (h/2) k2 and node + h k3 its u* and the next
-    rates: the loop's operations on its expressions, so its bits."""
+    at a time: fills the controls us and returns the node states and the
+    death steps. The loop keeps only the node states; one folded-stage
+    call on all nodes gives us, the closing control included: the loop's
+    operations on its expressions, so its bits."""
     n2 = y.shape[-1]
     ys = np.empty((M + 1,) + y.shape)
     died = np.full(len(y), -1)
@@ -218,37 +208,44 @@ def _generated_flow(loop, stage, y, h, M, us, stages):
         if k <= M:
             died[b] = k
             ys[k:, b] = ys[k - 1, b]
-    us[:], rates = stage(ys, None, None)
-    for s, scale in enumerate((h / 2.0, h / 2.0, h)):
-        inputs = stages[:, s, :, :n2]
-        np.add(ys[:M], scale * rates[:M], out=inputs)
-        stages[:, s, :, n2:], rates = stage(inputs, None, None)
+    us[:] = stage(ys, None, None)[0]
     return ys, died
 
 
-def _shooting_jacobian(F, L, flow, stages, h):
+def _shooting_jacobian(F, L, flow, h):
     """d xi(T) / d p0 (K, n, n) of K discrete flows with step h.
 
-    flow = (xs, ps, us) holds the flows' nodes, shaped (M+1, K, dim), and
-    stages (M, 3, K, 2n + m) their inputs of RK4 stages 1..3;
-    stage 0's input is the node. The stage-rate Jacobians give the RK4
-    step matrices of the variational equation, and their product, started
-    from d y(0) / d p0 = (0, I), is the derivative of the flow's own RK4
-    map. Both are formed JACOBIAN_BLOCK steps at a time, so the memory
-    held does not grow with the horizon. The product is a sequential fold,
-    not ``dynamics._step_products``' pair scan: over a batch of seeds the
+    flow = (xs, ps, us) holds the flows' nodes, shaped (M+1, K, dim). The
+    inputs (xi, p, u*) of each step's four RK4 stage calls are re-formed
+    from them: the stage at the node y, warm-started from its u*, gives
+    k1, then y + (h/2) k1, y + (h/2) k2 and y + h k3 give the rest, each
+    warm-started from the u* before it. That is ``_rk4``'s arithmetic,
+    and its bits, since the feedback solve ends each element as in a
+    batch of one and takes no step from a solved warm start. The
+    stage-rate Jacobians give the RK4 step matrices of the variational
+    equation, and their product, started from d y(0) / d p0 = (0, I), is
+    the derivative of the flow's own RK4 map.
+    Both are formed JACOBIAN_BLOCK steps at a time, so the memory held
+    does not grow with the horizon. The product is a sequential fold, not
+    ``dynamics._step_products``' pair scan: over a batch of seeds the
     scan's doubled arithmetic costs more than the matmul calls it saves.
     """
     n = F.n
-    jacobian = L.rate_jacobian(F)
-    Y = np.zeros(stages.shape[2:3] + (2 * n, n))
+    xs, ps, us = (a[:-1] for a in flow)   # the nodes each step starts from
+    stage, jacobian = L.flow_stage(F), L.rate_jacobian(F)
+    Y = np.zeros(us.shape[1:2] + (2 * n, n))
     Y[:, n:] = np.eye(n)
-    for j in range(0, len(stages), JACOBIAN_BLOCK):
-        block = stages[j:j + JACOBIAN_BLOCK].swapaxes(0, 1)
-        nodes = np.concatenate([a[j:j + block.shape[1]] for a in flow],
-                               axis=-1)
-        A = jacobian(np.concatenate((nodes[None], block)))
-        for step in _step_matrices(A, h):
+    for j in range(0, len(us), JACOBIAN_BLOCK):
+        block = slice(j, j + JACOBIAN_BLOCK)
+        y = np.concatenate((xs[block], ps[block]), axis=-1)
+        # The two-call stage clears its mask in place: a fresh one each.
+        w, k = stage(y, us[block], np.ones(y.shape[:-1], dtype=bool))
+        inputs = [np.concatenate((y, w), axis=-1)]
+        for scale in (h / 2.0, h / 2.0, h):
+            yi = y + scale * k
+            w, k = stage(yi, w, np.ones(y.shape[:-1], dtype=bool))
+            inputs.append(np.concatenate((yi, w), axis=-1))
+        for step in _step_matrices(jacobian(np.stack(inputs)), h):
             Y = step @ Y
     return Y[:, :n]
 
@@ -283,12 +280,12 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
     J = np.full((k, n, n), np.nan)
 
     def residual(pts):
-        _, xs, ps, us, alive, stages = _hamiltonian_flow(F, L, x0, pts, T, N,
-                                                         substeps)
+        _, xs, ps, us, alive = _hamiltonian_flow(F, L, x0, pts, T, N,
+                                                 substeps)
         rn = np.linalg.norm(xs[-1] - x, axis=-1)
-        return np.where(alive, rn, np.inf), (xs, ps, us), stages
+        return np.where(alive, rn, np.inf), (xs, ps, us)
 
-    def differentiate(rows, flow, stages, cols):
+    def differentiate(rows, flow, cols):
         """Form J of the seed rows, whose accepted flows are the columns
         cols of this flow, where the seed iterates on: where its residual
         is finite and at least tol."""
@@ -296,24 +293,23 @@ def _shoot_batch(F, L, x0, x, T, N, p0, tol, max_iter, substeps):
         if on.any():
             c = cols[on]
             J[rows[on]] = _shooting_jacobian(
-                F, L, [a[:, c] for a in flow], stages[:, :, c], h)
+                F, L, [a[:, c] for a in flow], h)
 
-    rn, flow, stages = residual(p0)
-    differentiate(np.arange(k), flow, stages, np.arange(k))
-    del stages   # the stage records of a flow live until it is judged
+    rn, flow = residual(p0)
+    differentiate(np.arange(k), flow, np.arange(k))
     xs = flow[0]   # the line search keeps the flow arrays in place
     failed = ~np.isfinite(rn)
     iterations = np.zeros(k, dtype=int)
     stall_rn = rn.copy()
 
     def trial(idx, p_try):
-        rn_try, flow_try, stages_try = residual(p_try)
+        rn_try, flow_try = residual(p_try)
 
         def keep(sel):
             rn[idx[sel]] = rn_try[sel]
             for kept, new in zip(flow, flow_try):
                 kept[..., idx[sel], :] = new[..., sel, :]
-            differentiate(idx[sel], flow_try, stages_try, sel)
+            differentiate(idx[sel], flow_try, sel)
 
         return rn_try < rn[idx], keep
 

@@ -22,9 +22,9 @@ def test_interpolation_and_clipping():
 
 
 def test_l2_norm_of_tent_matches_hand_integral():
-    # int_0^1 tent^2 = 1/3 for the unit tent.
-    assert tent().l2_norm_sq() == pytest.approx(1.0 / 3.0)
-    assert tent().l2_norm() == pytest.approx(1.0 / np.sqrt(3.0))
+    # int_0^1 tent^2 = 1/3 for the unit tent, its squared distance to 0.
+    assert l2_distance(tent(), ControlPath.zero(1.0, 2, 1)) == \
+        pytest.approx(1.0 / np.sqrt(3.0))
 
 
 def test_distance_ignores_refinement():

@@ -10,7 +10,8 @@ import pytest
 
 from extremals import lagrangian, shooting
 from extremals.controls import ControlPath, random_smooth_controls
-from extremals.dynamics import (PSI_COND_FLAG, DifferentialKernel, _backtrack,
+from extremals.dynamics import (DEFAULT_SUBSTEPS, PSI_COND_FLAG,
+                                DifferentialKernel, _backtrack,
                                 _stage_controls, _step_matrices,
                                 _step_products, fine_grid, integrate,
                                 integrate_batch, trapezoid_weights)
@@ -414,24 +415,72 @@ def test_the_pair_scan_is_the_sequential_product(M, d, K):
         assert np.all(err <= 1e-13 * scale)
 
 
-@pytest.mark.parametrize("name", ["heisenberg", "martinet"])
-def test_the_shooting_jacobian_folds_sequentially(name):
-    # The shooting Jacobian is the sequential product of the flow's step
-    # matrices from (0, I), bit for bit: no pair scan regroups it. 128
-    # steps span two blocks of JACOBIAN_BLOCK.
+def _recorded_rk4(F, L, y, h, M):
+    """A plain numpy RK4 over ``L.flow_stage(F)`` from the states y (K, 2n),
+    each stage warm-started from the u* before it and the first from 0, as
+    the array flow runs it. Returns the nodes (M+1, K, 2n), their controls
+    (M, K, m) and the recorded stage inputs (xi, p, u*), (4, M, K, 2n + m)."""
+    stage = L.flow_stage(F)
+    w = np.zeros(y.shape[:-1] + (F.m,))
+    nodes, controls, inputs = [y], [], []
+    for _ in range(M):
+        ks, step = [], []
+        for scale in (None, h / 2.0, h / 2.0, h):
+            y_s = y if scale is None else y + scale * ks[-1]
+            alive = np.ones(len(y), dtype=bool)
+            w, k = stage(y_s, w, alive)
+            assert alive.all()
+            step.append(np.concatenate((y_s, w), axis=-1))
+            ks.append(k)
+        controls.append(step[0][..., 2 * F.n:])
+        inputs.append(step)
+        y = y + h / 6.0 * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+        nodes.append(y)
+    return (np.stack(nodes), np.stack(controls),
+            np.stack(inputs).swapaxes(0, 1))
+
+
+def _jacobian_case(name):
+    """(F, L, x0) for the sequential-fold test: two built-ins, then on
+    heisenberg the x-dependent H = (1 + x1^2) I of the closed-form solve
+    and the quartic cost of the damped Newton."""
+    if name == "x_dependent":
+        return (HEISENBERG, parse_lagrangian("(1 + x1^2)*(u1^2+u2^2)/2", 3, 2),
+                np.zeros(3))
+    if name == "quartic":
+        return (HEISENBERG, parse_lagrangian("(u1^2 + u2^2)/2 + u1^4/4", 3, 2),
+                np.zeros(3))
     sc = resolve_scenario(name)
-    F, L = scenario_fields(sc), scenario_lagrangian(sc)
-    flow = _hamiltonian_flow(F, L, np.asarray(sc.x0, dtype=float),
-                             make_seeds(sc.n, 4, 1.0, seed=2), 1.0, 16, 8)
-    assert flow[4].all()
-    h = fine_grid(1.0, 16, 8)[1]
-    nodes = np.concatenate(flow[1:4], axis=-1)[:-1]
-    A = L.rate_jacobian(F)(np.concatenate((nodes[None],
-                                           flow[5].swapaxes(0, 1))))
-    start = np.eye(2 * sc.n)[:, sc.n:]
-    want = _sequential_products(_step_matrices(A, h), start)[-1, :, :sc.n]
-    np.testing.assert_array_equal(
-        _shooting_jacobian(F, L, flow[1:4], flow[5], h), want)
+    return scenario_fields(sc), scenario_lagrangian(sc), \
+        np.asarray(sc.x0, dtype=float)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "martinet", "x_dependent",
+                                  "quartic"])
+def test_the_shooting_jacobian_folds_sequentially(name):
+    # The shooting Jacobian re-forms the stage inputs from the flow's nodes
+    # and folds the step matrices from (0, I) sequentially, no pair scan:
+    # bit for bit the product over the stage inputs an RK4 records as it
+    # runs. 128 steps span two blocks of JACOBIAN_BLOCK; a batch of 9
+    # warm-starts each later stage from a u* that is not 0.
+    F, L, x0 = _jacobian_case(name)
+    n = F.n
+    for N, substeps in ((128, 1), (16, 8)):
+        h = fine_grid(1.0, N, substeps)[1]
+        for seeds in (np.full((1, n), 0.5), make_seeds(n, 8, 1.0, seed=2)):
+            flow = _hamiltonian_flow(F, L, x0, seeds, 1.0, N, substeps)
+            assert flow[4].all()
+            y0 = np.concatenate((np.broadcast_to(x0, seeds.shape), seeds),
+                                axis=-1)
+            nodes, controls, inputs = _recorded_rk4(F, L, y0, h, N * substeps)
+            np.testing.assert_array_equal(
+                np.concatenate(flow[1:3], axis=-1), nodes)
+            np.testing.assert_array_equal(flow[3][:-1], controls)
+            A = L.rate_jacobian(F)(inputs)
+            start = np.eye(2 * n)[:, n:]
+            want = _sequential_products(_step_matrices(A, h), start)[-1, :, :n]
+            np.testing.assert_array_equal(
+                _shooting_jacobian(F, L, flow[1:4], h), want)
 
 
 def test_a_diverging_element_leaves_its_batch_alone():
@@ -496,17 +545,21 @@ def test_stacked_flow_isolates_a_blowing_up_seed():
     # RK4 stages leave the guard; the others stay finite on [0, 1].
     L = parse_lagrangian("u1^2/2", 1, 1)
     p0 = np.array([[0.1], [10.0], [-0.5]])
-    _, xs, ps, us, alive, stages = _hamiltonian_flow(BLOWUP, L, np.ones(1),
-                                                     p0, 1.0, 16)
+    _, xs, ps, us, alive = _hamiltonian_flow(BLOWUP, L, np.ones(1), p0,
+                                             1.0, 16)
     np.testing.assert_array_equal(alive, [True, False, True])
-    for i in (0, 2):
-        _, x1, p1, u1, alive1, stages1 = _hamiltonian_flow(
+    h = fine_grid(1.0, 16, DEFAULT_SUBSTEPS)[1]
+    J = _shooting_jacobian(BLOWUP, L, [a[:, [0, 2]] for a in (xs, ps, us)],
+                           h)
+    for col, i in enumerate((0, 2)):
+        _, x1, p1, u1, alive1 = _hamiltonian_flow(
             BLOWUP, L, np.ones(1), p0[i], 1.0, 16)
         assert alive1
         for got, want in ((xs, x1), (ps, p1), (us, u1)):
             np.testing.assert_allclose(got[:, i], want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(stages[:, :, i], stages1, rtol=0,
-                                   atol=1e-12)
+        J1 = _shooting_jacobian(BLOWUP, L, [a[:, None] for a in (x1, p1, u1)],
+                                h)
+        np.testing.assert_allclose(J[col], J1[0], rtol=0, atol=1e-12)
 
 
 def _folded_and_two_call_flows(monkeypatch, F, text, x0, p0, substeps):
@@ -550,7 +603,7 @@ def test_an_infeasible_feedback_dies_as_through_the_solve(monkeypatch):
         np.array([[1.0, 0.0], [0.5, 2.0]]), 4)
     assert not folded[4].any()
     # The solve keeps u1 = z1 beside u2 = -inf, as the closed form does, in
-    # the recorded controls and stage inputs alike.
+    # the recorded controls.
     for got, want in zip(folded, two_call):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(folded[3][[0, -1], :, 0], [[1.0, 0.5]] * 2)
@@ -583,8 +636,8 @@ def test_the_generated_flow_is_the_array_flow_to_the_bit(monkeypatch, name):
     # Each batch runs once on the generated loop and once on _rk4, with
     # FLOW_LOOP_MAX_BATCH set so that each loop takes it. Every array the
     # flow returns is the same, NaN included, so the dead elements follow
-    # one rule in both, and so are the shooting Jacobians of the stage
-    # inputs. "blowup" has the x-dependent g0 = exp(x1), "thirds" the
+    # one rule in both, and so are the shooting Jacobians of the two
+    # flows. "blowup" has the x-dependent g0 = exp(x1), "thirds" the
     # H^-1 = diag(0.5, 1/3) whose u*_2 rounds in the generated code.
     F, L, x0, seeds = _flow_case(name)
     for batch in (seeds[:1], seeds):
@@ -600,9 +653,9 @@ def test_the_generated_flow_is_the_array_flow_to_the_bit(monkeypatch, name):
             for got, want in zip(generated, array):
                 np.testing.assert_array_equal(got, want)
             h = fine_grid(1.0, 16, substeps)[1]
-            # A dead element's stage inputs overflow before they turn NaN.
+            # A dead element's re-formed stage inputs may overflow.
             with np.errstate(over="ignore", invalid="ignore"):
-                jacobians = [_shooting_jacobian(F, L, flow[1:4], flow[5], h)
+                jacobians = [_shooting_jacobian(F, L, flow[1:4], h)
                              for flow in runs]
             np.testing.assert_array_equal(*jacobians)
 
@@ -621,8 +674,8 @@ def test_feedback_newton_skips_a_dead_seed():
             return grad_u(x, u)
 
         L.grad_u = counting
-        _, _, _, _, alive, _ = _hamiltonian_flow(BLOWUP, L, np.ones(1),
-                                                 np.array(p0), 1.0, 16)
+        _, _, _, _, alive = _hamiltonian_flow(BLOWUP, L, np.ones(1),
+                                              np.array(p0), 1.0, 16)
         return alive, len(calls)
 
     alive, calls = counted_flow([[0.1], [30.0], [-0.5]])

@@ -415,8 +415,7 @@ def test_a_singular_constant_hessian_keeps_the_solve():
     assert L.fiber_affine()
     assert _folded_stage(HEISENBERG, L) is None
     seeds = np.random.default_rng(3).normal(0.0, 1.0, (6, 3))
-    *_, alive, _ = _hamiltonian_flow(HEISENBERG, L, np.zeros(3), seeds, 1.0,
-                                     8)
+    *_, alive = _hamiltonian_flow(HEISENBERG, L, np.zeros(3), seeds, 1.0, 8)
     assert not alive.any()
     assert multi_start(HEISENBERG, L, np.zeros(3), np.array([0.3, 0.2, 0.05]),
                        1.0, seeds, N=8) == []

@@ -282,7 +282,7 @@ def test_solutions_are_the_flows_shooting_accepted():
     # affine fiber derivative the feedback is elementwise closed form, so
     # that flow equals a fresh batch-of-one flow from p0 bit for bit.
     for sol in _off_axis_solutions(QUAD_3):
-        times, xs, ps, us, alive, _ = _hamiltonian_flow(
+        times, xs, ps, us, alive = _hamiltonian_flow(
             HEISENBERG, QUAD_3, np.zeros(3), sol.p0[None], 1.0, 16, 4)
         assert alive[0]
         np.testing.assert_array_equal(sol.xi.times, times)
@@ -300,9 +300,8 @@ def test_a_flow_stage_is_two_compiled_calls(monkeypatch):
     # evaluates a field matrix or a Jacobian stack on the way. That is the
     # array loop, which every batch takes with FLOW_LOOP_MAX_BATCH at 0; a
     # smaller batch of the folded stage runs its generated loop, which keeps
-    # only the nodes. Four evaluator calls then re-form the rest: one on
-    # the nodes for their controls, the closing one included, and k1, and
-    # one on each of the stage inputs of RK4 stages 1..3 for their u*.
+    # only the nodes. One evaluator call on all nodes then gives their
+    # controls, the closing one included.
     calls = {"expr": 0, "field_matrix": 0, "jacobian_stack": 0}
 
     def counted(owner, attr, key):
@@ -327,8 +326,8 @@ def test_a_flow_stage_is_two_compiled_calls(monkeypatch):
     def flow_calls(L):
         for key in calls:
             calls[key] = 0
-        *_, alive, _ = _hamiltonian_flow(HEISENBERG, L, np.zeros(3),
-                                         OFF_AXIS_SEEDS, 1.0, N, substeps)
+        *_, alive = _hamiltonian_flow(HEISENBERG, L, np.zeros(3),
+                                      OFF_AXIS_SEEDS, 1.0, N, substeps)
         assert alive.all()
         return calls
 
@@ -338,7 +337,7 @@ def test_a_flow_stage_is_two_compiled_calls(monkeypatch):
             assert flow_calls(L) == {"expr": per_stage * (4 * M + 1),
                                      "field_matrix": 0, "jacobian_stack": 0}
     assert len(OFF_AXIS_SEEDS) < shooting.FLOW_LOOP_MAX_BATCH
-    assert flow_calls(QUAD_3) == {"expr": 4, "field_matrix": 0,
+    assert flow_calls(QUAD_3) == {"expr": 1, "field_matrix": 0,
                                   "jacobian_stack": 0}
 
 
@@ -418,11 +417,9 @@ def _jacobian_and_central_differences(F, L, x0, p0, N, substeps):
     """The flow's exact d xi(T) / d p0 and its central differences with
     steps FD_STEP (1 + |p0|), for seeds p0 (k, n); and the endpoints of the
     2n probe flows."""
-    _, xs, ps, us, alive, stages = _hamiltonian_flow(F, L, x0, p0, 1.0, N,
-                                                     substeps)
+    _, xs, ps, us, alive = _hamiltonian_flow(F, L, x0, p0, 1.0, N, substeps)
     assert alive.all()
-    J = shooting._shooting_jacobian(F, L, (xs, ps, us), stages,
-                                    1.0 / (N * substeps))
+    J = shooting._shooting_jacobian(F, L, (xs, ps, us), 1.0 / (N * substeps))
     k, n = p0.shape
     delta = FD_STEP * (1.0 + np.linalg.norm(p0, axis=-1))
     shift = delta[:, None] * np.eye(n)[:, None]
@@ -495,10 +492,10 @@ def test_the_jacobian_is_formed_only_for_active_seeds(monkeypatch):
     flow = shooting._hamiltonian_flow
     events = []
 
-    def recording_jacobian(F, L, flow, stages, h):
+    def recording_jacobian(F, L, flow, h):
         # A flow's first node holds its p0 rows.
         events.append(("jacobian", flow[1][0].copy()))
-        return jacobian(F, L, flow, stages, h)
+        return jacobian(F, L, flow, h)
 
     def recording_backtrack(trial, x, step, todo, halvings):
         events.append(("moving", x[todo].copy()))
