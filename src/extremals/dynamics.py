@@ -14,14 +14,15 @@ The state equation has one loop on it, ``_states``, shared by
 and a kernel of one control hold the same states bit for bit. It runs each
 control alone through the RK4 loop its field set generated at construction
 (``fields._state_loop``): straight-line Python-float code for the rates
-sum_i u_i X_i(xi), the stage inputs, the RK4 combination in ``_rk4``'s
-operation order and the blow-up guard. The loop keeps only the node
-states. A kernel build, the one reader of the stage inputs, re-forms them
-for the elements it builds from their nodes, in three batched calls of the
-field set's compiled rates (``FieldSet._rates``): the loop's expressions
-and operations, so the loop's stage inputs bit for bit. An element dies
-when any of its components turns non-finite or leaves the guard, and is
-then frozen at its last state; ``integrate`` and ``integrate_batch`` raise
+sum_i u_i X_i(xi), the stage inputs, the RK4 combination
+y + (h/6) (k1 + 2 k2 + 2 k3 + k4) and the blow-up guard. The loop keeps
+only the node states. A kernel build, the one reader of the stage
+inputs, re-forms them for the elements it builds from their nodes, in
+three batched calls of the field set's compiled rates
+(``FieldSet._rates``): the loop's expressions and operations, so the
+loop's stage inputs bit for bit. An element dies when any of its
+components turns non-finite or leaves the guard, and is then frozen at
+its last state; ``integrate`` and ``integrate_batch`` raise
 ``DivergenceError`` at the first death. Over numpy arrays a heisenberg
 step at batch one cost about 21 us, nearly all of it dispatch on (1, 3)
 arrays; the generated loop takes about 1.4 us per step, conversions
@@ -31,13 +32,11 @@ about 22 controls integrated together, more than a chart query or a
 chart build integrates at once (2-core x86-64 box, Python 3.11.7, numpy
 2.4.6).
 
-The Hamiltonian flow of ``shooting`` has two loops. A batch of a few
-elements whose cost has a folded stage runs the loop
+The Hamiltonian flow of a cost with a folded stage runs the loop
 ``Lagrangian.flow_loop`` generates, one element at a time; its RK4 text
-comes from ``fields._rk4_loop``, the emitter of the state loop. Every other
-batch runs ``_rk4``, one batched RK4 loop over one state array with one
-scalar step and an alive mask it shares with its stage; it reports the step
-each element died in, so the flow treats dead elements alike in both. The
+comes from ``fields._rk4_loop``, the emitter of the state loop, and
+``_run_loops`` runs both generated loops, so a dead element is frozen by
+one rule in each. Every other cost flows on ``shooting._array_flow``. The
 RK4 step matrices of a linear equation Y' = A(s) Y (``_step_matrices``)
 give Psi below and the exact shooting Jacobian of ``shooting``, the
 derivative of the discrete flow whose stage inputs gave A. Psi is their
@@ -124,41 +123,6 @@ def _stage_controls(values, T_path, times, h):
     nodes = _interp_rows(values, T_path, times)
     half = _interp_rows(values, T_path, times[:-1] + h / 2.0)
     return np.stack((nodes[:-1], half, half, nodes[1:]), axis=1)
-
-
-def _rk4(rhs, y, h, M, alive):
-    """The fixed-step RK4 loop of the Hamiltonian flow over numpy arrays,
-    batched over the leading axes of y, with one scalar step h.
-
-    ``rhs(j, stage, y)`` returns the derivative of y at RK4 stage 0..3 of
-    step j. An element dies when one of its components turns non-finite or
-    exceeds BLOWUP_GUARD, or when ``rhs`` clears it in the ``alive`` mask
-    the caller shares with it, which enters all set; it then keeps its last
-    state, and the run stops once no element is left. Returns the node
-    values, shaped (M+1,) + y.shape, and for each element the node j + 1
-    of the step j it died in, -1 while alive.
-    """
-    half, sixth = h / 2.0, h / 6.0
-    out = np.empty((M + 1,) + y.shape, dtype=y.dtype)
-    out[0] = y
-    died = np.full(alive.shape, -1)
-    for j in range(M):
-        k1 = rhs(j, 0, y)
-        k2 = rhs(j, 1, y + half * k1)
-        k3 = rhs(j, 2, y + half * k2)
-        k4 = rhs(j, 3, y + h * k3)
-        new = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # NaN fails every comparison, so one max guards the batch.
-        if not (np.abs(new).max() <= BLOWUP_GUARD and alive.all()):
-            alive &= np.abs(new).max(axis=-1) <= BLOWUP_GUARD
-            died[(died < 0) & ~alive] = j + 1
-            new = np.where(alive[..., None], new, y)
-            if not alive.any():
-                out[j + 1:] = new
-                return out, died
-        y = new
-        out[j + 1] = y
-    return out, died
 
 
 def _backtrack(trial, x, step, todo, halvings):
@@ -285,19 +249,31 @@ def _states(F, values, T_path, x0, T, substeps):
                          values.shape[-2] - 1, substeps)
     control = _stage_controls(values, T_path, times, h)
     x = np.asarray(x0, dtype=np.result_type(x0, control))
-    (M, _, B, _), n, dtype = control.shape, F.n, x.dtype
-    states = np.empty((M + 1, B, n), dtype)
-    died = np.full(B, -1)
+    (M, _, B, _), n = control.shape, F.n
+    states = np.empty((M + 1, B, n), x.dtype)
     start = x.tolist()
-    for b in range(B):
-        ys = F._loop(start, control[:, :, b].reshape(M, -1).tolist(),
-                     float(h[b]), BLOWUP_GUARD)
-        k = len(ys) // n
-        states[:k, b] = np.array(ys, dtype).reshape(k, n)
-        if k <= M:
-            died[b] = k
-            states[k:, b] = states[k - 1, b]
+    runs = ((start, control[:, :, b].reshape(M, -1).tolist(), float(h[b]))
+            for b in range(B))
+    died = _run_loops(F._loop, runs, states)
     return times, h, control, states, died
+
+
+def _run_loops(loop, runs, out):
+    """Runs ``loop``, a generated RK4 loop (``fields._rk4_loop``), once per
+    item (start, steps, h) of runs and puts element b's node states in
+    out[:, b], out shaped (M+1, B, d). Returns the node at which each
+    element's loop ended early, -1 where it took all M steps. An element
+    that ended early keeps its last state at every later node."""
+    died = np.full(out.shape[1], -1)
+    d = out.shape[-1]
+    for b, (start, steps, h) in enumerate(runs):
+        ys = loop(start, steps, h, BLOWUP_GUARD)
+        k = len(ys) // d
+        out[:k, b] = np.array(ys, out.dtype).reshape(k, d)
+        if k < len(out):
+            died[b] = k
+            out[k:, b] = out[k - 1, b]
+    return died
 
 
 def _take(run, idx):

@@ -404,8 +404,12 @@ def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
     anchor_endpoint = kern.endpoint.copy()
     if r_init is None:
         r_init = 0.1 * (1.0 + float(np.linalg.norm(anchor_endpoint)))
-    if r_init <= 0.0:
-        raise ValueError("chart radius must be positive")
+    if not 0.0 < r_init < np.inf:
+        raise ValueError(f"chart radius r_init must be positive and finite, "
+                         f"got {r_init}")
+    if not 0.0 < det_tol < np.inf:
+        raise ValueError(f"determinant tolerance det_tol must be positive "
+                         f"and finite, got {det_tol}")
 
     proto = InversionChart(
         F=F, x0=x0, t=t, u=u, anchor_endpoint=anchor_endpoint, basis=basis,

@@ -22,7 +22,7 @@ roundoff of its solves to stay far below the tolerance, H^-1 is computed
 once at compile time and the stage is one generated evaluator that returns
 u* = H^-1 (z - g0(xi)) with the rates; ``Lagrangian.flow_loop`` then
 also generates the flow's whole RK4 loop from it, which ``shooting`` runs
-on small batches. Otherwise the stage is two evaluators with the solve in
+for every batch. Otherwise the stage is two evaluators with the solve in
 between, and it clears the flow's alive mask where the solve fails.
 ``legendre_inverse`` raises a diffeomorphism violation there rather than
 patching over, because every downstream construction assumes the fiber
@@ -240,11 +240,11 @@ def _flow_loop(F, folded):
     """``Lagrangian.flow_loop``: ``fields._rk4_loop`` on y = (xi, p), each
     stage's values the folded stage's u* at the stage input and its rates
     the folded stage's rates at that u*, so one step does the arithmetic
-    of ``dynamics._rk4`` over the folded evaluator, bit for bit.
+    of ``shooting._array_flow`` over the folded evaluator, bit for bit.
 
     The loop takes ``range(M)`` for its steps and returns the node states
     only; u* is checked at every stage and kept at none.
-    ``shooting._generated_flow`` re-forms the controls at the nodes with
+    ``shooting._hamiltonian_flow`` re-forms the controls at the nodes with
     the folded evaluator itself.
     """
     m, d = F.m, 2 * F.n

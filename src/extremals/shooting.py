@@ -10,21 +10,19 @@ function, generated per field set by ``Lagrangian.flow_stage``: it returns
 u*, warm-started from the previous stage's, and the rates, and clears the
 alive mask where its feedback solve fails.
 
-``_hamiltonian_flow`` runs one of two RK4 loops, with the same arithmetic,
-so a live element's flow is the same bit for bit in either:
-
-* a batch of fewer than FLOW_LOOP_MAX_BATCH elements whose cost has a
-  folded stage (``lagrangian._folded_stage``, every smooth built-in) runs
-  ``Lagrangian.flow_loop``, straight-line Python-float code generated per
-  field set, once per element;
-* any other batch, and every cost with the two-call stage, runs
-  ``dynamics._rk4`` over numpy arrays of the whole batch.
-
-The generated loop costs about 2 us per element and step, the array loop
-about 60 + 0.4 B us per step at batch B (heisenberg, N = 64, one substep;
-a busy 2-core x86-64 box, Python 3.11.7, numpy 2.4.6). By back-to-back
-runs they cross at 41 to 47 elements on heisenberg, martinet and grushin
-and 59 on identity. FLOW_LOOP_MAX_BATCH = 16 stays below.
+``_hamiltonian_flow`` picks its RK4 loop by the cost alone. A cost with
+a folded stage (``lagrangian._folded_stage``, every smooth built-in) runs
+``Lagrangian.flow_loop``, straight-line Python-float code generated per
+field set, once per element, at every batch size. Any other cost, whose
+stage is two calls with the feedback solve between them, runs
+``_array_flow``, one RK4 loop over numpy arrays of the whole batch. Over
+a folded stage the two take the same arithmetic, so the same bits. The
+generated loop costs about 2 us per element and step; the array loop's
+cost per step hardly grows with the batch, so over a folded stage it
+would be the faster from a few dozen elements on. Yet the multi-starts
+and refinements of the built-ins, with flows of up to 117 elements, run
+no slower end to end on the generated loop, and faster on martinet,
+grushin and identity (2-core x86-64 box, Python 3.11.7, numpy 2.4.6).
 
 In both loops an element dies at the step where its feedback solve fails,
 a u* is not finite or the new state leaves the blow-up guard. It then
@@ -68,8 +66,8 @@ import numpy as np
 
 from .controls import ControlPath, l2_distance
 from .dynamics import (BLOWUP_GUARD, DEFAULT_SUBSTEPS, PSI_COND_FLAG,
-                       DifferentialKernel, Trajectory, _backtrack, _rk4,
-                       _step_matrices, fine_grid)
+                       DifferentialKernel, Trajectory, _backtrack,
+                       _run_loops, _step_matrices, fine_grid)
 from .errors import DimensionError, NonConvergenceError
 from .lagrangian import Lagrangian, trapezoid
 
@@ -82,11 +80,6 @@ HANDOFF_TOL = 1e-3
 POLISH_MAX_ITER = 30
 JAC_TRUNCATION = 1e-3
 JACOBIAN_BLOCK = 64
-# Folded-stage batches this large run _rk4: the generated loop's cost grows
-# with the batch (2 us per element-step on heisenberg), the array loop's
-# hardly (60 + 0.4 B us per step). They cross at 41 to 59 elements, a few
-# more than the 36 to 56 when the generated flow re-formed stage inputs.
-FLOW_LOOP_MAX_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -127,15 +120,15 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     and feedback-solvable. The nodes are all a flow keeps:
     ``_shooting_jacobian`` re-forms the stage inputs from them.
 
-    A batch of fewer than FLOW_LOOP_MAX_BATCH elements whose cost has a
-    folded stage runs ``Lagrangian.flow_loop`` once per element; any other
-    runs ``_rk4`` over the batch with the stage of ``Lagrangian.flow_stage``.
-    Both take the same arithmetic, so a live element's flow is the same
-    bit for bit. An element dies at the step where the stage's feedback
-    solve fails, where a u* of the step is not finite or where the new
-    state leaves the blow-up guard. In either loop it then keeps its last
-    state at every later node, its controls after that step are NaN, and
-    its closing control us[M] is the stage's at its frozen state.
+    A cost with a folded stage runs ``Lagrangian.flow_loop`` once per
+    element, whatever the batch; one folded-stage call on all nodes then
+    gives us, the closing control included: the loop's operations on its
+    expressions, so its bits. Any other cost runs ``_array_flow`` over the
+    batch. An element dies at the step where the stage's feedback solve
+    fails, where a u* of the step is not finite or where the new state
+    leaves the blow-up guard. It then keeps its last state at every later
+    node, its controls after that step are NaN, and its closing control
+    us[M] is the stage's at its frozen state.
     """
     p0 = np.asarray(p0, dtype=float)
     batch = p0.shape[:-1]
@@ -147,14 +140,16 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     y[:, :n] = np.asarray(x0, dtype=float)
     y[:, n:] = p0.reshape(B, n)
     us = np.full((M + 1, B, m), np.nan)
-    stage = L.flow_stage(F)
-    loop = L.flow_loop(F) if B < FLOW_LOOP_MAX_BATCH else None
+    stage, loop = L.flow_stage(F), L.flow_loop(F)
     # Frozen dead elements may overflow; the death steps report them.
     with np.errstate(over="ignore", invalid="ignore"):
         if loop is None:
             ys, died, closing = _array_flow(stage, y, h, M, us)
         else:
-            ys, died = _generated_flow(loop, stage, y, h, M, us)
+            ys = np.empty((M + 1,) + y.shape)
+            died = _run_loops(loop, ((start, range(M), float(h))
+                                     for start in y.tolist()), ys)
+            us[:] = stage(ys, None, None)[0]
             closing = True   # the folded stage clears no element
     for b in np.flatnonzero(died >= 0):
         us[died[b]:M, b] = np.nan
@@ -165,51 +160,44 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
 
 
 def _array_flow(stage, y, h, M, us):
-    """The flow of the batch y (B, 2n) on ``_rk4``: fills the controls us
-    and returns the node states, the death steps and the mask of the
-    elements whose closing feedback solve succeeded. The u* of RK4 stage
-    1..3 go to one scratch buffer, checked once per step."""
+    """The flow of the batch y (B, 2n) in one RK4 loop over numpy arrays
+    of the whole batch, with one scalar step h: fills the controls us and
+    returns the node states (M+1, B, 2n), the death steps and the mask of
+    the elements whose closing feedback solve succeeded.
+
+    Each RK4 stage is warm-started from the u* of the stage before it, the
+    flow's first from 0. An element dies at the step where the stage clears it in the alive
+    mask, where a u* of the step is not finite, or where the new state is
+    not finite or exceeds BLOWUP_GUARD: it reports node j + 1 of the step
+    j it died in, keeps its last state, and the loop stops once no element
+    is left.
+    """
+    half, sixth = h / 2.0, h / 6.0
+    ys = np.empty((M + 1,) + y.shape)
+    ys[0] = y
     alive = np.ones(len(y), dtype=bool)
+    died = np.full(len(y), -1)
     w = np.zeros(us.shape[1:])
-    later = np.empty((3,) + w.shape)
-
-    def rhs(j, step_stage, y):
-        nonlocal w
-        w, rate = stage(y, w, alive)
-        if step_stage == 0:
-            us[j] = w
-        else:
-            later[step_stage - 1] = w
-            if step_stage == 3:
-                # _rk4 reads the mask only once the step is taken.
-                alive[...] &= (np.isfinite(us[j]).all(axis=-1)
-                               & np.isfinite(later).all(axis=(0, -1)))
-        return rate
-
-    ys, died = _rk4(rhs, y, h, M, alive)
+    for j in range(M):
+        w1, k1 = stage(y, w, alive)
+        w2, k2 = stage(y + half * k1, w1, alive)
+        w3, k3 = stage(y + half * k2, w2, alive)
+        w, k4 = stage(y + h * k3, w3, alive)
+        us[j] = w1
+        alive &= np.isfinite((w1, w2, w3, w)).all(axis=(0, -1))
+        new = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # NaN fails every comparison, so one max guards the batch.
+        if not (np.abs(new).max() <= BLOWUP_GUARD and alive.all()):
+            alive &= np.abs(new).max(axis=-1) <= BLOWUP_GUARD
+            died[(died < 0) & ~alive] = j + 1
+            new = np.where(alive[:, None], new, y)
+            if not alive.any():
+                ys[j + 1:] = new
+                break
+        y = ys[j + 1] = new
     closing = np.ones(len(y), dtype=bool)
     us[M] = stage(ys[-1], w, closing)[0]
     return ys, died, closing
-
-
-def _generated_flow(loop, stage, y, h, M, us):
-    """The flow of the batch y (B, 2n) on the generated loop, one element
-    at a time: fills the controls us and returns the node states and the
-    death steps. The loop keeps only the node states; one folded-stage
-    call on all nodes gives us, the closing control included: the loop's
-    operations on its expressions, so its bits."""
-    n2 = y.shape[-1]
-    ys = np.empty((M + 1,) + y.shape)
-    died = np.full(len(y), -1)
-    for b in range(len(y)):
-        states = loop(y[b].tolist(), range(M), float(h), BLOWUP_GUARD)
-        k = len(states) // n2
-        ys[:k, b] = np.array(states, float).reshape(k, n2)
-        if k <= M:
-            died[b] = k
-            ys[k:, b] = ys[k - 1, b]
-    us[:] = stage(ys, None, None)[0]
-    return ys, died
 
 
 def _shooting_jacobian(F, L, flow, h):
@@ -219,7 +207,7 @@ def _shooting_jacobian(F, L, flow, h):
     inputs (xi, p, u*) of each step's four RK4 stage calls are re-formed
     from them: the stage at the node y, warm-started from its u*, gives
     k1, then y + (h/2) k1, y + (h/2) k2 and y + h k3 give the rest, each
-    warm-started from the u* before it. That is ``_rk4``'s arithmetic,
+    warm-started from the u* before it. That is the flow's arithmetic,
     and its bits, since the feedback solve ends each element as in a
     batch of one and takes no step from a solved warm start. The
     stage-rate Jacobians give the RK4 step matrices of the variational

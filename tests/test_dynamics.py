@@ -8,7 +8,7 @@ below rely on systems whose flow is known in closed form.
 import numpy as np
 import pytest
 
-from extremals import lagrangian, shooting
+from extremals import lagrangian
 from extremals.controls import ControlPath, random_smooth_controls
 from extremals.dynamics import (DEFAULT_SUBSTEPS, PSI_COND_FLAG,
                                 DifferentialKernel, _backtrack,
@@ -633,18 +633,20 @@ def _flow_case(name):
 @pytest.mark.parametrize("name", ["identity", "heisenberg", "martinet",
                                   "grushin", "blowup", "thirds"])
 def test_the_generated_flow_is_the_array_flow_to_the_bit(monkeypatch, name):
-    # Each batch runs once on the generated loop and once on _rk4, with
-    # FLOW_LOOP_MAX_BATCH set so that each loop takes it. Every array the
-    # flow returns is the same, NaN included, so the dead elements follow
-    # one rule in both, and so are the shooting Jacobians of the two
-    # flows. "blowup" has the x-dependent g0 = exp(x1), "thirds" the
+    # Each batch runs once on the generated loop and once on the array
+    # loop over the same folded stage, which the flow takes with this
+    # Lagrangian's flow_loop patched to give none. Every array the flow
+    # returns is the same, NaN included, so the dead elements follow one
+    # rule in both, and so are the shooting Jacobians of the two flows.
+    # "blowup" has the x-dependent g0 = exp(x1), "thirds" the
     # H^-1 = diag(0.5, 1/3) whose u*_2 rounds in the generated code.
     F, L, x0, seeds = _flow_case(name)
+    assert L.flow_loop(F) is not None
     for batch in (seeds[:1], seeds):
         for substeps in (1, 8):
-            runs = []
-            for max_batch in (len(batch) + 1, 0):
-                monkeypatch.setattr(shooting, "FLOW_LOOP_MAX_BATCH", max_batch)
+            runs = [_hamiltonian_flow(F, L, x0, batch, 1.0, 16, substeps)]
+            with monkeypatch.context() as patch:
+                patch.setattr(L, "flow_loop", lambda F: None)
                 runs.append(_hamiltonian_flow(F, L, x0, batch, 1.0, 16,
                                               substeps))
             generated, array = runs

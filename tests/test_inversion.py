@@ -432,3 +432,17 @@ def test_build_chart_fails_cleanly_when_uncertifiable():
         build_chart(HEISENBERG, loop_control(), np.zeros(3), 0.7,
                     dictionary=default_dictionary(2, 1.0, k_max=3),
                     det_tol=1.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("r_init", np.nan), ("r_init", np.inf), ("r_init", 0.0),
+    ("det_tol", np.nan), ("det_tol", np.inf), ("det_tol", -1.0),
+    ("det_tol", 0.0)])
+def test_build_chart_rejects_a_radius_or_floor_that_certifies_nothing(
+        key, value):
+    # A NaN floor fails no determinant test and a negative one passes every
+    # determinant; a NaN or infinite radius probes no sphere. Each is bad
+    # input, named as such, not a chart.
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        build_chart(HEISENBERG, loop_control(), np.zeros(3), 0.7,
+                    **{key: value})

@@ -168,6 +168,23 @@ def test_cli_validation_errors_exit_one(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["det_tol = nan", "det_tol = -1",
+                                  "r_init = nan", "r_init = inf"])
+def test_cli_build_chart_rejects_what_certifies_nothing(tmp_path, capsys,
+                                                        line):
+    # A chart whose floor or radius certifies nothing is bad input: exit 1
+    # and an error: line naming the key, no chart file.
+    scn = tmp_path / "chart.scn"
+    scn.write_text(MINIMAL + "anchor_time = 1\nseeds_count = 2\n"
+                   + line + "\n")
+    assert main(["build-chart", "--scenario", str(scn),
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{line.split()[0]} must be positive and finite" in err
+    assert not (tmp_path / "toy_chart.json").exists()
+
+
 def test_cli_solver_errors_exit_two(tmp_path, capsys):
     # A cost linear in u has no maximizing control anywhere, so every seed
     # dies and the solve reports failure.

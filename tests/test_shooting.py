@@ -297,11 +297,11 @@ def test_a_flow_stage_is_two_compiled_calls(monkeypatch):
     # A constant control Hessian folds the feedback into one generated
     # evaluator, (xi, p) -> (u*, xi', p'); an x-dependent one keeps two,
     # z and the coefficients from one, xi' and p' from the other. Neither
-    # evaluates a field matrix or a Jacobian stack on the way. That is the
-    # array loop, which every batch takes with FLOW_LOOP_MAX_BATCH at 0; a
-    # smaller batch of the folded stage runs its generated loop, which keeps
-    # only the nodes. One evaluator call on all nodes then gives their
-    # controls, the closing one included.
+    # evaluates a field matrix or a Jacobian stack on the way. The folded
+    # stage runs its generated loop at every batch size, here 20 seeds; the
+    # loop keeps only the nodes, and one evaluator call on all nodes then
+    # gives their controls, the closing one included. The two-call stage
+    # runs the array loop.
     calls = {"expr": 0, "field_matrix": 0, "jacobian_stack": 0}
 
     def counted(owner, attr, key):
@@ -322,23 +322,26 @@ def test_a_flow_stage_is_two_compiled_calls(monkeypatch):
     counted(FieldSet, "jacobian_stack", "jacobian_stack")
     N, substeps = 8, 2
     M = N * substeps
+    seeds = np.tile(OFF_AXIS_SEEDS, (4, 1))
+    assert len(seeds) >= 16
 
     def flow_calls(L):
         for key in calls:
             calls[key] = 0
-        *_, alive = _hamiltonian_flow(HEISENBERG, L, np.zeros(3),
-                                      OFF_AXIS_SEEDS, 1.0, N, substeps)
+        *_, alive = _hamiltonian_flow(HEISENBERG, L, np.zeros(3), seeds,
+                                      1.0, N, substeps)
         assert alive.all()
         return calls
 
+    assert flow_calls(QUAD_3) == {"expr": 1, "field_matrix": 0,
+                                  "jacobian_stack": 0}
+    # The array loop over the folded stage, the generated loop's reference,
+    # makes one call per RK4 stage; the two-call stage makes two.
     with monkeypatch.context() as patch:
-        patch.setattr(shooting, "FLOW_LOOP_MAX_BATCH", 0)
+        patch.setattr(QUAD_3, "flow_loop", lambda F: None)
         for L, per_stage in ((QUAD_3, 1), (x_dependent, 2)):
             assert flow_calls(L) == {"expr": per_stage * (4 * M + 1),
                                      "field_matrix": 0, "jacobian_stack": 0}
-    assert len(OFF_AXIS_SEEDS) < shooting.FLOW_LOOP_MAX_BATCH
-    assert flow_calls(QUAD_3) == {"expr": 1, "field_matrix": 0,
-                                  "jacobian_stack": 0}
 
 
 def test_building_solutions_runs_no_flow(monkeypatch):
