@@ -27,7 +27,8 @@ from .errors import (BasisDeficiencyError, CertificateFailure,
                      GridMismatchError, NonConvergenceError, ParseError,
                      ScenarioError)
 from .fields import lie_rank
-from .inversion import build_chart, chart_eval_full, chart_from_dict, default_dictionary
+from .inversion import (build_chart, chart_eval_full, chart_from_dict,
+                        check_chart_settings, default_dictionary)
 from .lagrangian import phi_from_samples
 from .reports import (canonical_json, ensure_dir, read_control_csv, write_control_csv,
                       write_costate_csv, write_json, write_trajectory_csv)
@@ -242,6 +243,8 @@ def cmd_build_chart(sc, out, args):
     if t is None:
         raise ScenarioError("build-chart needs --anchor-time or an "
                             "anchor_time scenario key")
+    # Before the multi-start, whose extremals such a chart could not use.
+    check_chart_settings(sc.r_init, sc.det_tol)
     sols, _ = _run_multi_start(sc, F, L)
     if not sols:
         return 2, {"scenario": sc.name, "subcommand": "build-chart"}, \

@@ -383,6 +383,17 @@ def _probe_targets(t, anchor_endpoint, r, T):
     return probes
 
 
+def check_chart_settings(r_init, det_tol):
+    """Raise ValueError unless det_tol, and r_init when given, are positive
+    and finite: a chart with such a radius or floor certifies nothing."""
+    if r_init is not None and not 0.0 < r_init < np.inf:
+        raise ValueError(f"chart radius r_init must be positive and finite, "
+                         f"got {r_init}")
+    if not 0.0 < det_tol < np.inf:
+        raise ValueError(f"determinant tolerance det_tol must be positive "
+                         f"and finite, got {det_tol}")
+
+
 def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
                 det_tol=DET_TOL, probe_seed=0,
                 substeps=DEFAULT_SUBSTEPS) -> InversionChart:
@@ -397,6 +408,7 @@ def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
     t = float(t)
     if not 0.0 < t <= u.T * (1.0 + 1e-12):
         raise ValueError(f"anchor time {t} outside the control's domain")
+    check_chart_settings(r_init, det_tol)
     dictionary = default_dictionary(u.m, u.T) if dictionary is None else dictionary
     kern = DifferentialKernel.build(F, u, x0, t, substeps)
     basis = select_basis(kern, dictionary)
@@ -404,12 +416,6 @@ def build_chart(F, u: ControlPath, x0, t, dictionary=None, r_init=None,
     anchor_endpoint = kern.endpoint.copy()
     if r_init is None:
         r_init = 0.1 * (1.0 + float(np.linalg.norm(anchor_endpoint)))
-    if not 0.0 < r_init < np.inf:
-        raise ValueError(f"chart radius r_init must be positive and finite, "
-                         f"got {r_init}")
-    if not 0.0 < det_tol < np.inf:
-        raise ValueError(f"determinant tolerance det_tol must be positive "
-                         f"and finite, got {det_tol}")
 
     proto = InversionChart(
         F=F, x0=x0, t=t, u=u, anchor_endpoint=anchor_endpoint, basis=basis,

@@ -27,8 +27,11 @@ between, and it clears the flow's alive mask where the solve fails.
 ``legendre_inverse`` raises a diffeomorphism violation there rather than
 patching over, because every downstream construction assumes the fiber
 derivative is invertible.
-``Lagrangian.rate_jacobian`` differentiates the stage's rates, with du*/dy
-from the implicit-function formula, for the exact shooting Jacobian.
+``Lagrangian.rate_jacobian`` differentiates the stage's rates for the
+exact shooting Jacobian, along the same split: over the folded stage it is
+one generated evaluator of the chain rule through u*, with H^-1 as
+constants; over the two-call stage du*/dy comes from the
+implicit-function formula and a batched solve on H.
 """
 
 from __future__ import annotations
@@ -152,11 +155,14 @@ class Lagrangian:
         Returns a function of the stage inputs (xi, p, u*) stacked on the
         last axis, (..., 2n + m), to the matrices (..., 2n, 2n), generated
         once per field set F from the symbolic derivatives of the stage.
-        u* enters through the implicit-function derivative of
-        d_uL(xi, u*) = z(xi, p): du*/dy = H(xi, u*)^-1 d/dy (z - d_uL(xi, u))
-        at fixed u. This one formula serves the folded stage, the closed-form
-        solve and the damped Newton alike. An element whose H is singular
-        gets NaN.
+        Over the folded stage, u* = H^-1 (z - g0(xi)) is an expression in
+        y, and one evaluator returns the chain rule through it
+        (``_folded_rate_jacobian``). Over the two-call stage, the
+        closed-form solve and the damped Newton alike, u* enters through
+        the implicit-function derivative of d_uL(xi, u*) = z(xi, p):
+        du*/dy = H(xi, u*)^-1 d/dy (z - d_uL(xi, u)) at fixed u, with one
+        batched solve; an element whose H is singular gets NaN. The two
+        agree to roundoff where both apply.
         """
         if F not in self._rate_jacobians:
             self._rate_jacobians[F] = _rate_jacobian(F, self)
@@ -189,8 +195,14 @@ def _stage_exprs(F, L: Lagrangian):
 
 
 def _rate_jacobian(F, L: Lagrangian):
-    """``Lagrangian.rate_jacobian``: one evaluator of the partial
-    derivatives at fixed u, then H^-1 and the chain rule in numpy."""
+    """``Lagrangian.rate_jacobian``: over a folded stage, one evaluator of
+    the chain rule (``_folded_rate_jacobian``); otherwise one evaluator of
+    the partial derivatives at fixed u, then H^-1 and the chain rule in
+    numpy."""
+    L.flow_stage(F)
+    folded = L._stages[F][1]
+    if folded is not None:
+        return _folded_rate_jacobian(F, folded)
     n, m = F.n, F.m
     d = 2 * n
     x, z, rates = _stage_exprs(F, L)
@@ -211,6 +223,29 @@ def _rate_jacobian(F, L: Lagrangian):
         H = out[..., d * (d + 2 * m):].reshape(batch + (m, m))
         du, _ = _solve_or(H, dgap, np.nan)
         return f[..., :d] + f[..., d:] @ du
+
+    return jacobian
+
+
+def _folded_rate_jacobian(F, folded):
+    """The rate Jacobian of the folded stage as one generated evaluator.
+
+    The folded stage's u* = H^-1 (z - g0(xi)) is an expression in y with
+    H^-1 as constants, so du*/dy needs no solve: entry (r, k) is the chain
+    rule dR_r/dy_k + sum_i dR_r/du_i du*_i/dy_k, with the rates R read at
+    the input u* as the loop computed it. Symbolically zero terms drop out.
+    """
+    m, d = F.m, 2 * F.n
+    u_star, rates = folded.exprs[:m], folded.exprs[m:]
+    du = [[e.diff(k) for k in range(d)] for e in u_star]
+    exprs = [ex.add(r.diff(k), *(ex.mul(r.diff(d + i), du[i][k])
+                                 for i in range(m)))
+             for r in rates for k in range(d)]
+    evaluate = ex.compile_vector(exprs, d + m)
+
+    def jacobian(v):
+        out = evaluate(v)
+        return out.reshape(out.shape[:-1] + (d, d))
 
     return jacobian
 

@@ -39,10 +39,16 @@ differentiates. It reads d xi(T) / d p0 off the product of the RK4 step
 matrices of the variational equation, with the stage-rate Jacobian of
 ``Lagrangian.rate_jacobian``: the exact derivative of the discrete
 shooting map, as HamPath takes it from the variational system (Caillau,
-Cots & Gergaud, Optim. Methods Softw. 27(2), 2012). It is formed when a
-seed's flow is accepted, the first one or a line-search trial's, and only
-where the seed iterates on from it, a block of steps at a time, so
-rejected trials and polish flows form no stage input. The line search,
+Cots & Gergaud, Optim. Methods Softw. 27(2), 2012). Over a folded stage
+the rate Jacobian is one generated evaluator with no solve, and each
+block's step matrices are multiplied by ``dynamics._tree_product``, a
+pairwise tree of batched matmuls: a heisenberg Jacobian of 64 steps takes
+about 0.2 ms at one seed and 0.3 ms at three, against 0.39 and 0.74 ms
+with a solve on H = I per stage and one matmul per step (2-core x86-64
+box, Python 3.11.7, numpy 2.4.6). It is formed when a seed's flow is
+accepted, the first one or a line-search trial's, and only where the seed
+iterates on from it, a block of steps at a time, so rejected trials and
+polish flows form no stage input. The line search,
 ``dynamics._backtrack``, then flows alpha = 1 for the moving seeds and,
 for those it rejects, every remaining halving in one stacked flow: one
 sequential flow per iteration, two when a full step is rejected.
@@ -67,7 +73,7 @@ import numpy as np
 from .controls import ControlPath, l2_distance
 from .dynamics import (BLOWUP_GUARD, DEFAULT_SUBSTEPS, PSI_COND_FLAG,
                        DifferentialKernel, Trajectory, _backtrack,
-                       _run_loops, _step_matrices, fine_grid)
+                       _run_loops, _step_matrices, _tree_product, fine_grid)
 from .errors import DimensionError, NonConvergenceError
 from .lagrangian import Lagrangian, trapezoid
 
@@ -214,9 +220,11 @@ def _shooting_jacobian(F, L, flow, h):
     equation, and their product, started from d y(0) / d p0 = (0, I), is
     the derivative of the flow's own RK4 map.
     Both are formed JACOBIAN_BLOCK steps at a time, so the memory held
-    does not grow with the horizon. The product is a sequential fold, not
-    ``dynamics._step_products``' pair scan: over a batch of seeds the
-    scan's doubled arithmetic costs more than the matmul calls it saves.
+    does not grow with the horizon. Each block's steps are multiplied by
+    ``dynamics._tree_product``, about log2 JACOBIAN_BLOCK batched matmuls,
+    and the block's product is applied to the product so far in one more;
+    it differs from a fold of one matmul per step by rounding only. No
+    prefix is formed, as ``dynamics._step_products``' pair scan would.
     """
     n = F.n
     xs, ps, us = (a[:-1] for a in flow)   # the nodes each step starts from
@@ -233,8 +241,7 @@ def _shooting_jacobian(F, L, flow, h):
             yi = y + scale * k
             w, k = stage(yi, w, np.ones(y.shape[:-1], dtype=bool))
             inputs.append(np.concatenate((yi, w), axis=-1))
-        for step in _step_matrices(jacobian(np.stack(inputs)), h):
-            Y = step @ Y
+        Y = _tree_product(_step_matrices(jacobian(np.stack(inputs)), h)) @ Y
     return Y[:, :n]
 
 

@@ -13,16 +13,16 @@ from extremals.controls import ControlPath, random_smooth_controls
 from extremals.dynamics import (DEFAULT_SUBSTEPS, PSI_COND_FLAG,
                                 DifferentialKernel, _backtrack,
                                 _stage_controls, _step_matrices,
-                                _step_products, fine_grid, integrate,
-                                integrate_batch, trapezoid_weights)
+                                _step_products, _tree_product, fine_grid,
+                                integrate, integrate_batch, trapezoid_weights)
 from extremals.errors import DimensionError, DivergenceError, GridMismatchError
 from extremals.expr import CompiledVector
 from extremals.fields import parse_field_set
 from extremals.lagrangian import parse_lagrangian
 from extremals.scenario import (resolve_scenario, scenario_fields,
                                 scenario_lagrangian)
-from extremals.shooting import (_hamiltonian_flow, _shooting_jacobian,
-                                make_seeds)
+from extremals.shooting import (JACOBIAN_BLOCK, _hamiltonian_flow,
+                                _shooting_jacobian, make_seeds)
 
 IDENTITY = parse_field_set("X1 = (1, 0)\nX2 = (0, 1)", 2, 2)
 HEISENBERG = parse_field_set("X1 = (1, 0, -x2/2)\nX2 = (0, 1, x1/2)", 3, 2)
@@ -415,6 +415,21 @@ def test_the_pair_scan_is_the_sequential_product(M, d, K):
         assert np.all(err <= 1e-13 * scale)
 
 
+@pytest.mark.parametrize("M", [1, 2, 3, 7, 65, 129])
+@pytest.mark.parametrize("d", [3, 6])
+@pytest.mark.parametrize("K", [1, 8])
+def test_the_pair_tree_is_the_sequential_product(M, d, K):
+    # The tree regroups the product of every step, an odd level's last
+    # matrix carried up: the total matches the last sequential node to
+    # rounding. 65 and 129 carry at every level above the first pairs.
+    rng = np.random.default_rng(M * 100 + d * 10 + K)
+    steps = np.eye(d) + 0.05 * rng.standard_normal((M, K, d, d))
+    got = _tree_product(steps)
+    want = _sequential_products(steps, np.eye(d))[-1]
+    assert got.shape == want.shape == (K, d, d)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def _recorded_rk4(F, L, y, h, M):
     """A plain numpy RK4 over ``L.flow_stage(F)`` from the states y (K, 2n),
     each stage warm-started from the u* before it and the first from 0, as
@@ -441,7 +456,7 @@ def _recorded_rk4(F, L, y, h, M):
 
 
 def _jacobian_case(name):
-    """(F, L, x0) for the sequential-fold test: two built-ins, then on
+    """(F, L, x0) for the step-product test: two built-ins, then on
     heisenberg the x-dependent H = (1 + x1^2) I of the closed-form solve
     and the quartic cost of the damped Newton."""
     if name == "x_dependent":
@@ -455,14 +470,31 @@ def _jacobian_case(name):
         np.asarray(sc.x0, dtype=float)
 
 
+def _blockwise_tree(steps, start):
+    """The product of the steps (M, K, d, d) applied to start (d, k) as the
+    shooting Jacobian forms it: each run of JACOBIAN_BLOCK steps multiplied
+    by adjacent pairs, an odd level's last matrix carried up, then applied
+    to the product so far."""
+    Y = np.broadcast_to(start, steps.shape[1:2] + start.shape)
+    for j in range(0, len(steps), JACOBIAN_BLOCK):
+        level = steps[j:j + JACOBIAN_BLOCK]
+        while len(level) > 1:
+            pairs = level[1::2] @ level[0:-1:2]
+            level = (np.concatenate((pairs, level[-1:]))
+                     if len(level) % 2 else pairs)
+        Y = level[0] @ Y
+    return Y
+
+
 @pytest.mark.parametrize("name", ["heisenberg", "martinet", "x_dependent",
                                   "quartic"])
-def test_the_shooting_jacobian_folds_sequentially(name):
+def test_the_shooting_jacobian_is_the_product_of_its_step_matrices(name):
     # The shooting Jacobian re-forms the stage inputs from the flow's nodes
-    # and folds the step matrices from (0, I) sequentially, no pair scan:
-    # bit for bit the product over the stage inputs an RK4 records as it
-    # runs. 128 steps span two blocks of JACOBIAN_BLOCK; a batch of 9
-    # warm-starts each later stage from a u* that is not 0.
+    # and multiplies the step matrices from (0, I) a block at a time by a
+    # pairwise tree: bit for bit that product over the stage inputs an RK4
+    # records as it runs, and the sequential product to rounding. 128 steps
+    # span two blocks of JACOBIAN_BLOCK; a batch of 9 warm-starts each later
+    # stage from a u* that is not 0.
     F, L, x0 = _jacobian_case(name)
     n = F.n
     for N, substeps in ((128, 1), (16, 8)):
@@ -476,11 +508,13 @@ def test_the_shooting_jacobian_folds_sequentially(name):
             np.testing.assert_array_equal(
                 np.concatenate(flow[1:3], axis=-1), nodes)
             np.testing.assert_array_equal(flow[3][:-1], controls)
-            A = L.rate_jacobian(F)(inputs)
+            steps = _step_matrices(L.rate_jacobian(F)(inputs), h)
             start = np.eye(2 * n)[:, n:]
-            want = _sequential_products(_step_matrices(A, h), start)[-1, :, :n]
+            got = _shooting_jacobian(F, L, flow[1:4], h)
             np.testing.assert_array_equal(
-                _shooting_jacobian(F, L, flow[1:4], h), want)
+                got, _blockwise_tree(steps, start)[:, :n])
+            want = _sequential_products(steps, start)[-1, :, :n]
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_a_diverging_element_leaves_its_batch_alone():

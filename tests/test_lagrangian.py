@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from extremals import lagrangian
 from extremals.errors import (DiffeomorphismViolationError, DimensionError,
                               ParseError)
 from extremals.expr import CompiledVector
@@ -405,6 +406,36 @@ def test_folded_stage_matches_the_solve_on_random_constant_hessians(point, a,
         out = fold(y)
         for got, want in ((out[:, :2], u), (out[:, 2:], rates)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "grushin", "martinet",
+                                  "identity", "off_diagonal"])
+def test_the_folded_rate_jacobian_is_the_implicit_function_formula(case):
+    # Over a folded stage the rate Jacobian is one evaluator of the chain
+    # rule through u* = H^-1 (z - g0) with H^-1 as constants. A fresh
+    # Lagrangian whose stage is forced to two calls differentiates the same
+    # rates with du*/dy from the implicit-function formula and a solve on
+    # H: the two agree to roundoff on the four smooth built-ins, and on
+    # heisenberg with H = [[1, 1/2], [1/2, 1]], whose H^-1 is off-diagonal.
+    if case == "off_diagonal":
+        F, L = HEISENBERG, parse_lagrangian("(u1^2 + u1*u2 + u2^2)/2", 3, 2)
+    else:
+        F, L = SMOOTH_BUILT_INS[["heisenberg", "grushin", "martinet",
+                                 "identity"].index(case)]
+    assert _folded_stage(F, L) is not None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lagrangian, "_folded_stage", lambda F, L: None)
+        fresh = parse_lagrangian(L.source, F.n, F.m)
+        two_call = fresh.rate_jacobian(F)
+        assert fresh.flow_loop(F) is None
+    # Half the entries are zeros of either sign and units (see SPECIAL).
+    rng = np.random.default_rng(7)
+    code = rng.integers(0, 8, (4, 16, 2 * F.n + F.m))
+    v = np.where(code < 4, SPECIAL[np.minimum(code, 3)],
+                 rng.uniform(-10.0, 10.0, code.shape))
+    got, want = L.rate_jacobian(F)(v), two_call(v)
+    assert got.shape == want.shape == (4, 16, 2 * F.n, 2 * F.n)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_a_singular_constant_hessian_keeps_the_solve():

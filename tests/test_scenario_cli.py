@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from extremals import cli
 from extremals.cli import main
 from extremals.controls import ControlPath
 from extremals.errors import ScenarioError
@@ -171,9 +172,14 @@ def test_cli_validation_errors_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize("line", ["det_tol = nan", "det_tol = -1",
                                   "r_init = nan", "r_init = inf"])
 def test_cli_build_chart_rejects_what_certifies_nothing(tmp_path, capsys,
-                                                        line):
+                                                        monkeypatch, line):
     # A chart whose floor or radius certifies nothing is bad input: exit 1
-    # and an error: line naming the key, no chart file.
+    # and an error: line naming the key, no chart file. It is rejected
+    # before the multi-start runs.
+    def no_multi_start(*args, **kwargs):
+        raise AssertionError("multi_start ran on a rejected chart setting")
+
+    monkeypatch.setattr(cli, "multi_start", no_multi_start)
     scn = tmp_path / "chart.scn"
     scn.write_text(MINIMAL + "anchor_time = 1\nseeds_count = 2\n"
                    + line + "\n")

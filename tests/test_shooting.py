@@ -438,13 +438,18 @@ def _relative(J, fd):
 
 
 @pytest.mark.parametrize("name", ["identity", "heisenberg", "martinet",
-                                  "grushin"])
+                                  "grushin", "off_diagonal"])
 def test_the_shooting_jacobian_is_the_flow_s_derivative(name):
     # The step-matrix product differentiates the discrete flow itself, so
     # central differences meet it to their own error: O(FD_STEP^2), 1e-8
-    # here, plus roundoff over FD_STEP. Horizon 1 on every built-in.
-    sc = resolve_scenario(name)
+    # here, plus roundoff over FD_STEP. Horizon 1 on every built-in, and on
+    # heisenberg with a constant H whose H^-1 is off-diagonal, which the
+    # folded rate Jacobian carries as constants.
+    sc = resolve_scenario("heisenberg" if name == "off_diagonal" else name)
     F, L = scenario_fields(sc), scenario_lagrangian(sc)
+    if name == "off_diagonal":
+        L = parse_lagrangian("(u1^2 + u1*u2 + u2^2)/2", 3, 2)
+        assert lagrangian._folded_stage(F, L) is not None
     p0 = make_seeds(sc.n, 4, 3.0, seed=3)
     for substeps in (1, 4):
         J, fd, _, _ = _jacobian_and_central_differences(
