@@ -420,8 +420,8 @@ def test_the_folded_rate_jacobian_is_the_implicit_function_formula(case):
     if case == "off_diagonal":
         F, L = HEISENBERG, parse_lagrangian("(u1^2 + u1*u2 + u2^2)/2", 3, 2)
     else:
-        F, L = SMOOTH_BUILT_INS[["heisenberg", "grushin", "martinet",
-                                 "identity"].index(case)]
+        sc = resolve_scenario(case)
+        F, L = scenario_fields(sc), scenario_lagrangian(sc)
     assert _folded_stage(F, L) is not None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lagrangian, "_folded_stage", lambda F, L: None)
