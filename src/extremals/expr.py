@@ -318,12 +318,15 @@ def check_node_cap(exprs, cap=NODE_CAP):
 
 def _number(v):
     """v as text the parser reads back: +-inf as +-1e999, which overflows
-    to it, and NaN as the difference that folds to it (``mul`` folds a
-    zero factor to 0, so 0*1e999 would read back as 0)."""
+    to it, NaN as the difference that folds to it (``mul`` folds a zero
+    factor to 0, so 0*1e999 would read back as 0), and -0 as the
+    reciprocal of -inf (``mul`` would read -0 back as 0 too)."""
     if math.isnan(v):
         return "(1e999-1e999)"
     if math.isinf(v):
         return "1e999" if v > 0 else "-1e999"
+    if v == 0.0 and math.copysign(1.0, v) < 0:
+        return "(-1e999)^(-1)"
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
@@ -332,7 +335,8 @@ def _number(v):
 def _to_str(e, prec):
     if isinstance(e, Const):
         s = _number(e.value)
-        return f"({s})" if e.value < 0 and prec > 0 else s
+        negative = e.value < 0 or s.startswith("(-")
+        return f"({s})" if negative and prec > 0 else s
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Add):

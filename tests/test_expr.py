@@ -290,7 +290,13 @@ CORNERS = [
 ]
 
 
-@pytest.mark.parametrize("corner", CORNERS, ids=str)
+def _corner_id(e):
+    """str(e) with -0 written 0: x1 + 0 and x1 + -0 share a name, which
+    pytest numbers."""
+    return str(e).replace("((-1e999)^(-1))", "0")
+
+
+@pytest.mark.parametrize("corner", CORNERS, ids=_corner_id)
 def test_generated_code_keeps_each_rewrite_to_the_bit(corner):
     _assert_eval_bits([corner, ex.Mul((corner, X3))], SPECIAL_ROWS)
 
@@ -316,13 +322,17 @@ def test_a_constant_power_is_taken_in_float64(e):
 
 @settings(max_examples=200, deadline=None)
 @given(exprs=expression_dags(), seed=st.integers(0, 2 ** 32 - 1))
+# A product by 0.0 is an exact complex zero, whose reciprocal numpy takes
+# to NaN with a warning, on arrays as in Expr.eval.
+@example(exprs=[ex.Pow(ex.Mul((ex.Var("x1", 0), ZERO)), -1.0)], seed=0)
 def test_generated_code_agrees_with_expr_eval_on_complex_inputs(exprs, seed):
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.5, 2.0, (7, NVARS)) * rng.choice([-1.0, 1.0], (7, NVARS))
     a = a + 1j * COMPLEX_STEP * rng.uniform(-1.0, 1.0, a.shape)
     want = _evaluated(exprs, a)
-    for got in (ex.compile_vector(exprs, NVARS)(a),
-                _scalar_evaluated(exprs, a)):
+    # The array code warns where Expr.eval does; the scalar code must not.
+    compiled = _quiet(lambda: ex.compile_vector(exprs, NVARS)(a))
+    for got in (compiled, _scalar_evaluated(exprs, a)):
         for j, w in enumerate(want):
             w = np.broadcast_to(w, got.shape[:-1])
             finite = np.isfinite(w)
@@ -397,6 +407,8 @@ def _as_read(e):
 @given(exprs=expression_dags())
 # ^ is right-associative: x1^3^(-1) would read back as x1^(1/3).
 @example(exprs=[ex.Pow(ex.Pow(ex.Var("x1", 0), 3.0), -1.0)])
+# -0 keeps its sign, which a reciprocal turns into that of an infinity.
+@example(exprs=[ex.Pow(ex.Const(-0.0), -1.0)])
 def test_printed_expressions_parse_back_to_their_trees(exprs):
     # Exact, not a comparison of values: folding reorders sums, so a value
     # check fails on cancellations such as -x1 + 2.2e-311 + x1.
