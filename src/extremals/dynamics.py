@@ -32,14 +32,14 @@ about 22 controls integrated together, more than a chart query or a
 chart build integrates at once (2-core x86-64 box, Python 3.11.7, numpy
 2.4.6).
 
-The Hamiltonian flow of a cost with a folded stage runs the loop
-``Lagrangian.flow_loop`` generates, one element at a time; its RK4 text
-comes from ``fields._rk4_loop``, the emitter of the state loop, and
-``_run_loops`` runs both generated loops, so a dead element is frozen by
-one rule in each. Every other cost flows on ``shooting._array_flow``. The
-RK4 step matrices of a linear equation Y' = A(s) Y (``_step_matrices``)
-give Psi below and the exact shooting Jacobian of ``shooting``, the
-derivative of the discrete flow whose stage inputs gave A. Psi is their
+The Hamiltonian flow of every cost runs the loop ``Lagrangian.flow_loop``
+generates, one element at a time; over a folded stage its RK4 text comes
+from ``fields._rk4_loop``, the emitter of the state loop, and
+``_run_loops`` runs every generated loop, so a dead element is frozen by
+one rule in each. The RK4 step matrices of a linear equation
+Y' = A(s) Y (``_step_matrices``) give Psi below and the exact shooting
+Jacobian of ``shooting``, the derivative of the discrete flow whose stage
+inputs gave A. Psi is their
 product by a pair scan (``_step_products``): 2 log2 M batched matmuls, 16
 at M = 256, instead of M, for about twice the arithmetic. Kernels are
 built in small stacks (one per chart query, eight chart probes), where
@@ -51,9 +51,10 @@ blocks of 64, the trees and one matmul per block take 0.10 ms against
 0.48 ms for one matmul per step at one seed, and 2.6 against 2.8 ms at
 117 seeds, where the scan takes 18.6 ms (2-core x86-64 box, Python
 3.11.7, numpy 2.4.6, one BLAS thread). The one line search of the
-shooting, chart and feedback Newtons is ``_backtrack``: it tries the full
-step, then every remaining halving of the rejected elements stacked in
-one second trial.
+shooting and chart Newtons is ``_backtrack``: it tries the full step,
+then every remaining halving of the rejected elements stacked in one
+second trial. The feedback Newton, written out in generated code, picks
+the same scale one halving at a time.
 
 The differential of the endpoint map and its adjoint come from the
 variational equation: with Psi the fundamental solution of Psi' = A(s) Psi,

@@ -122,7 +122,7 @@ def _rk4_loop(d, names, stage):
     be finite (the flow's u*), and the d rates. A step computes the stage
     inputs y + (h/2) k1, y + (h/2) k2 and y + h k3 and the new state
     y + (h/6) (k1 + 2 k2 + 2 k3 + k4), with the operations and the
-    operation order of ``shooting._array_flow``, as one ``expr.scalar_code``
+    operation order of a numpy RK4 over arrays, as one ``expr.scalar_code``
     lowering.
 
     The loop starts from the state y, a list of d numbers, and returns the

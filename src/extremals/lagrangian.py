@@ -4,34 +4,24 @@ A Lagrangian is one scalar expression over x1..xn, u1..um. Its gradients and
 the control Hessian are produced by exact symbolic differentiation and
 compiled on first use; evaluation is batched numpy throughout.
 
-The map z -> w(x, z) inverting d_uL(x, .) masks instead of raising: each
-solve returns the solution with a per-element flag telling whether its
-residual reached LEGENDRE_TOL (1 + |z|), relative as the roundoff of
-d_uL(x, u) - z grows with |z|. When no entry of the control Hessian depends
-on u, as for every cost quadratic in u, d_uL(x, u) = g0(x) + H(x) u is
-affine in u and the inverse is the linear solve u = H(x)^-1 (z - g0(x)),
-``_affine_solve``; this is decided symbolically on the first solve. Any
-other cost goes through ``_damped_newton``, a damped Newton iteration on
-the shared line search ``dynamics._backtrack``; ``_fiber_solve`` picks.
-
-The Hamiltonian flow in ``shooting`` gets its stage, one function for
-every cost, from ``Lagrangian.flow_stage``; its rates are the exact
-derivatives of the Hamiltonian <B(xi)^T p, u> - L(xi, u). When H is
-moreover a constant matrix with a condition number small enough for the
-roundoff of its solves to stay far below the tolerance, H^-1 is computed
-once at compile time and the stage is one generated evaluator that returns
-u* = H^-1 (z - g0(xi)) with the rates; ``Lagrangian.flow_loop`` then
-also generates the flow's whole RK4 loop from it, which ``shooting`` runs
-for every batch. Otherwise the stage is two evaluators with the solve in
-between, and it clears the flow's alive mask where the solve fails.
-``legendre_inverse`` raises a diffeomorphism violation there rather than
-patching over, because every downstream construction assumes the fiber
-derivative is invertible.
-``Lagrangian.rate_jacobian`` differentiates the stage's rates for the
-exact shooting Jacobian, along the same split: over the folded stage it is
-one generated evaluator of the chain rule through u*, with H^-1 as
-constants; over the two-call stage du*/dy comes from the
-implicit-function formula and a batched solve on H.
+The Hamiltonian flow in ``shooting`` runs one generated RK4 loop per field
+set, ``Lagrangian.flow_loop``, for every differentiable cost. Its rates are
+the exact derivatives of the Hamiltonian <B(xi)^T p, u> - L(xi, u) at the
+feedback u* solving d_uL(xi, u) = z, z = B(xi)^T p, and how u* is solved
+is decided here alone. Where d_uL(x, u) = g0(x) + H u with a constant H
+whose solves keep their roundoff far below LEGENDRE_TOL (1 + |z|), as for
+every smooth built-in, H^-1 enters the generated code as constants and
+u* = H^-1 (z - g0(xi)) in closed form: the folded stage. For any other
+cost, an x-dependent H or a cost not affine in u, the loop solves u* at
+each RK4 stage by a damped Newton written out in its code
+(``_newton_lines``), warm-started from the stage before, and a failed
+solve ends the element. ``legendre_inverse`` runs the same Newton element
+by element and raises a diffeomorphism violation where it fails rather
+than patching over, because every downstream construction assumes the
+fiber derivative is invertible. ``Lagrangian.rate_jacobian``
+differentiates the stage rates for the exact shooting Jacobian, in one
+generated evaluator of the chain rule through u*: H^-1 enters as constants
+over the folded stage and by the Newton's elimination otherwise.
 """
 
 from __future__ import annotations
@@ -39,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr as ex
-from .dynamics import _backtrack
 from .errors import DiffeomorphismViolationError, DimensionError, EvaluationError
 from .fields import _rk4_loop
 
@@ -62,8 +51,7 @@ class Lagrangian:
         self._hess_u = None
         self._fiber = None
         self._affine = None
-        self._stages = {}
-        self._loops = {}
+        self._flows = {}
         self._rate_jacobians = {}
 
     def _pack(self, x, u):
@@ -124,45 +112,42 @@ class Lagrangian:
         return self._affine
 
     def flow_stage(self, F):
-        """The Hamiltonian flow's stage for F, (y, w, alive) -> (u*, rates).
+        """The Hamiltonian flow's stage for F, (y, w) -> (u*, rates).
 
-        Generated once per field set F over the stacked state y = (xi, p),
-        with the rates (xi', p') at the feedback u*: one ``_folded_stage``
-        call, or else ``_two_call_stage``'s ``pre``, ``_fiber_solve`` from
-        the warm start w and ``post``, which clears ``alive`` where the
-        solve fails and lets the damped Newton skip the cleared elements.
+        Generated once per field set F over stacked states y = (xi, p),
+        with the rates (xi', p') at the feedback u*: one call of the
+        folded evaluator, or else the loop's Newton stage element by
+        element from the warm starts w, with u* NaN where it fails.
         """
-        if F not in self._stages:
-            self._stages[F] = _stage(F, self)
-        return self._stages[F][0]
+        return self._flow(F)[0]
 
     def flow_loop(self, F):
-        """The Hamiltonian flow's generated RK4 loop for F, or None.
-
-        It exists when the flow stage of F is the folded one, and is
-        generated on the first call from that stage's u* and rates
-        (``_flow_loop``).
+        """The Hamiltonian flow's generated RK4 loop for F, run one element
+        at a time by ``dynamics._run_loops``. Over the folded stage it keeps
+        the node states (xi, p), whose controls one folded call re-forms
+        (``_flow_loop``); otherwise it keeps (xi, p, u*) at each node, as
+        the warm starts that chain its Newton solves are not re-formed
+        from the states alone (``_newton_flow``).
         """
-        if F not in self._loops:
-            self.flow_stage(F)
-            folded = self._stages[F][1]
-            self._loops[F] = None if folded is None else _flow_loop(F, folded)
-        return self._loops[F]
+        return self._flow(F)[2]
+
+    def _flow(self, F):
+        """(stage, folded evaluator or None, loop) for F, built once."""
+        if F not in self._flows:
+            self._flows[F] = _stage(F, self)
+        return self._flows[F]
 
     def rate_jacobian(self, F):
         """The Jacobian of a flow stage's rates (xi', p') in y = (xi, p).
 
         Returns a function of the stage inputs (xi, p, u*) stacked on the
         last axis, (..., 2n + m), to the matrices (..., 2n, 2n), generated
-        once per field set F from the symbolic derivatives of the stage.
-        Over the folded stage, u* = H^-1 (z - g0(xi)) is an expression in
-        y, and one evaluator returns the chain rule through it
-        (``_folded_rate_jacobian``). Over the two-call stage, the
-        closed-form solve and the damped Newton alike, u* enters through
-        the implicit-function derivative of d_uL(xi, u*) = z(xi, p):
-        du*/dy = H(xi, u*)^-1 d/dy (z - d_uL(xi, u)) at fixed u, with one
-        batched solve; an element whose H is singular gets NaN. The two
-        agree to roundoff where both apply.
+        once per field set F from the symbolic derivatives of the stage as
+        one evaluator of the chain rule through u* (``_rate_jacobian``).
+        Over a Newton stage u* enters through the implicit-function
+        derivative of d_uL(xi, u*) = z(xi, p), and an element whose H has a
+        zero pivot gets a non-finite Jacobian. The folded and the Newton
+        forms agree to roundoff where both apply.
         """
         if F not in self._rate_jacobians:
             self._rate_jacobians[F] = _rate_jacobian(F, self)
@@ -195,53 +180,34 @@ def _stage_exprs(F, L: Lagrangian):
 
 
 def _rate_jacobian(F, L: Lagrangian):
-    """``Lagrangian.rate_jacobian``: over a folded stage, one evaluator of
-    the chain rule (``_folded_rate_jacobian``); otherwise one evaluator of
-    the partial derivatives at fixed u, then H^-1 and the chain rule in
-    numpy."""
-    L.flow_stage(F)
-    folded = L._stages[F][1]
-    if folded is not None:
-        return _folded_rate_jacobian(F, folded)
-    n, m = F.n, F.m
-    d = 2 * n
-    x, z, rates = _stage_exprs(F, L)
-    u = [ex.Var(f"u{k + 1}", d + k) for k in range(m)]
-    grad, hess = L._fiber_exprs()
-    gap = [ex.add(z[i], ex.mul(ex.Const(-1.0), ex.substitute(grad[i], x + u)))
-           for i in range(m)]
-    exprs = [r.diff(k) for r in rates for k in range(d + m)]
-    exprs += [g.diff(k) for g in gap for k in range(d)]
-    exprs += [ex.substitute(e, x + u) for e in hess]
-    evaluate = ex.compile_vector(exprs, d + m)
-
-    def jacobian(v):
-        out = evaluate(v)
-        batch = out.shape[:-1]
-        f = out[..., :d * (d + m)].reshape(batch + (d, d + m))
-        dgap = out[..., d * (d + m):d * (d + 2 * m)].reshape(batch + (m, d))
-        H = out[..., d * (d + 2 * m):].reshape(batch + (m, m))
-        du, _ = _solve_or(H, dgap, np.nan)
-        return f[..., :d] + f[..., d:] @ du
-
-    return jacobian
-
-
-def _folded_rate_jacobian(F, folded):
-    """The rate Jacobian of the folded stage as one generated evaluator.
+    """``Lagrangian.rate_jacobian`` as one generated evaluator: entry
+    (r, k) is the chain rule dR_r/dy_k + sum_i dR_r/du_i du*_i/dy_k, with
+    the rates R read at the input u* as the loop computed it.
 
     The folded stage's u* = H^-1 (z - g0(xi)) is an expression in y with
-    H^-1 as constants, so du*/dy needs no solve: entry (r, k) is the chain
-    rule dR_r/dy_k + sum_i dR_r/du_i du*_i/dy_k, with the rates R read at
-    the input u* as the loop computed it. Symbolically zero terms drop out.
+    H^-1 as constants, so du*/dy is its derivative. A Newton stage's du*/dy
+    is the implicit-function derivative, ``_eliminated`` H applied to the
+    columns d/dy (z - d_uL(xi, u)) at fixed u. Symbolically zero terms
+    drop out.
     """
     m, d = F.m, 2 * F.n
-    u_star, rates = folded.exprs[:m], folded.exprs[m:]
-    du = [[e.diff(k) for k in range(d)] for e in u_star]
-    exprs = [ex.add(r.diff(k), *(ex.mul(r.diff(d + i), du[i][k])
-                                 for i in range(m)))
-             for r in rates for k in range(d)]
-    evaluate = ex.compile_vector(exprs, d + m)
+    folded = L._flow(F)[1]
+    if folded is not None:
+        u_star, rates = folded.exprs[:m], folded.exprs[m:]
+        du = [[e.diff(k) for e in u_star] for k in range(d)]
+    else:
+        x, z, rates = _stage_exprs(F, L)
+        u = [ex.Var(f"u{k + 1}", d + k) for k in range(m)]
+        grad, hess = L._fiber_exprs()
+        gap = [ex.add(z[i], ex.mul(ex.Const(-1.0),
+                                   ex.substitute(grad[i], x + u)))
+               for i in range(m)]
+        du = _eliminated([ex.substitute(e, x + u) for e in hess],
+                         [[g.diff(k) for g in gap] for k in range(d)])
+    evaluate = ex.compile_vector(
+        [ex.add(r.diff(k), *(ex.mul(r.diff(d + i), du[k][i])
+                             for i in range(m)))
+         for r in rates for k in range(d)], d + m)
 
     def jacobian(v):
         out = evaluate(v)
@@ -251,36 +217,28 @@ def _folded_rate_jacobian(F, folded):
 
 
 def _stage(F, L: Lagrangian):
-    """(stage, folded): the function ``Lagrangian.flow_stage`` returns for
-    F, and the folded evaluator it calls, None for the two-call stage."""
-    n, m = F.n, F.m
+    """(stage, folded, loop): the functions ``Lagrangian.flow_stage`` and
+    ``Lagrangian.flow_loop`` return for F, and the folded evaluator, None
+    for a Newton stage."""
+    m = F.m
     folded = _folded_stage(F, L)
-    if folded is not None:
-        def stage(y, w, alive):
-            out = folded(y)
-            return out[..., :m], out[..., m:]
-        return stage, folded
-    pre, post = _two_call_stage(F, L)
+    if folded is None:
+        stage, loop = _newton_flow(F, L)
+        return stage, None, loop
 
-    def stage(y, w, alive):
-        head = pre(y)
-        u, ok = _fiber_solve(L, y[..., :n], head[..., :m], w, alive,
-                             head[..., m:])
-        alive &= ok
-        return u, post(np.concatenate((y, u), axis=-1))
-    return stage, None
+    def stage(y, w):
+        out = folded(y)
+        return out[..., :m], out[..., m:]
+    return stage, folded, _flow_loop(F, folded)
 
 
 def _flow_loop(F, folded):
-    """``Lagrangian.flow_loop``: ``fields._rk4_loop`` on y = (xi, p), each
-    stage's values the folded stage's u* at the stage input and its rates
-    the folded stage's rates at that u*, so one step does the arithmetic
-    of ``shooting._array_flow`` over the folded evaluator, bit for bit.
-
-    The loop takes ``range(M)`` for its steps and returns the node states
-    only; u* is checked at every stage and kept at none.
-    ``shooting._hamiltonian_flow`` re-forms the controls at the nodes with
-    the folded evaluator itself.
+    """The loop ``Lagrangian.flow_loop`` returns over a folded stage:
+    ``fields._rk4_loop`` on y = (xi, p), each stage's values the folded
+    stage's u* at the stage input and its rates the folded stage's rates
+    at that u*, so a step does a numpy RK4's arithmetic over the folded
+    evaluator, bit for bit. It takes ``range(M)`` for its steps, checks
+    u* at every stage and keeps the node states only.
     """
     m, d = F.m, 2 * F.n
     u_star, rates = folded.exprs[:m], folded.exprs[m:]
@@ -290,21 +248,6 @@ def _flow_loop(F, folded):
         return u, [ex.substitute(r, y + u) for r in rates]
 
     return _rk4_loop(d, [f"_x{j}" for j in range(d)] + ["_j"], stage)
-
-
-def _two_call_stage(F, L: Lagrangian):
-    """(pre, post): the stage as two evaluators with the feedback between.
-
-    ``pre(y)`` returns z and, when d_uL is affine in u, then g0(xi) and the
-    row-major H(xi); ``post`` takes (xi, p, u) stacked and returns
-    (xi', p').
-    """
-    n, m = F.n, F.m
-    x, pre, post = _stage_exprs(F, L)
-    if L.fiber_affine():
-        grad, hess = L._fiber_exprs()
-        pre += [ex.substitute(e, x + [_ZERO] * m) for e in grad + hess]
-    return ex.compile_vector(pre, 2 * n), ex.compile_vector(post, 2 * n + m)
 
 
 def _folded_stage(F, L: Lagrangian):
@@ -321,7 +264,7 @@ def _folded_stage(F, L: Lagrangian):
     1e6 (1 + |z|), where the roundoff of z - g0 alone is above the
     tolerance.
     A singular or ill-conditioned constant H, an x-dependent H and a cost
-    not affine in u keep the two-call stage and its per-element test.
+    not affine in u take the Newton stage and its per-element test.
     """
     n, m = F.n, F.m
     if not L.fiber_affine():
@@ -350,6 +293,209 @@ def _folded_stage(F, L: Lagrangian):
     return ex.compile_vector(u_star + rates, 2 * n)
 
 
+def _eliminated(H, columns):
+    """H^-1 applied to each column, as expressions: Gaussian elimination
+    without pivoting on the row-major m x m expression list H, whose
+    pivot reciprocals and row multipliers every column shares.
+
+    A zero pivot makes its reciprocal infinite and the columns non-finite.
+    H is a control Hessian, symmetric and, where the cost is strictly
+    convex, positive definite, which needs no pivoting.
+    """
+    m = len(columns[0])
+    A = [list(H[i * m:(i + 1) * m]) for i in range(m)]
+    cols = [list(c) for c in columns]
+    minus = ex.Const(-1.0)
+    inverse = []
+    for k in range(m):
+        inverse.append(ex.power(A[k][k], -1))
+        for i in range(k + 1, m):
+            f = ex.mul(minus, A[i][k], inverse[k])
+            A[i][k + 1:] = [ex.add(a, ex.mul(f, b))
+                            for a, b in zip(A[i][k + 1:], A[k][k + 1:])]
+            for c in cols:
+                c[i] = ex.add(c[i], ex.mul(f, c[k]))
+    for c in cols:
+        for k in reversed(range(m)):
+            c[k] = ex.mul(ex.add(c[k], *(ex.mul(minus, A[k][j], c[j])
+                                         for j in range(k + 1, m))),
+                          inverse[k])
+    return cols
+
+
+def _products(e):
+    """e with each power of a whole exponent from 3 to 8 written as a
+    product of its base's factors: Python floats multiply far faster than
+    ``expr.scalar_code`` takes such a power, through numpy, and the
+    Newton's arithmetic need match no other code's."""
+    if isinstance(e, ex.Pow):
+        base = _products(e.base)
+        k = e.exponent
+        return ex.Mul((base,) * int(k)) if k in range(3, 9) \
+            else ex.Pow(base, k)
+    if isinstance(e, ex.Add):
+        return ex.Add(tuple(map(_products, e.terms)))
+    if isinstance(e, ex.Mul):
+        return ex.Mul(tuple(map(_products, e.factors)))
+    if isinstance(e, ex.Func):
+        return ex.Func(e.name, _products(e.arg))
+    return e
+
+
+def _tuple(items):
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def _newton_lines(L: Lagrangian):
+    """The damped Newton on d_uL(x, u) = z as lines of Python code.
+
+    The lines read the locals _x0.. (x), _z0.. (z) and _u0.. (the warm
+    start) and leave the last iterate in _u0..; it solves the equation
+    where ``_rr < _tol`` holds after them. Each iteration solves
+    H(x, u) s = r, r = d_uL(x, u) - z, by ``_eliminated``, and tries
+    u - a s for a = 1, 1/2, ... over LEGENDRE_MAX_HALVINGS scales,
+    keeping the first whose |r| falls below the iterate's: the scale
+    ``dynamics._backtrack`` picks. The solve stops where
+    |r| < LEGENDRE_TOL (1 + |z|), relative as the roundoff of
+    d_uL(x, u) - z grows with |z|, and fails where a step is not finite
+    (s - s is then not 0), every scale is rejected or LEGENDRE_MAX_ITER
+    steps do not reach the tolerance. |r| and the tolerance are compared
+    squared. Each ``expr.scalar_code`` block is read only by the lines
+    that follow it, so its temporaries may reuse another block's names.
+    """
+    n, m = L.n, L.m
+    grad, hess = ([_products(e) for e in exprs] for exprs in L._fiber_exprs())
+    x = [f"_x{j}" for j in range(n)]
+    u, z, r, s, c, q = ([f"_{v}{i}" for i in range(m)] for v in "uzrscq")
+
+    def block(exprs, names, out):
+        lines, outputs = ex.scalar_code(exprs, names)
+        return lines + [f"{_tuple(out)} = {_tuple(outputs)}"]
+
+    def residual(u, r, rr):
+        gap = [ex.add(g, ex.mul(ex.Const(-1.0), ex.Var(z[i], n + m + i)))
+               for i, g in enumerate(grad)]
+        out = [ex.Var(r[i], n + 2 * m + i) for i in range(m)]
+        norm = ex.add(*(ex.mul(v, v) for v in out))
+        return block(gap + [norm], x + u + z, r + [rr])
+
+    rhs = [ex.Var(r[i], n + m + i) for i in range(m)]
+    step = block(_eliminated(hess, [rhs])[0], x + u + r, s)
+    full = [f"{c[i]} = {u[i]} - {s[i]}" for i in range(m)]
+    trial = [f"{c[i]} = {u[i]} - _a * {s[i]}" for i in range(m)]
+    return ([f"_tol = {LEGENDRE_TOL!r} * (1.0 + ("
+             + " + ".join(f"{v} * {v}" for v in z) + ") ** 0.5)",
+             "_tol = _tol * _tol"]
+            + residual(u, r, "_rr")
+            + [f"_i = {LEGENDRE_MAX_ITER}",
+               "while _i and not _rr < _tol:",
+               "    _i -= 1"]
+            + [f"    {line}" for line in step]
+            + ["    if " + " + ".join(f"({v} - {v})" for v in s)
+               + " != 0.0:",
+               "        break"]
+            + [f"    {line}" for line in full + residual(c, q, "_qq")]
+            + ["    if not _qq < _rr:",
+               "        _a = 0.5",
+               f"        for _k in range({LEGENDRE_MAX_HALVINGS - 1}):"]
+            + [f"            {line}" for line in trial + residual(c, q, "_qq")]
+            + ["            if _qq < _rr:",
+               "                break",
+               "            _a = _a * 0.5",
+               "        else:",
+               "            break",
+               f"    {_tuple(u + r + ['_rr'])} = {_tuple(c + q + ['_qq'])}"])
+
+
+def _row_function(name, args, lines, out):
+    """Source of ``name(rows)``: for each row, the locals args, then lines;
+    returns the outputs out of every row in one flat list."""
+    return "\n".join([f"def {name}(_rows):", "    _out = []",
+                      f"    for {', '.join(args)} in _rows:"]
+                     + [f"        {line}" for line in lines]
+                     + [f"        _out += {_tuple(out)}", "    return _out"])
+
+
+def _failed(u):
+    """Lines that make u NaN where the ``_newton_lines`` before them failed."""
+    return ["if not _rr < _tol:", f"    {' = '.join(u)} = nan"]
+
+
+def _newton_flow(F, L: Lagrangian):
+    """(stage, loop) of a Newton stage, whose u* every RK4 stage solves in
+    generated code from the u* of the stage before it.
+
+    A stage's lines compute z = B(xi)^T p at the stage input _x0.., run
+    ``_newton_lines`` from the warm start in _u0.. and put the rates at
+    their u* in the locals k. The loop inlines them at each RK4 stage, the
+    flow's first from u = 0, and steps as ``fields._rk4_loop`` does. It
+    keeps the row (xi, p, u*) of each node, u* its stage-1 control, from
+    which ``shooting._shooting_jacobian`` re-forms the stage inputs: a
+    solved warm start takes no step. An element ends at the first step
+    with a failed solve or a new state component that is not finite or
+    exceeds the guard; its last row, like an element's that took every
+    step, holds the last state and the stage's control there from the
+    warm start of its step. The stage function runs the same lines
+    (``_stages``) one element at a time, the loop's arithmetic bit for
+    bit, with u* NaN where the solve fails.
+    """
+    m, d = F.m, 2 * F.n
+    _, z, rates = _stage_exprs(F, L)
+    x, u, w, v, y, new = ([f"_{c}{j}" for j in range(k)]
+                          for c, k in zip("xuwvyn", (d, m, m, m, d, d)))
+    ks = [[f"_k{s}_{j}" for j in range(d)] for s in range(1, 5)]
+    z_lines, z_out = ex.scalar_code(z, x)
+    rate_lines, rate_out = ex.scalar_code(rates, x + u)
+
+    def stage(k, failed):
+        return (z_lines
+                + [f"{_tuple([f'_z{i}' for i in range(m)])} = {_tuple(z_out)}"]
+                + _newton_lines(L) + failed + rate_lines
+                + [f"{_tuple(k)} = {_tuple(rate_out)}"])
+
+    body = [f"{_tuple(x)} = {_tuple(y)}", f"{_tuple(u)} = {_tuple(w)}"]
+    for s, scale in enumerate(("_half", "_half", "_h", None)):
+        body += stage(ks[s], ["if not _rr < _tol:", "    break"])
+        if s == 0:
+            body.append(f"{_tuple(v)} = {_tuple(u)}")
+        if scale is not None:
+            body.append(f"{_tuple(x)} = " + _tuple(
+                [f"{y[j]} + {scale} * {ks[s][j]}" for j in range(d)]))
+    k1, k2, k3, k4 = ks
+    body += [
+        f"{_tuple(new)} = " + _tuple([
+            f"{y[j]} + _sixth * ({k1[j]} + 2.0 * {k2[j]} + 2.0 * {k3[j]}"
+            f" + {k4[j]})" for j in range(d)]),
+        "if not (" + " and ".join(f"abs({c}) <= _guard" for c in new) + "):",
+        "    break",
+        f"_states += {_tuple(y + v)}",
+        f"{_tuple(y)} = {_tuple(new)}",
+        f"{_tuple(w)} = {_tuple(u)}"]
+    source = "\n".join(
+        [_row_function("_stages", x + u, stage(ks[0], _failed(u)), u + ks[0]),
+         "def _loop(_y, _steps, _h, _guard):",
+         f"    {_tuple(y)} = _y",
+         f"    {' = '.join(w)} = 0.0",
+         "    _half = _h / 2.0",
+         "    _sixth = _h / 6.0",
+         "    _states = []",
+         "    for _j in _steps:"]
+        + [f"        {line}" for line in body]
+        + [f"    return _states + [{', '.join(y)}] + "
+           f"_stages([({', '.join(y + w)})])[:{m}]"])
+    loop = ex.scalar_function(source, "_loop")
+    stages = loop.__globals__["_stages"]
+
+    def flow_stage(y, w):
+        batch = y.shape[:-1]
+        rows = np.concatenate((y, np.broadcast_to(w, batch + (m,))), axis=-1)
+        out = np.array(stages(rows.reshape(-1, d + m).tolist()),
+                       dtype=float).reshape(batch + (m + d,))
+        return out[..., :m], out[..., m:]
+
+    return flow_stage, loop
+
+
 def parse_lagrangian(text, n, m) -> Lagrangian:
     """Parse one scalar expression over x1..xn, u1..um.
 
@@ -362,127 +508,37 @@ def parse_lagrangian(text, n, m) -> Lagrangian:
     return Lagrangian(n, m, expression, source=text)
 
 
-def _affine_solve(g0, H, z, u0):
-    """(u, ok) for g0 + H u = z: u0 where H is singular, ok where the
-    residual is below LEGENDRE_TOL (1 + |z|).
-
-    An element with a non-finite component of z - g0 fails. The LU
-    substitutions would carry that component into every later one as NaN,
-    so it is left out of the solve and enters u only through the entries
-    of H^-1 that multiply it, as in the closed form; the rest of u stays
-    finite.
-    """
-    rhs = z - g0
-    bad = ~np.isfinite(rhs)
-    u, solved = _solve_or(H, np.where(bad, 0.0, rhs)[..., None],
-                          u0[..., None])
-    u = u[..., 0]
-    failed = bad.any(axis=-1)
-    hit = failed & solved
-    # inf - inf is NaN here, in u and in the residual of a failed element.
-    with np.errstate(invalid="ignore"):
-        if np.any(hit):
-            H_inv = np.linalg.inv(
-                np.broadcast_to(H, rhs.shape + rhs.shape[-1:])[hit])
-            carry = bad[hit][..., None, :] & (H_inv != 0.0)
-            u[hit] += np.where(carry, H_inv * rhs[hit][..., None, :],
-                               0.0).sum(axis=-1)
-        rn = _norm(np.einsum("...ij,...j->...i", H, u) + g0 - z)
-    return u, solved & ~failed & (rn < LEGENDRE_TOL * (1.0 + _norm(z)))
-
-
-def _norm(v):
-    """np.linalg.norm(v, axis=-1) to the bit, without its argument handling."""
-    return np.sqrt(np.add.reduce(v * v, axis=-1))
-
-
-def _solve_or(H, rhs, fallback):
-    """(H^-1 rhs, regular) per batch element for rhs (..., m, k); fallback
-    where H is singular."""
-    try:
-        return np.linalg.solve(H, rhs), True
-    except np.linalg.LinAlgError:
-        # slogdet factors H as solve does: a zero sign marks the elements
-        # with the exactly zero pivot solve raised for.
-        regular = np.linalg.slogdet(H)[0] != 0.0
-        H = np.where(regular[..., None, None], H, np.eye(H.shape[-1]))
-        x = np.linalg.solve(H, rhs)
-        return np.where(regular[..., None, None], x, fallback), regular
-
-
-def _damped_newton(L: Lagrangian, x, z, u0, live=True):
-    """Damped Newton on d_uL(x, u) = z for costs not affine in u.
-
-    ``_backtrack`` halves each element's step, on the flattened batch, until
-    its residual norm falls, and the residual of the accepted trial is kept.
-    Elements outside ``live`` (a flow's frozen dead elements, whose residual
-    can sit at a roundoff floor above tolerance), elements whose residual is
-    non-finite, whose line search stalls or whose Newton step is singular or
-    non-finite fail at their iterate and hold up nothing. Converged elements
-    stop, so each ends as in a batch of one.
-    """
-    batch = np.broadcast_shapes(x.shape[:-1], z.shape[:-1], u0.shape[:-1])
-    x, z, u = (np.broadcast_to(a, batch + a.shape[-1:])
-               .reshape(-1, a.shape[-1]).copy() for a in (x, z, u0))
-    tol = LEGENDRE_TOL * (1.0 + _norm(z))
-    r = L.grad_u(x, u) - z
-    rn = _norm(r)
-    live = np.isfinite(rn) & np.ravel(live)
-
-    def trial(idx, u_try):
-        r_try = L.grad_u(x[idx], u_try) - z[idx]
-        rn_try = _norm(r_try)
-
-        def keep(sel):
-            r[idx[sel]], rn[idx[sel]] = r_try[sel], rn_try[sel]
-
-        return rn_try < rn[idx], keep
-
-    for _ in range(LEGENDRE_MAX_ITER):
-        todo = live & (rn >= tol)
-        if not np.any(todo):
-            break
-        step, regular = _solve_or(L.hess_u(x, u), r[..., None], 0.0)
-        step = step[..., 0]
-        live &= (regular & np.isfinite(step).all(axis=-1)) | ~todo
-        u, stuck = _backtrack(trial, u, step, todo & live,
-                              LEGENDRE_MAX_HALVINGS)
-        live &= ~stuck
-    return u.reshape(batch + (L.m,)), (live & (rn < tol)).reshape(batch)
-
-
-def _fiber_solve(L: Lagrangian, x, z, u0, live=True, fiber=None):
-    """(u, ok) for d_uL(x, u) = z: ``_affine_solve`` on g0 and the row-major
-    H, stacked in ``fiber`` or else read at u = 0, for a cost affine in u,
-    and ``_damped_newton`` from u0 over ``live`` for any other."""
-    if not L.fiber_affine():
-        return _damped_newton(L, x, z, u0, live)
-    m = L.m
-    if fiber is None:
-        zero = np.zeros(m)
-        return _affine_solve(L.grad_u(x, zero), L.hess_u(x, zero), z, u0)
-    H = fiber[..., m:]
-    return _affine_solve(fiber[..., :m], H.reshape(H.shape[:-1] + (m, m)),
-                         z, u0)
-
-
 def legendre_inverse(L: Lagrangian, x, z, u0=None):
-    """Solve d_uL(x, u) = z for u; a Newton starts from u0 (default 0).
+    """Solve d_uL(x, u) = z for u, element by element with the damped
+    Newton the flow's stages run (``_newton_lines``), from u0 (default 0).
 
     Raises a diffeomorphism violation if any batch element fails to reach
-    tolerance: a singular control Hessian or a stalled line search, whose
-    LEGENDRE_MAX_HALVINGS trials were all rejected.
+    tolerance: a zero pivot of the control Hessian, a stalled line search,
+    whose LEGENDRE_MAX_HALVINGS trials were all rejected, or
+    LEGENDRE_MAX_ITER steps that do not reach it.
     """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    u0 = np.zeros(L.m) if u0 is None else np.asarray(u0, dtype=float)
-    u, ok = _fiber_solve(L, x, z, u0)
-    if not np.all(ok):
-        rn = np.linalg.norm(L.grad_u(x, u) - z, axis=-1)
+    n, m = L.n, L.m
+    args = [f"_x{j}" for j in range(n)] + [f"_{v}{i}" for v in "zu"
+                                           for i in range(m)]
+    u0 = np.zeros(m) if u0 is None else u0
+    parts = [np.asarray(a, dtype=float) for a in (x, z, u0)]
+    if [a.shape[-1:] for a in parts] != [(n,), (m,), (m,)]:
+        raise DimensionError(f"expected x(...,{n}), z(...,{m}) and "
+                             f"u0(...,{m}), got {[a.shape for a in parts]}")
+    solve = ex.scalar_function(_row_function(
+        "_solve", args, _newton_lines(L) + _failed(args[n + m:]),
+        args[n + m:]), "_solve")
+    batch = np.broadcast_shapes(*(a.shape[:-1] for a in parts))
+    rows = np.concatenate([np.broadcast_to(a, batch + a.shape[-1:])
+                           for a in parts], axis=-1)
+    u = np.array(solve(rows.reshape(-1, n + 2 * m).tolist()),
+                 dtype=float).reshape(batch + (m,))
+    failed = np.count_nonzero(np.isnan(u).any(axis=-1))
+    if failed:
         raise DiffeomorphismViolationError(
-            "fiber-derivative inversion did not reach tolerance "
-            f"{LEGENDRE_TOL:g} (1 + |z|)",
-            residual=float(np.max(rn)))
+            f"fiber-derivative inversion did not reach tolerance "
+            f"{LEGENDRE_TOL:g} (1 + |z|) at {failed} of "
+            f"{rows.size // (n + 2 * m)} points")
     return u
 
 

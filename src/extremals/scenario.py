@@ -31,7 +31,8 @@ from .errors import ParseError, ScenarioError
 from .fields import FieldSet, parse_field_set
 from .lagrangian import Lagrangian, parse_lagrangian
 
-BUILTIN_NAMES = ("identity", "heisenberg", "martinet", "grushin", "gl")
+BUILTIN_NAMES = ("identity", "heisenberg", "martinet", "grushin", "gl",
+                 "heisenberg_quartic")
 
 
 @dataclass(frozen=True)

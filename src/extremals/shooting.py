@@ -5,29 +5,16 @@ The flow integrated here is
     xi' = B(xi) u*,    p' = -A(xi, u*)^T p + d_xL(xi, u*),
 
 with the feedback control u* = w(xi, B(xi)^T p) re-solved at every RK4
-stage, on the stacked state y = (xi, p). Every cost gives one stage
-function, generated per field set by ``Lagrangian.flow_stage``: it returns
-u*, warm-started from the previous stage's, and the rates, and clears the
-alive mask where its feedback solve fails.
-
-``_hamiltonian_flow`` picks its RK4 loop by the cost alone. A cost with
-a folded stage (``lagrangian._folded_stage``, every smooth built-in) runs
-``Lagrangian.flow_loop``, straight-line Python-float code generated per
-field set, once per element, at every batch size. Any other cost, whose
-stage is two calls with the feedback solve between them, runs
-``_array_flow``, one RK4 loop over numpy arrays of the whole batch. Over
-a folded stage the two take the same arithmetic, so the same bits. The
-generated loop costs about 2 us per element and step; the array loop's
-cost per step hardly grows with the batch, so over a folded stage it
-would be the faster from a few dozen elements on. Yet the multi-starts
-and refinements of the built-ins, with flows of up to 117 elements, run
-no slower end to end on the generated loop, and faster on martinet,
-grushin and identity (2-core x86-64 box, Python 3.11.7, numpy 2.4.6).
-
-In both loops an element dies at the step where its feedback solve fails,
-a u* is not finite or the new state leaves the blow-up guard. It then
-keeps its last state at every later node, its controls after that step
-are NaN, and its closing control is the stage's at its frozen state.
+stage, on the stacked state y = (xi, p). ``_hamiltonian_flow`` runs one
+RK4 loop for every cost, ``Lagrangian.flow_loop``: straight-line
+Python-float code generated per field set, run once per element at every
+batch size. A heisenberg step takes about 1.6 us with the folded stage of
+every smooth built-in and 5 to 7 us with the Newton stage of an
+x-dependent H or a quartic cost (2-core x86-64 box, Python 3.11.7, numpy
+2.4.6). An element dies at the step where a feedback solve fails, a u* is
+not finite or the new state leaves the blow-up guard. It then keeps its
+last state at every later node, its controls after that step are NaN, and
+its closing control is the stage's at its frozen state.
 
 The shooting unknown is p(0): forward integration only, and the
 multiplier is read off as lam = p(T) on convergence.
@@ -71,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import ControlPath, l2_distance
-from .dynamics import (BLOWUP_GUARD, DEFAULT_SUBSTEPS, PSI_COND_FLAG,
+from .dynamics import (DEFAULT_SUBSTEPS, PSI_COND_FLAG,
                        DifferentialKernel, Trajectory, _backtrack,
                        _run_loops, _step_matrices, _tree_product, fine_grid)
 from .errors import DimensionError, NonConvergenceError
@@ -120,21 +107,17 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     """Batched feedback flow from stacked initial costates p0 (..., n).
 
     Integrates the stacked state y = (xi, p), shaped batch + (2n,), and
-    returns (times, xs, ps, us, alive): arrays shaped (M+1,) + batch +
-    (dim,), xs and ps being views of y's halves and us the controls at the
-    nodes, which are RK4 stage 0's; alive marks elements that stayed finite
-    and feedback-solvable. The nodes are all a flow keeps:
+    returns (times, xs, ps, us, alive): views shaped (M+1,) + batch +
+    (dim,) of the node rows (xi, p, u*), us the controls at the nodes,
+    which are RK4 stage 0's; alive marks elements that stayed finite and
+    feedback-solvable. The nodes are all a flow keeps:
     ``_shooting_jacobian`` re-forms the stage inputs from them.
 
-    A cost with a folded stage runs ``Lagrangian.flow_loop`` once per
-    element, whatever the batch; one folded-stage call on all nodes then
-    gives us, the closing control included: the loop's operations on its
-    expressions, so its bits. Any other cost runs ``_array_flow`` over the
-    batch. An element dies at the step where the stage's feedback solve
-    fails, where a u* of the step is not finite or where the new state
-    leaves the blow-up guard. It then keeps its last state at every later
-    node, its controls after that step are NaN, and its closing control
-    us[M] is the stage's at its frozen state.
+    ``Lagrangian.flow_loop`` runs once per element, whatever the batch.
+    Over a folded stage one stage call on all nodes then gives us, the
+    closing control included: the loop's operations on its expressions,
+    so its bits; a Newton stage's loop keeps us itself. Dead elements
+    follow the module docstring's rule.
     """
     p0 = np.asarray(p0, dtype=float)
     batch = p0.shape[:-1]
@@ -145,65 +128,23 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     y = np.empty((B, 2 * n))
     y[:, :n] = np.asarray(x0, dtype=float)
     y[:, n:] = p0.reshape(B, n)
-    us = np.full((M + 1, B, m), np.nan)
-    stage, loop = L.flow_stage(F), L.flow_loop(F)
-    # Frozen dead elements may overflow; the death steps report them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if loop is None:
-            ys, died, closing = _array_flow(stage, y, h, M, us)
-        else:
-            ys = np.empty((M + 1,) + y.shape)
-            died = _run_loops(loop, ((start, range(M), float(h))
-                                     for start in y.tolist()), ys)
-            us[:] = stage(ys, None, None)[0]
-            closing = True   # the folded stage clears no element
+    stage, folded, loop = L._flow(F)
+    rows = np.empty((M + 1, B, 2 * n + m))
+    ys, us = rows[..., :2 * n], rows[..., 2 * n:]
+    died = _run_loops(loop, ((start, range(M), float(h))
+                             for start in y.tolist()),
+                      rows if folded is None else ys)
+    if folded is not None:
+        # A frozen dead element's controls may overflow; its death step
+        # reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            us[:] = stage(ys, None)[0]
     for b in np.flatnonzero(died >= 0):
         us[died[b]:M, b] = np.nan
-    alive = (died < 0) & closing & np.isfinite(us[M]).all(axis=-1)
-    ys = ys.reshape((M + 1,) + batch + (2 * n,))
-    return (times, ys[..., :n], ys[..., n:],
-            us.reshape((M + 1,) + batch + (m,)), alive.reshape(batch))
-
-
-def _array_flow(stage, y, h, M, us):
-    """The flow of the batch y (B, 2n) in one RK4 loop over numpy arrays
-    of the whole batch, with one scalar step h: fills the controls us and
-    returns the node states (M+1, B, 2n), the death steps and the mask of
-    the elements whose closing feedback solve succeeded.
-
-    Each RK4 stage is warm-started from the u* of the stage before it, the
-    flow's first from 0. An element dies at the step where the stage clears it in the alive
-    mask, where a u* of the step is not finite, or where the new state is
-    not finite or exceeds BLOWUP_GUARD: it reports node j + 1 of the step
-    j it died in, keeps its last state, and the loop stops once no element
-    is left.
-    """
-    half, sixth = h / 2.0, h / 6.0
-    ys = np.empty((M + 1,) + y.shape)
-    ys[0] = y
-    alive = np.ones(len(y), dtype=bool)
-    died = np.full(len(y), -1)
-    w = np.zeros(us.shape[1:])
-    for j in range(M):
-        w1, k1 = stage(y, w, alive)
-        w2, k2 = stage(y + half * k1, w1, alive)
-        w3, k3 = stage(y + half * k2, w2, alive)
-        w, k4 = stage(y + h * k3, w3, alive)
-        us[j] = w1
-        alive &= np.isfinite((w1, w2, w3, w)).all(axis=(0, -1))
-        new = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # NaN fails every comparison, so one max guards the batch.
-        if not (np.abs(new).max() <= BLOWUP_GUARD and alive.all()):
-            alive &= np.abs(new).max(axis=-1) <= BLOWUP_GUARD
-            died[(died < 0) & ~alive] = j + 1
-            new = np.where(alive[:, None], new, y)
-            if not alive.any():
-                ys[j + 1:] = new
-                break
-        y = ys[j + 1] = new
-    closing = np.ones(len(y), dtype=bool)
-    us[M] = stage(ys[-1], w, closing)[0]
-    return ys, died, closing
+    alive = (died < 0) & np.isfinite(us[M]).all(axis=-1)
+    rows = rows.reshape((M + 1,) + batch + (2 * n + m,))
+    return (times, rows[..., :n], rows[..., n:2 * n], rows[..., 2 * n:],
+            alive.reshape(batch))
 
 
 def _shooting_jacobian(F, L, flow, h):
@@ -234,12 +175,11 @@ def _shooting_jacobian(F, L, flow, h):
     for j in range(0, len(us), JACOBIAN_BLOCK):
         block = slice(j, j + JACOBIAN_BLOCK)
         y = np.concatenate((xs[block], ps[block]), axis=-1)
-        # The two-call stage clears its mask in place: a fresh one each.
-        w, k = stage(y, us[block], np.ones(y.shape[:-1], dtype=bool))
+        w, k = stage(y, us[block])
         inputs = [np.concatenate((y, w), axis=-1)]
         for scale in (h / 2.0, h / 2.0, h):
             yi = y + scale * k
-            w, k = stage(yi, w, np.ones(y.shape[:-1], dtype=bool))
+            w, k = stage(yi, w)
             inputs.append(np.concatenate((yi, w), axis=-1))
         Y = _tree_product(_step_matrices(jacobian(np.stack(inputs)), h)) @ Y
     return Y[:, :n]

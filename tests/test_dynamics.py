@@ -8,9 +8,9 @@ below rely on systems whose flow is known in closed form.
 import numpy as np
 import pytest
 
-from extremals import lagrangian
+from extremals import lagrangian, shooting
 from extremals.controls import ControlPath, random_smooth_controls
-from extremals.dynamics import (DEFAULT_SUBSTEPS, PSI_COND_FLAG,
+from extremals.dynamics import (BLOWUP_GUARD, DEFAULT_SUBSTEPS, PSI_COND_FLAG,
                                 DifferentialKernel, _backtrack,
                                 _stage_controls, _step_matrices,
                                 _step_products, _tree_product, fine_grid,
@@ -433,8 +433,9 @@ def test_the_pair_tree_is_the_sequential_product(M, d, K):
 def _recorded_rk4(F, L, y, h, M):
     """A plain numpy RK4 over ``L.flow_stage(F)`` from the states y (K, 2n),
     each stage warm-started from the u* before it and the first from 0, as
-    the array flow runs it. Returns the nodes (M+1, K, 2n), their controls
-    (M, K, m) and the recorded stage inputs (xi, p, u*), (4, M, K, 2n + m)."""
+    the generated loops run it. Returns the nodes (M+1, K, 2n), their
+    controls (M, K, m) and the recorded stage inputs (xi, p, u*),
+    (4, M, K, 2n + m)."""
     stage = L.flow_stage(F)
     w = np.zeros(y.shape[:-1] + (F.m,))
     nodes, controls, inputs = [y], [], []
@@ -442,9 +443,8 @@ def _recorded_rk4(F, L, y, h, M):
         ks, step = [], []
         for scale in (None, h / 2.0, h / 2.0, h):
             y_s = y if scale is None else y + scale * ks[-1]
-            alive = np.ones(len(y), dtype=bool)
-            w, k = stage(y_s, w, alive)
-            assert alive.all()
+            w, k = stage(y_s, w)
+            assert np.isfinite(w).all()
             step.append(np.concatenate((y_s, w), axis=-1))
             ks.append(k)
         controls.append(step[0][..., 2 * F.n:])
@@ -457,8 +457,8 @@ def _recorded_rk4(F, L, y, h, M):
 
 def _jacobian_case(name):
     """(F, L, x0) for the step-product test: two built-ins, then on
-    heisenberg the x-dependent H = (1 + x1^2) I of the closed-form solve
-    and the quartic cost of the damped Newton."""
+    heisenberg the Newton stages of the x-dependent H = (1 + x1^2) I and of
+    a quartic cost."""
     if name == "x_dependent":
         return (HEISENBERG, parse_lagrangian("(1 + x1^2)*(u1^2+u2^2)/2", 3, 2),
                 np.zeros(3))
@@ -596,51 +596,94 @@ def test_stacked_flow_isolates_a_blowing_up_seed():
         np.testing.assert_allclose(J[col], J1[0], rtol=0, atol=1e-12)
 
 
-def _folded_and_two_call_flows(monkeypatch, F, text, x0, p0, substeps):
-    """Flows of one cost through the folded stage and through pre, the
-    closed-form solve and post."""
+def _folded_and_newton_flows(monkeypatch, F, text, x0, p0, substeps):
+    """Flows of one cost through the folded stage and through the Newton
+    stage, which a second Lagrangian of the cost takes with the folded
+    stage refused."""
     folded = parse_lagrangian(text, F.n, F.m)
     assert isinstance(lagrangian._folded_stage(F, folded), CompiledVector)
-    two_call = parse_lagrangian(text, F.n, F.m)
-    built = []
-    two_call_stage = lagrangian._two_call_stage
+    newton = parse_lagrangian(text, F.n, F.m)
     with monkeypatch.context() as patch:
         patch.setattr(lagrangian, "_folded_stage", lambda F, L: None)
-        patch.setattr(lagrangian, "_two_call_stage",
-                      lambda F, L: built.append(L) or two_call_stage(F, L))
-        two_call.flow_stage(F)  # cached: the flow below takes two calls
-    assert len(built) == 1 and built[0] is two_call
+        newton.flow_loop(F)  # cached: the flow below takes the Newton stage
     return (_hamiltonian_flow(F, folded, x0, p0, 1.0, 16, substeps),
-            _hamiltonian_flow(F, two_call, x0, p0, 1.0, 16, substeps))
+            _hamiltonian_flow(F, newton, x0, p0, 1.0, 16, substeps))
 
 
 def test_an_infeasible_feedback_dies_as_through_the_solve(monkeypatch):
     # L = u^2/2 + exp(x) u has H = 1: u* = x^2 p - exp(x) in closed form.
     # The seeds that run off die at the same step, frozen in the same
-    # state, with the same controls recorded as through the solve, the
-    # closing evaluation included; the values after death are compared too.
+    # state, with NaN controls after it, as through the Newton solve; where
+    # the folded u* is infinite, the failed solve's is NaN. The
+    # Newton may stop anywhere below LEGENDRE_TOL (1 + |z|), 1e-10, which
+    # bounds how far the values part, the closing controls included.
     p0 = np.linspace(-40.0, 40.0, 81)[:, None]
     for substeps in (1, 4):
-        folded, two_call = _folded_and_two_call_flows(
+        folded, newton = _folded_and_newton_flows(
             monkeypatch, BLOWUP, "u1^2/2 + exp(x1)*u1", np.ones(1), p0,
             substeps)
         assert 0 < np.count_nonzero(folded[4]) < len(p0)
-        for got, want in zip(folded, two_call):
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(folded[4], newton[4])
+        for got, want in zip(folded[:4], newton[:4]):
+            finite = np.isfinite(got)
+            np.testing.assert_array_equal(finite, np.isfinite(want))
+            np.testing.assert_allclose(got[finite], want[finite], rtol=1e-9,
+                                       atol=0)
     # There a non-finite u* also makes the next state non-finite, which the
     # blow-up guard catches. Here u*_2 = -exp(800) = -inf enters no rate,
-    # as X2 = 0 and g0_2 is constant: only the check on u* itself, like
-    # the solve's residual test, kills the elements, at the first stage.
+    # as X2 = 0 and g0_2 is constant: only the check on u* itself kills
+    # the folded elements, and the failed solve the Newton's, at the first
+    # stage.
     F = parse_field_set("X1 = (1, 0)\nX2 = (0, 0)", 2, 2)
-    folded, two_call = _folded_and_two_call_flows(
+    folded, newton = _folded_and_newton_flows(
         monkeypatch, F, "(u1^2 + u2^2)/2 + exp(800)*u2", np.zeros(2),
         np.array([[1.0, 0.0], [0.5, 2.0]]), 4)
-    assert not folded[4].any()
-    # The solve keeps u1 = z1 beside u2 = -inf, as the closed form does, in
-    # the recorded controls.
-    for got, want in zip(folded, two_call):
+    assert not folded[4].any() and not newton[4].any()
+    for got, want in zip(folded[1:3], newton[1:3]):
         np.testing.assert_array_equal(got, want)
+    # The folded flow keeps u1 = z1 beside u2 = -inf in the recorded
+    # controls, as the closed form does; a failed Newton solve gives NaN.
     np.testing.assert_array_equal(folded[3][[0, -1], :, 0], [[1.0, 0.5]] * 2)
+    assert np.isnan(newton[3]).all()
+
+
+def _array_flow(F, L, x0, p0, N, substeps):
+    """A plain numpy RK4 over ``L.flow_stage(F)`` on the whole batch of
+    seeds p0 (B, n), each stage warm-started from the u* before it and
+    the first from 0, with the flow's rule for a dead element: it dies at
+    the step with a u* that is not finite or a new state component that
+    is not finite or exceeds the guard, keeps its last state, has NaN
+    controls after that step and, as closing control, the stage's at its
+    frozen state from the warm start of that step. Returns the flow's
+    (xs, ps, us, alive)."""
+    stage = L.flow_stage(F)
+    h = fine_grid(1.0, N, substeps)[1]
+    M = N * substeps
+    y = np.concatenate((np.broadcast_to(x0, p0.shape), p0), axis=-1)
+    w = np.zeros(p0.shape[:-1] + (F.m,))
+    ys, us = [y], []
+    died = np.full(len(y), -1)
+    # The dead elements' stages run on, and may overflow.
+    with np.errstate(all="ignore"):
+        for j in range(M):
+            w1, k1 = stage(y, w)
+            w2, k2 = stage(y + h / 2.0 * k1, w1)
+            w3, k3 = stage(y + h / 2.0 * k2, w2)
+            w4, k4 = stage(y + h * k3, w3)
+            new = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ok = ((died < 0) & np.isfinite((w1, w2, w3, w4)).all(axis=(0, -1))
+                  & (np.abs(new) <= BLOWUP_GUARD).all(axis=-1))
+            died[(died < 0) & ~ok] = j + 1
+            us.append(w1)
+            y = np.where(ok[:, None], new, y)
+            w = np.where(ok[:, None], w4, w)
+            ys.append(y)
+        us.append(stage(y, w)[0])
+    ys, us = np.stack(ys), np.stack(us)
+    for b in np.flatnonzero(died >= 0):
+        us[died[b]:M, b] = np.nan
+    alive = (died < 0) & np.isfinite(us[M]).all(axis=-1)
+    return ys[..., :F.n], ys[..., F.n:], us, alive
 
 
 def _flow_case(name):
@@ -648,13 +691,16 @@ def _flow_case(name):
     seed family holds seeds that die: on heisenberg, martinet, grushin and
     thirds seeds of width 100 run off within a few steps, and the last
     row, a costate past the blow-up guard, dies at the first step
-    everywhere."""
+    everywhere. "x_dependent" and "quartic" take the Newton stage."""
     if name == "blowup":
         return (BLOWUP, parse_lagrangian("u1^2/2 + exp(x1)*u1", 1, 1),
                 np.ones(1), np.linspace(-40.0, 40.0, 9)[:, None])
-    if name == "thirds":
+    if name in ("thirds", "x_dependent", "quartic"):
         F, x0 = THIRDS, np.zeros(3)
-        L = parse_lagrangian("(2*u1^2 + 3*u2^2)/2", 3, 2)
+        L = parse_lagrangian({"thirds": "(2*u1^2 + 3*u2^2)/2",
+                              "x_dependent": "(1 + x1^2)*(u1^2 + u2^2)/2",
+                              "quartic": "(u1^2 + u2^2)/2 + u1^4/4"}[name],
+                             3, 2)
     else:
         sc = resolve_scenario(name)
         F, L = scenario_fields(sc), scenario_lagrangian(sc)
@@ -665,60 +711,60 @@ def _flow_case(name):
 
 
 @pytest.mark.parametrize("name", ["identity", "heisenberg", "martinet",
-                                  "grushin", "blowup", "thirds"])
-def test_the_generated_flow_is_the_array_flow_to_the_bit(monkeypatch, name):
-    # Each batch runs once on the generated loop and once on the array
-    # loop over the same folded stage, which the flow takes with this
-    # Lagrangian's flow_loop patched to give none. Every array the flow
-    # returns is the same, NaN included, so the dead elements follow one
-    # rule in both, and so are the shooting Jacobians of the two flows.
-    # "blowup" has the x-dependent g0 = exp(x1), "thirds" the
-    # H^-1 = diag(0.5, 1/3) whose u*_2 rounds in the generated code.
+                                  "grushin", "blowup", "thirds",
+                                  "x_dependent", "quartic"])
+def test_the_generated_flow_is_the_array_flow_to_the_bit(name):
+    # Each batch runs on the generated loop and on a numpy RK4 over the
+    # stage function of the whole batch (``_array_flow``). Every array the
+    # flow returns is the same, NaN included, so the dead elements follow
+    # the reference's rule. "blowup" has the x-dependent g0 = exp(x1),
+    # "thirds" the H^-1 = diag(0.5, 1/3) whose u*_2 rounds in the generated
+    # code; the Newton stages keep their u* in the loop and are run by the
+    # stage function one element at a time.
     F, L, x0, seeds = _flow_case(name)
     assert L.flow_loop(F) is not None
     for batch in (seeds[:1], seeds):
         for substeps in (1, 8):
-            runs = [_hamiltonian_flow(F, L, x0, batch, 1.0, 16, substeps)]
-            with monkeypatch.context() as patch:
-                patch.setattr(L, "flow_loop", lambda F: None)
-                runs.append(_hamiltonian_flow(F, L, x0, batch, 1.0, 16,
-                                              substeps))
-            generated, array = runs
-            alive = np.count_nonzero(array[4])
-            assert len(batch) == 1 or 0 < alive < len(batch)
-            for got, want in zip(generated, array):
+            generated = _hamiltonian_flow(F, L, x0, batch, 1.0, 16, substeps)
+            array = _array_flow(F, L, x0, batch, 16, substeps)
+            assert len(batch) == 1 or 0 < np.count_nonzero(array[3]) < len(batch)
+            for got, want in zip(generated[1:], array):
                 np.testing.assert_array_equal(got, want)
-            h = fine_grid(1.0, 16, substeps)[1]
-            # A dead element's re-formed stage inputs may overflow.
-            with np.errstate(over="ignore", invalid="ignore"):
-                jacobians = [_shooting_jacobian(F, L, flow[1:4], h)
-                             for flow in runs]
-            np.testing.assert_array_equal(*jacobians)
 
 
-def test_feedback_newton_skips_a_dead_seed():
-    # With the quartic cost the feedback needs the Newton loop. The seed
-    # p0 = 30 blows up; once frozen, its stage residual sits at a roundoff
-    # floor above tolerance, and it must not keep the batch iterating.
-    def counted_flow(p0):
-        L = parse_lagrangian("u1^2/2 + u1^4/4", 1, 1)
-        grad_u = L.grad_u
-        calls = []
+def test_feedback_newton_skips_a_dead_seed(monkeypatch):
+    # With the quartic cost the feedback needs the Newton. The seed p0 = 30
+    # blows up: its loop ends at its death step, which keeps no frozen
+    # element iterating, and the live seeds get the flows they get without
+    # it, bit for bit. RuntimeWarnings are errors in this suite, so the
+    # dead seed overflows nothing on the way.
+    L = parse_lagrangian("u1^2/2 + u1^4/4", 1, 1)
+    rows = []
+    run_loops = shooting._run_loops
 
-        def counting(x, u):
-            calls.append(1)
-            return grad_u(x, u)
+    def counting(loop, runs, out):
+        def counted(*args):
+            ys = loop(*args)
+            rows.append(len(ys) // out.shape[-1])
+            return ys
+        return run_loops(counted, runs, out)
 
-        L.grad_u = counting
-        _, _, _, _, alive = _hamiltonian_flow(BLOWUP, L, np.ones(1),
-                                              np.array(p0), 1.0, 16)
-        return alive, len(calls)
-
-    alive, calls = counted_flow([[0.1], [30.0], [-0.5]])
+    monkeypatch.setattr(shooting, "_run_loops", counting)
+    _, xs, ps, us, alive = _hamiltonian_flow(
+        BLOWUP, L, np.ones(1), np.array([[0.1], [30.0], [-0.5]]), 1.0, 16)
     np.testing.assert_array_equal(alive, [True, False, True])
-    alive2, calls2 = counted_flow([[0.1], [-0.5]])
+    M = 16 * DEFAULT_SUBSTEPS
+    k = rows[1]   # up to the death node, the last one a closing row
+    assert rows[0] == rows[2] == M + 1 and 1 < k < M
+    for a in (xs, ps):
+        np.testing.assert_array_equal(a[k - 1:, 1], a[k - 1:k, 1].repeat(
+            M + 2 - k, axis=0))
+    assert np.isnan(us[k:M, 1]).all() and np.isfinite(us[:k - 1, 1]).all()
+    _, *alone, alive2 = _hamiltonian_flow(
+        BLOWUP, L, np.ones(1), np.array([[0.1], [-0.5]]), 1.0, 16)
     np.testing.assert_array_equal(alive2, [True, True])
-    assert calls <= 3 * calls2
+    for got, want in zip((xs, ps, us), alone):
+        np.testing.assert_array_equal(got[:, [0, 2]], want)
 
 
 LINE_X = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 6.0], [-7.0, 0.25]])

@@ -6,7 +6,7 @@ import pytest
 from extremals import expr as ex
 from extremals.errors import DimensionError, ParseError
 from extremals.fields import FieldSet, lie_bracket, lie_rank, parse_field_set
-from extremals.lagrangian import (_folded_stage, _two_call_stage,
+from extremals.lagrangian import (_folded_stage, _stage_exprs,
                                   parse_lagrangian)
 
 HEISENBERG = """
@@ -49,7 +49,8 @@ def test_momentum_and_costate_rate():
     # The flow stage's p' = -A^T p + d_xL with A = u1 dX1 + u2 dX2, whose
     # only entries are A[2, 0] = u2/2 and A[2, 1] = -u1/2; d_xL = (0, 0, u1).
     L = parse_lagrangian("(u1^2 + u2^2)/2 + x3*u1", 3, 2)
-    pre, post = _two_call_stage(F, L)
+    _, z_exprs, rates = _stage_exprs(F, L)
+    pre, post = ex.compile_vector(z_exprs, 6), ex.compile_vector(rates, 8)
     u = np.array([2.0, -1.0])
     out = post(np.concatenate((x, p, u)))
     np.testing.assert_array_equal(out[:3], [2.0, -1.0, 0.125 * 2.0 - 0.25])

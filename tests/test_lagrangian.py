@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from extremals import expr as ex
 from extremals import lagrangian
 from extremals.errors import (DiffeomorphismViolationError, DimensionError,
                               ParseError)
 from extremals.expr import CompiledVector
 from extremals.fields import parse_field_set
-from extremals.lagrangian import (_affine_solve, _damped_newton,
-                                  _folded_stage, _two_call_stage,
+from extremals.lagrangian import (_folded_stage, _stage_exprs,
                                   legendre_inverse, parse_lagrangian,
                                   phi_from_samples, trapezoid)
 from extremals.scenario import (resolve_scenario, scenario_fields,
@@ -36,6 +36,19 @@ def fiber_coefficients(L, x):
     """(g0, H) with d_uL(x, u) = g0(x) + H(x) u, for a cost affine in u."""
     zero = np.zeros(L.m)
     return L.grad_u(x, zero), L.hess_u(x, zero)
+
+
+def closed_form(L, x, z):
+    """u = H(x)^-1 (z - g0(x)) by numpy's solve, for a cost affine in u."""
+    g0, H = fiber_coefficients(L, x)
+    return np.linalg.solve(H, (z - g0)[..., None])[..., 0]
+
+
+def assert_fails_alone(L, x, z):
+    """Each row of (x, z) on its own: legendre_inverse raises."""
+    for i in range(len(x)):
+        with pytest.raises(DiffeomorphismViolationError):
+            legendre_inverse(L, x[i], z[i])
 
 
 def test_value_and_derivatives_match_hand_formulas():
@@ -98,13 +111,10 @@ def test_legendre_inverse_quartic_against_bisection():
 def test_a_stalled_line_search_fails_the_feedback():
     # d_uL = u^3 - u has a vanishing Hessian at 1/sqrt(3). A Newton started
     # 1e-9 beside it steps about 2.6e8 away, and every halving down to
-    # 2^-19 of that step raises the residual: the element fails at its
-    # iterate instead of taking an untried 2^-20 step.
+    # 2^-19 of that step raises the residual: the element fails instead of
+    # taking an untried 2^-20 step.
     L = parse_lagrangian("u1^4/4 - u1^2/2", 1, 1)
     u0 = np.array([1.0 / np.sqrt(3.0) + 1e-9])
-    u, ok = _damped_newton(L, np.zeros((1, 1)), np.array([[0.5]]), u0[None])
-    assert not ok[0]
-    np.testing.assert_array_equal(u[0], u0)
     with pytest.raises(DiffeomorphismViolationError):
         legendre_inverse(L, np.zeros(1), np.array([0.5]), u0=u0)
 
@@ -136,17 +146,15 @@ def test_nonsmooth_cost_is_only_differentiated_for_feedback():
 
 
 def test_closed_form_feedback_matches_the_newton():
+    # For a cost affine in u the Newton's first step is the closed form up
+    # to roundoff; the solve lands within 1e-12 of numpy's.
     L = parse_lagrangian("(1 + x1^2)*(u1^2 + u1*u2 + u2^2)/2 + x2*u1 + x1^2",
                          2, 2)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((40, 2))
     z = 2.0 * rng.standard_normal((40, 2))
-    u0 = np.zeros((40, 2))
-    u, ok = _affine_solve(*fiber_coefficients(L, x), z, u0)
-    u_newton, ok_newton = _damped_newton(L, x, z, u0)
-    assert ok.all() and ok_newton.all()
-    np.testing.assert_allclose(u, u_newton, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(legendre_inverse(L, x, z), u, rtol=0, atol=0)
+    np.testing.assert_allclose(legendre_inverse(L, x, z), closed_form(L, x, z),
+                               rtol=0, atol=1e-12)
 
 
 coefficient = st.floats(-2.0, 2.0, allow_nan=False).map(lambda v: f"({v:.6f})")
@@ -171,68 +179,60 @@ def test_closed_form_agrees_with_newton_on_random_quadratics(a, g, k, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, (8, 2))
     z = rng.uniform(-3.0, 3.0, (8, 2))
-    u0 = np.zeros((8, 2))
-    u, ok = _affine_solve(*fiber_coefficients(L, x), z, u0)
-    u_newton, ok_newton = _damped_newton(L, x, z, u0)
-    assert ok.all() and ok_newton.all()
-    np.testing.assert_allclose(u, u_newton, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(legendre_inverse(L, x, z), closed_form(L, x, z),
+                               rtol=0, atol=1e-12)
 
 
 def test_a_non_finite_momentum_fails_without_spreading_nan():
-    # A non-finite component of z - g0 fails its element, and enters u only
-    # through the entries of H^-1 that multiply it: the LU substitutions
-    # turned (1, -inf) into (nan, -inf). The other elements keep their bits.
+    # A non-finite component of z fails its own element, and the solves
+    # run element by element: every other element is solved as alone.
     L = parse_lagrangian("((1 + x1^2)*u1^2 + u1*u2 + 2*u2^2)/2", 1, 2)
     x = np.array([[0.0], [1.0], [0.5], [2.0]])
     z = np.array([[1.0, -np.inf], [2.0, 3.0], [np.inf, 1.0], [np.nan, 1.0]])
-    g0, H = fiber_coefficients(L, x)
-    u, ok = _affine_solve(g0, H, z, np.zeros((4, 2)))
-    np.testing.assert_array_equal(ok, [False, True, False, False])
-    H_inv = np.linalg.inv(H)
-    with np.errstate(invalid="ignore"):
-        for i in (0, 2, 3):
-            bad = ~np.isfinite(z[i])
-            want = H_inv[i][:, ~bad] @ z[i][~bad] + H_inv[i][:, bad] @ z[i][bad]
-            np.testing.assert_allclose(u[i], want, rtol=1e-15)
-    u1, ok1 = _affine_solve(g0[1:2], H[1:2], z[1:2], np.zeros((1, 2)))
-    np.testing.assert_array_equal(u[1:2], u1)
-    # H = I: the finite part is z itself.
-    u, ok = _affine_solve(np.zeros(2), np.eye(2), np.array([1.0, -np.inf]),
-                          np.zeros(2))
-    assert not ok
-    np.testing.assert_array_equal(u, [1.0, -np.inf])
+    with pytest.raises(DiffeomorphismViolationError, match="3 of 4"):
+        legendre_inverse(L, x, z)
+    assert_fails_alone(L, x[[0, 2, 3]], z[[0, 2, 3]])
+    np.testing.assert_allclose(legendre_inverse(L, x[1], z[1]),
+                               closed_form(L, x[1], z[1]), rtol=0, atol=1e-12)
+    with pytest.raises(DiffeomorphismViolationError):
+        legendre_inverse(parse_lagrangian("(u1^2 + u2^2)/2", 1, 2),
+                         np.zeros(1), np.array([1.0, -np.inf]))
 
 
 def test_singular_fiber_fails_elementwise():
     # d2_uL = x1 vanishes at x1 = 0 only: that element fails, the others
-    # are solved exactly.
+    # are solved to the closed form's roundoff.
     L = parse_lagrangian("x1*u1^2/2", 1, 1)
     assert L.fiber_affine()
     x = np.array([[1.0], [0.0], [2.0]])
-    u, ok = _affine_solve(*fiber_coefficients(L, x), np.ones((3, 1)),
-                          np.zeros((3, 1)))
-    np.testing.assert_array_equal(ok, [True, False, True])
-    np.testing.assert_allclose(u, [[1.0], [0.0], [0.5]], rtol=0, atol=1e-15)
+    z = np.ones((3, 1))
+    with pytest.raises(DiffeomorphismViolationError, match="1 of 3"):
+        legendre_inverse(L, x, z)
+    assert_fails_alone(L, x[1:2], z[1:2])
+    np.testing.assert_allclose(legendre_inverse(L, x[[0, 2]], z[[0, 2]]),
+                               [[1.0], [0.5]], rtol=0, atol=1e-15)
 
 
 def test_singular_fiber_leaves_the_regular_solves_untouched():
-    # H = [[x1, x2], [x2, 1]] is singular where x1 = x2^2; every other
-    # element gets the bits of its own solve, a singular one keeps u0.
+    # H = [[x1, x2], [x2, 1]] is singular where x1 = x2^2: there the
+    # elimination meets a zero pivot and the element fails; every other
+    # element is numpy's solve to roundoff.
     L = parse_lagrangian("(x1*u1^2 + 2*x2*u1*u2 + u2^2)/2 + x2*u2", 2, 2)
     rng = np.random.default_rng(5)
     x = np.column_stack([rng.uniform(2.0, 3.0, 12), rng.uniform(-1.0, 1.0, 12)])
     x[[2, 7]] = [[0.25, 0.5], [1.0, -1.0]]
     z = rng.standard_normal((12, 2))
     u0 = rng.standard_normal((12, 2))
-    u, ok = _affine_solve(*fiber_coefficients(L, x), z, u0)
-    np.testing.assert_array_equal(ok, ~np.isin(np.arange(12), [2, 7]))
-    for i in range(12):
-        if ok[i]:
-            H = np.array([[x[i, 0], x[i, 1]], [x[i, 1], 1.0]])
-            want = np.linalg.solve(H, z[i] - [0.0, x[i, 1]])
-            np.testing.assert_array_equal(u[i], want)
-        else:
-            np.testing.assert_array_equal(u[i], u0[i])
+    singular = np.isin(np.arange(12), [2, 7])
+    with pytest.raises(DiffeomorphismViolationError, match="2 of 12"):
+        legendre_inverse(L, x, z, u0)
+    assert_fails_alone(L, x[singular], z[singular])
+    H = np.stack([np.array([[a, b], [b, 1.0]]) for a, b in x[~singular]])
+    want = np.linalg.solve(H, (z[~singular] - np.column_stack(
+        [np.zeros(10), x[~singular, 1]]))[..., None])[..., 0]
+    np.testing.assert_allclose(
+        legendre_inverse(L, x[~singular], z[~singular], u0[~singular]),
+        want, rtol=0, atol=1e-12)
 
 
 def test_singular_hessian_fails_only_its_own_newton():
@@ -242,12 +242,15 @@ def test_singular_hessian_fails_only_its_own_newton():
     assert not L.fiber_affine()
     x = np.array([[1.0], [0.0], [2.0]])
     z = np.array([[1.0], [1.0], [-3.0]])
-    u, ok = _damped_newton(L, x, z, np.zeros((3, 1)))
-    np.testing.assert_array_equal(ok, [True, False, True])
-    for i in range(3):
-        u_i, ok_i = _damped_newton(L, x[i:i + 1], z[i:i + 1], np.zeros((1, 1)))
-        np.testing.assert_array_equal(u[i:i + 1], u_i)
-        assert ok_i[0] == ok[i]
+    with pytest.raises(DiffeomorphismViolationError, match="1 of 3"):
+        legendre_inverse(L, x, z)
+    assert_fails_alone(L, x[1:2], z[1:2])
+    u = legendre_inverse(L, x[[0, 2]], z[[0, 2]])
+    for i, row in enumerate((0, 2)):
+        np.testing.assert_array_equal(u[i], legendre_inverse(L, x[row], z[row]))
+        assert float(u[i, 0]) == pytest.approx(bisect_root(
+            lambda v: x[row, 0] * v + v ** 3 - z[row, 0], -3.0, 3.0),
+            abs=1e-10)
 
 
 def test_feedback_solves_at_large_momenta():
@@ -258,12 +261,10 @@ def test_feedback_solves_at_large_momenta():
     x = rng.standard_normal((200, 2))
     z = rng.standard_normal((200, 2))
     z *= 1e6 / np.linalg.norm(z, axis=-1, keepdims=True)
-    u0 = np.zeros((200, 2))
-    for name, (u, ok) in (
-            ("closed form", _affine_solve(*fiber_coefficients(L, x), z, u0)),
-            ("newton", _damped_newton(L, x, z, u0))):
-        assert ok.all(), f"{name}: {np.count_nonzero(~ok)} flagged"
-        np.testing.assert_allclose(L.grad_u(x, u), z, rtol=0, atol=1e-9 * 1e6)
+    for L_z in (L, parse_lagrangian(L.source + " + u1^4/4", 2, 2)):
+        u = legendre_inverse(L_z, x, z)
+        np.testing.assert_allclose(L_z.grad_u(x, u), z, rtol=0,
+                                   atol=1e-9 * 1e6)
 
 
 SMOOTH_BUILT_INS = [(scenario_fields(sc), scenario_lagrangian(sc))
@@ -296,18 +297,25 @@ def _assert_same_bits(got, want):
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
+def _stage_evaluators(F, L):
+    """z over (xi, p) and the stage rates over (xi, p, u), compiled."""
+    _, z, rates = _stage_exprs(F, L)
+    return (ex.compile_vector(z, 2 * F.n),
+            ex.compile_vector(rates, 2 * F.n + F.m))
+
+
 def _check_stage(F, L, point):
-    # The two-call stage, which a flow takes unless the cost's control
-    # Hessian is a constant (the built-ins' is: see the folded stage below).
+    # The stage's z and rates (xi', p') at any u, the expressions every
+    # flow stage is generated from.
     x, p, u = point[0, :, :F.n], point[1, :, :F.n], point[2, :, :F.m]
-    pre, post = _two_call_stage(F, L)
+    pre, post = _stage_evaluators(F, L)
     head = pre(np.concatenate((x, p), axis=-1))
     v = np.concatenate((x, p, u), axis=-1)
     tail = post(v)
     z, x_rate, p_rate = _per_expression_stage(F, L, x, p, u)
     # z makes the einsum's products and sums, without its +0.0
     # accumulator: the same values, but a zero may keep its sign.
-    np.testing.assert_array_equal(head[:, :F.m], z)
+    np.testing.assert_array_equal(head, z)
     # The rates are the Hamiltonian's derivatives, which group the sums
     # otherwise than the einsums do: they agree to the roundoff of the
     # terms they sum.
@@ -317,12 +325,6 @@ def _check_stage(F, L, point):
                     axis=-1)
     err = np.abs(tail - np.concatenate((x_rate, p_rate), axis=-1))
     assert np.all(err <= 4 * np.finfo(float).eps * size), (err, size)
-    if L.fiber_affine():
-        g0, H = fiber_coefficients(L, x)
-        _assert_same_bits(head[:, F.m:2 * F.m], g0)
-        _assert_same_bits(head[:, 2 * F.m:].reshape(H.shape), H)
-    else:
-        assert head.shape == z.shape
 
 
 @settings(max_examples=40, deadline=None)
@@ -356,28 +358,24 @@ def test_flow_stage_of_a_quartic_cost_returns_only_z(point):
         _check_stage(F, L, point)
 
 
-def _solved_between_two_calls(F, L, y):
-    """u*, its flag and (xi', p') through pre, the closed-form solve, post."""
-    pre, post = _two_call_stage(F, L)
-    head = pre(y)
-    m = F.m
-    H = head[..., 2 * m:]
-    u, ok = _affine_solve(head[..., m:2 * m], H.reshape(H.shape[:-1] + (m, m)),
-                          head[..., :m], np.zeros(y.shape[:-1] + (m,)))
-    return u, ok, post(np.concatenate((y, u), axis=-1))
+def _solved_by_numpy(F, L, y):
+    """u* by numpy's solve on (g0, H) at z, and (xi', p') at that u*."""
+    pre, post = _stage_evaluators(F, L)
+    u = closed_form(L, y[..., :F.n], pre(y))
+    return u, np.isfinite(u).all(axis=-1), post(np.concatenate((y, u), axis=-1))
 
 
 @settings(max_examples=40, deadline=None)
 @given(point=stage_point)
 def test_folded_stage_is_the_solve_between_two_calls_on_the_built_ins(point):
-    # H = I and g0 = 0: the folded stage's u* is z itself, which is the
-    # solve's u to the bit, and xi', p' are post's at that u. Only the sign
-    # of a zero may differ: the solve makes +0.0 of a -0.0 in z.
+    # H = I and g0 = 0: the folded stage's u* is z itself, which is
+    # numpy's solve to the bit, and xi', p' are the stage rates at that u.
+    # Only the sign of a zero may differ: the solve makes +0.0 of a -0.0.
     for F, L in SMOOTH_BUILT_INS:
         fold = _folded_stage(F, L)
         assert isinstance(fold, CompiledVector)
         y = np.concatenate((point[0, :, :F.n], point[1, :, :F.n]), axis=-1)
-        u, ok, rates = _solved_between_two_calls(F, L, y)
+        u, ok, rates = _solved_by_numpy(F, L, y)
         assert ok.all()
         out = fold(y)
         np.testing.assert_array_equal(out[:, :F.m], u)
@@ -401,7 +399,7 @@ def test_folded_stage_matches_the_solve_on_random_constant_hessians(point, a,
         fold = _folded_stage(F, L)
         assert isinstance(fold, CompiledVector)
         y = np.concatenate((point[0], point[1]), axis=-1)
-        u, ok, rates = _solved_between_two_calls(F, L, y)
+        u, ok, rates = _solved_by_numpy(F, L, y)
         assert ok.all()
         out = fold(y)
         for got, want in ((out[:, :2], u), (out[:, 2:], rates)):
@@ -413,10 +411,11 @@ def test_folded_stage_matches_the_solve_on_random_constant_hessians(point, a,
 def test_the_folded_rate_jacobian_is_the_implicit_function_formula(case):
     # Over a folded stage the rate Jacobian is one evaluator of the chain
     # rule through u* = H^-1 (z - g0) with H^-1 as constants. A fresh
-    # Lagrangian whose stage is forced to two calls differentiates the same
-    # rates with du*/dy from the implicit-function formula and a solve on
-    # H: the two agree to roundoff on the four smooth built-ins, and on
-    # heisenberg with H = [[1, 1/2], [1/2, 1]], whose H^-1 is off-diagonal.
+    # Lagrangian whose stage is forced to the Newton stage differentiates
+    # the same rates with du*/dy from the implicit-function formula and the
+    # elimination of H: the two agree to roundoff on the four smooth
+    # built-ins, and on heisenberg with H = [[1, 1/2], [1/2, 1]], whose
+    # H^-1 is off-diagonal.
     if case == "off_diagonal":
         F, L = HEISENBERG, parse_lagrangian("(u1^2 + u1*u2 + u2^2)/2", 3, 2)
     else:
@@ -426,22 +425,22 @@ def test_the_folded_rate_jacobian_is_the_implicit_function_formula(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lagrangian, "_folded_stage", lambda F, L: None)
         fresh = parse_lagrangian(L.source, F.n, F.m)
-        two_call = fresh.rate_jacobian(F)
-        assert fresh.flow_loop(F) is None
+        newton = fresh.rate_jacobian(F)
     # Half the entries are zeros of either sign and units (see SPECIAL).
     rng = np.random.default_rng(7)
     code = rng.integers(0, 8, (4, 16, 2 * F.n + F.m))
     v = np.where(code < 4, SPECIAL[np.minimum(code, 3)],
                  rng.uniform(-10.0, 10.0, code.shape))
-    got, want = L.rate_jacobian(F)(v), two_call(v)
+    got, want = L.rate_jacobian(F)(v), newton(v)
     assert got.shape == want.shape == (4, 16, 2 * F.n, 2 * F.n)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_a_singular_constant_hessian_keeps_the_solve():
     # u1^2/2 with two controls: H = diag(1, 0) is constant but singular, so
-    # the stage keeps the two calls and every element of a flow dies at the
-    # first stage; a multi-start then finds nothing, without raising.
+    # the stage is the Newton's, whose elimination meets the zero pivot:
+    # every element of a flow dies at the first stage, and a multi-start
+    # then finds nothing, without raising.
     L = parse_lagrangian("u1^2/2", 3, 2)
     assert L.fiber_affine()
     assert _folded_stage(HEISENBERG, L) is None

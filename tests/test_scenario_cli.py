@@ -1,5 +1,6 @@
 """Scenario file parsing and end-to-end command-line behavior."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,10 +10,12 @@ from extremals import cli
 from extremals.cli import main
 from extremals.controls import ControlPath
 from extremals.errors import ScenarioError
+from extremals.lagrangian import _folded_stage
 from extremals.reports import read_control_csv, write_control_csv
 from extremals.scenario import (builtin_scenario, load_scenario,
                                 parse_scenario, resolve_scenario,
-                                scenario_control)
+                                scenario_control, scenario_fields,
+                                scenario_lagrangian)
 
 MINIMAL = """\
 # planar toy problem
@@ -66,6 +69,20 @@ def test_builtin_lookup_lists_choices():
     with pytest.raises(ScenarioError, match="identity.*heisenberg"):
         builtin_scenario("nope")
     assert builtin_scenario("grushin").n == 2
+
+
+def test_heisenberg_quartic_is_heisenberg_with_a_quartic_cost():
+    # The packaged non-quadratic scenario: heisenberg's problem with a cost
+    # whose feedback the flow solves by its Newton, not in closed form.
+    quartic = builtin_scenario("heisenberg_quartic")
+    plain = builtin_scenario("heisenberg")
+    assert quartic.lagrangian_text == "(u1^2 + u2^2)/2 + u1^4/4"
+    assert dataclasses.replace(
+        quartic, name=plain.name, lagrangian_text=plain.lagrangian_text,
+        source_path=plain.source_path) == plain
+    L = scenario_lagrangian(quartic)
+    assert not L.fiber_affine()
+    assert _folded_stage(scenario_fields(quartic), L) is None
 
 
 def test_resolve_accepts_names_and_paths(tmp_path):

@@ -293,15 +293,15 @@ def test_solutions_are_the_flows_shooting_accepted():
         np.testing.assert_array_equal(sol.u.values, us[::4, 0])
 
 
-def test_a_flow_stage_is_two_compiled_calls(monkeypatch):
+def test_a_flow_makes_at_most_one_compiled_call(monkeypatch):
     # A constant control Hessian folds the feedback into one generated
-    # evaluator, (xi, p) -> (u*, xi', p'); an x-dependent one keeps two,
-    # z and the coefficients from one, xi' and p' from the other. Neither
-    # evaluates a field matrix or a Jacobian stack on the way. The folded
-    # stage runs its generated loop at every batch size, here 20 seeds; the
-    # loop keeps only the nodes, and one evaluator call on all nodes then
-    # gives their controls, the closing one included. The two-call stage
-    # runs the array loop.
+    # evaluator, (xi, p) -> (u*, xi', p'), and an x-dependent one takes the
+    # Newton stage. Both run their generated loop at every batch size, here
+    # 20 seeds, and neither evaluates a field matrix or a Jacobian stack on
+    # the way. The folded loop keeps only the node states, and one
+    # evaluator call on all nodes then gives their controls, the closing
+    # one included; the Newton loop keeps its node controls itself, and its
+    # flow makes no compiled call.
     calls = {"expr": 0, "field_matrix": 0, "jacobian_stack": 0}
 
     def counted(owner, attr, key):
@@ -320,8 +320,6 @@ def test_a_flow_stage_is_two_compiled_calls(monkeypatch):
     counted(ex.CompiledVector, "__call__", "expr")
     counted(FieldSet, "field_matrix", "field_matrix")
     counted(FieldSet, "jacobian_stack", "jacobian_stack")
-    N, substeps = 8, 2
-    M = N * substeps
     seeds = np.tile(OFF_AXIS_SEEDS, (4, 1))
     assert len(seeds) >= 16
 
@@ -329,19 +327,14 @@ def test_a_flow_stage_is_two_compiled_calls(monkeypatch):
         for key in calls:
             calls[key] = 0
         *_, alive = _hamiltonian_flow(HEISENBERG, L, np.zeros(3), seeds,
-                                      1.0, N, substeps)
+                                      1.0, 8, 2)
         assert alive.all()
         return calls
 
     assert flow_calls(QUAD_3) == {"expr": 1, "field_matrix": 0,
                                   "jacobian_stack": 0}
-    # The array loop over the folded stage, the generated loop's reference,
-    # makes one call per RK4 stage; the two-call stage makes two.
-    with monkeypatch.context() as patch:
-        patch.setattr(QUAD_3, "flow_loop", lambda F: None)
-        for L, per_stage in ((QUAD_3, 1), (x_dependent, 2)):
-            assert flow_calls(L) == {"expr": per_stage * (4 * M + 1),
-                                     "field_matrix": 0, "jacobian_stack": 0}
+    assert flow_calls(x_dependent) == {"expr": 0, "field_matrix": 0,
+                                       "jacobian_stack": 0}
 
 
 def test_building_solutions_runs_no_flow(monkeypatch):
@@ -458,8 +451,8 @@ def test_the_shooting_jacobian_is_the_flow_s_derivative(name):
 
 
 def test_the_shooting_jacobian_of_an_x_dependent_hessian():
-    # H = (1 + x1^2) I takes the two-call stage and the closed-form solve,
-    # exact to roundoff like the folded stage, so the same bound holds.
+    # H = (1 + x1^2) I takes the Newton stage, whose one step from a warm
+    # start is the closed form to roundoff, so the same bound holds.
     L = parse_lagrangian("(1 + x1^2)*(u1^2+u2^2)/2", 3, 2)
     assert lagrangian._folded_stage(HEISENBERG, L) is None
     for substeps in (1, 4):
