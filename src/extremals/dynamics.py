@@ -33,10 +33,10 @@ chart build integrates at once (2-core x86-64 box, Python 3.11.7, numpy
 2.4.6).
 
 The Hamiltonian flow of every cost runs the loop ``Lagrangian.flow_loop``
-generates, one element at a time; over a folded stage its RK4 text comes
-from ``fields._rk4_loop``, the emitter of the state loop, and
-``_run_loops`` runs every generated loop, so a dead element is frozen by
-one rule in each. The RK4 step matrices of a linear equation
+generates, one element at a time. ``fields._rk4_loop`` writes every
+generated RK4 loop, the state loop and each flow loop, and ``_run_loops``
+runs them all, so a dead element is frozen by one rule. The RK4 step
+matrices of a linear equation
 Y' = A(s) Y (``_step_matrices``) give Psi below and the exact shooting
 Jacobian of ``shooting``, the derivative of the discrete flow whose stage
 inputs gave A. Psi is their
@@ -279,10 +279,10 @@ def _states(F, values, T_path, x0, T, substeps):
 
 def _run_loops(loop, runs, out):
     """Runs ``loop``, a generated RK4 loop (``fields._rk4_loop``), once per
-    item (start, steps, h) of runs and puts element b's node states in
+    item (start, steps, h) of runs and puts element b's node rows in
     out[:, b], out shaped (M+1, B, d). Returns the node at which each
     element's loop ended early, -1 where it took all M steps. An element
-    that ended early keeps its last state at every later node."""
+    that ended early keeps its last row at every later node."""
     died = np.full(out.shape[1], -1)
     d = out.shape[-1]
     for b, (start, steps, h) in enumerate(runs):

@@ -23,7 +23,7 @@ on its last axis, any leading batch shape in front. ``scalar_code`` emits
 the same lowering as straight-line Python on scalars, for loops that run
 one element at a time, where a numpy call on a few numbers costs far more
 than its arithmetic: the RK4 loops ``fields._rk4_loop`` emits, the state
-loop and the Hamiltonian flow loop of a folded stage, are built from it.
+loop and every Hamiltonian flow loop, are built from it.
 
 The generator emits as few numpy operations as exact IEEE arithmetic
 allows, which is what a call costs at small batches:

@@ -1,7 +1,15 @@
-"""Vector field families, Lie brackets, and the bracket-generating rank test."""
+"""Vector field families, Lie brackets, and the bracket-generating rank test.
+
+``_rk4_loop`` here is the one emitter of generated RK4 loops: the state
+loop each field set generates at construction, and the Hamiltonian flow
+loop of every cost, ``Lagrangian.flow_loop``. Each caller hands it the
+code of an RK4 stage; it alone writes the stage inputs, the RK4
+combination, the finiteness and blow-up tests and the node rows.
+"""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +54,12 @@ class FieldSet:
         self._jac = ex.compile_vector(
             [self.components[i][j].diff(k)
              for i in range(m) for j in range(n) for k in range(n)], n)
-        self._loop = _state_loop(n, m, self.components)
-        # The loop's rates over (x, u), for the stage inputs of a kernel.
-        self._rates = ex.compile_vector(_rates(
-            self.components, [ex.Var(f"x{j + 1}", j) for j in range(n)],
-            [ex.Var(f"u{i + 1}", n + i) for i in range(m)]), n + m)
+        # The loop's rates over (x, u), also for the stage inputs of a kernel.
+        rates = _rates(self.components,
+                       [ex.Var(f"x{j + 1}", j) for j in range(n)],
+                       [ex.Var(f"u{i + 1}", n + i) for i in range(m)])
+        self._loop = _state_loop(n, m, rates)
+        self._rates = ex.compile_vector(rates, n + m)
 
     # -- evaluation ------------------------------------------------------
 
@@ -90,91 +99,108 @@ def _rates(components, y, u):
     return rates
 
 
-def _state_loop(n, m, components):
+def _state_loop(n, m, rates):
     """The generated RK4 loop of xi' = sum_i u_i X_i(xi) for one control.
 
     ``_loop(y, steps, h, guard)`` integrates from the state y, a list of
     n numbers, with step h, taking for each step of ``steps`` the controls
-    of its four RK4 stages, one list of 4m numbers. Each stage's rates are
-    ``_rates`` at the stage input, the expressions ``FieldSet._rates``
-    compiles, and the loop is ``_rk4_loop``'s: it returns the node states,
-    flat, and ends early at the first step whose new state leaves
-    ``guard``.
+    of its four RK4 stages, one list of 4m numbers. Each stage's code
+    computes ``rates``, the expressions ``FieldSet._rates`` compiles, at
+    its input and controls, and the loop is ``_rk4_loop``'s, with no
+    values: it returns the node states, flat, and ends early at the first
+    step whose new state leaves ``guard``.
     """
-    names = ([f"_x{j}" for j in range(n)]
-             + [f"_u{s}_{i}" for s in range(4) for i in range(m)])
+    controls = [[f"_u{s}_{i}" for i in range(m)] for s in range(4)]
 
-    def stage(s, y):
-        u = [ex.Var(f"u{i + 1}_{s}", n + s * m + i) for i in range(m)]
-        return [], _rates(components, y, u)
+    def stage(s, y, w):
+        lines, outputs = ex.scalar_code(rates, y + controls[s])
+        return lines, [], outputs
 
-    return _rk4_loop(n, names, stage)
+    return _rk4_loop(n, 0, sum(controls, []), stage)
 
 
-def _rk4_loop(d, names, stage):
-    """One generated RK4 loop ``_loop(y, steps, h, guard)`` on a state of
-    d components, in straight-line Python-number code.
+def _tuple(items):
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
-    ``names`` are the locals of the loop's variables: the d components of
-    the state, then the numbers each item of ``steps`` unpacks to. For RK4
-    stage s = 0..3 at the stage input y, a list of d expressions,
-    ``stage(s, y)`` returns (values, rates): numbers the loop requires to
-    be finite (the flow's u*), and the d rates. A step computes the stage
-    inputs y + (h/2) k1, y + (h/2) k2 and y + h k3 and the new state
-    y + (h/6) (k1 + 2 k2 + 2 k3 + k4), with the operations and the
-    operation order of a numpy RK4 over arrays, as one ``expr.scalar_code``
-    lowering.
 
-    The loop starts from the state y, a list of d numbers, and returns the
-    node states, flat; an evaluator of the same rates re-forms the stage
-    inputs from them bit for bit. It ends early at the first step with a
-    value that is not finite or a new state component that is not finite
-    or exceeds ``guard`` in modulus; that step's state is not kept.
+def _number(term):
+    """Whether an ``expr.scalar_code`` term is a number literal."""
+    try:
+        float(term.strip("()"))
+    except ValueError:
+        return False
+    return True
+
+
+def _rk4_loop(d, m, items, stage):
+    """The one emitter of generated RK4 loops: ``_loop(y, steps, h, guard)``
+    on a state of d components, in straight-line Python-number code, for
+    RK4 stages that each compute m values and d rates.
+
+    ``items`` are the locals each item of ``steps`` unpacks to. Each RK4
+    stage s = 0..3 is handed over as code: ``stage(s, y, w)`` returns
+    (lines, values, rates), lines that read the stage input, the locals y,
+    and the previous stage's values, the locals w, then the terms that
+    hold the stage's m values (the flow's u*) and d rates after them.
+    Stage 0 reads the values carried from the last completed step, 0 at
+    the first; a failed solve leaves NaN values. The emitter writes the
+    rest, with the operations and the operation order of a numpy RK4 over
+    arrays: the stage inputs y + (h/2) k1, y + (h/2) k2 and y + h k3 that
+    a stage's code reads, the new state y + (h/6) (k1 + 2 k2 + 2 k3 + k4),
+    the tests and the rows. A rate that is a number stays in place, where
+    Python folds the arithmetic on it when it compiles the loop.
+
+    The loop starts from the state y, a list of d numbers, and returns a
+    row per node, flat: the state, then its stage-0 values. It ends early
+    at the first step with a value that is not finite or a new state
+    component that is not finite or exceeds ``guard`` in modulus; that
+    step's state is not kept. The last row, the closing one, is stage 0
+    at the last kept state, from the values carried there.
     """
-    x = [ex.Var(f"x{j + 1}", j) for j in range(d)]
-    half, h, sixth = (ex.Var(v, len(names) + k)
-                      for k, v in enumerate(("half", "h", "sixth")))
-    two = ex.Const(2.0)
-    values, ks, y = [], [], x
-    for s, step in enumerate((half, half, h, None)):
-        v, k = stage(s, y)
-        values += v
-        ks.append(k)
-        if step is not None:
-            y = [ex.Add((x[j], ex.Mul((step, k[j])))) for j in range(d)]
-    k1, k2, k3, k4 = ks
-    new = [ex.Add((x[j], ex.Mul((sixth, ex.Add((
-        k1[j], ex.Mul((two, k2[j])), ex.Mul((two, k3[j])), k4[j]))))))
-        for j in range(d)]
-    lines, outputs = ex.scalar_code(values + new,
-                                    names + ["_half", "_h", "_sixth"])
-
-    def tup(items):
-        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
-
-    ys = tup(names[:d])
-    body = list(lines)
-    if values:
-        # Checked before the state moves on: a value may be a state local.
+    y, x = ([f"_{c}{j}" for j in range(d)] for c in "yx")
+    v = [[f"_v{s}_{i}" for i in range(m)] for s in range(4)]
+    row = f"_rows += {_tuple(y + v[0])}"
+    body, k = [], []
+    for s, scale in enumerate((None, "_half", "_half", "_h")):
+        lines, values, rates = stage(s, x if s else y, v[s - 1])
+        if scale is not None:
+            reads = set(re.findall(r"\w+", " ".join(lines + values + rates)))
+            body += [f"{x[j]} = {y[j]} + {scale} * {k[-1][j]}"
+                     for j in range(d) if x[j] in reads]
+        # A rate that is a number is its own name.
+        k.append([r if _number(r) else f"_k{s}_{j}"
+                  for j, r in enumerate(rates)])
+        body += lines + [f"{a} = {b}" for a, b in zip(v[s] + k[s],
+                                                      values + rates)
+                         if a != b]
+        if s == 0:
+            body.append(row)
+    if m:
         body += ["if not (" + " and ".join(
-            f"abs({v}) < inf" for v in outputs[:len(values)]) + "):",
-                 "    return _states"]
+            f"abs({c}) < inf" for c in sum(v, [])) + "):",
+                 "    return _rows"]
+    k1, k2, k3, k4 = k
     body += [
-        # Each new component reads the old state: all are evaluated first.
-        f"{ys} = _new = {tup(outputs[len(values):])}",
-        "if not (" + " and ".join(f"abs({v}) <= _guard"
-                                  for v in names[:d]) + "):",
-        "    return _states",
-        "_states += _new"]
-    source = "\n".join([
-        "def _loop(_y, _steps, _h, _guard):",
-        f"    {ys} = _y",
-        "    _half = _h / 2.0",
-        "    _sixth = _h / 6.0",
-        "    _states = list(_y)",
-        f"    for {', '.join(names[d:])} in _steps:"]
+        f"{_tuple(y)} = " + _tuple([
+            f"{y[j]} + _sixth * ({k1[j]} + 2.0 * {k2[j]} + 2.0 * {k3[j]}"
+            f" + {k4[j]})" for j in range(d)]),
+        "if not (" + " and ".join(f"abs({c}) <= _guard" for c in y) + "):",
+        "    return _rows"]
+    closing = []
+    if m:
+        lines, values, _ = stage(0, y, v[3])
+        closing = lines + [f"{a} = {b}" for a, b in zip(v[0], values)]
+    source = "\n".join(
+        ["def _loop(_y, _steps, _h, _guard):",
+         f"    {_tuple(y)} = _y",
+         "    _half = _h / 2.0",
+         "    _sixth = _h / 6.0",
+         "    _rows = []"]
+        + ([f"    {' = '.join(v[3])} = 0.0"] if m else [])
+        + [f"    for {', '.join(items)} in _steps:"]
         + [f"        {line}" for line in body]
-        + ["    return _states"])
+        + [f"    {line}" for line in closing + [row]]
+        + ["    return _rows"])
     return ex.scalar_function(source, "_loop")
 
 

@@ -8,20 +8,22 @@ The Hamiltonian flow in ``shooting`` runs one generated RK4 loop per field
 set, ``Lagrangian.flow_loop``, for every differentiable cost. Its rates are
 the exact derivatives of the Hamiltonian <B(xi)^T p, u> - L(xi, u) at the
 feedback u* solving d_uL(xi, u) = z, z = B(xi)^T p, and how u* is solved
-is decided here alone. Where d_uL(x, u) = g0(x) + H u with a constant H
-whose solves keep their roundoff far below LEGENDRE_TOL (1 + |z|), as for
+is decided here alone: this module hands each RK4 stage, as code, to
+``fields._rk4_loop``, which writes the rest of the loop and its node rows
+(xi, p, u*) for every cost. Where d_uL(x, u) = g0(x) + H u with a constant
+H whose solves keep their roundoff far below LEGENDRE_TOL (1 + |z|), as for
 every smooth built-in, H^-1 enters the generated code as constants and
 u* = H^-1 (z - g0(xi)) in closed form: the folded stage. For any other
-cost, an x-dependent H or a cost not affine in u, the loop solves u* at
-each RK4 stage by a damped Newton written out in its code
-(``_newton_lines``), warm-started from the stage before, and a failed
-solve ends the element. ``legendre_inverse`` runs the same Newton element
-by element and raises a diffeomorphism violation where it fails rather
-than patching over, because every downstream construction assumes the
-fiber derivative is invertible. ``Lagrangian.rate_jacobian``
-differentiates the stage rates for the exact shooting Jacobian, in one
-generated evaluator of the chain rule through u*: H^-1 enters as constants
-over the folded stage and by the Newton's elimination otherwise.
+cost, an x-dependent H or a cost not affine in u, each RK4 stage solves u*
+by a damped Newton written out in its code (``_newton_lines``),
+warm-started from the stage before, and a failed solve ends the element.
+``legendre_inverse`` runs the same Newton element by element and raises a
+diffeomorphism violation where it fails rather than patching over,
+because every downstream construction assumes the fiber derivative is
+invertible. ``Lagrangian.rate_jacobian`` differentiates the stage rates
+for the exact shooting Jacobian, in one generated evaluator of the chain
+rule through u*: H^-1 enters as constants over the folded stage and by
+the Newton's elimination otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DiffeomorphismViolationError, DimensionError, EvaluationError
-from .fields import _rk4_loop
+from .fields import _rk4_loop, _tuple
 
 LEGENDRE_TOL = 1e-10
 LEGENDRE_MAX_ITER = 25
@@ -123,11 +125,10 @@ class Lagrangian:
 
     def flow_loop(self, F):
         """The Hamiltonian flow's generated RK4 loop for F, run one element
-        at a time by ``dynamics._run_loops``. Over the folded stage it keeps
-        the node states (xi, p), whose controls one folded call re-forms
-        (``_flow_loop``); otherwise it keeps (xi, p, u*) at each node, as
-        the warm starts that chain its Newton solves are not re-formed
-        from the states alone (``_newton_flow``).
+        at a time by ``dynamics._run_loops``: ``fields._rk4_loop`` over the
+        code of the folded or the Newton stage (``_stage``). For every cost
+        it keeps the row (xi, p, u*) of each node, u* the control of RK4
+        stage 0 there, the closing row included.
         """
         return self._flow(F)[2]
 
@@ -219,35 +220,27 @@ def _rate_jacobian(F, L: Lagrangian):
 def _stage(F, L: Lagrangian):
     """(stage, folded, loop): the functions ``Lagrangian.flow_stage`` and
     ``Lagrangian.flow_loop`` return for F, and the folded evaluator, None
-    for a Newton stage."""
-    m = F.m
-    folded = _folded_stage(F, L)
-    if folded is None:
-        stage, loop = _newton_flow(F, L)
-        return stage, None, loop
+    for a Newton stage.
 
-    def stage(y, w):
-        out = folded(y)
-        return out[..., :m], out[..., m:]
-    return stage, folded, _flow_loop(F, folded)
-
-
-def _flow_loop(F, folded):
-    """The loop ``Lagrangian.flow_loop`` returns over a folded stage:
-    ``fields._rk4_loop`` on y = (xi, p), each stage's values the folded
-    stage's u* at the stage input and its rates the folded stage's rates
-    at that u*, so a step does a numpy RK4's arithmetic over the folded
-    evaluator, bit for bit. It takes ``range(M)`` for its steps, checks
-    u* at every stage and keeps the node states only.
+    The loop is ``fields._rk4_loop`` on y = (xi, p) with ``range(M)`` for
+    its steps, each RK4 stage's code the stage's: over a folded stage the
+    folded evaluator's lowering at the stage input, its u* the values, so
+    a step does a numpy RK4's arithmetic over the evaluator bit for bit;
+    otherwise ``_newton_stage``'s lines.
     """
     m, d = F.m, 2 * F.n
-    u_star, rates = folded.exprs[:m], folded.exprs[m:]
+    folded = _folded_stage(F, L)
+    if folded is None:
+        code, stage = _newton_stage(F, L)
+    else:
+        def code(s, y, w):
+            lines, outputs = ex.scalar_code(folded.exprs, y)
+            return lines, outputs[:m], outputs[m:]
 
-    def stage(s, y):
-        u = [ex.substitute(e, y) for e in u_star]
-        return u, [ex.substitute(r, y + u) for r in rates]
-
-    return _rk4_loop(d, [f"_x{j}" for j in range(d)] + ["_j"], stage)
+        def stage(y, w):
+            out = folded(y)
+            return out[..., :m], out[..., m:]
+    return stage, folded, _rk4_loop(d, m, ["_j"], code)
 
 
 def _folded_stage(F, L: Lagrangian):
@@ -342,15 +335,11 @@ def _products(e):
     return e
 
 
-def _tuple(items):
-    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
-
-
-def _newton_lines(L: Lagrangian):
+def _newton_lines(L: Lagrangian, x, u):
     """The damped Newton on d_uL(x, u) = z as lines of Python code.
 
-    The lines read the locals _x0.. (x), _z0.. (z) and _u0.. (the warm
-    start) and leave the last iterate in _u0..; it solves the equation
+    The lines read the locals x (n names), _z0.. (z) and u (m names, the
+    warm start) and leave the last iterate in u; it solves the equation
     where ``_rr < _tol`` holds after them. Each iteration solves
     H(x, u) s = r, r = d_uL(x, u) - z, by ``_eliminated``, and tries
     u - a s for a = 1, 1/2, ... over LEGENDRE_MAX_HALVINGS scales,
@@ -365,8 +354,7 @@ def _newton_lines(L: Lagrangian):
     """
     n, m = L.n, L.m
     grad, hess = ([_products(e) for e in exprs] for exprs in L._fiber_exprs())
-    x = [f"_x{j}" for j in range(n)]
-    u, z, r, s, c, q = ([f"_{v}{i}" for i in range(m)] for v in "uzrscq")
+    z, r, s, c, q = ([f"_{v}{i}" for i in range(m)] for v in "zrscq")
 
     def block(exprs, names, out):
         lines, outputs = ex.scalar_code(exprs, names)
@@ -421,79 +409,42 @@ def _failed(u):
     return ["if not _rr < _tol:", f"    {' = '.join(u)} = nan"]
 
 
-def _newton_flow(F, L: Lagrangian):
-    """(stage, loop) of a Newton stage, whose u* every RK4 stage solves in
+def _newton_stage(F, L: Lagrangian):
+    """(code, stage) of a Newton stage, whose u* every RK4 stage solves in
     generated code from the u* of the stage before it.
 
-    A stage's lines compute z = B(xi)^T p at the stage input _x0.., run
-    ``_newton_lines`` from the warm start in _u0.. and put the rates at
-    their u* in the locals k. The loop inlines them at each RK4 stage, the
-    flow's first from u = 0, and steps as ``fields._rk4_loop`` does. It
-    keeps the row (xi, p, u*) of each node, u* its stage-1 control, from
-    which ``shooting._shooting_jacobian`` re-forms the stage inputs: a
-    solved warm start takes no step. An element ends at the first step
-    with a failed solve or a new state component that is not finite or
-    exceeds the guard; its last row, like an element's that took every
-    step, holds the last state and the stage's control there from the
-    warm start of its step. The stage function runs the same lines
-    (``_stages``) one element at a time, the loop's arithmetic bit for
-    bit, with u* NaN where the solve fails.
+    ``code(s, y, w)`` is the stage as ``fields._rk4_loop`` takes it: lines
+    that compute z = B(xi)^T p at the stage input y, run ``_newton_lines``
+    in _u0.. from the warm start w and make u* NaN where the solve fails,
+    then u* and the rates at it. The stage function runs the same lines
+    one element at a time (``_stages``), the loop's arithmetic bit for bit,
+    with u* NaN where the solve fails: the flow's first stage from its
+    node control re-forms the loop's, as a solved warm start takes no step.
     """
-    m, d = F.m, 2 * F.n
+    n, m, d = F.n, F.m, 2 * F.n
     _, z, rates = _stage_exprs(F, L)
-    x, u, w, v, y, new = ([f"_{c}{j}" for j in range(k)]
-                          for c, k in zip("xuwvyn", (d, m, m, m, d, d)))
-    ks = [[f"_k{s}_{j}" for j in range(d)] for s in range(1, 5)]
-    z_lines, z_out = ex.scalar_code(z, x)
-    rate_lines, rate_out = ex.scalar_code(rates, x + u)
+    u = [f"_u{i}" for i in range(m)]
 
-    def stage(k, failed):
-        return (z_lines
-                + [f"{_tuple([f'_z{i}' for i in range(m)])} = {_tuple(z_out)}"]
-                + _newton_lines(L) + failed + rate_lines
-                + [f"{_tuple(k)} = {_tuple(rate_out)}"])
+    def code(s, y, w):
+        z_lines, z_out = ex.scalar_code(z, y)
+        rate_lines, rate_out = ex.scalar_code(rates, y + u)
+        return (z_lines + [f"_z{i} = {e}" for i, e in enumerate(z_out)]
+                + [f"{_tuple(u)} = {_tuple(w)}"] + _newton_lines(L, y[:n], u)
+                + _failed(u) + rate_lines, u, rate_out)
 
-    body = [f"{_tuple(x)} = {_tuple(y)}", f"{_tuple(u)} = {_tuple(w)}"]
-    for s, scale in enumerate(("_half", "_half", "_h", None)):
-        body += stage(ks[s], ["if not _rr < _tol:", "    break"])
-        if s == 0:
-            body.append(f"{_tuple(v)} = {_tuple(u)}")
-        if scale is not None:
-            body.append(f"{_tuple(x)} = " + _tuple(
-                [f"{y[j]} + {scale} * {ks[s][j]}" for j in range(d)]))
-    k1, k2, k3, k4 = ks
-    body += [
-        f"{_tuple(new)} = " + _tuple([
-            f"{y[j]} + _sixth * ({k1[j]} + 2.0 * {k2[j]} + 2.0 * {k3[j]}"
-            f" + {k4[j]})" for j in range(d)]),
-        "if not (" + " and ".join(f"abs({c}) <= _guard" for c in new) + "):",
-        "    break",
-        f"_states += {_tuple(y + v)}",
-        f"{_tuple(y)} = {_tuple(new)}",
-        f"{_tuple(w)} = {_tuple(u)}"]
-    source = "\n".join(
-        [_row_function("_stages", x + u, stage(ks[0], _failed(u)), u + ks[0]),
-         "def _loop(_y, _steps, _h, _guard):",
-         f"    {_tuple(y)} = _y",
-         f"    {' = '.join(w)} = 0.0",
-         "    _half = _h / 2.0",
-         "    _sixth = _h / 6.0",
-         "    _states = []",
-         "    for _j in _steps:"]
-        + [f"        {line}" for line in body]
-        + [f"    return _states + [{', '.join(y)}] + "
-           f"_stages([({', '.join(y + w)})])[:{m}]"])
-    loop = ex.scalar_function(source, "_loop")
-    stages = loop.__globals__["_stages"]
+    y, w = [f"_y{j}" for j in range(d)], [f"_w{i}" for i in range(m)]
+    lines, u_out, k_out = code(0, y, w)
+    stages = ex.scalar_function(
+        _row_function("_stages", y + w, lines, u_out + k_out), "_stages")
 
-    def flow_stage(y, w):
+    def stage(y, w):
         batch = y.shape[:-1]
         rows = np.concatenate((y, np.broadcast_to(w, batch + (m,))), axis=-1)
         out = np.array(stages(rows.reshape(-1, d + m).tolist()),
                        dtype=float).reshape(batch + (m + d,))
         return out[..., :m], out[..., m:]
 
-    return flow_stage, loop
+    return code, stage
 
 
 def parse_lagrangian(text, n, m) -> Lagrangian:
@@ -526,8 +477,8 @@ def legendre_inverse(L: Lagrangian, x, z, u0=None):
         raise DimensionError(f"expected x(...,{n}), z(...,{m}) and "
                              f"u0(...,{m}), got {[a.shape for a in parts]}")
     solve = ex.scalar_function(_row_function(
-        "_solve", args, _newton_lines(L) + _failed(args[n + m:]),
-        args[n + m:]), "_solve")
+        "_solve", args, _newton_lines(L, args[:n], args[n + m:])
+        + _failed(args[n + m:]), args[n + m:]), "_solve")
     batch = np.broadcast_shapes(*(a.shape[:-1] for a in parts))
     rows = np.concatenate([np.broadcast_to(a, batch + a.shape[-1:])
                            for a in parts], axis=-1)

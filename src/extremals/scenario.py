@@ -154,6 +154,16 @@ def parse_scenario(text, source_path=None) -> Scenario:
     if sc.target is not None and len(sc.target) != sc.n:
         raise ScenarioError(
             f"target has {len(sc.target)} components, expected {sc.n}")
+    for key in ("x0", "target"):
+        if not np.all(np.isfinite(getattr(sc, key) or ())):
+            raise ScenarioError(f"{key} must be finite")
+    for key in ("shoot_tol", "dedup_tol", "singular_threshold"):
+        if not 0 < getattr(sc, key) < np.inf:
+            raise ScenarioError(f"{key} must be positive and finite")
+    if not 0 <= sc.seeds_scale < np.inf:
+        raise ScenarioError("seeds_scale must be non-negative and finite")
+    if sc.seeds_count < 0:
+        raise ScenarioError("seeds_count must be non-negative")
     return sc
 
 

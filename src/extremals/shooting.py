@@ -7,14 +7,16 @@ The flow integrated here is
 with the feedback control u* = w(xi, B(xi)^T p) re-solved at every RK4
 stage, on the stacked state y = (xi, p). ``_hamiltonian_flow`` runs one
 RK4 loop for every cost, ``Lagrangian.flow_loop``: straight-line
-Python-float code generated per field set, run once per element at every
-batch size. A heisenberg step takes about 1.6 us with the folded stage of
-every smooth built-in and 5 to 7 us with the Newton stage of an
-x-dependent H or a quartic cost (2-core x86-64 box, Python 3.11.7, numpy
-2.4.6). An element dies at the step where a feedback solve fails, a u* is
-not finite or the new state leaves the blow-up guard. It then keeps its
-last state at every later node, its controls after that step are NaN, and
-its closing control is the stage's at its frozen state.
+Python-float code that ``fields._rk4_loop`` generates per field set, run
+once per element at every batch size. The loop writes the row
+(xi, p, u*) of each node itself, so a flow makes no compiled call. A
+heisenberg step takes about 1.7 us with the folded stage of every smooth
+built-in, its node controls included, and 5 to 7 us with the Newton
+stage of an x-dependent H or a quartic cost (2-core x86-64 box, Python
+3.11.7, numpy 2.4.6). An element dies at the step where a feedback solve
+fails, a u* is not finite or the new state leaves the blow-up guard. It
+then keeps its last state at every later node, its controls after that
+step are NaN, and its closing control is the stage's at its frozen state.
 
 The shooting unknown is p(0): forward integration only, and the
 multiplier is read off as lam = p(T) on convergence.
@@ -113,11 +115,9 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     feedback-solvable. The nodes are all a flow keeps:
     ``_shooting_jacobian`` re-forms the stage inputs from them.
 
-    ``Lagrangian.flow_loop`` runs once per element, whatever the batch.
-    Over a folded stage one stage call on all nodes then gives us, the
-    closing control included: the loop's operations on its expressions,
-    so its bits; a Newton stage's loop keeps us itself. Dead elements
-    follow the module docstring's rule.
+    ``Lagrangian.flow_loop`` runs once per element, whatever the batch,
+    and writes the node rows itself, the closing one included. Dead
+    elements follow the module docstring's rule.
     """
     p0 = np.asarray(p0, dtype=float)
     batch = p0.shape[:-1]
@@ -128,17 +128,10 @@ def _hamiltonian_flow(F, L, x0, p0, T, N, substeps=DEFAULT_SUBSTEPS):
     y = np.empty((B, 2 * n))
     y[:, :n] = np.asarray(x0, dtype=float)
     y[:, n:] = p0.reshape(B, n)
-    stage, folded, loop = L._flow(F)
     rows = np.empty((M + 1, B, 2 * n + m))
-    ys, us = rows[..., :2 * n], rows[..., 2 * n:]
-    died = _run_loops(loop, ((start, range(M), float(h))
-                             for start in y.tolist()),
-                      rows if folded is None else ys)
-    if folded is not None:
-        # A frozen dead element's controls may overflow; its death step
-        # reports it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            us[:] = stage(ys, None)[0]
+    died = _run_loops(L.flow_loop(F), ((start, range(M), float(h))
+                                       for start in y.tolist()), rows)
+    us = rows[..., 2 * n:]
     for b in np.flatnonzero(died >= 0):
         us[died[b]:M, b] = np.nan
     alive = (died < 0) & np.isfinite(us[M]).all(axis=-1)

@@ -239,7 +239,8 @@ def test_c10_inversion_charts(heis, heis_parts, heis_sols64, announce):
 def test_c11_deterministic_reports(tmp_path, announce):
     jobs = [("gl-values", "gl"), ("lie-rank", "heisenberg"),
             ("simulate", "heisenberg"), ("check-singular", "martinet"),
-            ("endpoint-jacobian", "grushin"), ("solve-extremal", "identity")]
+            ("endpoint-jacobian", "grushin"), ("solve-extremal", "identity"),
+            ("solve-extremal", "heisenberg_quartic")]
 
     def run(out):
         out.mkdir()

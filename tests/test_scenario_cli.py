@@ -208,6 +208,30 @@ def test_cli_build_chart_rejects_what_certifies_nothing(tmp_path, capsys,
     assert not (tmp_path / "toy_chart.json").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "x0 = nan, 0", "target = nan, 0", "target = inf, 0", "shoot_tol = nan",
+    "shoot_tol = -1", "shoot_tol = 0", "dedup_tol = -1",
+    "singular_threshold = nan", "seeds_scale = nan", "seeds_scale = -1",
+    "seeds_count = -3"])
+def test_cli_rejects_values_no_solve_can_use(tmp_path, capsys, monkeypatch,
+                                             line):
+    # Each is bad input: exit 1 and an error: line naming the key, before
+    # the multi-start runs.
+    def no_multi_start(*args, **kwargs):
+        raise AssertionError("multi_start ran on a rejected scenario value")
+
+    monkeypatch.setattr(cli, "multi_start", no_multi_start)
+    key = line.split()[0]
+    scn = tmp_path / "bad.scn"
+    scn.write_text("".join(row for row in MINIMAL.splitlines(keepends=True)
+                           if row.split(" ", 1)[0] != key) + line + "\n")
+    assert main(["solve-extremal", "--scenario", str(scn),
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"{key} must be" in err
+
+
 def test_cli_solver_errors_exit_two(tmp_path, capsys):
     # A cost linear in u has no maximizing control anywhere, so every seed
     # dies and the solve reports failure.
